@@ -62,23 +62,33 @@ func TestZeroRecorderAllocFree(t *testing.T) {
 
 // TestRecorderSteadyStateAllocFree: with a recorder attached and warmed,
 // recording itself allocates nothing — the arena/ring/scratch are all
-// preallocated and the sink write is the only byte sink.
+// preallocated and the sink write is the only byte sink. At 12 threads
+// hardly a wake queues, so the headroom search has nothing to do; at 48
+// the machine is oversubscribed and the measured windows are searched.
 func TestRecorderSteadyStateAllocFree(t *testing.T) {
-	sched := sim.NewFIFO()
-	m := sim.NewMachine(topo.Small(), sched, sim.Options{Seed: 9})
-	r, err := Attach(m, Options{Sink: io.Discard, MaxBytes: 1 << 40})
-	if err != nil {
-		t.Fatal(err)
+	for _, threads := range []int{12, 48} {
+		sched := sim.NewFIFO()
+		m := sim.NewMachine(topo.Small(), sched, sim.Options{Seed: 9})
+		r, err := Attach(m, Options{Sink: io.Discard, MaxBytes: 1 << 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < threads; i++ {
+			m.StartThread("w", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
+		}
+		m.Run(250 * time.Millisecond) // past the first flush: scratch is sized
+		nodes := r.hr.nodes
+		avg := testing.AllocsPerRun(20, func() {
+			m.Run(m.Now() + 5*time.Millisecond)
+		})
+		if avg != 0 {
+			t.Fatalf("%d threads: recorder steady state allocated %.1f allocs per 5ms window, want 0", threads, avg)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if hr := r.Headroom(); threads == 48 && (hr.Achieved == 0 || r.hr.nodes == nodes) {
+			t.Fatalf("%d threads: %d nodes searched while measuring, headroom %+v: the search was not exercised", threads, r.hr.nodes-nodes, hr)
+		}
 	}
-	for i := 0; i < 12; i++ {
-		m.StartThread("w", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
-	}
-	m.Run(250 * time.Millisecond) // past the first flush: scratch is sized
-	avg := testing.AllocsPerRun(20, func() {
-		m.Run(m.Now() + 5*time.Millisecond)
-	})
-	if avg != 0 {
-		t.Fatalf("recorder steady state allocated %.1f allocs per 5ms window, want 0", avg)
-	}
-	_ = r
 }

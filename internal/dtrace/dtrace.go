@@ -20,7 +20,6 @@ package dtrace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -164,8 +163,9 @@ type Summary struct {
 //
 // All hot-path state is preallocated at Attach: the SoA ring, the
 // candidate arena, the encode scratch, and the headroom window. Recording
-// a decision allocates nothing; flushing writes one encoded chunk to the
-// sink (an in-memory buffer grows amortized, bounded by MaxBytes).
+// a decision allocates nothing, the headroom search it may set off
+// included; flushing writes one encoded chunk to the sink (an in-memory
+// buffer grows amortized, bounded by MaxBytes).
 type Recorder struct {
 	m    *sim.Machine
 	opts Options
@@ -229,7 +229,7 @@ func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
 		loadBuf: make([]int, len(m.Cores)),
 		pickBuf: make([]sim.PickCandidate, 0, maxCandPerRec),
 	}
-	r.hr.init(opts.Window, opts.Branch)
+	r.hr.window, r.hr.branch = opts.Window, opts.Branch
 	if ex, ok := m.Scheduler().(sim.PickExplainer); ok {
 		r.explainer = ex
 	}
@@ -261,11 +261,14 @@ func (r *Recorder) push(k Kind, t time.Duration, core, thread, other int32, wait
 	r.thread = append(r.thread, thread)
 	r.other = append(r.other, other)
 	r.waitNS = append(r.waitNS, wait)
+	var dg uint64
 	if r.cols&groupDigest != 0 {
-		r.digest = append(r.digest, r.snapshotDigest())
-	} else {
-		r.digest = append(r.digest, 0)
+		if k != KindWake { // onWake sampled the depths at this same instant
+			r.loadBuf = r.m.RunnableCountsInto(r.loadBuf)
+		}
+		dg = loadDigest(r.loadBuf)
 	}
+	r.digest = append(r.digest, dg)
 	r.candLen = append(r.candLen, uint16(nc))
 	r.n++
 	if r.n == r.opts.Ring || len(r.candID) >= cap(r.candID)-maxCandPerRec {
@@ -273,15 +276,14 @@ func (r *Recorder) push(k Kind, t time.Duration, core, thread, other int32, wait
 	}
 }
 
-// snapshotDigest hashes the per-core runnable depths (FNV-1a 64).
-func (r *Recorder) snapshotDigest() uint64 {
-	r.loadBuf = r.m.RunnableCountsInto(r.loadBuf)
+// loadDigest hashes per-core runnable depths (FNV-1a 64).
+func loadDigest(loads []int) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, n := range r.loadBuf {
+	for _, n := range loads {
 		v := uint64(n)
 		for i := 0; i < 4; i++ {
 			h ^= v & 0xff
@@ -330,21 +332,18 @@ func (r *Recorder) onWake(target, origin *sim.Core, t *sim.Thread) {
 	if !r.sampled(KindWake) {
 		return
 	}
+	// One pass stages the placement alternatives — every core the thread
+	// was allowed on (online, affinity-permitting), keyed by its runnable
+	// depth at decision time — for the analyzer and the cand columns both.
 	r.loadBuf = r.m.RunnableCountsInto(r.loadBuf)
-	r.hr.observe(int32(target.ID), t, r.loadBuf)
+	cands := r.hr.observe(int32(target.ID), t, r.loadBuf)
 	nc := 0
 	if r.cols&groupCand != 0 {
-		// Wake candidates are the placement alternatives: every core the
-		// thread was allowed on (online, affinity-permitting), keyed by
-		// its runnable depth at decision time.
-		for id, load := range r.loadBuf {
-			if !t.CanRunOn(id) || nc == maxCandPerRec {
-				continue
-			}
-			r.candID = append(r.candID, int32(id))
-			r.candKey = append(r.candKey, int64(load))
-			nc++
+		for _, c := range cands {
+			r.candID = append(r.candID, c.ID)
+			r.candKey = append(r.candKey, c.Key)
 		}
+		nc = len(cands)
 	}
 	// Wake latency input: time since the thread last gave up a core
 	// (the whole sleep/block span; threads that never ran count from 0).
@@ -441,14 +440,3 @@ func (r *Recorder) Summary() Summary {
 // Headroom returns the oracle headroom analysis over the recorded wake
 // decisions. Valid after Close.
 func (r *Recorder) Headroom() Headroom { return r.hr.result() }
-
-// sortCandidates orders a candidate slice by (key, id) — the canonical
-// order used by the headroom search's branch cut.
-func sortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Key != cs[j].Key {
-			return cs[i].Key < cs[j].Key
-		}
-		return cs[i].ID < cs[j].ID
-	})
-}

@@ -18,8 +18,10 @@ package timeline
 //   - "C" counter events replaying probe series handed in by the caller.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -37,7 +39,17 @@ type CounterTrack struct {
 // counters are emitted only when the "counters" track group is selected;
 // pass nil when none apply. Valid after Close.
 func (r *Recorder) AppendPerfetto(buf []byte, counters []CounterTrack) []byte {
-	b := buf
+	// Size the output once from the event counts instead of doubling up to
+	// it. The per-event allowances are what a minute-long run's events
+	// render to with short thread names; a longer export regrows as before.
+	nPoints := 0
+	if r.opts.track(TrackCounters) {
+		for _, ct := range counters {
+			nPoints += len(ct.Points)
+		}
+	}
+	nSlices := bytes.Count(r.ev.kind, []byte{evSlice})
+	b := slices.Grow(buf, 256+160*len(r.m.Cores)+144*nSlices+104*(len(r.ev.kind)-nSlices)+88*nPoints)
 	b = append(b, `{"displayTimeUnit":"ms","otherData":{"schema":"`+SchemaName+`"},"traceEvents":[`...)
 	first := true
 	sep := func() {
@@ -67,9 +79,6 @@ func (r *Recorder) AppendPerfetto(buf []byte, counters []CounterTrack) []byte {
 		b = append(b, `}}`...)
 	}
 
-	us := func(ns int64) []byte {
-		return strconv.AppendFloat(nil, float64(ns)/1e3, 'g', -1, 64)
-	}
 	for i := range r.ev.kind {
 		sep()
 		tid := r.ev.tid[i]
@@ -82,15 +91,17 @@ func (r *Recorder) AppendPerfetto(buf []byte, counters []CounterTrack) []byte {
 			b = append(b, `{"ph":"X","pid":0,"tid":`...)
 			b = strconv.AppendInt(b, int64(r.ev.core[i]), 10)
 			b = append(b, `,"ts":`...)
-			b = append(b, us(r.ev.t[i])...)
+			b = appendUS(b, r.ev.t[i])
 			b = append(b, `,"dur":`...)
-			b = append(b, us(r.ev.dur[i])...)
-			b = append(b, `,"name":`...)
-			b = appendJSONString(b, fmt.Sprintf("%s T%d", name, tid))
-			b = append(b, `,"args":{"tid":`...)
+			b = appendUS(b, r.ev.dur[i])
+			b = append(b, `,"name":"`...)
+			b = appendJSONEscaped(b, name)
+			b = append(b, " T"...)
+			b = strconv.AppendInt(b, int64(tid), 10)
+			b = append(b, `","args":{"tid":`...)
 			b = strconv.AppendInt(b, int64(tid), 10)
 			b = append(b, `,"wait_us":`...)
-			b = append(b, us(r.ev.wait[i])...)
+			b = appendUS(b, r.ev.wait[i])
 			b = append(b, `,"from_wake":`...)
 			b = strconv.AppendBool(b, r.ev.flag[i] != 0)
 			b = append(b, `}}`...)
@@ -105,7 +116,7 @@ func (r *Recorder) AppendPerfetto(buf []byte, counters []CounterTrack) []byte {
 			b = append(b, `{"ph":"i","s":"t","pid":0,"tid":`...)
 			b = strconv.AppendInt(b, int64(r.ev.core[i]), 10)
 			b = append(b, `,"ts":`...)
-			b = append(b, us(r.ev.t[i])...)
+			b = appendUS(b, r.ev.t[i])
 			b = append(b, `,"name":"`...)
 			b = append(b, kind...)
 			b = append(b, `","args":{"tid":`...)
@@ -119,16 +130,15 @@ func (r *Recorder) AppendPerfetto(buf []byte, counters []CounterTrack) []byte {
 	}
 
 	if r.opts.track(TrackCounters) {
-		g := func(v float64) []byte { return strconv.AppendFloat(nil, v, 'g', -1, 64) }
 		for _, ct := range counters {
 			for _, p := range ct.Points {
 				sep()
 				b = append(b, `{"ph":"C","pid":0,"ts":`...)
-				b = append(b, g(p[0])...)
+				b = strconv.AppendFloat(b, p[0], 'g', -1, 64)
 				b = append(b, `,"name":`...)
 				b = appendJSONString(b, ct.Name)
 				b = append(b, `,"args":{"value":`...)
-				b = append(b, g(p[1])...)
+				b = strconv.AppendFloat(b, p[1], 'g', -1, 64)
 				b = append(b, `}}`...)
 			}
 		}
@@ -137,11 +147,49 @@ func (r *Recorder) AppendPerfetto(buf []byte, counters []CounterTrack) []byte {
 	return b
 }
 
-// appendJSONString appends s as a JSON string literal. ASCII control
-// characters, quotes, and backslashes are escaped; everything else passes
-// through byte-for-byte (names are UTF-8 already).
+// appendUS appends ns nanoseconds as microseconds, byte for byte what
+// strconv.AppendFloat(b, float64(ns)/1e3, 'g', -1, 64) appends, from integer
+// arithmetic. Below 1e15 ns the quotient's exact decimal has at most 15
+// significant digits, which makes it the shortest decimal that reads back
+// as that float64; spans beyond that (11 days) take the strconv route.
+func appendUS(b []byte, ns int64) []byte {
+	if ns < 0 || ns >= 1e15 {
+		return strconv.AppendFloat(b, float64(ns)/1e3, 'g', -1, 64)
+	}
+	if ns < 1e9 { // below 1e6 µs shortest-'g' is plain decimal
+		b = strconv.AppendInt(b, ns/1e3, 10)
+		if frac := ns % 1e3; frac != 0 {
+			b = append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+			for b[len(b)-1] == '0' {
+				b = b[:len(b)-1]
+			}
+		}
+		return b
+	}
+	// d[.ddd]e+XX: the digits of ns less trailing zeros, exponent digits-4.
+	start := len(b)
+	b = strconv.AppendInt(b, ns, 10)
+	exp := len(b) - start - 4
+	for b[len(b)-1] == '0' {
+		b = b[:len(b)-1]
+	}
+	if len(b) > start+1 {
+		b = append(b, 0)
+		copy(b[start+2:], b[start+1:])
+		b[start+1] = '.'
+	}
+	return append(b, 'e', '+', byte('0'+exp/10), byte('0'+exp%10))
+}
+
+// appendJSONString appends s as a JSON string literal.
 func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
+	return append(appendJSONEscaped(append(b, '"'), s), '"')
+}
+
+// appendJSONEscaped appends s as the inside of a JSON string literal.
+// ASCII control characters, quotes, and backslashes are escaped; everything
+// else passes through byte-for-byte (names are UTF-8 already).
+func appendJSONEscaped(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {
@@ -153,7 +201,7 @@ func appendJSONString(b []byte, s string) []byte {
 			b = append(b, c)
 		}
 	}
-	return append(b, '"')
+	return b
 }
 
 // TraceEvent is one decoded trace event.

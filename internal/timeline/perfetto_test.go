@@ -3,6 +3,9 @@ package timeline
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -189,5 +192,31 @@ func TestAppendJSONStringEscapes(t *testing.T) {
 	var s string
 	if err := json.Unmarshal([]byte(got), &s); err != nil || s != "a\"b\\c\nd" {
 		t.Fatalf("round-trip failed: %q, %v", s, err)
+	}
+}
+
+// TestAppendUSMatchesStrconv pins the export's timestamp bytes: the integer
+// formatter must append exactly what the float formatter it replaced did,
+// at every boundary of its three regimes and across magnitudes.
+func TestAppendUSMatchesStrconv(t *testing.T) {
+	cases := []int64{
+		0, 1, 9, 10, 99, 100, 999, // below 1 µs
+		1e3, 1001, 1010, 1100, 1500, 999_999, 1e6, 1_000_001, // whole and fractional µs
+		999_999_999, 1e9, 1e9 + 1, 1_000_000_010, 1_234_567_891, // where shortest-'g' turns to exponent form
+		12e9, 12e9 + 345, 1e12, 3_600e9, 999_999_999_999_999, // long spans
+		1e15, 1e15 + 1, 1 << 53, 1<<53 + 1, math.MaxInt64, // past the 15-digit argument
+		-1, -1500, math.MinInt64, // never recorded, still the same bytes
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		cases = append(cases, rng.Int63()>>uint(rng.Intn(63)))
+	}
+	prefix := []byte(`"ts":`)
+	for _, ns := range cases {
+		want := strconv.AppendFloat(prefix[:len(prefix):len(prefix)], float64(ns)/1e3, 'g', -1, 64)
+		got := appendUS(prefix[:len(prefix):len(prefix)], ns)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendUS(%d) = %s, want %s", ns, got, want)
+		}
 	}
 }
