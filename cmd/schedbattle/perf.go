@@ -106,7 +106,7 @@ func (o perfOptions) applyEngine() error {
 // a saturated server workload under each scheduler (event-dense), the
 // same workload with the full telemetry probe set attached (pricing the
 // probe layer against its zero-probe twin), and a mostly-idle machine
-// (tick-dominated before the tickless engine).
+// (tick-dominated: every core ticks whether or not it has work).
 func perfScenarios() []perfScenario {
 	server := func(kind core.SchedulerKind, probes bool) func() *sim.Machine {
 		return func() *sim.Machine {

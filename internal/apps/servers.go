@@ -77,6 +77,12 @@ func Sysbench(cfg SysbenchConfig) Spec {
 			}
 			stopped := false
 			onDone := func(i int) func() {
+				// One closure per connection, not per transaction.
+				send := func() {
+					if !stopped {
+						queues[i].Push(m, cfg.Service)
+					}
+				}
 				return func() {
 					in.AddOp()
 					if cfg.TxTarget > 0 && in.Ops() >= cfg.TxTarget {
@@ -87,11 +93,7 @@ func Sysbench(cfg SysbenchConfig) Spec {
 						return
 					}
 					// Closed loop: the connection thinks, then sends again.
-					m.After(cfg.Think, func() {
-						if !stopped {
-							queues[i].Push(m, cfg.Service)
-						}
-					})
+					m.After(cfg.Think, send)
 				}
 			}
 			return &workload.Forker{

@@ -10,7 +10,10 @@ import (
 // interval across NUMA nodes — "every 4ms every core tries to steal work
 // from other cores ... cores try to steal work more frequently from cores
 // that are close to them" (§2.1).
-func (s *Sched) balanceTick(c *sim.Core, cs *coreState, idle bool) {
+func (s *Sched) balanceTick(c *sim.Core, cs *coreState) {
+	if s.balanced() {
+		return
+	}
 	interval := int(s.P.BalanceInterval / s.TickPeriod())
 	if interval < 1 {
 		interval = 1
@@ -27,17 +30,28 @@ func (s *Sched) balanceTick(c *sim.Core, cs *coreState, idle bool) {
 			s.m.TraceBalance(c)
 		}
 	}
-	if idle && c.Idle() && cs.hNr > 0 {
-		// Work arrived during balancing; the engine dispatches on enqueue,
-		// so nothing to do here.
-		_ = idle
-	}
 }
+
+// balanced reports that no balance pass can pull right now, so none needs
+// to run. rebalanceLLC and rebalanceNUMA both give up, before their first
+// side effect, unless the busiest core they find carries more than
+// smallImbalance above c's own load; while no core carries that much on its
+// own (heavy == 0) neither gets further — the state of most ticks and most
+// idle transitions on a machine that is not overloaded.
+func (s *Sched) balanced() bool { return s.heavy == 0 && !s.fullBalance }
+
+// smallImbalance is the load difference below which the balancer leaves a
+// pair of cores alone: sub-1.5-task differences are noise, moving a whole
+// task would just reverse them (fix_small_imbalance).
+const smallImbalance = nice0Weight * 3 / 2
 
 // newidle is the immediate balance a core runs when it becomes idle
 // ("cores also immediately call the periodic load balancer when they
 // become idle").
 func (s *Sched) newidle(c *sim.Core) bool {
+	if s.balanced() {
+		return false
+	}
 	if s.rebalanceLLC(c) {
 		return true
 	}
@@ -56,9 +70,7 @@ func (s *Sched) rebalanceLLC(c *sim.Core) bool {
 	if bs.runnableLoad()*100 <= cs.runnableLoad()*int64(s.P.LLCImbalancePct) {
 		return false
 	}
-	// Sub-1.5-task differences are noise: moving a whole task would just
-	// reverse the imbalance (fix_small_imbalance).
-	if bs.runnableLoad()-cs.runnableLoad() <= nice0Weight*3/2 {
+	if bs.runnableLoad()-cs.runnableLoad() <= smallImbalance {
 		return false
 	}
 	imbalance := (bs.runnableLoad() - cs.runnableLoad()) / 2
@@ -103,7 +115,7 @@ func (s *Sched) rebalanceNUMA(c *sim.Core) bool {
 	}
 	bs := &s.cores[busiest]
 	cs := &s.cores[c.ID]
-	if bs.runnableLoad()-cs.runnableLoad() <= nice0Weight*3/2 {
+	if bs.runnableLoad()-cs.runnableLoad() <= smallImbalance {
 		return false
 	}
 	imbalance := (bs.runnableLoad() - cs.runnableLoad()) / 2
@@ -147,12 +159,20 @@ func (s *Sched) pullFrom(victimID int, c *sim.Core, imbalance int64) int {
 	if imbalance <= 0 {
 		return 0
 	}
+	if s.heavy == 0 {
+		panic("cfs: balance pull with no core above the small-imbalance floor")
+	}
 	victim := s.m.Cores[victimID]
 	vs := &s.cores[victimID]
 	now := s.m.Now()
 
-	// Collect candidates first: Migrate mutates the thread list.
-	var cands []*sim.Thread
+	// Collect candidates first: Migrate mutates the thread list. The list
+	// starts on this call's stack (it spills to the heap only past the
+	// default MaxMigrate) and cannot live in the scheduler instead: Migrate
+	// → dispatch → IdleBalance → pullFrom re-enters while the loop below
+	// still ranges over it.
+	var buf [32]*sim.Thread
+	cands := buf[:0]
 	var candLoad int64
 	for _, t := range vs.threads {
 		if t == victim.Curr {

@@ -12,6 +12,9 @@ import (
 // presence on one core (the group's sched_entity). Ordering in the
 // red-black tree is by (vruntime, id).
 type entity struct {
+	// Node links the entity into its owner's tree (rbtree.Item's RBNode).
+	rbtree.Node
+
 	// thread is non-nil for thread entities.
 	thread *sim.Thread
 	// repr is non-nil for group entities: the group this entity gives CPU

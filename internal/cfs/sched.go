@@ -12,8 +12,16 @@ type Sched struct {
 	// P holds the tunables (fixed after Attach).
 	P Params
 
-	m      *sim.Machine
-	cores  []coreState
+	m     *sim.Machine
+	cores []coreState
+	// heavy counts cores whose runnable weight alone exceeds
+	// smallImbalance; addWeight keeps it. While it is zero no balance pass
+	// can pull (see balanced).
+	heavy int
+	// fullBalance makes the balance passes run even then, so tests can
+	// hold the shortcut to that claim.
+	fullBalance bool
+
 	root   *taskGroup
 	groups map[string]*taskGroup
 	nextID int
@@ -46,6 +54,20 @@ type coreState struct {
 // sleeps a lot".
 func (cs *coreState) runnableLoad() int64 { return cs.hWeight }
 
+// addWeight moves cs's flattened runnable weight by dw — the only place
+// hWeight changes — and keeps the heavy-core count with it.
+func (s *Sched) addWeight(cs *coreState, dw int64) {
+	was := cs.hWeight > smallImbalance
+	cs.hWeight += dw
+	if is := cs.hWeight > smallImbalance; is != was {
+		if is {
+			s.heavy++
+		} else {
+			s.heavy--
+		}
+	}
+}
+
 // New returns a CFS instance with the given parameters.
 func New(p Params) *Sched {
 	return &Sched{P: p, groups: make(map[string]*taskGroup)}
@@ -59,11 +81,6 @@ func (s *Sched) Name() string { return "cfs" }
 
 // TickPeriod implements sim.Scheduler: HZ=1000.
 func (s *Sched) TickPeriod() time.Duration { return time.Millisecond }
-
-// NeedsIdleTick implements sim.Scheduler: the periodic LLC/NUMA balancer
-// runs from Tick on idle cores too (the Figure 6 convergence mechanism), so
-// CFS opts in to idle ticks.
-func (s *Sched) NeedsIdleTick() bool { return true }
 
 // Attach implements sim.Scheduler.
 func (s *Sched) Attach(m *sim.Machine) {
@@ -181,7 +198,7 @@ func (s *Sched) Enqueue(c *sim.Core, t *sim.Thread, flags int) {
 	se.owner = rq
 	rq.enqueue(se)
 	cs.hNr++
-	cs.hWeight += se.weight
+	s.addWeight(cs, se.weight)
 	cs.threads = append(cs.threads, t)
 	// PELT: time until now was sleeping for wakeups, runnable for
 	// migrations and fresh forks; syncLoad folds the entity into the core
@@ -221,7 +238,7 @@ func (s *Sched) Dequeue(c *sim.Core, t *sim.Thread, flags int) {
 	rq.dequeue(se)
 	rq.updateMinVruntime()
 	cs.hNr--
-	cs.hWeight -= se.weight
+	s.addWeight(cs, -se.weight)
 	cs.removeThread(t)
 	cs.loadAvg -= se.loadContrib
 	se.loadContrib = 0
@@ -251,10 +268,6 @@ func (s *Sched) Dequeue(c *sim.Core, t *sim.Thread, flags int) {
 // at each level.
 func (s *Sched) PickNext(c *sim.Core) *sim.Thread {
 	cs := &s.cores[c.ID]
-	if s.m.Cost.PickFixedCost > 0 {
-		// Engine charges the fixed pick cost; nothing extra here.
-		_ = cs
-	}
 	rq := cs.root
 	for depth := 0; ; depth++ {
 		e := rq.leftmost()
@@ -438,7 +451,7 @@ func (s *Sched) Tick(c *sim.Core, curr *sim.Thread) {
 			}
 		}
 	}
-	s.balanceTick(c, cs, curr == nil)
+	s.balanceTick(c, cs)
 }
 
 // SelectCore implements sim.Scheduler; see placement.go.

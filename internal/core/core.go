@@ -56,10 +56,6 @@ type MachineConfig struct {
 	TraceCapacity int
 	// KernelNoise starts per-core kworker threads (multicore experiments).
 	KernelNoise bool
-	// ForceIdleTicks keeps ticks firing on idle cores even for schedulers
-	// that opt out via NeedsIdleTick — the pre-tickless engine semantics,
-	// used by the tickless cross-validation tests.
-	ForceIdleTicks bool
 	// UseEventHeap runs the machine on the binary-heap event queue instead
 	// of the timer wheel (byte-identical outputs; wheel cross-validation).
 	UseEventHeap bool
@@ -92,11 +88,10 @@ func NewMachine(mc MachineConfig) *sim.Machine {
 		mc.Seed = 42
 	}
 	m := sim.NewMachine(mc.Topology(), sched, sim.Options{
-		Seed:           mc.Seed,
-		Cost:           mc.Cost,
-		TraceCapacity:  mc.TraceCapacity,
-		ForceIdleTicks: mc.ForceIdleTicks,
-		UseEventHeap:   mc.UseEventHeap,
+		Seed:          mc.Seed,
+		Cost:          mc.Cost,
+		TraceCapacity: mc.TraceCapacity,
+		UseEventHeap:  mc.UseEventHeap,
 	})
 	if mc.KernelNoise {
 		apps.StartKernelNoise(m, 15*time.Millisecond, 300*time.Microsecond)

@@ -11,6 +11,7 @@ package ipc
 import (
 	"time"
 
+	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -127,7 +128,7 @@ type Pipe struct {
 	Readers *sim.WaitQueue
 	Writers *sim.WaitQueue
 
-	buf []Msg
+	buf queue.FIFO[Msg]
 	// Transfers counts delivered messages.
 	Transfers uint64
 }
@@ -147,11 +148,11 @@ func NewPipe(name string, capacity int) *Pipe {
 // TryWrite appends msg if there is room, waking one reader; on failure the
 // caller should Block on Writers and retry.
 func (p *Pipe) TryWrite(ctx *sim.Ctx, msg Msg) bool {
-	if len(p.buf) >= p.Cap {
+	if p.buf.Len() >= p.Cap {
 		return false
 	}
 	msg.SentAt = ctx.Now()
-	p.buf = append(p.buf, msg)
+	p.buf.Push(msg)
 	ctx.Signal(p.Readers, 1)
 	return true
 }
@@ -159,18 +160,17 @@ func (p *Pipe) TryWrite(ctx *sim.Ctx, msg Msg) bool {
 // TryRead pops a message if available, waking one writer; on failure the
 // caller should Block on Readers and retry.
 func (p *Pipe) TryRead(ctx *sim.Ctx) (Msg, bool) {
-	if len(p.buf) == 0 {
+	msg, ok := p.buf.Pop()
+	if !ok {
 		return Msg{}, false
 	}
-	msg := p.buf[0]
-	p.buf = p.buf[1:]
 	p.Transfers++
 	ctx.Signal(p.Writers, 1)
 	return msg, true
 }
 
 // Len returns the buffered message count.
-func (p *Pipe) Len() int { return len(p.buf) }
+func (p *Pipe) Len() int { return p.buf.Len() }
 
 // Request is one unit of server work.
 type Request struct {
@@ -195,7 +195,7 @@ type ReqQueue struct {
 	// MaxDepth bounds the queue (0 = unbounded).
 	MaxDepth int
 
-	q []Request
+	q queue.FIFO[Request]
 }
 
 // NewReqQueue returns an empty request queue.
@@ -209,25 +209,18 @@ func NewReqQueue(name string) *ReqQueue {
 // Push submits a request at time now and wakes one idle worker. It may be
 // called from timer context (m.Signal) or from a thread's Next (ctx).
 func (rq *ReqQueue) Push(m *sim.Machine, service time.Duration) bool {
-	if rq.MaxDepth > 0 && len(rq.q) >= rq.MaxDepth {
+	if rq.MaxDepth > 0 && rq.q.Len() >= rq.MaxDepth {
 		rq.Dropped++
 		return false
 	}
-	rq.q = append(rq.q, Request{Arrived: m.Now(), Service: service})
+	rq.q.Push(Request{Arrived: m.Now(), Service: service})
 	m.Signal(rq.Workers, 1)
 	return true
 }
 
 // TryPop takes the oldest pending request; on failure the worker should
 // Block on Workers and retry.
-func (rq *ReqQueue) TryPop() (Request, bool) {
-	if len(rq.q) == 0 {
-		return Request{}, false
-	}
-	r := rq.q[0]
-	rq.q = rq.q[1:]
-	return r, true
-}
+func (rq *ReqQueue) TryPop() (Request, bool) { return rq.q.Pop() }
 
 // Complete records the request finished at now.
 func (rq *ReqQueue) Complete(now time.Duration, r Request) {
@@ -236,7 +229,7 @@ func (rq *ReqQueue) Complete(now time.Duration, r Request) {
 }
 
 // Depth returns the number of waiting requests.
-func (rq *ReqQueue) Depth() int { return len(rq.q) }
+func (rq *ReqQueue) Depth() int { return rq.q.Len() }
 
 // Semaphore is a counting semaphore used by fork-join pools.
 type Semaphore struct {

@@ -343,3 +343,72 @@ func TestSemaphore(t *testing.T) {
 		t.Fatalf("available = %d", s.Available())
 	}
 }
+
+// TestPipeFIFOAndCapOnLiveLength slides a window of messages through a
+// small pipe many times over: messages come out in order, Len is the live
+// count, and Cap is enforced on it — not on how far the pipe's backing
+// array has been consumed.
+func TestPipeFIFOAndCapOnLiveLength(t *testing.T) {
+	m := newMachine()
+	ctx := &sim.Ctx{M: m}
+	p := NewPipe("p", 4)
+	sent, received := 0, 0
+	for round := 0; round < 5000; round++ {
+		for p.Len() < 1+round%4 {
+			sent++
+			if !p.TryWrite(ctx, Msg{Size: sent}) {
+				t.Fatalf("round %d: write refused at Len %d < Cap", round, p.Len())
+			}
+		}
+		if p.Len() == p.Cap && p.TryWrite(ctx, Msg{Size: -1}) {
+			t.Fatalf("round %d: write accepted at Len == Cap", round)
+		}
+		for n := 1 + round%3; n > 0 && p.Len() > 0; n-- {
+			received++
+			if msg, ok := p.TryRead(ctx); !ok || msg.Size != received {
+				t.Fatalf("round %d: read %d, %v, want message %d", round, msg.Size, ok, received)
+			}
+		}
+		if p.Len() != sent-received {
+			t.Fatalf("round %d: Len = %d, want %d", round, p.Len(), sent-received)
+		}
+	}
+	if uint64(received) != p.Transfers {
+		t.Fatalf("Transfers = %d, want %d", p.Transfers, received)
+	}
+}
+
+// TestReqQueueFIFOAndMaxDepthOnLiveLength is the same for the request
+// queue: oldest first, Depth the live count, MaxDepth enforced on it.
+func TestReqQueueFIFOAndMaxDepthOnLiveLength(t *testing.T) {
+	m := newMachine()
+	q := NewReqQueue("db")
+	q.MaxDepth = 3
+	pushed, popped := 0, 0
+	var dropped uint64
+	for round := 0; round < 5000; round++ {
+		for n := 1 + round%4; n > 0; n-- {
+			full := q.Depth() == q.MaxDepth
+			if ok := q.Push(m, time.Duration(pushed+1)); ok == full {
+				t.Fatalf("round %d: Push = %v at Depth %d of %d", round, ok, q.Depth(), q.MaxDepth)
+			}
+			if full {
+				dropped++
+			} else {
+				pushed++
+			}
+		}
+		for n := 1 + round%2; n > 0 && q.Depth() > 0; n-- {
+			popped++
+			if r, ok := q.TryPop(); !ok || r.Service != time.Duration(popped) {
+				t.Fatalf("round %d: popped %v, %v, want request %d", round, r.Service, ok, popped)
+			}
+		}
+		if q.Depth() != pushed-popped {
+			t.Fatalf("round %d: Depth = %d, want %d", round, q.Depth(), pushed-popped)
+		}
+	}
+	if q.Dropped != dropped || dropped == 0 {
+		t.Fatalf("Dropped = %d, want %d (and more than none)", q.Dropped, dropped)
+	}
+}

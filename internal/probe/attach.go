@@ -298,8 +298,9 @@ func installPreemptions(a *Attachment) {
 	rateSampler(a, "rate.preemptions", func() uint64 { return m.Trace.Count(trace.Preempt) })
 }
 
-// installTicks counts fired scheduler ticks via the tick hook — on a
-// tickless machine the rate visibly drops as cores idle.
+// installTicks counts fired scheduler ticks via the tick hook. Every
+// online core ticks once a period, idle or busy, so the rate is cores ×
+// tick frequency and dips only while cores are hot-unplugged.
 func installTicks(a *Attachment) {
 	var n uint64
 	a.m.OnTick(func(c *sim.Core) { n++ })

@@ -1,14 +1,19 @@
 // Package rbtree implements the red-black tree CFS uses as its per-core
 // runqueue, ordered by (vruntime, tiebreak id). Like the kernel's
 // rb_leftmost-cached tree, the minimum element is available in O(1), which
-// is the only lookup CFS's pick_next path performs.
+// is the only lookup CFS's pick_next path performs — and like the kernel's
+// rb_node, the tree is intrusive: the linkage lives in the item itself, so
+// inserting allocates nothing and deleting needs no lookup.
 package rbtree
 
 // Item is an element stored in the tree. Less must define a strict weak
 // ordering; equal items are permitted and ordered arbitrarily but stably by
-// insertion structure.
+// insertion structure. An item carries its own linkage: embed a Node in the
+// item's struct and RBNode comes with it. One Node links an item into at
+// most one tree at a time.
 type Item interface {
 	Less(than Item) bool
+	RBNode() *Node
 }
 
 type color bool
@@ -18,21 +23,28 @@ const (
 	black color = true
 )
 
-type node struct {
+// Node is the tree linkage embedded in every item. The zero value is an
+// unlinked node.
+type Node struct {
 	item                Item
-	left, right, parent *node
-	color               color
+	left, right, parent *Node
+	// tree is the tree the node is linked into, nil while unlinked: the
+	// membership test behind Contains and the double-insert / absent-delete
+	// panics.
+	tree  *Tree
+	color color
 }
+
+// RBNode returns n itself; a struct embedding Node implements Item's
+// linkage half through it.
+func (n *Node) RBNode() *Node { return n }
 
 // Tree is a red-black tree with a cached leftmost node. The zero value is
 // an empty tree ready to use.
 type Tree struct {
-	root     *node
-	leftmost *node
+	root     *Node
+	leftmost *Node
 	size     int
-	// nodes indexes items to their nodes so Delete is O(log n) without the
-	// caller holding node handles. Items must be distinct pointers.
-	nodes map[Item]*node
 }
 
 // Len returns the number of items in the tree.
@@ -47,23 +59,17 @@ func (t *Tree) Min() Item {
 }
 
 // Contains reports whether item is in the tree.
-func (t *Tree) Contains(item Item) bool {
-	_, ok := t.nodes[item]
-	return ok
-}
+func (t *Tree) Contains(item Item) bool { return item.RBNode().tree == t }
 
-// Insert adds item to the tree. Inserting an item that is already present
+// Insert adds item to the tree. Inserting an item that is already in a tree
 // panics: the schedulers must never double-enqueue a thread, and catching it
 // here turns a subtle accounting bug into a loud failure.
 func (t *Tree) Insert(item Item) {
-	if t.nodes == nil {
-		t.nodes = make(map[Item]*node)
-	}
-	if _, ok := t.nodes[item]; ok {
+	n := item.RBNode()
+	if n.tree != nil {
 		panic("rbtree: duplicate insert")
 	}
-	n := &node{item: item, color: red}
-	t.nodes[item] = n
+	*n = Node{item: item, tree: t, color: red}
 	t.size++
 
 	if t.root == nil {
@@ -98,19 +104,19 @@ func (t *Tree) Insert(item Item) {
 	t.fixInsert(n)
 }
 
-// Delete removes item from the tree. Deleting an absent item panics for the
-// same reason Insert does.
+// Delete removes item from the tree. Deleting an item that is not in this
+// tree panics for the same reason Insert does.
 func (t *Tree) Delete(item Item) {
-	n, ok := t.nodes[item]
-	if !ok {
+	n := item.RBNode()
+	if n.tree != t {
 		panic("rbtree: delete of absent item")
 	}
-	delete(t.nodes, item)
 	t.size--
 	if t.leftmost == n {
 		t.leftmost = t.successor(n)
 	}
 	t.deleteNode(n)
+	*n = Node{}
 }
 
 // PopMin removes and returns the smallest item, or nil if empty.
@@ -142,7 +148,7 @@ func (t *Tree) Items() []Item {
 	return out
 }
 
-func (t *Tree) successor(n *node) *node {
+func (t *Tree) successor(n *Node) *Node {
 	if n.right != nil {
 		n = n.right
 		for n.left != nil {
@@ -156,7 +162,7 @@ func (t *Tree) successor(n *node) *node {
 	return n.parent
 }
 
-func (t *Tree) rotateLeft(x *node) {
+func (t *Tree) rotateLeft(x *Node) {
 	y := x.right
 	x.right = y.left
 	if y.left != nil {
@@ -175,7 +181,7 @@ func (t *Tree) rotateLeft(x *node) {
 	x.parent = y
 }
 
-func (t *Tree) rotateRight(x *node) {
+func (t *Tree) rotateRight(x *Node) {
 	y := x.left
 	x.left = y.right
 	if y.right != nil {
@@ -194,7 +200,7 @@ func (t *Tree) rotateRight(x *node) {
 	x.parent = y
 }
 
-func (t *Tree) fixInsert(z *node) {
+func (t *Tree) fixInsert(z *Node) {
 	for z.parent != nil && z.parent.color == red {
 		gp := z.parent.parent
 		if z.parent == gp.left {
@@ -234,7 +240,7 @@ func (t *Tree) fixInsert(z *node) {
 	t.root.color = black
 }
 
-func (t *Tree) transplant(u, v *node) {
+func (t *Tree) transplant(u, v *Node) {
 	switch {
 	case u.parent == nil:
 		t.root = v
@@ -248,11 +254,11 @@ func (t *Tree) transplant(u, v *node) {
 	}
 }
 
-func (t *Tree) deleteNode(z *node) {
+func (t *Tree) deleteNode(z *Node) {
 	y := z
 	yColor := y.color
-	var x *node
-	var xParent *node
+	var x *Node
+	var xParent *Node
 	switch {
 	case z.left == nil:
 		x = z.right
@@ -287,7 +293,7 @@ func (t *Tree) deleteNode(z *node) {
 	}
 }
 
-func (t *Tree) fixDelete(x *node, parent *node) {
+func (t *Tree) fixDelete(x *Node, parent *Node) {
 	for x != t.root && isBlack(x) {
 		if parent == nil {
 			break
@@ -369,7 +375,7 @@ func (t *Tree) fixDelete(x *node, parent *node) {
 	}
 }
 
-func isBlack(n *node) bool { return n == nil || n.color == black }
+func isBlack(n *Node) bool { return n == nil || n.color == black }
 
 // checkInvariants validates red-black properties; exported to the test via
 // export_test.go.
@@ -391,7 +397,7 @@ func (t *Tree) checkInvariants() error {
 	if m != t.leftmost {
 		return errInvariant("leftmost cache stale")
 	}
-	_, err := checkNode(t.root)
+	_, err := t.checkNode(t.root)
 	if err != nil {
 		return err
 	}
@@ -416,9 +422,12 @@ type errInvariant string
 
 func (e errInvariant) Error() string { return "rbtree: " + string(e) }
 
-func checkNode(n *node) (blackHeight int, err error) {
+func (t *Tree) checkNode(n *Node) (blackHeight int, err error) {
 	if n == nil {
 		return 1, nil
+	}
+	if n.tree != t || n.item == nil || n.item.RBNode() != n {
+		return 0, errInvariant("node not linked to its tree and item")
 	}
 	if n.color == red {
 		if !isBlack(n.left) || !isBlack(n.right) {
@@ -431,11 +440,11 @@ func checkNode(n *node) (blackHeight int, err error) {
 	if n.right != nil && n.right.parent != n {
 		return 0, errInvariant("broken parent link (right)")
 	}
-	lh, err := checkNode(n.left)
+	lh, err := t.checkNode(n.left)
 	if err != nil {
 		return 0, err
 	}
-	rh, err := checkNode(n.right)
+	rh, err := t.checkNode(n.right)
 	if err != nil {
 		return 0, err
 	}

@@ -8,9 +8,12 @@ import (
 )
 
 type intItem struct {
+	Node
 	key int
 	id  int
 }
+
+func newItem(key, id int) *intItem { return &intItem{key: key, id: id} }
 
 func (a *intItem) Less(b Item) bool {
 	o := b.(*intItem)
@@ -32,7 +35,10 @@ func TestEmpty(t *testing.T) {
 
 func TestInsertDeleteSmall(t *testing.T) {
 	var tr Tree
-	items := []*intItem{{5, 0}, {3, 1}, {8, 2}, {1, 3}, {4, 4}, {7, 5}, {9, 6}}
+	var items []*intItem
+	for id, key := range []int{5, 3, 8, 1, 4, 7, 9} {
+		items = append(items, newItem(key, id))
+	}
 	for _, it := range items {
 		tr.Insert(it)
 		if err := tr.CheckInvariants(); err != nil {
@@ -61,7 +67,7 @@ func TestPopMinOrder(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		k := rng.Intn(50) // duplicates on purpose
 		keys = append(keys, k)
-		tr.Insert(&intItem{k, i})
+		tr.Insert(newItem(k, i))
 	}
 	sort.Ints(keys)
 	for i, want := range keys {
@@ -77,7 +83,7 @@ func TestPopMinOrder(t *testing.T) {
 
 func TestDuplicateInsertPanics(t *testing.T) {
 	var tr Tree
-	it := &intItem{1, 1}
+	it := newItem(1, 1)
 	tr.Insert(it)
 	defer func() {
 		if recover() == nil {
@@ -94,22 +100,97 @@ func TestDeleteAbsentPanics(t *testing.T) {
 			t.Fatal("absent delete did not panic")
 		}
 	}()
-	tr.Delete(&intItem{1, 1})
+	tr.Delete(newItem(1, 1))
 }
 
 func TestContains(t *testing.T) {
-	var tr Tree
-	a, b := &intItem{1, 1}, &intItem{2, 2}
+	var tr, other Tree
+	a, b := newItem(1, 1), newItem(2, 2)
 	tr.Insert(a)
-	if !tr.Contains(a) || tr.Contains(b) {
+	if !tr.Contains(a) || tr.Contains(b) || other.Contains(a) {
 		t.Fatal("Contains wrong")
+	}
+	tr.Delete(a)
+	if tr.Contains(a) {
+		t.Fatal("Contains true after Delete")
+	}
+	tr.Insert(b)
+	if tr.PopMin() != Item(b) || tr.Contains(b) {
+		t.Fatal("Contains true after PopMin")
+	}
+}
+
+// TestReinsertAfterDelete: an item's linkage is reusable — in the same tree
+// under a new key (a runqueue entity re-queued with a larger vruntime) and
+// in another tree (a migration).
+func TestReinsertAfterDelete(t *testing.T) {
+	var tr, other Tree
+	var items []*intItem
+	for i := 0; i < 64; i++ {
+		items = append(items, newItem(i, i))
+		tr.Insert(items[i])
+	}
+	for round := 0; round < 8; round++ {
+		for i, it := range items {
+			if (i+round)%3 != 0 {
+				continue
+			}
+			tr.Delete(it)
+			it.key += 100
+			if i%2 == 0 {
+				tr.Insert(it)
+			} else {
+				other.Insert(it)
+				other.Delete(it)
+				tr.Insert(it)
+			}
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if tr.Len() != len(items) || other.Len() != 0 {
+			t.Fatalf("round %d: Len = %d and %d", round, tr.Len(), other.Len())
+		}
+	}
+	prev := -1
+	for tr.Len() > 0 {
+		k := tr.PopMin().(*intItem).key
+		if k < prev {
+			t.Fatalf("pop order broken: %d after %d", k, prev)
+		}
+		prev = k
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestForeignTreePanics: the owner-tree pointer catches the cross-tree
+// forms of the two misuse panics as well.
+func TestForeignTreePanics(t *testing.T) {
+	var a, b Tree
+	it := newItem(1, 1)
+	a.Insert(it)
+	mustPanic(t, "insert into a second tree", func() { b.Insert(it) })
+	mustPanic(t, "delete from the wrong tree", func() { b.Delete(it) })
+	a.Delete(it)
+	mustPanic(t, "second delete", func() { a.Delete(it) })
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestAscendEarlyStop(t *testing.T) {
 	var tr Tree
 	for i := 0; i < 10; i++ {
-		tr.Insert(&intItem{i, i})
+		tr.Insert(newItem(i, i))
 	}
 	var n int
 	tr.Ascend(func(Item) bool {
@@ -134,7 +215,7 @@ func TestRandomOperations(t *testing.T) {
 	var liveList []*intItem
 	for step := 0; step < 5000; step++ {
 		if len(liveList) == 0 || rng.Intn(100) < 55 {
-			it := &intItem{rng.Intn(1000), step}
+			it := newItem(rng.Intn(1000), step)
 			tr.Insert(it)
 			live[it] = true
 			liveList = append(liveList, it)
@@ -166,7 +247,7 @@ func TestQuickInsertDrainSorted(t *testing.T) {
 	f := func(keys []int16) bool {
 		var tr Tree
 		for i, k := range keys {
-			tr.Insert(&intItem{int(k), i})
+			tr.Insert(newItem(int(k), i))
 		}
 		if tr.CheckInvariants() != nil {
 			return false
@@ -189,20 +270,19 @@ func TestQuickInsertDrainSorted(t *testing.T) {
 	}
 }
 
+// BenchmarkInsertPopMin is a runqueue's steady state: the leftmost entity
+// runs, its key grows, it is re-queued. Intrusive linkage: 0 allocs/op.
 func BenchmarkInsertPopMin(b *testing.B) {
 	var tr Tree
 	rng := rand.New(rand.NewSource(7))
-	items := make([]*intItem, 1024)
-	for i := range items {
-		items[i] = &intItem{rng.Intn(1 << 20), i}
+	for i := 0; i < 512; i++ {
+		tr.Insert(newItem(rng.Intn(1<<20), i))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := items[i%len(items)]
-		it.id = i // keep identities unique across rounds
+		it := tr.PopMin().(*intItem)
+		it.key += 1 + rng.Intn(1<<12)
 		tr.Insert(it)
-		if tr.Len() > 512 {
-			tr.PopMin()
-		}
 	}
 }

@@ -31,11 +31,11 @@ func BenchmarkEngineEvents(b *testing.B) {
 	b.ReportMetric(float64(m.EventsProcessed()-start)/float64(b.N), "events/op")
 }
 
-// benchIdleMachine measures an idle 32-core machine for one simulated
-// second per op: tickless it is fully quiescent; with idle ticks forced it
-// pays the pre-tickless per-core tick stream (32 cores × 1000 Hz).
-func benchIdleMachine(b *testing.B, force bool) {
-	m := NewMachine(topo.Default(), newTicklessFIFO(false), Options{Seed: 1, ForceIdleTicks: force})
+// BenchmarkIdleMachine measures an idle 32-core machine for one simulated
+// second per op: nothing but the tick rotor and the scheduler's idle tick,
+// 32 cores × 1000 Hz.
+func BenchmarkIdleMachine(b *testing.B) {
+	m := NewMachine(topo.Default(), NewFIFO(), Options{Seed: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := m.EventsProcessed()
@@ -44,9 +44,4 @@ func benchIdleMachine(b *testing.B, force bool) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(m.EventsProcessed()-start)/float64(b.N), "events/op")
-}
-
-func BenchmarkIdleMachine(b *testing.B) {
-	b.Run("tickless", func(b *testing.B) { benchIdleMachine(b, false) })
-	b.Run("forced-idle-ticks", func(b *testing.B) { benchIdleMachine(b, true) })
 }

@@ -19,29 +19,17 @@ type Core struct {
 	NeedResched bool
 
 	// runStart is when the current accounting segment began (burst start,
-	// or the last flush point). Burst-end and tick validation tokens live
-	// in the machine's dense Machine.coreTok table, not here, so stale
-	// timer events are dropped without loading this struct.
+	// or the last flush point). The burst-end validation token lives in
+	// the machine's dense Machine.burstTok table, not here, so stale
+	// burst ends are dropped without loading this struct.
 	runStart time.Duration
 
 	// tickOffset staggers this core's tick grid (offset + k*period, k ≥ 1).
+	// The pending tick itself is the core's entry in the machine's rotor.
 	tickOffset time.Duration
-	// tickParked is set while the tick is suppressed on an idle core
-	// (tickless mode only); markBusy re-arms on the grid.
-	tickParked bool
 	// lastTick is when this core's tick last fired, so grid re-arming
 	// never double-fires a grid point within one timestamp.
 	lastTick time.Duration
-	// tickAt is the absolute time of the currently armed tick; parking
-	// records it as parkAt, the first suppressed grid point. When the
-	// superseded tick event pops there (a token-mismatch no-op),
-	// parkWatermark captures the sequence counter — the position the
-	// always-ticking engine's idle tick would have fired at — so a wake
-	// exactly one period later can reproduce its same-timestamp ordering
-	// (nextGridTick).
-	tickAt        time.Duration
-	parkAt        time.Duration
-	parkWatermark uint64
 
 	// lastThread is the thread that last occupied the core, to price
 	// context switches.
@@ -176,14 +164,6 @@ func (c *Core) markIdle() {
 	if !c.wasIdle {
 		c.wasIdle = true
 		c.idleSince = c.mach.now
-		if !c.mach.idleTicks && !c.tickParked {
-			// Tickless: park the tick; the in-flight event is dropped by
-			// the token bump when it pops (recording parkWatermark there).
-			c.tickParked = true
-			c.mach.coreTok[c.ID].tick++
-			c.parkAt = c.tickAt
-			c.parkWatermark = 0
-		}
 	}
 }
 
@@ -191,30 +171,20 @@ func (c *Core) markBusy() {
 	if c.wasIdle {
 		c.wasIdle = false
 		c.IdleTime += c.mach.now - c.idleSince
-		if c.tickParked {
-			c.tickParked = false
-			c.mach.armTick(c, c.nextGridTick(c.mach.now))
-		}
 	}
 }
 
-// nextGridTick returns the earliest point of the core's staggered tick grid
-// (tickOffset + k*period, k ≥ 1) at or after now that an always-ticking
-// core would still observe as a busy tick, so a core that idled through
-// some grid points resumes ticking at exactly the times an always-ticking
-// core would.
+// nextGridTick returns the point of the core's staggered tick grid
+// (tickOffset + k*period, k ≥ 1) at which a core coming back online at now
+// resumes ticking: the earliest one at or after now that a core which had
+// never left would still have ahead of it.
 //
-// The at == now boundary (a wake landing exactly on a grid point) follows
-// always-ticking event order: there the tick event for `now` was armed at
-// the previous grid point, so the waking event fires first — leaving the
-// tick a busy one — only if it was armed earlier than that re-arm. An
-// event armed strictly before the previous grid point always wins; one
-// armed strictly after always loses. An event armed exactly at the
-// previous grid point is resolved by parkWatermark when that point is the
-// first suppressed one (the superseded tick event popped there, recording
-// the position the always-ticking idle tick fired at); deeper into a
-// parked window no event exists to compare against, and the event is
-// treated as armed after the suppressed tick.
+// The at == now boundary (onlining exactly on a grid point) follows the
+// never-left order of events: there the tick for `now` was armed at the
+// previous grid point, so the onlining event fires first — leaving the tick
+// still to come — only if it was armed earlier than that; armed at or after
+// the previous grid point it fires after the tick, and the next one is a
+// period away.
 func (c *Core) nextGridTick(now time.Duration) time.Duration {
 	p := c.mach.tickPeriod
 	n := now - c.tickOffset
@@ -232,11 +202,7 @@ func (c *Core) nextGridTick(now time.Duration) time.Duration {
 		if armedBefore == c.tickOffset {
 			armedBefore = 0 // first grid point: armed at construction
 		}
-		include := c.mach.curArmed < armedBefore
-		if !include && c.mach.curArmed == armedBefore && armedBefore == c.parkAt {
-			include = c.mach.curSeq <= c.parkWatermark
-		}
-		if !include {
+		if c.mach.curArmed >= armedBefore {
 			at += p
 		}
 	}

@@ -374,33 +374,19 @@ type tickRec struct {
 	busy bool
 }
 
-// ticklessFIFO wraps FIFO with a no-op idle tick and NeedsIdleTick() ==
-// false — the reference scheduler for the tickless engine tests and
-// benchmarks. With record set it logs every Tick invocation per core.
-type ticklessFIFO struct {
+// tickLogFIFO is FIFO logging every Tick invocation per core.
+type tickLogFIFO struct {
 	*FIFO
-	record bool
-	ticks  [][]tickRec
+	ticks [][]tickRec
 }
 
-func newTicklessFIFO(record bool) *ticklessFIFO {
-	return &ticklessFIFO{FIFO: NewFIFO(), record: record}
-}
-
-func (s *ticklessFIFO) Attach(m *Machine) {
+func (s *tickLogFIFO) Attach(m *Machine) {
 	s.FIFO.Attach(m)
 	s.ticks = make([][]tickRec, len(m.Cores))
 }
 
-func (s *ticklessFIFO) NeedsIdleTick() bool { return false }
-
-func (s *ticklessFIFO) Tick(c *Core, curr *Thread) {
-	if s.record {
-		s.ticks[c.ID] = append(s.ticks[c.ID], tickRec{at: c.Machine().Now(), busy: curr != nil})
-	}
-	if curr == nil {
-		return // no idle-tick work: the NeedsIdleTick()==false contract
-	}
+func (s *tickLogFIFO) Tick(c *Core, curr *Thread) {
+	s.ticks[c.ID] = append(s.ticks[c.ID], tickRec{at: c.Machine().Now(), busy: curr != nil})
 	s.FIFO.Tick(c, curr)
 }
 
@@ -415,16 +401,41 @@ func busyTicks(recs []tickRec) []time.Duration {
 	return out
 }
 
-// TestTickGridPreservedAcrossIdle is the tick-suppression contract: a core
-// that idles mid-period and wakes later must tick at exactly the same
-// absolute times as an always-ticking core (ForceIdleTicks) observes on its
-// busy ticks. Core 1's 1 ms grid is staggered by 0.5 ms; both scenarios
-// wake exactly on a grid point, from the two sides of the always-ticking
-// same-timestamp ordering: a sleep armed before the previous grid point
-// loses to the in-flight tick (which therefore fires busy, after the wake),
-// while a sleep armed after it fires first in always-ticking order too —
-// there the tick runs idle before the wake, so the wake instant must not
-// gain a busy tick.
+// checkTickGrid asserts core id ticked at every point of its staggered grid
+// up to end and nowhere else, and that the busy ones are exactly want.
+func checkTickGrid(t *testing.T, s *tickLogFIFO, id, cores int, end time.Duration, want []time.Duration) {
+	t.Helper()
+	period := s.TickPeriod()
+	at := period*time.Duration(id)/time.Duration(cores) + period
+	for i, r := range s.ticks[id] {
+		if r.at != at {
+			t.Fatalf("core %d tick %d at %v, want %v", id, i, r.at, at)
+		}
+		at += period
+	}
+	if at <= end {
+		t.Fatalf("core %d stopped ticking: next grid point %v <= %v", id, at, end)
+	}
+	got := busyTicks(s.ticks[id])
+	if len(got) != len(want) {
+		t.Fatalf("core %d busy ticks = %v, want %v", id, got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("core %d busy ticks = %v, want %v", id, got, want)
+		}
+	}
+}
+
+// TestTickGridPreservedAcrossIdle pins the tick grid through idle periods:
+// a core that idles mid-period and wakes later keeps ticking on its own
+// staggered grid, idle or busy, and which ticks find it busy follows from
+// same-timestamp event order. Core 1's 1 ms grid is staggered by 0.5 ms;
+// each scenario wakes exactly on a grid point, from both sides of that
+// order: a sleep armed before the previous grid point loses to the standing
+// tick (which therefore fires busy, after the wake), while a sleep armed at
+// or after it fires first — there the tick runs idle before the wake. Both
+// event engines must agree.
 func TestTickGridPreservedAcrossIdle(t *testing.T) {
 	ms := time.Millisecond
 	us := time.Microsecond
@@ -443,18 +454,17 @@ func TestTickGridPreservedAcrossIdle(t *testing.T) {
 		{
 			name: "sleep-armed-after-previous-grid-point",
 			// Idle 2.7..3.5 ms; the sleep was armed at 2.7 > 2.5, so the
-			// always-ticking tick at 3.5 fires idle before the wake — no
-			// busy tick at the wake instant, next at 4.5.
+			// tick at 3.5 fires idle before the wake — no busy tick at the
+			// wake instant, next at 4.5.
 			ops:  []Op{Run(2700 * us), Sleep(800 * us), Run(2 * ms)},
 			want: []time.Duration{1500 * us, 2500 * us, 4500 * us},
 		},
 		{
 			name: "sleep-armed-exactly-at-previous-grid-point",
-			// The burst ends exactly on the 2.5 ms grid point and arms a
-			// one-period sleep: the wake event (armed before the
-			// always-ticking idle tick at 2.5 fired) beats the re-armed
-			// tick at 3.5, which therefore fires busy — the parkWatermark
-			// tie-break.
+			// The burst ends exactly on the 2.5 ms grid point, before the
+			// tick standing there (armed at 1.5; the burst end at 0), and
+			// arms a one-period sleep: that wake is older than the tick
+			// re-armed at 2.5 for 3.5, which therefore fires busy.
 			ops:  []Op{Run(2500 * us), Sleep(1 * ms), Run(3 * ms)},
 			want: []time.Duration{1500 * us, 3500 * us, 4500 * us, 5500 * us},
 		},
@@ -462,160 +472,61 @@ func TestTickGridPreservedAcrossIdle(t *testing.T) {
 	tp := topo.MustNew(topo.Config{NUMANodes: 1, LLCsPerNode: 1, CoresPerLLC: 2})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(force bool) (*ticklessFIFO, *Machine) {
-				s := newTicklessFIFO(true)
-				m := NewMachine(tp, s, Options{Seed: 7, Cost: &CostModel{}, ForceIdleTicks: force})
+			for _, heap := range []bool{false, true} {
+				s := &tickLogFIFO{FIFO: NewFIFO()}
+				m := NewMachine(tp, s, Options{Seed: 7, Cost: &CostModel{}, UseEventHeap: heap})
 				m.StartThreadCfg(ThreadConfig{Name: "busy", Group: "app", Pinned: []int{0},
 					Prog: &looper{burst: time.Millisecond}})
 				m.StartThreadCfg(ThreadConfig{Name: "onoff", Group: "app", Pinned: []int{1},
 					Prog: &script{ops: tc.ops}})
-				m.Run(20 * time.Millisecond)
-				return s, m
-			}
-
-			tickless, mt := run(false)
-			forced, mf := run(true)
-
-			// The workload must behave identically either way.
-			for i, th := range mt.Threads() {
-				if got, want := th.RunTime, mf.Threads()[i].RunTime; got != want {
-					t.Fatalf("thread %d RunTime %v (tickless) != %v (forced)", i, got, want)
-				}
-			}
-			for core := 0; core < 2; core++ {
-				supp := tickless.ticks[core]
-				for _, r := range supp {
-					if !r.busy {
-						t.Fatalf("tickless: core %d ticked while idle at %v", core, r.at)
-					}
-				}
-				got := busyTicks(supp)
-				want := busyTicks(forced.ticks[core])
-				if len(got) != len(want) {
-					t.Fatalf("core %d: %d busy ticks (tickless) vs %d (forced)\n got %v\nwant %v",
-						core, len(got), len(want), got, want)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("core %d tick %d: %v (tickless) != %v (forced)", core, i, got[i], want[i])
-					}
-				}
-			}
-			// Pin the absolute core-1 grid times, not just forced-run parity.
-			got := busyTicks(tickless.ticks[1])
-			if len(got) != len(tc.want) {
-				t.Fatalf("core 1 ticks = %v, want %v", got, tc.want)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Fatalf("core 1 ticks = %v, want %v", got, tc.want)
-				}
-			}
-			// The forced machine processed the idle ticks the tickless one
-			// parked.
-			if mf.EventsProcessed() <= mt.EventsProcessed() {
-				t.Fatalf("forced events %d <= tickless events %d", mf.EventsProcessed(), mt.EventsProcessed())
+				m.Run(20 * ms)
+				checkTickGrid(t, s, 1, 2, 20*ms, tc.want)
 			}
 		})
 	}
 }
 
-// TestTickGridAfterReparkOnSameGridPoint: a core that parks, re-arms to
-// the same grid point, and re-parks leaves two superseded tick events
-// popping at that point. Only the earliest-armed one matches the
-// always-ticking engine's tick chain, so the watermark tie-break must use
-// it: a sleep armed between the two pops (by another thread's burst-end at
-// that timestamp) must not gain a busy tick at its wake, one period later.
-func TestTickGridAfterReparkOnSameGridPoint(t *testing.T) {
-	tp := topo.MustNew(topo.Config{NUMANodes: 1, LLCsPerNode: 1, CoresPerLLC: 2})
-	run := func(force bool) *ticklessFIFO {
-		s := newTicklessFIFO(true)
-		m := NewMachine(tp, s, Options{Seed: 3, Cost: &CostModel{}, ForceIdleTicks: force})
-		// Core 0: busy to 1.2ms (tick for 2ms armed at 1ms), parks, runs
-		// 1.5..1.7ms (re-arms to 2ms), re-parks.
-		m.StartThreadCfg(ThreadConfig{Name: "x", Group: "app", Pinned: []int{0},
-			Prog: &script{ops: []Op{
-				Run(1200 * time.Microsecond),
-				Sleep(300 * time.Microsecond),
-				Run(200 * time.Microsecond),
-				Sleep(5 * time.Millisecond),
-			}}})
-		// Core 1: burst boundary at 1.1ms arms a burst-end for 2ms, which
-		// pops between core 0's two superseded ticks and arms a 1ms sleep;
-		// the 3ms wake lands on idle core 0 exactly on its grid.
-		m.StartThread("y", "app", 0, &script{ops: []Op{
-			Run(1100 * time.Microsecond),
-			Run(900 * time.Microsecond),
-			Sleep(time.Millisecond),
-			Run(1500 * time.Microsecond),
-		}})
-		m.Run(5 * time.Millisecond)
-		return s
-	}
-	tickless := run(false)
-	forced := run(true)
-	for core := 0; core < 2; core++ {
-		got := busyTicks(tickless.ticks[core])
-		want := busyTicks(forced.ticks[core])
-		if len(got) != len(want) {
-			t.Fatalf("core %d busy ticks = %v (tickless), want %v (forced)", core, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("core %d busy ticks = %v (tickless), want %v (forced)", core, got, want)
-			}
-		}
-	}
-	// The always-ticking tick at 3ms fires idle before the wake: no busy
-	// tick at 3ms, only at 1ms (x) and 4ms (y awake on core 0).
-	got := busyTicks(tickless.ticks[0])
-	want := []time.Duration{time.Millisecond, 4 * time.Millisecond}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("core 0 busy ticks = %v, want %v", got, want)
-	}
-}
-
 // TestTickGridAfterOutOfDispatchStart: a thread started between Run
-// windows, at an instant that lands exactly on the tick grid, must not gain
-// a busy tick at that instant — the always-ticking engine's tick there
-// already fired idle, inside the previous Run, before the thread existed.
+// windows, at an instant that lands exactly on the tick grid, does not gain
+// a busy tick at that instant — the tick there already fired idle, inside
+// the previous Run, before the thread existed.
 func TestTickGridAfterOutOfDispatchStart(t *testing.T) {
-	run := func(force bool) *ticklessFIFO {
-		s := newTicklessFIFO(true)
-		m := NewMachine(topo.SingleCore(), s, Options{Seed: 3, Cost: &CostModel{}, ForceIdleTicks: force})
+	for _, heap := range []bool{false, true} {
+		s := &tickLogFIFO{FIFO: NewFIFO()}
+		m := NewMachine(topo.SingleCore(), s, Options{Seed: 3, Cost: &CostModel{}, UseEventHeap: heap})
 		m.StartThread("a", "app", 0, &script{ops: []Op{Run(500 * time.Microsecond)}})
 		m.Run(3 * time.Millisecond) // a exits at 0.5ms; the machine idles to 3ms
 		m.StartThread("b", "app", 0, &script{ops: []Op{Run(1500 * time.Microsecond)}})
 		m.Run(6 * time.Millisecond)
-		return s
-	}
-	tickless := run(false)
-	forced := run(true)
-	got := busyTicks(tickless.ticks[0])
-	want := busyTicks(forced.ticks[0])
-	// b runs 3..4.5ms on the 1ms grid: the only busy tick is at 4ms.
-	if len(want) != 1 || want[0] != 4*time.Millisecond {
-		t.Fatalf("forced busy ticks = %v, want [4ms]", want)
-	}
-	if len(got) != len(want) || got[0] != want[0] {
-		t.Fatalf("busy ticks = %v (tickless), want %v (forced)", got, want)
+		// b runs 3..4.5ms on the 1ms grid: the only busy tick is at 4ms.
+		checkTickGrid(t, s, 0, 1, 6*time.Millisecond, []time.Duration{4 * time.Millisecond})
 	}
 }
 
-// TestTicklessIdleMachineProcessesNoEvents: with no work and a scheduler
-// that opts out of idle ticks, the engine is fully quiescent.
-func TestTicklessIdleMachineProcessesNoEvents(t *testing.T) {
-	tp := topo.Small()
-	m := NewMachine(tp, newTicklessFIFO(false), Options{Seed: 1})
-	m.Run(time.Second)
-	if got := m.EventsProcessed(); got != 0 {
-		t.Fatalf("idle tickless machine processed %d events, want 0", got)
-	}
-	forced := NewMachine(tp, newTicklessFIFO(false), Options{Seed: 1, ForceIdleTicks: true})
-	forced.Run(time.Second)
-	// 8 cores × 1000 ticks/s, minus sub-period staggering remainders.
-	if got := forced.EventsProcessed(); got < 7900 {
-		t.Fatalf("forced idle machine processed %d events, want ~8000", got)
+// TestIdleMachineTicksEveryCore: with no work at all, the rotor alone
+// carries the machine — every core ticks once a period on its grid, Run
+// does not stall and RunUntil does not mistake "only ticks pending" for an
+// empty machine.
+func TestIdleMachineTicksEveryCore(t *testing.T) {
+	for _, heap := range []bool{false, true} {
+		s := &tickLogFIFO{FIFO: NewFIFO()}
+		m := NewMachine(topo.Small(), s, Options{Seed: 1, UseEventHeap: heap})
+		m.Run(time.Second)
+		// Core i's grid is i/8 ms + k ms, k ≥ 1: 1000 points in (0, 1s] for
+		// core 0, 999 for the seven staggered ones.
+		if got, want := m.EventsProcessed(), uint64(1000+7*999); got != want {
+			t.Fatalf("heap=%v: idle machine processed %d events, want %d", heap, got, want)
+		}
+		for id := range m.Cores {
+			checkTickGrid(t, s, id, 8, time.Second, nil)
+		}
+		polls := 0
+		if m.RunUntil(func() bool { polls++; return false }, 2*time.Second) {
+			t.Fatal("unsatisfiable predicate satisfied")
+		}
+		if m.Now() != 2*time.Second || polls < 7000 {
+			t.Fatalf("heap=%v: RunUntil stopped at %v after %d polls, want 2s and one poll per tick", heap, m.Now(), polls)
+		}
 	}
 }
 

@@ -16,11 +16,15 @@ type eventKind uint8
 const (
 	// evGeneric runs an arbitrary callback (Machine.At / Machine.After).
 	evGeneric eventKind = iota
-	// evTick is a per-core scheduler tick; token is validated against
-	// Machine.coreTok[core].tick, dropping parked or superseded ticks.
+	// evTick is a per-core scheduler tick. Ticks stand in the rotor
+	// (rotor.go), never in the queue: Machine.nextEvent builds the event
+	// when the rotor's head is due.
 	evTick
+	// evStaleTick is a tick superseded by OfflineCore: a counted no-op,
+	// popped from the rotor or — evicted by a re-arm — from the queue.
+	evStaleTick
 	// evBurstEnd completes the running thread's CPU burst on a core; token
-	// is validated against Machine.coreTok[core].burst.
+	// is validated against Machine.burstTok[core].
 	evBurstEnd
 	// evSleepWake ends a timed OpSleep; token is validated against
 	// Machine.sleepTok[tid-1].
@@ -51,8 +55,8 @@ type event struct {
 	seq   uint64
 	token uint64
 	// armed is the simulated time the event was scheduled; tick re-arming
-	// on busy transitions consults it to reproduce always-ticking
-	// same-timestamp ordering (see Core.nextGridTick).
+	// on OnlineCore consults it to reproduce never-offline same-timestamp
+	// ordering (see Core.nextGridTick).
 	armed time.Duration
 	id    int32 // core ID (tick, burstEnd) or callback handle (generic, periodic)
 	tid   int32 // thread ID (burstEnd, sleepWake)

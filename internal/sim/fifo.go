@@ -1,6 +1,10 @@
 package sim
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/queue"
+)
 
 // FIFO is a deliberately simple reference scheduler: per-core FIFO
 // runqueues, a fixed round-robin timeslice, least-loaded placement and
@@ -17,72 +21,12 @@ type FIFO struct {
 }
 
 type fifoRQ struct {
-	// queue[head:] are the waiting threads in FIFO order. Popping advances
-	// head (the slot is nil'd) and the backing array is compacted in
-	// amortized batches, so dispatch is O(1) and steady state allocates
-	// nothing.
-	queue []*Thread
-	head  int
+	// queue holds the waiting threads in FIFO order.
+	queue queue.FIFO[*Thread]
 	// load counts runnable threads including the running one.
 	load int
 	// sliceLeft tracks the current thread's remaining quantum.
 	sliceLeft time.Duration
-}
-
-func (rq *fifoRQ) size() int { return len(rq.queue) - rq.head }
-
-// popHead removes and returns the oldest waiting thread.
-func (rq *fifoRQ) popHead() *Thread {
-	t := rq.queue[rq.head]
-	rq.queue[rq.head] = nil
-	rq.head++
-	rq.compact()
-	return t
-}
-
-// pushHead prepends a thread (preempted threads resume first).
-func (rq *fifoRQ) pushHead(t *Thread) {
-	if rq.head > 0 {
-		rq.head--
-		rq.queue[rq.head] = t
-		return
-	}
-	rq.queue = append(rq.queue, nil)
-	copy(rq.queue[1:], rq.queue)
-	rq.queue[0] = t
-}
-
-// remove unlinks an arbitrary queued thread, reporting whether it was
-// found.
-func (rq *fifoRQ) remove(t *Thread) bool {
-	for i := rq.head; i < len(rq.queue); i++ {
-		if rq.queue[i] == t {
-			copy(rq.queue[i:], rq.queue[i+1:])
-			rq.queue[len(rq.queue)-1] = nil
-			rq.queue = rq.queue[:len(rq.queue)-1]
-			rq.compact()
-			return true
-		}
-	}
-	return false
-}
-
-// compact reclaims the popped prefix: immediately when the queue empties,
-// otherwise once the dead prefix dominates the backing array (amortized
-// O(1) per pop).
-func (rq *fifoRQ) compact() {
-	switch {
-	case rq.head == len(rq.queue):
-		rq.queue = rq.queue[:0]
-		rq.head = 0
-	case rq.head >= 32 && rq.head*2 >= len(rq.queue):
-		n := copy(rq.queue, rq.queue[rq.head:])
-		for i := n; i < len(rq.queue); i++ {
-			rq.queue[i] = nil
-		}
-		rq.queue = rq.queue[:n]
-		rq.head = 0
-	}
 }
 
 // NewFIFO returns a FIFO scheduler with the default quantum.
@@ -103,14 +47,10 @@ func (f *FIFO) Attach(m *Machine) {
 // TickPeriod implements Scheduler.
 func (f *FIFO) TickPeriod() time.Duration { return time.Millisecond }
 
-// NeedsIdleTick implements Scheduler: idle cores retry stealing from Tick,
-// so suppressing idle ticks would change when work is picked up.
-func (f *FIFO) NeedsIdleTick() bool { return true }
-
 // Enqueue implements Scheduler.
 func (f *FIFO) Enqueue(c *Core, t *Thread, flags int) {
 	rq := &f.rqs[c.ID]
-	rq.queue = append(rq.queue, t)
+	rq.queue.Push(t)
 	rq.load++
 }
 
@@ -121,9 +61,13 @@ func (f *FIFO) Dequeue(c *Core, t *Thread, flags int) {
 	if c.Curr == t {
 		return // running threads are not in the queue
 	}
-	if !rq.remove(t) {
-		panic("fifo: dequeue of unknown thread")
+	for i, q := range rq.queue.Items() {
+		if q == t {
+			rq.queue.RemoveAt(i)
+			return
+		}
 	}
+	panic("fifo: dequeue of unknown thread")
 }
 
 // Yield implements Scheduler.
@@ -132,10 +76,10 @@ func (f *FIFO) Yield(c *Core, t *Thread) {}
 // PickNext implements Scheduler.
 func (f *FIFO) PickNext(c *Core) *Thread {
 	rq := &f.rqs[c.ID]
-	if rq.size() == 0 {
+	t, ok := rq.queue.Pop()
+	if !ok {
 		return nil
 	}
-	t := rq.popHead()
 	rq.sliceLeft = f.Slice
 	return t
 }
@@ -144,10 +88,10 @@ func (f *FIFO) PickNext(c *Core) *Thread {
 func (f *FIFO) PutPrev(c *Core, t *Thread, flags int) {
 	rq := &f.rqs[c.ID]
 	if flags&FlagPreempted != 0 {
-		rq.pushHead(t)
+		rq.queue.PushFront(t)
 		return
 	}
-	rq.queue = append(rq.queue, t)
+	rq.queue.Push(t)
 }
 
 // SelectCore implements Scheduler: least-loaded allowed core.
@@ -178,7 +122,7 @@ func (f *FIFO) Tick(c *Core, curr *Thread) {
 	}
 	rq := &f.rqs[c.ID]
 	rq.sliceLeft -= f.TickPeriod()
-	if rq.sliceLeft <= 0 && rq.size() > 0 {
+	if rq.sliceLeft <= 0 && rq.queue.Len() > 0 {
 		c.NeedResched = true
 	}
 }
@@ -198,7 +142,7 @@ func (f *FIFO) IdleBalance(c *Core) bool {
 		if o == c {
 			continue
 		}
-		if f.rqs[i].size() > most-1 && f.rqs[i].load > most {
+		if f.rqs[i].queue.Len() > most-1 && f.rqs[i].load > most {
 			victim, most = o, f.rqs[i].load
 		}
 	}
@@ -207,7 +151,7 @@ func (f *FIFO) IdleBalance(c *Core) bool {
 	}
 	// Steal the oldest queued thread allowed on c.
 	rq := &f.rqs[victim.ID]
-	for _, t := range rq.queue[rq.head:] {
+	for _, t := range rq.queue.Items() {
 		if t.CanRunOn(c.ID) {
 			f.m.TraceSteal(c, victim, t)
 			f.m.Migrate(t, victim, c)
@@ -225,7 +169,7 @@ func (f *FIFO) NrRunnable(c *Core) int { return f.rqs[c.ID].load }
 func (f *FIFO) ExplainPick(c *Core, buf []PickCandidate) []PickCandidate {
 	buf = buf[:0]
 	rq := &f.rqs[c.ID]
-	for i, t := range rq.queue[rq.head:] {
+	for i, t := range rq.queue.Items() {
 		buf = append(buf, PickCandidate{TID: int32(t.ID), Key: int64(i)})
 	}
 	return buf
@@ -236,8 +180,8 @@ func (f *FIFO) ExplainPick(c *Core, buf []PickCandidate) []PickCandidate {
 // CanRunOn).
 func (f *FIFO) CoreOffline(c *Core) {
 	rq := &f.rqs[c.ID]
-	for rq.size() > 0 {
-		t := rq.queue[rq.head]
+	for rq.queue.Len() > 0 {
+		t := rq.queue.Items()[0]
 		target := f.SelectCore(t, nil, FlagMigrate)
 		if target == nil {
 			panic("fifo: no online core for " + t.Name)

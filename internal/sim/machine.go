@@ -46,23 +46,25 @@ type Machine struct {
 	// coreArr is the contiguous backing store of Cores: the dispatch path
 	// walks cores by dense index instead of chasing per-core allocations.
 	coreArr []Core
-	// coreTok / sleepTok are the struct-of-arrays timer-token tables,
-	// indexed by core ID and thread ID-1: stale timer events (superseded
-	// ticks, re-armed burst ends, cancelled sleep wakes) are dropped from
-	// these dense lines without touching the wide Core/Thread structs.
-	coreTok  []coreTokens
+	// burstTok / sleepTok are the struct-of-arrays timer-token tables,
+	// indexed by core ID and thread ID-1: stale timer events (re-armed
+	// burst ends, cancelled sleep wakes) are dropped from these dense lines
+	// without touching the wide Core/Thread structs.
+	burstTok []uint64
 	sleepTok []uint64
+
+	// ticks is the tick rotor (rotor.go): one standing entry per core,
+	// tickHead the core holding the earliest (-1 when none stands).
+	ticks    []tickEntry
+	tickHead int
 
 	// cbs is the side table of generic/periodic callbacks, referenced from
 	// heap events by handle; cbFree heads its freelist (-1 = empty).
 	cbs    []callback
 	cbFree int32
 
-	// tickPeriod caches the scheduler's tick period; idleTicks records
-	// whether idle cores keep ticking (scheduler capability or the
-	// ForceIdleTicks option) or have their ticks parked.
+	// tickPeriod caches the scheduler's tick period.
 	tickPeriod time.Duration
-	idleTicks  bool
 	// curArmed/curSeq describe the event currently being dispatched: when
 	// it was scheduled and its sequence number (tick re-arm ordering,
 	// Core.nextGridTick).
@@ -85,16 +87,6 @@ type Machine struct {
 	execCore *Core
 	// pendingPin carries StartThreadCfg affinity into spawn.
 	pendingPin []int
-
-	ticksOn bool
-}
-
-// coreTokens packs one core's timer-validation counters: stale burst-end
-// and tick events are detected against these two words, four cores per
-// cache line, without loading the core struct itself.
-type coreTokens struct {
-	burst uint64
-	tick  uint64
 }
 
 // Options configures machine construction.
@@ -106,10 +98,6 @@ type Options struct {
 	// TraceCapacity bounds retained trace records (counts are always
 	// exact); default 0 retains counts only.
 	TraceCapacity int
-	// ForceIdleTicks keeps per-core ticks firing on idle cores even when
-	// the scheduler reports NeedsIdleTick() == false — the pre-tickless
-	// engine semantics, kept for cross-validation tests and A/B timing.
-	ForceIdleTicks bool
 	// UseEventHeap runs the machine on the binary-heap event queue instead
 	// of the hierarchical timer wheel. Both implement the same strict
 	// (at, seq) order, so all outputs are byte-identical; the flag exists
@@ -160,14 +148,13 @@ func NewMachine(tp *topo.Topology, sched Scheduler, opts Options) *Machine {
 	// One contiguous allocation backs every core plus the dense token
 	// table: the dispatch path indexes both by core ID.
 	m.coreArr = make([]Core, tp.NCores())
-	m.coreTok = make([]coreTokens, tp.NCores())
+	m.burstTok = make([]uint64, tp.NCores())
 	m.Cores = make([]*Core, tp.NCores())
 	for i := range m.coreArr {
 		m.coreArr[i] = Core{ID: i, mach: m, wasIdle: true}
 		m.Cores[i] = &m.coreArr[i]
 	}
 	sched.Attach(m)
-	m.idleTicks = opts.ForceIdleTicks || sched.NeedsIdleTick()
 	m.startTicks()
 	return m
 }
@@ -202,6 +189,11 @@ func (m *Machine) schedule(e event) {
 	m.seq++
 	e.seq = m.seq
 	e.armed = m.now
+	m.push(e)
+}
+
+// push hands a stamped event to the active queue.
+func (m *Machine) push(e event) {
 	if m.useHeap {
 		m.heap.push(e)
 		return
@@ -255,7 +247,7 @@ func (m *Machine) Every(start, period time.Duration, fn func() bool) {
 func (m *Machine) fire(e *event) {
 	switch e.kind {
 	case evBurstEnd:
-		if m.coreTok[e.id].burst != e.token {
+		if m.burstTok[e.id] != e.token {
 			return
 		}
 		c := &m.coreArr[e.id]
@@ -271,7 +263,9 @@ func (m *Machine) fire(e *event) {
 		}
 		m.completeOpNow(c, t)
 	case evTick:
-		m.fireTick(&m.coreArr[e.id], e.token)
+		m.fireTick(&m.coreArr[e.id])
+	case evStaleTick:
+		// Superseded by OfflineCore: counted, nothing to run.
 	case evSleepWake:
 		if m.sleepTok[e.tid-1] != e.token {
 			return
@@ -307,44 +301,64 @@ func (m *Machine) endRun() {
 	m.curSeq = m.seq
 }
 
-// qLen reports how many events are pending on the active queue.
-func (m *Machine) qLen() int {
-	if m.useHeap {
-		return m.heap.len()
+// pending reports whether any event is left: in the active queue or
+// standing in the rotor (a machine with only ticks pending is not done).
+func (m *Machine) pending() bool {
+	if m.tickHead >= 0 {
+		return true
 	}
-	return m.wheel.len()
+	if m.useHeap {
+		return m.heap.len() > 0
+	}
+	return m.wheel.len() > 0
 }
 
-// nextEvent pops the next event if it is due at or before until. On the
-// wheel engine the common case is one bounds check into the already-sorted
-// live slot batch — the batched same-timestamp dispatch the wheel exists
-// for; advance() runs only when a batch drains.
-func (m *Machine) nextEvent(until time.Duration) (event, bool) {
-	if m.useHeap {
-		if m.heap.len() == 0 || m.heap.es[0].at > until {
-			return event{}, false
-		}
-		return m.heap.pop(), true
-	}
+// nextEvent pops the next event into e if it is due at or before until:
+// the earlier, by (at, seq), of the queue head and the rotor head. On the wheel
+// engine the queue head is one bounds check into the already-sorted live
+// slot batch; advance() runs only when a batch drains. That can carry the
+// wheel's cursor past the clock when the rotor head turns out earlier;
+// whatever the tick's handler then schedules before the cursor joins the
+// live batch in order (timerWheel.pushCur).
+func (m *Machine) nextEvent(until time.Duration, e *event) bool {
+	var q *event
 	w := &m.wheel
-	if w.curIdx >= len(w.cur) && !w.advance() {
-		return event{}, false
+	if m.useHeap {
+		if m.heap.len() > 0 {
+			q = &m.heap.es[0]
+		}
+	} else if w.curIdx < len(w.cur) || w.advance() {
+		q = &w.cur[w.curIdx]
 	}
-	if w.cur[w.curIdx].at > until {
-		return event{}, false
+	if h := m.tickHead; h >= 0 {
+		if t := &m.ticks[h]; q == nil || t.at < q.at || t.at == q.at && t.seq < q.seq {
+			if t.at > until {
+				return false
+			}
+			*e = event{at: t.at, seq: t.seq, armed: t.armed, kind: evTick, id: int32(h)}
+			if t.state == tickStale {
+				e.kind = evStaleTick
+			}
+			m.takeTick(h)
+			return true
+		}
 	}
-	e := w.cur[w.curIdx]
-	w.curIdx++
-	return e, true
+	if q == nil || q.at > until {
+		return false
+	}
+	if m.useHeap {
+		*e = m.heap.pop()
+	} else {
+		*e = *q
+		w.curIdx++
+	}
+	return true
 }
 
 // Run processes events until the clock reaches until.
 func (m *Machine) Run(until time.Duration) {
-	for {
-		e, ok := m.nextEvent(until)
-		if !ok {
-			break
-		}
+	var e event
+	for m.nextEvent(until, &e) {
 		m.now = e.at
 		m.events++
 		if m.events&deadlineMask == 0 {
@@ -365,13 +379,13 @@ func (m *Machine) Run(until time.Duration) {
 // RunUntil processes events until pred returns true or the clock reaches
 // max; it reports whether pred was satisfied.
 func (m *Machine) RunUntil(pred func() bool, max time.Duration) bool {
-	for m.qLen() > 0 {
+	var e event
+	for m.pending() {
 		if pred() {
 			m.endRun()
 			return true
 		}
-		e, ok := m.nextEvent(max)
-		if !ok {
+		if !m.nextEvent(max, &e) {
 			break
 		}
 		m.now = e.at
@@ -752,14 +766,13 @@ func (m *Machine) start(c *Core, t *Thread) {
 // hot path allocates nothing.
 func (m *Machine) scheduleBurstEnd(c *Core) {
 	t := c.Curr
-	tok := &m.coreTok[c.ID]
-	tok.burst++
+	m.burstTok[c.ID]++
 	m.schedule(event{
 		at:    c.runStart + c.wallFor(t.opRemaining),
 		kind:  evBurstEnd,
 		id:    int32(c.ID),
 		tid:   int32(t.ID),
-		token: tok.burst,
+		token: m.burstTok[c.ID],
 	})
 }
 
@@ -887,7 +900,7 @@ func (m *Machine) deschedule(c *Core, flags int) {
 		return
 	}
 	c.flushRun()
-	m.coreTok[c.ID].burst++ // invalidate burst-end
+	m.burstTok[c.ID]++ // invalidate burst-end
 	if flags&FlagPreempted != 0 {
 		m.Trace.Record(trace.Event{At: m.now, Kind: trace.Preempt, Core: c.ID, OtherCore: -1, Thread: t.ID})
 		t.pendingPenalty += m.Cost.PreemptPenalty
@@ -944,7 +957,7 @@ func (m *Machine) exitCurrent(c *Core, t *Thread) {
 // stopCurrent is the common leave-the-CPU path for sleep/block/exit.
 func (m *Machine) stopCurrent(c *Core, t *Thread, flags int) {
 	c.flushRun()
-	m.coreTok[c.ID].burst++
+	m.burstTok[c.ID]++
 	t.LastCore = c
 	t.LastRanAt = m.now
 	// Dequeue while c.Curr still points at t, so the scheduler can tell a
@@ -955,87 +968,6 @@ func (m *Machine) stopCurrent(c *Core, t *Thread, flags int) {
 	// The sleep/block op is consumed; the program resumes with a fresh op
 	// on wakeup. Exit consumes trivially.
 	t.opValid = false
-}
-
-// startTicks arms the per-core periodic scheduler tick, staggered so cores
-// do not tick in lockstep. When the scheduler reports NeedsIdleTick() ==
-// false (and ForceIdleTicks is off), idle cores are tickless: their tick is
-// parked while idle and re-armed on markBusy at the next point of the
-// core's original staggered grid, so tick times on busy cores are
-// bit-identical to an always-ticking machine.
-func (m *Machine) startTicks() {
-	if m.ticksOn {
-		return
-	}
-	m.ticksOn = true
-	period := m.sched.TickPeriod()
-	if period <= 0 {
-		panic("sim: scheduler TickPeriod must be positive")
-	}
-	m.tickPeriod = period
-	for i := range m.Cores {
-		c := m.Cores[i]
-		c.tickOffset = period * time.Duration(i) / time.Duration(len(m.Cores))
-		if m.idleTicks {
-			m.armTick(c, c.tickOffset+period)
-		} else {
-			// Cores start idle; the first markBusy arms the tick on the
-			// core's grid.
-			c.tickParked = true
-		}
-	}
-}
-
-// armTick schedules c's next tick at the absolute time at, superseding any
-// in-flight tick event for the core.
-func (m *Machine) armTick(c *Core, at time.Duration) {
-	tok := &m.coreTok[c.ID]
-	tok.tick++
-	c.tickAt = at
-	m.schedule(event{at: at, kind: evTick, id: int32(c.ID), token: tok.tick})
-}
-
-// fireTick runs one scheduler tick on c and re-arms or parks the next one.
-func (m *Machine) fireTick(c *Core, token uint64) {
-	if token != m.coreTok[c.ID].tick {
-		// Superseded: the core parked or re-armed since. If this is the
-		// parked tick popping at the first suppressed grid point, remember
-		// the sequence watermark — the position the always-ticking idle
-		// tick would have fired at (Core.nextGridTick's tie-break). After
-		// a park/re-arm/re-park cycle several superseded ticks can pop at
-		// the same grid point; only the earliest-armed one corresponds to
-		// the always-ticking engine's single tick chain, so later pops
-		// must not overwrite the watermark.
-		if c.tickParked && m.now == c.parkAt && c.parkWatermark == 0 {
-			c.parkWatermark = m.seq
-		}
-		return
-	}
-	c.lastTick = m.now
-	c.flushRun()
-	if m.hooks != nil {
-		for _, fn := range m.hooks.tick {
-			fn(c)
-		}
-	}
-	m.sched.Tick(c, c.Curr)
-	if c.NeedResched {
-		c.NeedResched = false
-		if c.Curr != nil {
-			m.deschedule(c, 0)
-			m.dispatch(c)
-		}
-	}
-	if !m.idleTicks && c.Curr == nil {
-		// Defensive: normally markIdle parks first (and the token check
-		// above drops this event). Refresh the park state so a later
-		// nextGridTick tie-break cannot read stale values.
-		c.tickParked = true
-		c.parkAt = m.now + m.tickPeriod
-		c.parkWatermark = 0
-		return
-	}
-	m.armTick(c, m.now+m.tickPeriod)
 }
 
 func threadID(t *Thread) int {

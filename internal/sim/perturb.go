@@ -64,13 +64,11 @@ func (m *Machine) OfflineCore(id int) bool {
 		panic(fmt.Sprintf("sim: core %d still has %d runnable threads after offline drain", id, n))
 	}
 	c.markIdle()
-	// Stop the tick chain entirely; any in-flight tick event is dropped
-	// by the token bump, and the park state is cleared so fireTick's
-	// watermark branch cannot misread the dead event as a parked tick.
-	m.coreTok[id].tick++
-	c.tickParked = false
-	c.parkAt = -1
-	c.parkWatermark = 0
+	// Stop the tick chain: the standing entry goes stale and pops once
+	// more, as a counted no-op.
+	if m.ticks[id].state == tickLive {
+		m.ticks[id].state = tickStale
+	}
 	m.Counters.Get("hotplug.offline").Inc(1)
 	return true
 }
@@ -87,16 +85,7 @@ func (m *Machine) OnlineCore(id int) bool {
 	}
 	c.offline = false
 	m.nOffline--
-	if m.idleTicks {
-		m.armTick(c, c.nextGridTick(m.now))
-	} else {
-		// Tickless: stay parked; the next markBusy re-arms on the grid.
-		// There is no suppressed event to watermark against, so a wake
-		// landing exactly on a grid point counts as armed after it.
-		c.tickParked = true
-		c.parkAt = -1
-		c.parkWatermark = 0
-	}
+	m.armTick(c, c.nextGridTick(m.now))
 	if hp, ok := m.sched.(Hotplugger); ok {
 		hp.CoreOnline(c)
 	}

@@ -37,21 +37,6 @@ type Scheduler interface {
 	// (Linux: 1 ms at HZ=1000; FreeBSD: 1/127 s at stathz=127).
 	TickPeriod() time.Duration
 
-	// NeedsIdleTick reports whether Tick must keep firing on idle cores.
-	// Schedulers that do periodic work from the idle tick — steal retries,
-	// periodic balancing, calendar rotation — return true and observe ticks
-	// exactly as on an always-ticking machine. When false, the engine parks
-	// an idle core's tick and re-arms it on the core's original staggered
-	// grid when the core next becomes busy: busy-core tick times are
-	// bit-identical either way (a wake landing exactly on a grid point
-	// reproduces always-ticking event order from the waking event's arming
-	// time, with the first suppressed grid point's sequence watermark
-	// breaking the exact tie; an event armed exactly on a suppressed grid
-	// point deeper in a parked window counts as armed after that point's
-	// idle tick), and Tick is never invoked with a nil curr. Returning
-	// false therefore requires that the scheduler's idle tick be a no-op.
-	NeedsIdleTick() bool
-
 	// Enqueue makes t runnable on c (enqueue_task / sched_add+sched_wakeup;
 	// flags distinguish the two FreeBSD entry points as the port does).
 	Enqueue(c *Core, t *Thread, flags int)
@@ -84,8 +69,9 @@ type Scheduler interface {
 	// user threads — "full preemption is disabled").
 	CheckPreempt(c *Core, t *Thread, flags int) bool
 
-	// Tick is the periodic scheduler tick on c; curr is the running thread
-	// or nil when idle. Set c.NeedResched to force a reschedule.
+	// Tick is the periodic scheduler tick on c, fired every TickPeriod on
+	// every online core; curr is the running thread or nil when idle. Set
+	// c.NeedResched to force a reschedule.
 	Tick(c *Core, curr *Thread)
 
 	// Fork initialises the child's scheduler state from its parent

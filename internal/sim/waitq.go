@@ -1,5 +1,7 @@
 package sim
 
+import "repro/internal/queue"
+
 // WaitQueue is a FIFO queue of voluntarily blocked threads, plus the set of
 // spinners currently watching it. It is the one blocking primitive the
 // kernel substrate exposes; the ipc package builds mutexes, barriers, pipes
@@ -8,7 +10,7 @@ type WaitQueue struct {
 	// Name labels the queue in traces.
 	Name string
 
-	waiters []*Thread
+	waiters queue.FIFO[*Thread]
 	// spinners are threads with an active OpSpin watching this queue; a
 	// Broadcast releases them early.
 	spinners []*Thread
@@ -18,20 +20,20 @@ type WaitQueue struct {
 func NewWaitQueue(name string) *WaitQueue { return &WaitQueue{Name: name} }
 
 // Len returns the number of blocked threads (spinners excluded).
-func (wq *WaitQueue) Len() int { return len(wq.waiters) }
+func (wq *WaitQueue) Len() int { return wq.waiters.Len() }
 
 // Spinners returns the number of threads spin-watching the queue.
 func (wq *WaitQueue) Spinners() int { return len(wq.spinners) }
 
 func (wq *WaitQueue) addWaiter(t *Thread) {
-	wq.waiters = append(wq.waiters, t)
+	wq.waiters.Push(t)
 	t.wq = wq
 }
 
 func (wq *WaitQueue) removeWaiter(t *Thread) {
-	for i, w := range wq.waiters {
+	for i, w := range wq.waiters.Items() {
 		if w == t {
-			wq.waiters = append(wq.waiters[:i], wq.waiters[i+1:]...)
+			wq.waiters.RemoveAt(i)
 			t.wq = nil
 			return
 		}
@@ -39,11 +41,10 @@ func (wq *WaitQueue) removeWaiter(t *Thread) {
 }
 
 func (wq *WaitQueue) popWaiter() *Thread {
-	if len(wq.waiters) == 0 {
+	t, ok := wq.waiters.Pop()
+	if !ok {
 		return nil
 	}
-	t := wq.waiters[0]
-	wq.waiters = wq.waiters[1:]
 	t.wq = nil
 	return t
 }

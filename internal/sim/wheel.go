@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// The hierarchical timer wheel: the engine's default event queue. Most
-// simulation events — scheduler ticks, burst ends, timed sleeps — are armed
-// a short horizon ahead of the clock, so a wheel turns the heap's O(log n)
-// sift per insert/expire into O(1) slot appends and batched slot drains.
+// The hierarchical timer wheel: the engine's default event queue, holding
+// everything but the scheduler ticks (those stand in the rotor, rotor.go).
+// Most queued events — burst ends, timed sleeps — are armed a short horizon
+// ahead of the clock, so a wheel turns the heap's O(log n) sift per
+// insert/expire into O(1) slot appends and batched slot drains.
 //
 // Layout: wheelLevels rings of wheelSlots slots over the event clock
 // (nanosecond time.Duration values). Level k's slots are
@@ -140,8 +141,11 @@ func (w *timerWheel) len() int {
 	return (len(w.cur) - w.curIdx) + w.size + w.over.len()
 }
 
-// push files one event. Events always arrive with at >= the machine clock
-// and a fresh (maximal) seq, which invariants 1-3 above rely on.
+// push files one event. Events always arrive with at >= the machine clock,
+// which invariants 1-3 above rely on; all but a stale tick evicted from the
+// rotor carry a fresh (maximal) seq. The cursor may be ahead of the clock —
+// advance() ran while the rotor held the earlier event — and then a new
+// event can belong before it, in the live batch.
 func (w *timerWheel) push(e event) {
 	if int64(e.at)>>wheelShift0 < w.cursor {
 		w.pushCur(e)
@@ -150,14 +154,12 @@ func (w *timerWheel) push(e event) {
 	w.file(e)
 }
 
-// pushCur ordered-inserts into the live batch. The event's seq is the
-// largest issued, so it sorts after every queued event with at' <= at;
-// binary search on at alone finds the spot.
+// pushCur ordered-inserts into the live batch by (at, seq).
 func (w *timerWheel) pushCur(e event) {
 	i, j := w.curIdx, len(w.cur)
 	for i < j {
 		h := int(uint(i+j) >> 1)
-		if w.cur[h].at <= e.at {
+		if eventBefore(&w.cur[h], &e) {
 			i = h + 1
 		} else {
 			j = h

@@ -37,7 +37,13 @@ func (o *wheelOracle) push(at time.Duration) {
 		at = o.clock
 	}
 	o.seq++
-	e := event{at: at, seq: o.seq, id: int32(o.seq)}
+	o.pushStamped(at, o.seq)
+}
+
+// pushStamped schedules an event that already carries its sequence number —
+// a stale tick evicted from the rotor keeps the one it was armed with.
+func (o *wheelOracle) pushStamped(at time.Duration, seq uint64) {
+	e := event{at: at, seq: seq, id: int32(seq)}
 	o.w.push(e)
 	o.h.push(e)
 }
@@ -127,6 +133,32 @@ func TestWheelSlotEdges(t *testing.T) {
 		o.pop()
 	}
 	o.drain()
+}
+
+// TestWheelPushBehindRunAheadCursor: with the ticks in the rotor the wheel
+// is asked for its head (advance) while the rotor still holds earlier
+// events, which leaves the cursor ahead of the clock. Everything scheduled
+// from those earlier events lands behind the cursor and must be sorted into
+// the live batch — by (at, seq), because an evicted stale tick arrives with
+// a sequence number older than events already waiting at its instant.
+func TestWheelPushBehindRunAheadCursor(t *testing.T) {
+	ms := time.Millisecond
+	o := newWheelOracle(t)
+	o.push(50 * ms)
+	o.seq += 2 // two sequence numbers held by standing ticks
+	oldA, oldB := o.seq-1, o.seq
+	if at, ok := o.w.peekAt(); !ok || at != 50*ms || o.w.curEnd() <= 50*ms {
+		t.Fatalf("peekAt = %v, %v with the cursor at %v: the cursor should have run to the far event", at, ok, o.w.curEnd())
+	}
+	for _, at := range []time.Duration{30 * ms, 10 * ms, 10 * ms, 50 * ms, 70 * ms} {
+		o.push(at)
+	}
+	o.pushStamped(10*ms, oldA) // before both fresh 10 ms events
+	o.pushStamped(70*ms, oldB) // beyond the cursor: filed, sorted on drain
+	o.drain()
+	if o.pops != 8 {
+		t.Fatalf("%d pops, want 8", o.pops)
+	}
 }
 
 // TestWheelSameTimestampSeqOrder checks that a burst of equal-time events

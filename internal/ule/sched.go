@@ -76,11 +76,6 @@ func (s *Sched) Name() string { return "ule" }
 // TickPeriod implements sim.Scheduler: stathz = 127.
 func (s *Sched) TickPeriod() time.Duration { return tickPeriod }
 
-// NeedsIdleTick implements sim.Scheduler: idle cores retry tdq_idled steals
-// and rotate the timeshare calendar from Tick, so ULE opts in to idle
-// ticks.
-func (s *Sched) NeedsIdleTick() bool { return true }
-
 // Attach implements sim.Scheduler: build per-core queues and arm the core-0
 // periodic balancer.
 func (s *Sched) Attach(m *sim.Machine) {
@@ -357,12 +352,9 @@ func (s *Sched) Tick(c *sim.Core, curr *sim.Thread) {
 	q.ticks++
 	q.timeshare.Advance()
 	if curr == nil {
-		// tdq_idled runs from the idle loop; retry stealing each tick.
-		if s.IdleBalance(c) {
-			// Enqueue-side dispatch already filled the core if a steal
-			// succeeded.
-			_ = q
-		}
+		// tdq_idled runs from the idle loop; retry stealing each tick. A
+		// successful steal dispatches the core from the enqueue side.
+		s.IdleBalance(c)
 		return
 	}
 	d := s.td(curr)
