@@ -77,6 +77,25 @@ func main() {
 	)
 	flag.Parse()
 
+	// -check and -battle run replicated grids, which carry no streams
+	// (scenario.Spec.WithSeeds): an export flag beside them could only be a
+	// silent no-op, so it is refused.
+	if *check || *battleArg != "" {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-trace", *traceDir != ""}, {"-trace-csv", *traceCSV != ""},
+			{"-timeline", *tlDir != ""}, {"-timehist", *timehist},
+			{"-series", *seriesDir != ""},
+		} {
+			if f.set {
+				fmt.Fprintf(os.Stderr, "schedbattle: %s does nothing beside -check or -battle (replicated grids keep no per-trial streams): use it only with -scenario\n", f.name)
+				os.Exit(2)
+			}
+		}
+	}
+
 	if *perf || *perfCheck {
 		opt := perfOptions{
 			iters: *perfIters, label: *perfLabel, engine: *perfEngine,

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -100,5 +102,58 @@ func TestRunScenarioTimehistOnly(t *testing.T) {
 	ents, err := os.ReadDir(o.timelineDir)
 	if err != nil || len(ents) == 0 {
 		t.Fatalf("-timeline did not enable the recorder: %v (%d files)", err, len(ents))
+	}
+}
+
+// TestMain lets the tests below run the real main(): re-executed with
+// schedbattleMainEnv set, the test binary is the CLI.
+func TestMain(m *testing.M) {
+	if os.Getenv(schedbattleMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const schedbattleMainEnv = "SCHEDBATTLE_TEST_RUN_MAIN"
+
+// TestReplicatedModesRejectStreamFlags: -check and -battle run replicated
+// grids, which carry no streams, so every stream-export flag beside them
+// is refused up front (exit 2, naming the flag) instead of being a silent
+// no-op — and nothing was run or written.
+func TestReplicatedModesRejectStreamFlags(t *testing.T) {
+	dir := t.TempDir()
+	flags := map[string][]string{
+		"-trace":     {"-trace", filepath.Join(dir, "traces")},
+		"-trace-csv": {"-trace-csv", filepath.Join(dir, "trace.csv")},
+		"-timeline":  {"-timeline", filepath.Join(dir, "timelines")},
+		"-timehist":  {"-timehist"},
+		"-series":    {"-series", filepath.Join(dir, "series.csv")},
+	}
+	modes := map[string][]string{
+		"check":  {"-check", "-baseline", filepath.Join(dir, "no-such-baseline.json")},
+		"battle": {"-battle", "web-tail", "-scale", "0.02", "-replications", "2"},
+	}
+	for mode, margs := range modes {
+		for name, fargs := range flags {
+			t.Run(mode+name, func(t *testing.T) {
+				cmd := exec.Command(os.Args[0], append(append([]string{}, margs...), fargs...)...)
+				cmd.Env = append(os.Environ(), schedbattleMainEnv+"=1")
+				var stderr strings.Builder
+				cmd.Stderr = &stderr
+				err := cmd.Run()
+				var ee *exec.ExitError
+				if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+					t.Fatalf("exit: %v, want status 2; stderr: %s", err, stderr.String())
+				}
+				msg := stderr.String()
+				if !strings.Contains(msg, name+" ") || !strings.Contains(msg, "only with -scenario") {
+					t.Fatalf("message does not name %s and \"only with -scenario\": %s", name, msg)
+				}
+			})
+		}
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("refused runs left %d files behind", len(left))
 	}
 }

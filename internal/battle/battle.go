@@ -147,7 +147,9 @@ type Pair struct {
 // Run replicates the scenario across opt.Replications seeds and builds its
 // battle matrix. The scenario needs at least two schedulers to produce
 // head-to-head pairs; with one, the report still carries per-cell
-// summaries (useful for baselines).
+// summaries (useful for baselines). The replicated grid is a sample grid
+// (scenario.Spec.WithSeeds): only metrics are read, so its recorders run in
+// accounting mode and its trials and cache entries carry no streams.
 func Run(sp *scenario.Spec, opt Options) (*Report, error) {
 	opt = opt.withDefaults()
 	seeds := sp.ReplicationSeeds(opt.Replications)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/memo"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 )
@@ -256,5 +258,70 @@ func TestComparePairVerdicts(t *testing.T) {
 	p = comparePair("a", "b", xa, xa, scenario.Higher, opt, 1)
 	if p.Verdict != VerdictTie || p.Winner != "" || p.DeltaCILo != 0 || p.DeltaCIHi != 0 {
 		t.Fatalf("identical samples: %+v", p)
+	}
+}
+
+// TestBattleCacheEntriesCarryNoStreams: Run replicates through a sample
+// grid whose cached trials hold no streams, under fingerprints of their
+// own — so a plain run of the same scenario on the same cache afterwards
+// is answered by none of them and still yields its trace and timeline
+// streams, byte-identical to an uncached run.
+func TestBattleCacheEntriesCarryNoStreams(t *testing.T) {
+	sp, err := scenario.Load("web-tail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const scale = 0.05
+	defer core.SetTrialCache(nil)
+	core.SetTrialCache(nil)
+	fresh, err := sp.Run(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshBattle, err := Run(sp, Options{Replications: 3, Scale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := memo.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.SetTrialCache(c)
+	cold, err := Run(sp, Options{Replications: 3, Scale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	battleStats := c.Stats()
+	plain, err := sp.Run(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Stores != battleStats.Stores+uint64(len(plain.Trials)) {
+		t.Fatalf("plain run after the battle: %+v (battle alone %+v), want no hit and every trial stored", st, battleStats)
+	}
+	for i := range plain.Trials {
+		g, f := &plain.Trials[i], &fresh.Trials[i]
+		if len(g.TraceData) == 0 || len(g.TimelineData) == 0 ||
+			!bytes.Equal(g.TraceData, f.TraceData) || !bytes.Equal(g.TimelineData, f.TimelineData) {
+			t.Fatalf("%s: streams after a battle on the same cache differ from an uncached run", g.Name)
+		}
+	}
+	// The battle itself: stream-less entries, and cached == fresh.
+	if perTrial := battleStats.BytesWritten / battleStats.Stores; perTrial > 64<<10 {
+		t.Fatalf("battle entries average %d bytes: streams are back in replicated trials", perTrial)
+	}
+	warm, err := Run(sp, Options{Replications: 3, Scale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats().Hits != battleStats.Stores {
+		t.Fatalf("warm battle: %+v, want %d hits", c.Stats(), battleStats.Stores)
+	}
+	want, _ := scenario.MarshalReport(freshBattle)
+	for what, rep := range map[string]*Report{"cold": cold, "warm": warm} {
+		if got, _ := scenario.MarshalReport(rep); !bytes.Equal(got, want) {
+			t.Fatalf("%s cached battle differs from the uncached one", what)
+		}
 	}
 }

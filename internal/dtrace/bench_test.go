@@ -9,6 +9,7 @@ package dtrace
 
 import (
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -90,5 +91,72 @@ func TestRecorderSteadyStateAllocFree(t *testing.T) {
 		if hr := r.Headroom(); threads == 48 && (hr.Achieved == 0 || r.hr.nodes == nodes) {
 			t.Fatalf("%d threads: %d nodes searched while measuring, headroom %+v: the search was not exercised", threads, r.hr.nodes-nodes, hr)
 		}
+	}
+}
+
+// attachBytes reports the heap bytes one attach call allocates.
+func attachBytes(attach func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	attach()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestAccountingRecorderAllocBounded: an accounting-mode recorder owns the
+// counters, one load vector and the fixed-size headroom window — no ring,
+// arena, pick scratch or encoder — so attaching costs a bounded ~72 KiB
+// against the streaming recorder's ~450 KiB, and the oversubscribed
+// 48-thread leg, whose windows are searched, allocates nothing in steady
+// state. Its counts and verdict are the streaming recorder's.
+func TestAccountingRecorderAllocBounded(t *testing.T) {
+	machine := func() *sim.Machine {
+		return sim.NewMachine(topo.Small(), sim.NewFIFO(), sim.Options{Seed: 9})
+	}
+	load := func(m *sim.Machine) {
+		for i := 0; i < 48; i++ {
+			m.StartThread("w", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
+		}
+		m.Run(250 * time.Millisecond)
+	}
+	m, full := machine(), machine()
+	var r, fr *Recorder
+	var err error
+	const bound = 96 << 10
+	if got := attachBytes(func() { r, err = AttachAccounting(m, Options{}) }); err != nil || got > bound {
+		t.Fatalf("AttachAccounting allocated %d bytes (err %v), want <= %d", got, err, bound)
+	}
+	if got := attachBytes(func() { fr, err = Attach(full, Options{}) }); err != nil || got <= bound {
+		t.Fatalf("Attach allocated %d bytes (err %v): the bound %d no longer tells the modes apart", got, err, bound)
+	}
+	if r.tNS != nil || r.candID != nil || r.pickBuf != nil || r.enc.buf != nil || r.enc.w != nil || r.explainer != nil {
+		t.Fatal("accounting recorder holds streaming state")
+	}
+	load(m)
+	load(full)
+	nodes := r.hr.nodes
+	if avg := testing.AllocsPerRun(20, func() { m.Run(m.Now() + 5*time.Millisecond) }); avg != 0 {
+		t.Fatalf("accounting steady state allocated %.1f allocs per 5ms window, want 0", avg)
+	}
+	if r.hr.nodes == nodes {
+		t.Fatal("no window was searched while measuring")
+	}
+	full.Run(m.Now())
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := fr.Summary()
+	if want.Bytes == 0 || r.Bytes() != nil {
+		t.Fatalf("streaming wrote %d bytes, accounting holds %d", want.Bytes, len(r.Bytes()))
+	}
+	want.Bytes, want.Dropped = 0, 0
+	if got := r.Summary(); got != want {
+		t.Fatalf("accounting summary %+v, streaming %+v", got, want)
+	}
+	if got, want := r.Headroom(), fr.Headroom(); got != want || got.Achieved == 0 {
+		t.Fatalf("accounting headroom %+v, streaming %+v", got, want)
 	}
 }

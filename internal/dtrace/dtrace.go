@@ -165,7 +165,8 @@ type Summary struct {
 // candidate arena, the encode scratch, and the headroom window. Recording
 // a decision allocates nothing, the headroom search it may set off
 // included; flushing writes one encoded chunk to the sink (an in-memory
-// buffer grows amortized, bounded by MaxBytes).
+// buffer grows amortized, bounded by MaxBytes). An AttachAccounting
+// recorder holds the counters, loadBuf and hr only.
 type Recorder struct {
 	m    *sim.Machine
 	opts Options
@@ -242,6 +243,41 @@ func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
 	m.OnMigrate(r.onMigrate)
 	m.OnSteal(r.onSteal)
 	return r, nil
+}
+
+// AttachAccounting attaches a recorder in accounting mode — what a
+// replicated sample grid runs, where only metrics are read. Every count
+// (Summary's decisions and kept records, by the same sampling rule) and the
+// online headroom verdict are exactly what Attach would produce on the same
+// run, but nothing is kept per record: no ring, candidate arena, digest,
+// ExplainPick call, or encoder exists, so Bytes is nil and Summary.Bytes
+// and Summary.Dropped read 0. The mode has its own hooks; Attach's
+// streaming path never branches on it.
+func AttachAccounting(m *sim.Machine, opts Options) (*Recorder, error) {
+	if _, err := opts.normalize(); err != nil {
+		return nil, err
+	}
+	r := &Recorder{m: m, opts: opts, loadBuf: make([]int, len(m.Cores))}
+	r.hr.window, r.hr.branch = opts.Window, opts.Branch
+	m.OnPick(func(*sim.Core, *sim.Thread) { r.count(KindPick) })
+	m.OnWake(func(target, _ *sim.Core, t *sim.Thread) {
+		if r.count(KindWake) {
+			r.loadBuf = m.RunnableCountsInto(r.loadBuf)
+			r.hr.observe(int32(target.ID), t, r.loadBuf)
+		}
+	})
+	m.OnMigrate(func(_, _ *sim.Core, _ *sim.Thread) { r.count(KindMigrate) })
+	m.OnSteal(func(_, _ *sim.Core, _ *sim.Thread) { r.count(KindSteal) })
+	return r, nil
+}
+
+// count is accounting mode's whole record path: sample, and tally if kept.
+func (r *Recorder) count(k Kind) bool {
+	kept := r.sampled(k)
+	if kept {
+		r.kept[k]++
+	}
+	return kept
 }
 
 // sampled counts a decision of kind k and reports whether it is kept.

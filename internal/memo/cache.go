@@ -196,32 +196,41 @@ func (c *Cache) readDisk(k Key) (entry, bool) {
 	return entry{data: payload, cost: time.Duration(cost)}, true
 }
 
-// writeDisk persists one entry atomically: full bytes to a private tmp
-// file in the final directory, then rename. Readers see either the old
-// complete entry or the new complete entry, never a partial write; tmp
-// names carry the pid and a sequence number so concurrent processes
+// writeDisk persists one entry atomically: header, payload and checksum
+// written straight to a private tmp file in the final directory (no
+// assembled second copy of the payload), then rename. Readers see either
+// the old complete entry or the new complete entry, never a partial write;
+// tmp names carry the pid and a sequence number so concurrent processes
 // sharing a cache directory cannot collide.
 func (c *Cache) writeDisk(k Key, data []byte, cost time.Duration) error {
 	final := c.path(k)
-	dir := filepath.Dir(final)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		return err
 	}
-	buf := make([]byte, 0, diskHeader+len(data)+diskFooter)
-	buf = append(buf, diskMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(cost))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(data)))
-	buf = append(buf, data...)
+	hdr := make([]byte, 0, diskHeader)
+	hdr = append(hdr, diskMagic...)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(cost))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(data)))
 	sum := sha256.Sum256(data)
-	buf = append(buf, sum[:]...)
 
 	tmp := fmt.Sprintf("%s.tmp.%d.%d", final, os.Getpid(), c.tmpSeq.Add(1))
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	for _, part := range [][]byte{hdr, data, sum[:]} {
+		if _, err = f.Write(part); err != nil {
+			break
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
 }

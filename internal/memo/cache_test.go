@@ -2,6 +2,8 @@ package memo
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -61,6 +63,42 @@ func TestDiskCachePersistsAcrossInstances(t *testing.T) {
 	}
 	if _, _, ok := c2.Get(k); !ok {
 		t.Fatal("promoted entry lost after disk file removed")
+	}
+}
+
+// TestDiskEntryLayout pins the file writeDisk leaves behind — magic, cost,
+// length, payload, sha256(payload), written piecewise — and that the tmp
+// file it was written through is gone.
+func TestDiskEntryLayout(t *testing.T) {
+	c, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, payload := testKey("layout"), []byte("result-bytes")
+	c.Put(k, payload, 250*time.Millisecond)
+
+	want := []byte(diskMagic)
+	want = binary.LittleEndian.AppendUint64(want, uint64(250*time.Millisecond))
+	want = binary.LittleEndian.AppendUint64(want, uint64(len(payload)))
+	want = append(want, payload...)
+	sum := sha256.Sum256(payload)
+	want = append(want, sum[:]...)
+	got, err := os.ReadFile(c.path(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("on-disk entry:\n got %q\nwant %q", got, want)
+	}
+	files, err := os.ReadDir(filepath.Dir(c.path(k)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 {
+		t.Fatalf("shard directory holds %d files, want the entry alone", len(files))
+	}
+	if st := c.Stats(); st.StoreErrs != 0 {
+		t.Fatalf("store errors: %d", st.StoreErrs)
 	}
 }
 

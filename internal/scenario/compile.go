@@ -268,16 +268,25 @@ func (s *Spec) buildTrial(cores int, rs resolvedSched, scale float64, seed int64
 					Capacity: capacity,
 				})
 			}
+			// A sample grid's recorders keep the accounts and no stream.
 			if s.Trace != nil {
+				attach := dtrace.Attach
+				if s.sampleGrid {
+					attach = dtrace.AttachAccounting
+				}
 				var err error
-				rec, err = dtrace.Attach(m, s.Trace.options())
+				rec, err = attach(m, s.Trace.options())
 				if err != nil {
 					panic(err) // bounds validated upstream
 				}
 			}
 			if s.Timeline != nil {
+				attach := timeline.Attach
+				if s.sampleGrid {
+					attach = timeline.AttachAccounting
+				}
 				var err error
-				tlrec, err = timeline.Attach(m, s.Timeline.options())
+				tlrec, err = attach(m, s.Timeline.options())
 				if err != nil {
 					panic(err) // track names validated upstream
 				}
@@ -634,14 +643,16 @@ func (s *Spec) extract(m *sim.Machine, states []*entryState, att *probe.Attachme
 			Classes: tlrec.Classes(),
 			Worst:   tlrec.Worst(),
 		}
-		// Replay the trial's probe series as Perfetto counter tracks; the
-		// export gates them on the spec's track selection.
-		var counters []timeline.CounterTrack
-		for i := range rep.Series {
-			sr := &rep.Series[i]
-			counters = append(counters, timeline.CounterTrack{Name: sr.Name, Points: sr.Points})
+		if !s.sampleGrid {
+			// Replay the trial's probe series as Perfetto counter tracks;
+			// the export gates them on the spec's track selection.
+			var counters []timeline.CounterTrack
+			for i := range rep.Series {
+				sr := &rep.Series[i]
+				counters = append(counters, timeline.CounterTrack{Name: sr.Name, Points: sr.Points})
+			}
+			rep.TimelineData = tlrec.AppendPerfetto(nil, counters)
 		}
-		rep.TimelineData = tlrec.AppendPerfetto(nil, counters)
 		if sum.SpanNS > 0 {
 			if rep.Derived == nil {
 				rep.Derived = map[string]float64{}

@@ -14,16 +14,18 @@ import (
 
 // Trial-result memoization: every simulation here is a pure function of its
 // inputs, so a sweep cell's TrialReport — out-of-band trace/timeline bytes
-// included — can be content-addressed. This file computes the fingerprint
-// and the serialization that internal/memo stores.
+// included, where the run has them — can be content-addressed. This file
+// computes the fingerprint and the serialization that internal/memo stores.
 //
 // The fingerprint is built in three stages, because the three input groups
 // resolve at different times:
 //
 //  1. cachePrefix (once per Compile): everything cells share — the workload
 //     mix, metric selection, series/trace/timeline/fault blocks, the
-//     spec-level window, and the format versions of every byte stream that
-//     rides the report (the schema salt).
+//     spec-level window, whether the spec is a sample grid (its trials
+//     carry no streams, so they must not answer a plain run, nor a plain
+//     run's them), and the format versions of every byte stream that rides
+//     the report (the schema salt).
 //  2. cellFingerprint (per cell): the sweep coordinates — cores, resolved
 //     scheduler kind + decoded parameter overrides, effective scale, the
 //     cell's seed-axis value — plus the process-wide knobs trial outcomes
@@ -51,14 +53,16 @@ var cacheSalt = memoSaltVersion + "|" + ReportSchema + "|" + dtrace.Magic + "|" 
 // cachePrefix hashes the cell-invariant part of the fingerprint. The sweep
 // axes (cores, scales, schedulers, seeds) are deliberately absent — they are
 // folded per cell, so identical cells reached through different sweep
-// compositions (a scenario run, a battle replication, a -check re-run)
-// share one fingerprint. A marshalling failure returns ok=false and the
-// spec compiles uncacheable; json.Marshal of validated spec blocks cannot
-// realistically fail, but a cache must never turn into an error source.
+// compositions (a battle at 3 or 5 replications, a -check re-run; a
+// scenario run at one seed axis or another) share one fingerprint. A
+// marshalling failure returns ok=false and the spec compiles uncacheable;
+// json.Marshal of validated spec blocks cannot realistically fail, but a
+// cache must never turn into an error source.
 func (s *Spec) cachePrefix() (memo.Key, bool) {
 	h := memo.NewHasher(cacheSalt).
 		Str(s.Name).
 		Bool(s.Machine.KernelNoise).
+		Bool(s.sampleGrid).
 		Int(int64(s.Window.D()))
 	for _, part := range []any{s.Workload, s.Metrics, s.Series, s.Trace, s.Timeline, s.Faults} {
 		b, err := json.Marshal(part)
@@ -110,7 +114,8 @@ func cellFingerprint(prefix memo.Key, cores int, rs resolvedSched, scale float64
 // rather than embedded in the JSON: the dtrace and Perfetto payloads
 // dominate a traced trial's size, and base64ing them would grow every
 // entry by a third and make warm-run decode cost scale with stream size
-// instead of report size.
+// instead of report size. A sample grid's trial has no streams: its two
+// stream sections are empty and the entry is the report alone.
 
 // encodeTrialReport serializes one trial outcome for the cache.
 func encodeTrialReport(r TrialReport) ([]byte, error) {

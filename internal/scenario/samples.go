@@ -62,8 +62,19 @@ func (s *Spec) ReplicationSeeds(n int) []int64 {
 // one decode of the overrides serves every replication. Otherwise the copy
 // drops the resolution and revalidates lazily (Compile calls Validate) with
 // its own fresh slice, leaving the original's untouched.
+//
+// The copy is a sample grid: replications are read through
+// TrialReport.MetricValue, never through their streams, so its trace and
+// timeline blocks attach their recorders in accounting mode
+// (dtrace.AttachAccounting, timeline.AttachAccounting). Every metric,
+// count, headroom verdict, time-in-state account, latency quantile and
+// worst-wakeup entry equals the plain spec's at the same seed; TraceData
+// and TimelineData are nil and Trace.Summary.Bytes/Dropped and
+// Timeline.Summary.DroppedEvents read 0. Streams come from running the
+// plain spec (`schedbattle -scenario`); the two never share a cache entry.
 func (s *Spec) WithSeeds(seeds []int64) *Spec {
 	clone := *s
+	clone.sampleGrid = true
 	clone.Seeds = append([]int64(nil), seeds...)
 	for _, sd := range seeds {
 		if sd < 0 {

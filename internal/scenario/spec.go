@@ -74,6 +74,11 @@ type Spec struct {
 	// parameter overrides are compiled once however many replications run.
 	resolved  []resolvedSched
 	validated bool
+	// sampleGrid marks the view WithSeeds returns: a replicated grid read
+	// for its metrics only. Its trace and timeline recorders attach in
+	// accounting mode and its trials carry no streams (samples.go); the
+	// flag is part of the cell fingerprint (memo.go).
+	sampleGrid bool
 }
 
 // MachineSpec configures the simulated machine.

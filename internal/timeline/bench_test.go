@@ -1,6 +1,8 @@
 package timeline
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -56,5 +58,59 @@ func TestZeroTimelineAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("zero-timeline run allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestAccountingRecorderAllocBounded: an accounting-mode recorder never
+// owns an event buffer — attaching costs the recorder struct and its class
+// map, the oversubscribed 48-thread leg allocates nothing in steady state
+// — and its accounts (conservation included), latency quantiles and worst
+// table are the streaming recorder's.
+func TestAccountingRecorderAllocBounded(t *testing.T) {
+	machine := func() *sim.Machine {
+		return sim.NewMachine(topo.Small(), sim.NewFIFO(), sim.Options{Seed: 9})
+	}
+	load := func(m *sim.Machine) {
+		for i := 0; i < 48; i++ {
+			m.StartThread("w", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
+		}
+		m.Run(250 * time.Millisecond)
+	}
+	m, full := machine(), machine()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := AttachAccounting(m, Options{})
+	runtime.ReadMemStats(&after)
+	const bound = 16 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; err != nil || got > bound {
+		t.Fatalf("AttachAccounting allocated %d bytes (err %v), want <= %d", got, err, bound)
+	}
+	fr, err := Attach(full, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load(m)
+	load(full)
+	if avg := testing.AllocsPerRun(20, func() { m.Run(m.Now() + 5*time.Millisecond) }); avg != 0 {
+		t.Fatalf("accounting steady state allocated %.1f allocs per 5ms window, want 0", avg)
+	}
+	full.Run(m.Now())
+	r.Close()
+	fr.Close()
+	if cap(r.ev.kind) != 0 || cap(r.ev.t) != 0 || len(fr.ev.kind) == 0 {
+		t.Fatalf("event buffers: accounting cap %d, streaming len %d", cap(r.ev.kind), len(fr.ev.kind))
+	}
+	checkConservation(t, r, int64(m.Now()))
+	if got, want := r.Summary(), fr.Summary(); got != want || got.Wakeups == 0 || got.DroppedEvents != 0 {
+		t.Fatalf("accounting summary %+v, streaming %+v", got, want)
+	}
+	if got, want := r.Classes(), fr.Classes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("accounting classes %+v, streaming %+v", got, want)
+	}
+	if got, want := r.Worst(), fr.Worst(); !reflect.DeepEqual(got, want) || len(got) == 0 {
+		t.Fatalf("accounting worst table %+v, streaming %+v", got, want)
+	}
+	if got, want := r.Accounts(), fr.Accounts(); !reflect.DeepEqual(got, want) {
+		t.Fatal("per-thread accounts differ between accounting and streaming")
 	}
 }

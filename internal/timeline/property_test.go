@@ -7,6 +7,8 @@ package timeline_test
 // The trials run here exactly as the scenario engine would run them
 // (same machine construction, same workload closures), just with the
 // recorder attached directly so the per-thread accounts are inspectable.
+// Both attach modes are held to it: accounting mode (AttachAccounting, what
+// replicated grids run) keeps the same accounts and merely buffers no event.
 
 import (
 	"testing"
@@ -31,10 +33,14 @@ func TestConservationAllBundledScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, trial := range trials {
+			for i, trial := range append(trials, trials...) {
 				m := core.NewMachine(trial.Machine)
 				trial.Workload(m)
-				r, err := timeline.Attach(m, timeline.Options{})
+				attach := timeline.Attach
+				if i >= len(trials) {
+					attach = timeline.AttachAccounting
+				}
+				r, err := attach(m, timeline.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

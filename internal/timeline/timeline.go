@@ -270,6 +270,21 @@ type ThreadAccount struct {
 // are ignored), so mid-run attachment still satisfies the conservation
 // invariant over the observed window.
 func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
+	return attach(m, opts, true)
+}
+
+// AttachAccounting is Attach in accounting mode — what a replicated sample
+// grid runs, where only metrics are read. The per-thread and per-class
+// time-in-state accounts, the latency histograms, the worst-wakeup table
+// and every Summary count are exactly Attach's (conservation included),
+// but no event is buffered whatever Options.Tracks selects — the hooks run
+// as they do for a deselected track — so AppendPerfetto has no slice or
+// instant to render and Summary.DroppedEvents reads 0.
+func AttachAccounting(m *sim.Machine, opts Options) (*Recorder, error) {
+	return attach(m, opts, false)
+}
+
+func attach(m *sim.Machine, opts Options, events bool) (*Recorder, error) {
 	opts, err := opts.normalized()
 	if err != nil {
 		return nil, err
@@ -278,8 +293,8 @@ func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
 		m:        m,
 		opts:     opts,
 		maxEv:    int(opts.MaxBytes / estEventBytes),
-		recSlice: opts.track(TrackSlices),
-		recInst:  opts.track(TrackInstants),
+		recSlice: events && opts.track(TrackSlices),
+		recInst:  events && opts.track(TrackInstants),
 		classIdx: map[string]int{},
 	}
 	if r.maxEv < 16 {
