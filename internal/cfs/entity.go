@@ -25,9 +25,11 @@ type entity struct {
 
 	id       int
 	vruntime int64 // virtual runtime, ns scaled by nice-0/weight
-	weight   int64
-	onRQ     bool // enqueued in owner (queued in tree or curr)
-	inTree   bool
+	// weight is a thread entity's load weight. A group entity has none of
+	// its own: it weighs its group's share on its core (taskGroup.share).
+	weight int64
+	onRQ   bool // enqueued in owner (queued in tree or curr)
+	inTree bool
 
 	// avg is the PELT runnable average (thread entities only).
 	avg pelt.Avg
@@ -70,8 +72,19 @@ type taskGroup struct {
 	rqs      []*cfsRQ
 	entities []*entity
 	// totalWeight is Σ over cores of rq.weightSum, the denominator of the
-	// share split.
+	// share split; the runqueues keep it as their sums change.
 	totalWeight int64
+}
+
+// share is the weight of the group's entity on core: the group's shares in
+// proportion to the runnable weight it has there (calc_group_shares),
+// never below 2. A pure function of the runqueue sums, so it is worked out
+// where it is read — a charge, a wakeup-preemption check — and not stored.
+func (g *taskGroup) share(core int) int64 {
+	if g.totalWeight <= 0 {
+		return 2
+	}
+	return max(2, g.shares*g.rqs[core].weightSum/g.totalWeight)
 }
 
 // cfsRQ is one runqueue level on one core: the root rq (holding group
@@ -108,7 +121,16 @@ func (rq *cfsRQ) enqueue(e *entity) {
 	if !e.onRQ {
 		e.onRQ = true
 		rq.nrRunning++
-		rq.weightSum += e.weight
+		rq.addWeight(e.weight)
+	}
+}
+
+// addWeight moves the level's weight sum, and with it the owning group's
+// total.
+func (rq *cfsRQ) addWeight(w int64) {
+	rq.weightSum += w
+	if rq.group != nil {
+		rq.group.totalWeight += w
 	}
 }
 
@@ -120,7 +142,7 @@ func (rq *cfsRQ) dequeue(e *entity) {
 	if e.onRQ {
 		e.onRQ = false
 		rq.nrRunning--
-		rq.weightSum -= e.weight
+		rq.addWeight(-e.weight)
 	}
 	if rq.curr == e {
 		rq.curr = nil
@@ -172,22 +194,8 @@ func (rq *cfsRQ) updateMinVruntime() {
 	rq.minVruntime = min
 }
 
-// chargeDelta advances e's vruntime by real time delta (update_curr's
-// weighting: delta × nice0 / weight).
-func (e *entity) chargeDelta(delta time.Duration) {
-	if e.weight <= 0 {
-		e.weight = 1
-	}
-	e.vruntime += int64(delta) * nice0Weight / e.weight
-}
-
-// reweight changes an entity's weight, fixing the owning rq's sum.
-func (e *entity) reweight(w int64) {
-	if w < 2 {
-		w = 2
-	}
-	if e.onRQ && e.owner != nil {
-		e.owner.weightSum += w - e.weight
-	}
-	e.weight = w
+// vdelta is real time delta as virtual time at the given weight
+// (update_curr's weighting: delta × nice0 / weight).
+func vdelta(delta time.Duration, weight int64) int64 {
+	return int64(delta) * nice0Weight / weight
 }

@@ -2,6 +2,7 @@ package cfs_test
 
 import (
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cfs"
@@ -14,16 +15,52 @@ import (
 // tick and every idle transition runs the whole balance pass.
 const fullBalanceKind core.SchedulerKind = "cfs-test-fullbalance"
 
+// shareCheckedKind is CFS under cfs.ShareChecked: every group share the
+// scheduler works out where it reads one is compared with the full
+// recompute it replaced, and a difference panics, failing the trial.
+const shareCheckedKind core.SchedulerKind = "cfs-test-sharechecked"
+
+// shareChecks and shareSplits are ShareChecked's counts over every machine
+// built with the kind.
+var shareChecks, shareSplits atomic.Uint64
+
 func init() {
-	core.MustRegister(fullBalanceKind, func(mc core.MachineConfig) sim.Scheduler {
-		p := cfs.DefaultParams()
+	params := func(mc core.MachineConfig) cfs.Params {
 		if mc.CFSParams != nil {
-			p = *mc.CFSParams
+			return *mc.CFSParams
 		}
-		s := cfs.New(p)
+		return cfs.DefaultParams()
+	}
+	core.MustRegister(fullBalanceKind, func(mc core.MachineConfig) sim.Scheduler {
+		s := cfs.New(params(mc))
 		s.ForceFullBalance()
 		return s
 	})
+	core.MustRegister(shareCheckedKind, func(mc core.MachineConfig) sim.Scheduler {
+		return cfs.NewShareChecked(cfs.New(params(mc)), &shareChecks, &shareSplits)
+	})
+}
+
+// withKind is sp with its scheduler axis replaced by the one kind.
+func withKind(t *testing.T, sp *scenario.Spec, kind core.SchedulerKind) *scenario.Spec {
+	t.Helper()
+	data, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["schedulers"] = json.RawMessage(`[{"kind": "` + string(kind) + `"}]`)
+	if data, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	out, err := scenario.Parse(sp.Name, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestFullBalanceNeverPullsWhileBalanced runs every bundled scenario —
@@ -39,24 +76,7 @@ func TestFullBalanceNeverPullsWhileBalanced(t *testing.T) {
 	var pulled uint64
 	for _, sp := range specs {
 		t.Run(sp.Name, func(t *testing.T) {
-			// Same scenario, scheduler axis replaced.
-			data, err := json.Marshal(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var raw map[string]json.RawMessage
-			if err := json.Unmarshal(data, &raw); err != nil {
-				t.Fatal(err)
-			}
-			raw["schedulers"] = json.RawMessage(`[{"kind": "` + string(fullBalanceKind) + `"}]`)
-			if data, err = json.Marshal(raw); err != nil {
-				t.Fatal(err)
-			}
-			full, err := scenario.Parse(sp.Name, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := full.Run(0.1)
+			rep, err := withKind(t, sp, fullBalanceKind).Run(0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,5 +87,26 @@ func TestFullBalanceNeverPullsWhileBalanced(t *testing.T) {
 	}
 	if pulled == 0 {
 		t.Fatal("no balance migration anywhere in the library: the runs do not exercise the balancer")
+	}
+}
+
+// TestGroupShareMatchesFullRecompute runs every bundled scenario under the
+// share-checked kind: on every enqueue, dequeue, charge and wakeup
+// preemption check, the share each group entity is given equals the weight
+// the two-pass redistribution over all cores would have stored in it.
+func TestGroupShareMatchesFullRecompute(t *testing.T) {
+	specs, err := scenario.Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range specs {
+		t.Run(sp.Name, func(t *testing.T) {
+			if _, err := withKind(t, sp, shareCheckedKind).Run(0.1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if shareChecks.Load() == 0 || shareSplits.Load() == 0 {
+		t.Fatalf("%d shares compared, %d with a group spread over several cores: the runs do not exercise the split", shareChecks.Load(), shareSplits.Load())
 	}
 }

@@ -124,7 +124,7 @@ func (s *Sched) groupFor(t *sim.Thread) *taskGroup {
 			g.rqs[i] = &cfsRQ{core: i, group: g}
 			// Group-entity IDs live far above thread IDs to keep rbtree
 			// tiebreaks deterministic and collision-free.
-			g.entities[i] = &entity{repr: g, id: (len(s.groups)+1)*1_000_000 + i, weight: nice0Weight}
+			g.entities[i] = &entity{repr: g, id: (len(s.groups)+1)*1_000_000 + i}
 		}
 		s.groups[t.Group] = g
 	}
@@ -206,7 +206,6 @@ func (s *Sched) Enqueue(c *sim.Core, t *sim.Thread, flags int) {
 	s.syncLoad(cs, se, !wakeup)
 
 	if rq.group != nil {
-		s.updateGroupWeights(rq.group)
 		ge := rq.group.entities[c.ID]
 		if !ge.onRQ {
 			root := cs.root
@@ -249,7 +248,6 @@ func (s *Sched) Dequeue(c *sim.Core, t *sim.Thread, flags int) {
 	}
 
 	if rq.group != nil {
-		s.updateGroupWeights(rq.group)
 		ge := rq.group.entities[c.ID]
 		if rq.nrRunning == 0 && ge.onRQ {
 			cs.root.dequeue(ge)
@@ -315,12 +313,11 @@ func (s *Sched) chargePath(cs *coreState, t *sim.Thread) {
 		return
 	}
 	se.accounted = t.RunTime
-	se.chargeDelta(delta)
+	se.vruntime += vdelta(delta, se.weight)
 	rq := se.owner
 	rq.updateMinVruntime()
-	if rq.group != nil {
-		ge := rq.group.entities[cs.root.core]
-		ge.chargeDelta(delta)
+	if g := rq.group; g != nil {
+		g.entities[rq.core].vruntime += vdelta(delta, g.share(rq.core))
 		cs.root.updateMinVruntime()
 	}
 	s.syncLoad(cs, se, true)
@@ -343,24 +340,6 @@ func (s *Sched) syncLoad(cs *coreState, se *entity, active bool) {
 	se.avg.Update(s.m.Now(), active)
 	se.loadContrib = se.avg.Load(se.weight)
 	cs.loadAvg += se.loadContrib
-}
-
-// updateGroupWeights redistributes a group's shares across cores in
-// proportion to per-core runnable weight (calc_group_shares).
-func (s *Sched) updateGroupWeights(g *taskGroup) {
-	var total int64
-	for _, rq := range g.rqs {
-		total += rq.weightSum
-	}
-	g.totalWeight = total
-	for i, rq := range g.rqs {
-		ge := g.entities[i]
-		if total <= 0 {
-			ge.reweight(2)
-			continue
-		}
-		ge.reweight(g.shares * rq.weightSum / total)
-	}
 }
 
 // vslice is the virtual-time slice a new entity gets placed after
@@ -403,26 +382,27 @@ func (s *Sched) CheckPreempt(c *sim.Core, t *sim.Thread, flags int) bool {
 	se := s.ent(t)
 	ce := s.ent(curr)
 	s.chargePath(&s.cores[c.ID], curr)
-	a, b := se, ce
+	a, weight, b := se, se.weight, ce
 	if s.P.Cgroups && se.owner != ce.owner {
 		// Compare the group entities at the root level.
-		a = s.matchLevel(se, c.ID)
-		b = s.matchLevel(ce, c.ID)
+		a, weight = matchLevel(se, c.ID)
+		b, _ = matchLevel(ce, c.ID)
 		if a == nil || b == nil || a == b {
 			return false
 		}
 	}
-	gran := int64(s.P.WakeupGranularity) * nice0Weight / a.weight
+	gran := int64(s.P.WakeupGranularity) * nice0Weight / weight
 	return b.vruntime-a.vruntime > gran
 }
 
 // matchLevel lifts an entity to the root level (its group entity) when it
-// lives in a group rq.
-func (s *Sched) matchLevel(e *entity, core int) *entity {
+// lives in a group rq, and gives the weight it carries there.
+func matchLevel(e *entity, core int) (*entity, int64) {
 	if e.owner == nil || e.owner.group == nil {
-		return e
+		return e, e.weight
 	}
-	return e.owner.group.entities[core]
+	g := e.owner.group
+	return g.entities[core], g.share(core)
 }
 
 // Tick implements sim.Scheduler: update vruntime, enforce the slice
@@ -509,8 +489,9 @@ func (s *Sched) DebugEntity(t *sim.Thread) string {
 	}
 	geInfo := ""
 	if se.owner != nil && se.owner.group != nil {
-		ge := se.owner.group.entities[se.owner.core]
-		geInfo = fmt.Sprintf(" ge{vr=%d w=%d onRQ=%v}", ge.vruntime, ge.weight, ge.onRQ)
+		g, core := se.owner.group, se.owner.core
+		ge := g.entities[core]
+		geInfo = fmt.Sprintf(" ge{vr=%d w=%d onRQ=%v}", ge.vruntime, g.share(core), ge.onRQ)
 	}
 	return fmt.Sprintf("vr=%d ownerMin=%d leftmost=%d nr=%d onRQ=%v inTree=%v%s",
 		se.vruntime, ownerMin, lmVr, ownerNr, se.onRQ, se.inTree, geInfo)

@@ -105,7 +105,7 @@ func attachBytes(attach func()) uint64 {
 
 // TestAccountingRecorderAllocBounded: an accounting-mode recorder owns the
 // counters, one load vector and the fixed-size headroom window — no ring,
-// arena, pick scratch or encoder — so attaching costs a bounded ~72 KiB
+// arena, pick scratch or encoder — so attaching costs a bounded ~80 KiB
 // against the streaming recorder's ~450 KiB, and the oversubscribed
 // 48-thread leg, whose windows are searched, allocates nothing in steady
 // state. Its counts and verdict are the streaming recorder's.

@@ -1,0 +1,21 @@
+package dtrace
+
+// What the tests in package dtrace_test need of this package's internals;
+// they live outside it because they run bundled scenarios, and the
+// scenario layer imports this package.
+
+// SearchCost replays tr through the accumulator ComputeHeadroom uses and
+// reports, besides the verdict, the wake windows scored and the search
+// nodes visited.
+func SearchCost(tr *Trace, window, branch int) (hr Headroom, windows int, nodes uint64) {
+	acc := headroomAcc{window: window, branch: branch}
+	acc.replay(tr)
+	return acc.result(), (acc.wakes + window - 1) / window, acc.nodes
+}
+
+var (
+	// RefHeadroom is the reference search (Pct left zero).
+	RefHeadroom = refHeadroom
+	// ContendedTrace is the synthetic fixture of tied eight-core windows.
+	ContendedTrace = contendedTrace
+)

@@ -1,5 +1,10 @@
 package dtrace
 
+import (
+	"math"
+	"math/bits"
+)
+
 // The oracle headroom analyzer: how much of the wakeup queueing a
 // scheduler inflicted could a clairvoyant placer have avoided?
 //
@@ -18,12 +23,21 @@ package dtrace
 // (≤ MaxWindow); within a window the search branches over the
 // Options.Branch cheapest candidates per decision (≤ MaxBranch, ties cut
 // by core id), depth-first, cutting a node when its partial cost plus a
-// lower bound on the decisions still open cannot beat the incumbent.
-// Worst case is branch^window nodes per window — at the defaults (8, 4),
-// 65536 — and the bound prunes most of it; a window that queued nothing
-// is not searched at all. The restriction to per-decision cheapest
-// candidates makes the result a lower bound on the true oracle's
-// improvement: headroom_pct is conservative.
+// lower bound on the decisions still open cannot beat the incumbent, or
+// when the same state — the decision index and how many placements each
+// core has taken, whatever their order — was already expanded at no
+// greater cost. A window that queued nothing is not searched at all. The
+// restriction to per-decision cheapest candidates makes the result a lower
+// bound on the true oracle's improvement: headroom_pct is conservative.
+//
+// Worst case is branch^window nodes per window. At the defaults (8, 4)
+// that is 65536 and the search visits about 40 on a saturated eight-core
+// box; cost climbs steeply with both values, and past a window of 12 the
+// state table is too small to hold what a window revisits. The 12-second
+// web-tail mix at scale 0.25 (11 420 wakes, two trials) runs in 0.07 s at
+// (8, 4), 0.08 s at (12, 4), 0.3 s at (16, 4) and 3 min 24 s at (16, 8),
+// the largest pair accepted. There is no node budget: pair large windows with
+// a per-trial timeout (schedbattle -trial-timeout).
 //
 // headroom_pct = 100 × (achieved − attainable) / achieved. 0 means the
 // scheduler's placements were queue-optimal under this model; larger
@@ -69,6 +83,28 @@ type headroomAcc struct {
 	best   int64
 	nodes  uint64 // search nodes visited, all windows
 
+	// The window's state key, when it fits (keyed): every core a decision
+	// can be placed on has a slot, and key packs assign[:i]'s placements
+	// per slot, four bits each. What the search finds below a node depends
+	// on that node's key alone; the nibbles of a key sum to i, so no two
+	// depths share one and only the root's is zero. A window that places
+	// on a core id at or past hypCores, or on more than keySlots cores, is
+	// not keyed and is searched on the suffix bound alone.
+	keyed bool
+	slot  [hypCores]uint8 // core id → its slot + 1, 0 while it has none
+	cores [keySlots]int32 // slot → core id
+	ncore int
+	key   stateKey
+	open  [MaxWindow + 1]int8            // decisions i..n-1 that have candidates
+	has   [MaxWindow + 1]uint32          // slots that are a candidate of one of them
+	floor [MaxWindow + 1][keySlots]int64 // and their lowest base cost there
+	start [keySlots]int64                // fill's scratch
+	epoch uint64                         // serial of the window being searched
+	table [tableSize]tableEntry
+	// shrink halves the table this many times; tests set it to make
+	// entries collide.
+	shrink uint8
+
 	wakes   int
 	ach     int64
 	att     int64
@@ -78,6 +114,24 @@ type headroomAcc struct {
 // hypCores is how many cores, by id from 0, have a hypothetical-placement
 // counter; placements on any other id are counted from the assignment.
 const hypCores = maxCandPerRec
+
+// The state table: a direct-mapped cache of the states the search has
+// expanded in the current window, each with the cheapest partial cost it
+// was reached at. 256 entries of 32 bytes (8 KiB); a colliding state
+// overwrites, and an entry only ever cuts on a full key match.
+const (
+	keySlots  = 32 // cores a keyed window may place on: 2 words × 16 nibbles
+	tableBits = 8
+	tableSize = 1 << tableBits
+)
+
+type stateKey [keySlots / 16]uint64
+
+type tableEntry struct {
+	key   stateKey
+	cost  int64
+	epoch uint64
+}
 
 // next returns the slot for one more decision, first scoring the window
 // if it is full — deferred to here so the slice the previous observe
@@ -147,30 +201,12 @@ func (a *headroomAcc) solveWindow() {
 	n, achieved := a.n, a.winAch
 	a.best = achieved // the actual schedule is always attainable
 	if achieved > 0 {
-		// Base costs: decision i's recorded depth on a core, floored at 0,
-		// minus the earlier in-window actual placements there (part of the
-		// recorded depth, absent under an alternative schedule).
-		// Hypothetical placements only ever add to a base, so the cheapest
-		// floored base of each remaining decision bounds any completion
-		// from below.
-		a.suffix[n] = 0
-		for i := n - 1; i >= 0; i-- {
-			var low int64
-			for k := range a.cands[i][:a.ncand[i]] {
-				c := &a.cands[i][k]
-				c.Key = max(c.Key, 0)
-				for _, ch := range a.chosen[:i] {
-					if ch == c.ID {
-						c.Key--
-					}
-				}
-				if f := max(c.Key, 0); k == 0 || f < low {
-					low = f
-				}
-			}
-			a.suffix[i] = a.suffix[i+1] + low
-		}
+		a.price()
+		a.epoch++
 		a.search(0, 0)
+		for _, c := range a.cores[:a.ncore] {
+			a.slot[c] = 0
+		}
 	}
 	a.n, a.winAch = 0, 0
 	a.wakes += n
@@ -178,8 +214,83 @@ func (a *headroomAcc) solveWindow() {
 	a.att += a.best
 }
 
-// search branches decision i over its cheapest candidates, bounding on
-// the partial cost plus the remaining decisions' suffix bound.
+// price turns the window's recorded depths into base costs and derives
+// the bounds the search cuts with.
+func (a *headroomAcc) price() {
+	// Base costs: decision i's recorded depth on a core, floored at 0,
+	// minus the earlier in-window actual placements there (part of the
+	// recorded depth, absent under an alternative schedule) — counted the
+	// way the search counts hypothetical ones, on the actual schedule.
+	n := a.n
+	for i, ch := range a.chosen[:n] {
+		for k := range a.cands[i][:a.ncand[i]] {
+			c := &a.cands[i][k]
+			c.Key = max(c.Key, 0) - a.placed(i, c.ID)
+		}
+		a.assign[i] = ch
+		if uint32(ch) < hypCores {
+			a.hyp[ch]++
+		}
+	}
+	for _, ch := range a.chosen[:n] {
+		if uint32(ch) < hypCores {
+			a.hyp[ch] = 0
+		}
+	}
+	// Hypothetical placements only ever add to a base, so the cheapest
+	// floored base of each remaining decision bounds any completion from
+	// below (suffix); fill sharpens that from the per-core floors.
+	a.suffix[n], a.open[n], a.has[n] = 0, 0, 0
+	a.keyed, a.ncore = true, 0
+	for i := n - 1; i >= 0; i-- {
+		a.open[i], a.has[i] = a.open[i+1], a.has[i+1]
+		copy(a.floor[i][:a.ncore], a.floor[i+1][:a.ncore])
+		if a.ncand[i] == 0 {
+			a.slotOf(a.chosen[i]) // placed on, though never priced
+		} else {
+			a.open[i]++
+		}
+		var low int64
+		for k, c := range a.cands[i][:a.ncand[i]] {
+			if f := max(c.Key, 0); k == 0 || f < low {
+				low = f
+			}
+			if s := a.slotOf(c.ID); s < 0 {
+				continue
+			} else if bit := uint32(1) << s; a.has[i]&bit == 0 {
+				a.has[i] |= bit
+				a.floor[i][s] = c.Key
+			} else {
+				a.floor[i][s] = min(a.floor[i][s], c.Key)
+			}
+		}
+		a.suffix[i] = a.suffix[i+1] + low
+	}
+}
+
+// slotOf returns core's slot in the window's state key, giving it the
+// next free one on first sight; -1, and the window is no longer keyed,
+// when the id has no slot entry or the slots have run out.
+func (a *headroomAcc) slotOf(core int32) int {
+	if uint32(core) < hypCores {
+		if s := a.slot[core]; s != 0 {
+			return int(s) - 1
+		}
+		if a.ncore < keySlots {
+			a.cores[a.ncore] = core
+			a.ncore++
+			a.slot[core] = uint8(a.ncore)
+			return a.ncore - 1
+		}
+	}
+	a.keyed = false
+	return -1
+}
+
+// search branches decision i over its cheapest candidates. A node is cut
+// when its partial cost plus a lower bound on the decisions still open —
+// suffix, then fill — cannot beat the incumbent, or when its state was
+// already expanded at no greater cost.
 func (a *headroomAcc) search(i int, cost int64) {
 	a.nodes++
 	if cost+a.suffix[i] >= a.best {
@@ -189,17 +300,25 @@ func (a *headroomAcc) search(i int, cost int64) {
 		a.best = cost
 		return
 	}
+	if a.keyed && (i > 0 && a.seen(cost) || cost+a.fill(i) >= a.best) {
+		return
+	}
 	if a.ncand[i] == 0 {
 		// No recorded alternatives (candidate column truncated): keep the
 		// actual placement, whose recorded depth is unknown, at no charge.
 		a.place(i, a.chosen[i], cost)
 		return
 	}
-	// Select the branch cheapest by (cost, core id) into top, in order.
+	// Select the branch cheapest by (cost, core id) into top, in order —
+	// of those that leave room under the incumbent: the rest sort behind
+	// them and would only be skipped below.
 	var top [MaxBranch]Candidate
 	w := 0
+	room := a.best - cost - a.suffix[i+1]
 	for _, c := range a.cands[i][:a.ncand[i]] {
-		c.Key = max(c.Key+a.placed(i, c.ID), 0)
+		if c.Key = max(c.Key+a.placed(i, c.ID), 0); c.Key >= room {
+			continue
+		}
 		k := w
 		if w < a.branch {
 			w++
@@ -211,6 +330,16 @@ func (a *headroomAcc) search(i int, cost int64) {
 		}
 		top[k] = c
 	}
+	if a.keyed {
+		// Of equally cheap children, first the core that stays dearest: the
+		// one later decisions want least, so the first dives land nearer
+		// the optimum. The minimum is the same in any order.
+		for x := 1; x < w; x++ {
+			for y := x; y > 0 && top[y].Key == top[y-1].Key && a.later(i, top[y].ID) > a.later(i, top[y-1].ID); y-- {
+				top[y], top[y-1] = top[y-1], top[y]
+			}
+		}
+	}
 	for _, c := range top[:w] {
 		if cost+c.Key+a.suffix[i+1] >= a.best {
 			break // and so would every costlier sibling
@@ -219,13 +348,81 @@ func (a *headroomAcc) search(i int, cost int64) {
 	}
 }
 
-// place assigns decision i to core hypothetically and searches on.
+// later is the lowest base cost core has among the decisions after i, or
+// more than any base if none of them may use it. Keyed windows only.
+func (a *headroomAcc) later(i int, core int32) int64 {
+	s := a.slot[core] - 1
+	if a.has[i+1]>>s&1 == 0 {
+		return math.MaxInt64
+	}
+	return a.floor[i+1][s]
+}
+
+// seen reports whether the current state was already expanded at no
+// greater partial cost, recording this visit if not. What lies below a
+// state depends on its key alone, so a twin reached at cost ≤ this one has
+// already brought best down to anything this visit could find.
+func (a *headroomAcc) seen(cost int64) bool {
+	h := (a.key[0]*0x9E3779B97F4A7C15 + a.key[1]*0xC2B2AE3D27D4EB4F) >> (64 - tableBits + a.shrink)
+	e := &a.table[h]
+	if e.epoch == a.epoch && e.key == a.key && e.cost <= cost {
+		return true
+	}
+	e.key, e.cost, e.epoch = a.key, cost, a.epoch
+	return false
+}
+
+// fill bounds from below what the open decisions i..n-1 add to the cost,
+// counting the collisions the suffix bound is blind to. The m-th of them
+// placed on a core pays at least the core's lowest open base, plus the
+// placements already there, plus m; the decisions that have candidates
+// take distinct such slots, so they pay at least the cheapest open[i] of
+// all slots — filled here level by level.
+func (a *headroomAcc) fill(i int) (sum int64) {
+	start := &a.start
+	w := 0
+	for m := a.has[i]; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros32(m)
+		start[w] = a.floor[i][s] + int64(a.key[s>>4]>>((s&15)*4)&15)
+		w++
+	}
+	if w == 0 {
+		return 0 // no decision below has candidates
+	}
+	level := start[0]
+	for _, v := range start[1:w] {
+		level = min(level, v)
+	}
+	for r := int64(a.open[i]); r > 0; level++ {
+		var at int64
+		for _, v := range start[:w] {
+			if v <= level {
+				at++
+			}
+		}
+		at = min(at, r)
+		sum += at * max(level, 0)
+		r -= at
+	}
+	return sum
+}
+
+// place assigns decision i to core hypothetically and searches on. (The
+// last decision of a 16-wide window can carry a nibble of the key over;
+// no leaf reads its key, and the subtraction undoes it.)
 func (a *headroomAcc) place(i int, core int32, cost int64) {
 	a.assign[i] = core
+	var word int
+	var one uint64
 	if uint32(core) < hypCores {
 		a.hyp[core]++
+		if s := int(a.slot[core]) - 1; s >= 0 {
+			word, one = s>>4, 1<<((s&15)*4)
+		}
 	}
+	a.key[word] += one
 	a.search(i+1, cost)
+	a.key[word] -= one
 	if uint32(core) < hypCores {
 		a.hyp[core]--
 	}

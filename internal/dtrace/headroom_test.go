@@ -138,10 +138,12 @@ func refHeadroom(tr *Trace, window, branch int) Headroom {
 // wake records of a chosen core and (core, depth) candidates. Small
 // moduli keep depths tied and cores colliding — contention is the
 // interesting case — while the id stride reaches core 255 and, past it,
-// ids without a placement counter. Candidate sets may be empty, repeat a
-// core, or omit the chosen one. The branch is cut until the tree has no
-// more leaves than the defaults' 4^8: tied windows make either search
-// visit most of them, and at 8^16 that is not a test.
+// ids without a placement counter or a key slot. One case in four is a
+// machine of 30 to 37 cores, around the keySlots a state key holds.
+// Candidate sets may be empty, repeat a core, or omit the chosen one. The
+// branch is cut until the tree has no more leaves than the defaults' 4^8:
+// tied windows make the reference visit most of them, and at 8^16 that is
+// not a test.
 func headroomCase(data []byte) (tr *Trace, window, branch int) {
 	next := func() int {
 		if len(data) == 0 {
@@ -157,7 +159,13 @@ func headroomCase(data []byte) (tr *Trace, window, branch int) {
 		branch--
 	}
 	stride := []int32{1, 17, 85, 300}[next()%4]
-	nCores := 1 + next()%4
+	nCores := next()
+	if nCores < 192 {
+		nCores = 1 + nCores%4
+	} else {
+		nCores = keySlots - 2 + nCores%8
+		stride = 1
+	}
 	tr = &Trace{}
 	for len(data) > 0 && len(tr.Recs) < 3*MaxWindow {
 		rec := Rec{Kind: KindWake, Core: int32(next()%(nCores+1)) * stride}
@@ -169,14 +177,29 @@ func headroomCase(data []byte) (tr *Trace, window, branch int) {
 	return tr, window, branch
 }
 
-func checkAgainstReference(t *testing.T, data []byte) {
+// checkAgainstReference holds the search to the reference on one case,
+// three times: as ComputeHeadroom runs it, and with the state table cut to
+// four entries and to one, where states collide and overwrite each other
+// all the time. It returns the nodes each of the three visited and whether
+// the last window searched was keyed.
+func checkAgainstReference(t *testing.T, data []byte) (nodes [3]uint64, keyed bool) {
 	t.Helper()
 	tr, window, branch := headroomCase(data)
+	want := refHeadroom(tr, window, branch)
 	got := ComputeHeadroom(tr, window, branch)
 	got.Pct = 0
-	if want := refHeadroom(tr, window, branch); got != want {
+	if got != want {
 		t.Fatalf("window %d branch %d over %d wakes: search %+v, reference %+v\ninput %x", window, branch, len(tr.Recs), got, want, data)
 	}
+	for k, shrink := range []uint8{0, tableBits - 2, tableBits} {
+		acc := headroomAcc{window: window, branch: branch, shrink: shrink}
+		acc.replay(tr)
+		if got := acc.result(); got.Wakes != want.Wakes || got.Achieved != want.Achieved || got.Attainable != want.Attainable {
+			t.Fatalf("window %d branch %d, table of %d: search %+v, reference %+v\ninput %x", window, branch, tableSize>>shrink, got, want, data)
+		}
+		nodes[k], keyed = acc.nodes, acc.keyed
+	}
+	return nodes, keyed
 }
 
 // headroomSeeds are the differential test's named shapes, also the fuzz
@@ -188,6 +211,32 @@ var headroomSeeds = [][]byte{
 	{3, 1, 0, 1, 0, 2, 0, 4, 1, 1, 0, 2, 0, 4, 1, 1},                          // two wakes crammed onto the loaded core of two
 	{7, 3, 2, 3, 3, 4, 0, 2, 1, 2, 2, 2, 3, 2, 3, 0, 0, 0},                    // tied depths, core ids to 255
 	{15, 7, 3, 3, 1, 5, 0, 4, 0, 3, 1, 2, 1, 1, 2, 0, 1, 3, 0, 4, 1, 4, 2, 4}, // cores listed twice, ids past the counters
+	// A wake with no candidates behind two tied ones: a fill bound that
+	// counted it as a third paying decision would cut the root.
+	{2, 3, 0, 1, 0, 2, 0, 2, 1, 2, 0, 2, 0, 3, 1, 2, 0, 0},
+	{2, 3, 0, 1, 0, 2, 0, 2, 1, 2, 0, 2, 0, 4, 1, 2, 2, 1, 0, 3}, // the last wake's chosen core absent from its record instead
+	// Sixteen tied wakes on two cores: states recur by the thousand, and a
+	// path that puts all sixteen on one core carries its key nibble over.
+	{15, 1, 0, 1,
+		0, 2, 0, 3, 1, 3, 0, 2, 0, 3, 1, 3, 0, 2, 0, 3, 1, 3, 0, 2, 0, 3, 1, 3,
+		0, 2, 0, 3, 1, 3, 0, 2, 0, 3, 1, 3, 0, 2, 0, 3, 1, 3, 0, 2, 0, 3, 1, 3,
+		0, 2, 0, 3, 1, 3, 0, 2, 0, 3, 1, 3, 0, 2, 0, 3, 1, 3, 0, 2, 0, 3, 1, 3,
+		0, 2, 0, 3, 1, 3, 0, 2, 0, 3, 1, 3, 0, 2, 0, 3, 1, 3, 0, 2, 0, 3, 1, 3},
+	{15, 1, 3, 1, 0, 2, 0, 3, 1, 3, 1, 2, 0, 3, 1, 2, 0, 2, 0, 2, 1, 3}, // window 16 on ids 0 and 300: no key slot, the suffix-bound search
+	wideSeed(),
+}
+
+// wideSeed is one window of two wakes on a 37-core machine, 36 cores
+// allowed each: more cores than a state key has slots.
+func wideSeed() []byte {
+	data := []byte{1, 3, 0, 199}
+	for rec := 0; rec < 2; rec++ {
+		data = append(data, 0, 36, 0, 4) // chosen: core 0, the deepest
+		for c := byte(1); c < 36; c++ {
+			data = append(data, c, 3)
+		}
+	}
+	return data
 }
 
 func TestHeadroomMatchesReference(t *testing.T) {
@@ -195,11 +244,20 @@ func TestHeadroomMatchesReference(t *testing.T) {
 		checkAgainstReference(t, seed)
 	}
 	rng := rand.New(rand.NewSource(13))
-	contended := 0
+	var contended, keyed, unkeyed int
+	var nodes [3]uint64
 	for i := 0; i < 3000; i++ {
 		data := make([]byte, 4+rng.Intn(200))
 		rng.Read(data)
-		checkAgainstReference(t, data)
+		n, k := checkAgainstReference(t, data)
+		for j := range nodes {
+			nodes[j] += n[j]
+		}
+		if k {
+			keyed++
+		} else {
+			unkeyed++
+		}
 		tr, w, b := headroomCase(data)
 		if hr := ComputeHeadroom(tr, w, b); hr.Attainable < hr.Achieved {
 			contended++
@@ -208,13 +266,80 @@ func TestHeadroomMatchesReference(t *testing.T) {
 	if contended < 300 {
 		t.Fatalf("only %d of 3000 random cases had headroom to find; the generator no longer exercises the search", contended)
 	}
+	// Both searches ran: windows with a state key and windows without.
+	// And the table cut nodes: the fewer entries, the more states are
+	// overwritten before their twin arrives, so the more nodes.
+	if keyed < 300 || unkeyed < 300 {
+		t.Fatalf("%d cases ended on a keyed window, %d on one without a key: the generator no longer reaches both searches", keyed, unkeyed)
+	}
+	if !(nodes[0] < nodes[1] && nodes[1] < nodes[2]) {
+		t.Fatalf("nodes visited with %d, 4 and 1 table entries: %d, %d, %d, want ascending", tableSize, nodes[0], nodes[1], nodes[2])
+	}
+}
+
+// TestHeadroomKeyFit: which windows get a state key. One that places on a
+// core id past the slot index, or on more than keySlots cores, takes the
+// suffix-bound search instead and must come to the same integers.
+func TestHeadroomKeyFit(t *testing.T) {
+	// tied builds two windows of four wakes over cores of the given ids,
+	// every core two deep and the scheduler stacking onto the first.
+	tied := func(ids ...int32) *Trace {
+		tr := &Trace{}
+		for w := 0; w < 8; w++ {
+			rec := Rec{Kind: KindWake, Core: ids[0]}
+			for _, id := range ids {
+				rec.Cand = append(rec.Cand, Candidate{ID: id, Key: 2})
+			}
+			tr.Recs = append(tr.Recs, rec)
+		}
+		return tr
+	}
+	span := func(n int) []int32 {
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		return ids
+	}
+	for _, c := range []struct {
+		name  string
+		tr    *Trace
+		keyed bool
+	}{
+		{"eight cores", tied(span(8)...), true},
+		{"keySlots cores", tied(span(keySlots)...), true},
+		{"keySlots+1 cores", tied(span(keySlots + 1)...), false},
+		{"ids to 255", tied(3, 254, 255), true},
+		{"an id of 256", tied(3, 255, 256), false},
+		{"ids by 300", tied(0, 300, 600, 900), false},
+		{"a negative id", tied(0, 1, -1), false},
+	} {
+		acc := headroomAcc{window: 4, branch: 4}
+		acc.replay(c.tr)
+		got, want := acc.result(), refHeadroom(c.tr, 4, 4)
+		if got.Pct = 0; got != want || got.Attainable >= got.Achieved {
+			t.Errorf("%s: search %+v, reference %+v, want headroom found", c.name, got, want)
+		}
+		if acc.keyed != c.keyed {
+			t.Errorf("%s: keyed = %v, want %v", c.name, acc.keyed, c.keyed)
+		}
+	}
+	// A wake without candidates is placed on its chosen core all the same,
+	// so that core needs a slot too.
+	tr := tied(0, 1)
+	tr.Recs[6] = Rec{Kind: KindWake, Core: 700}
+	acc := headroomAcc{window: 4, branch: 4}
+	acc.replay(tr)
+	if got, want := acc.result(), refHeadroom(tr, 4, 4); acc.keyed || got.Attainable != want.Attainable {
+		t.Errorf("candidate-less wake on core 700: keyed = %v, search %+v, reference %+v", acc.keyed, got, want)
+	}
 }
 
 func FuzzHeadroomMatchesReference(f *testing.F) {
 	for _, seed := range headroomSeeds {
 		f.Add(seed)
 	}
-	f.Fuzz(checkAgainstReference)
+	f.Fuzz(func(t *testing.T, data []byte) { checkAgainstReference(t, data) })
 }
 
 // TestComputeHeadroomClampsBounds: out-of-range window and branch take the
@@ -265,23 +390,4 @@ func TestComputeHeadroomAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(10, func() { ComputeHeadroom(tr, 0, 0) }); avg != 0 {
 		t.Fatalf("ComputeHeadroom allocated %.1f times per call, want 0", avg)
 	}
-}
-
-// BenchmarkHeadroomWindow replays a trace of contended windows at the
-// defaults (8 decisions × branch 4) and reports, per window, the time and
-// the nodes the search visited — the count the suffix bound exists to
-// keep down.
-func BenchmarkHeadroomWindow(b *testing.B) {
-	const windows = 64
-	tr := contendedTrace(windows * defaultWindow)
-	acc := headroomAcc{window: defaultWindow, branch: defaultBranch}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc.settled = false
-		acc.replay(tr)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows), "ns/window")
-	b.ReportMetric(float64(acc.nodes)/float64(b.N*windows), "nodes/window")
 }
