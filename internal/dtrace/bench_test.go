@@ -129,7 +129,7 @@ func TestAccountingRecorderAllocBounded(t *testing.T) {
 	if got := attachBytes(func() { fr, err = Attach(full, Options{}) }); err != nil || got <= bound {
 		t.Fatalf("Attach allocated %d bytes (err %v): the bound %d no longer tells the modes apart", got, err, bound)
 	}
-	if r.tNS != nil || r.candID != nil || r.pickBuf != nil || r.enc.buf != nil || r.enc.w != nil || r.explainer != nil {
+	if r.tNS != nil || r.candID != nil || r.pickBuf != nil || r.buffered() != 0 || fr.buffered() == 0 || r.explainer != nil {
 		t.Fatal("accounting recorder holds streaming state")
 	}
 	load(m)

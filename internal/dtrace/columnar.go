@@ -86,13 +86,17 @@ type chunkHeader struct {
 	Cands   int `json:"cands"`
 }
 
-// encoder streams the columnar encoding to a sink, enforcing MaxBytes.
+// encoder streams the columnar encoding to opts.Sink, or with none keeps
+// it in memory, enforcing MaxBytes either way. In memory every write stays
+// the exactly-sized slice it was encoded into — nothing is regrown or
+// copied while the run records — and bytes joins them once.
 type encoder struct {
 	cols    colMask
 	opts    Options
-	buf     *bytes.Buffer // in-memory output when opts.Sink == nil
-	w       io.Writer
-	scratch []byte
+	w       io.Writer // opts.Sink; nil keeps chunks
+	chunks  [][]byte  // writes not yet joined into out
+	out     []byte    // the joined stream, once bytes was asked for it
+	scratch []byte    // the sink path's reused chunk buffer
 	written int64
 	max     int64
 	err     error
@@ -102,12 +106,38 @@ func (e *encoder) init(cols colMask, opts Options) {
 	e.cols = cols
 	e.opts = opts
 	e.max = opts.MaxBytes
-	if opts.Sink != nil {
-		e.w = opts.Sink
-	} else {
-		e.buf = &bytes.Buffer{}
-		e.w = e.buf
+	e.w = opts.Sink
+}
+
+// emit hands one encoded piece to the sink, or keeps it: without a sink b
+// must be the caller's to give away.
+func (e *encoder) emit(b []byte) error {
+	if e.w == nil {
+		e.chunks = append(e.chunks, b)
+		e.written += int64(len(b))
+		return nil
 	}
+	n, err := e.w.Write(b)
+	e.written += int64(n)
+	if err != nil {
+		e.err = err
+	}
+	return err
+}
+
+// bytes returns the in-memory stream as one slice: the first call after a
+// write joins the chunks into an exactly-sized slice and drops them, later
+// calls return that slice. A Report's TraceData is one []byte, which is why
+// the stream is joined at all. nil with a sink.
+func (e *encoder) bytes() []byte {
+	if len(e.chunks) > 0 {
+		out := append(make([]byte, 0, e.written), e.out...)
+		for _, c := range e.chunks {
+			out = append(out, c...)
+		}
+		e.out, e.chunks = out, nil
+	}
+	return e.out
 }
 
 // headerFor builds the self-describing header for a column selection.
@@ -126,10 +156,7 @@ func (e *encoder) writeHeader() error {
 	if err != nil {
 		return err
 	}
-	n, err := fmt.Fprintf(e.w, "%s\n%s\n", Magic, hdr)
-	e.written += int64(n)
-	e.err = err
-	return err
+	return e.emit(fmt.Appendf(nil, "%s\n%s\n", Magic, hdr))
 }
 
 // writeChunk encodes the recorder's ring as one chunk. Returns false when
@@ -154,10 +181,16 @@ func (e *encoder) writeChunk(r *Recorder) bool {
 	if e.written+size > e.max {
 		return false
 	}
-	if cap(e.scratch) < int(size) {
-		e.scratch = make([]byte, 0, int(size))
+	var b []byte
+	if e.w == nil {
+		b = make([]byte, 0, int(size)) // kept as encoded: see emit
+	} else {
+		if cap(e.scratch) < int(size) {
+			e.scratch = make([]byte, 0, int(size))
+		}
+		b = e.scratch[:0]
 	}
-	b := append(e.scratch[:0], hdr...)
+	b = append(b, hdr...)
 	for _, cd := range colDefs {
 		if cd.group != 0 && e.cols&cd.group == 0 {
 			continue
@@ -185,14 +218,7 @@ func (e *encoder) writeChunk(r *Recorder) bool {
 			b = appendI64s(b, r.candKey)
 		}
 	}
-	e.scratch = b[:0]
-	n, err := e.w.Write(b)
-	e.written += int64(n)
-	if err != nil {
-		e.err = err
-		return false
-	}
-	return true
+	return e.emit(b) == nil
 }
 
 func appendI64s(b []byte, vs []int64) []byte {

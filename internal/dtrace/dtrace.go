@@ -162,11 +162,12 @@ type Summary struct {
 // Attach; call Close after the run, then Bytes/Summary/Headroom.
 //
 // All hot-path state is preallocated at Attach: the SoA ring, the
-// candidate arena, the encode scratch, and the headroom window. Recording
-// a decision allocates nothing, the headroom search it may set off
-// included; flushing writes one encoded chunk to the sink (an in-memory
-// buffer grows amortized, bounded by MaxBytes). An AttachAccounting
-// recorder holds the counters, loadBuf and hr only.
+// candidate arena, and the headroom window. Recording a decision allocates
+// nothing, the headroom search it may set off included; flushing writes
+// one encoded chunk to the sink through a reused scratch, or with no sink
+// keeps it as one exactly-sized allocation (bounded by MaxBytes in total)
+// that Bytes later joins. An AttachAccounting recorder holds the counters,
+// loadBuf and hr only.
 type Recorder struct {
 	m    *sim.Machine
 	opts Options
@@ -444,13 +445,9 @@ func (r *Recorder) Close() error {
 }
 
 // Bytes returns the encoded trace when buffering in memory (Options.Sink
-// nil); nil otherwise. Valid after Close.
-func (r *Recorder) Bytes() []byte {
-	if r.enc.buf == nil {
-		return nil
-	}
-	return r.enc.buf.Bytes()
-}
+// nil); nil otherwise. Valid after Close; repeated calls return the same
+// slice.
+func (r *Recorder) Bytes() []byte { return r.enc.bytes() }
 
 // Summary reports the recorder's counters. Valid after Close.
 func (r *Recorder) Summary() Summary {

@@ -97,8 +97,8 @@ func TestAccountingRecorderAllocBounded(t *testing.T) {
 	full.Run(m.Now())
 	r.Close()
 	fr.Close()
-	if cap(r.ev.kind) != 0 || cap(r.ev.t) != 0 || len(fr.ev.kind) == 0 {
-		t.Fatalf("event buffers: accounting cap %d, streaming len %d", cap(r.ev.kind), len(fr.ev.kind))
+	if r.eventCap() != 0 || fr.eventCount() == 0 {
+		t.Fatalf("event store: accounting cap %d, streaming len %d", r.eventCap(), fr.eventCount())
 	}
 	checkConservation(t, r, int64(m.Now()))
 	if got, want := r.Summary(), fr.Summary(); got != want || got.Wakeups == 0 || got.DroppedEvents != 0 {

@@ -18,7 +18,6 @@ package timeline
 //   - "C" counter events replaying probe series handed in by the caller.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -48,8 +47,7 @@ func (r *Recorder) AppendPerfetto(buf []byte, counters []CounterTrack) []byte {
 			nPoints += len(ct.Points)
 		}
 	}
-	nSlices := bytes.Count(r.ev.kind, []byte{evSlice})
-	b := slices.Grow(buf, 256+160*len(r.m.Cores)+144*nSlices+104*(len(r.ev.kind)-nSlices)+88*nPoints)
+	b := slices.Grow(buf, 256+160*len(r.m.Cores)+144*r.ev.slices+104*(r.ev.n-r.ev.slices)+88*nPoints)
 	b = append(b, `{"displayTimeUnit":"ms","otherData":{"schema":"`+SchemaName+`"},"traceEvents":[`...)
 	first := true
 	sep := func() {
@@ -79,53 +77,56 @@ func (r *Recorder) AppendPerfetto(buf []byte, counters []CounterTrack) []byte {
 		b = append(b, `}}`...)
 	}
 
-	for i := range r.ev.kind {
-		sep()
-		tid := r.ev.tid[i]
-		name := ""
-		if tid >= 1 && int(tid) <= len(r.st) && r.st[tid-1].th != nil {
-			name = r.st[tid-1].th.Name
-		}
-		switch r.ev.kind[i] {
-		case evSlice:
-			b = append(b, `{"ph":"X","pid":0,"tid":`...)
-			b = strconv.AppendInt(b, int64(r.ev.core[i]), 10)
-			b = append(b, `,"ts":`...)
-			b = appendUS(b, r.ev.t[i])
-			b = append(b, `,"dur":`...)
-			b = appendUS(b, r.ev.dur[i])
-			b = append(b, `,"name":"`...)
-			b = appendJSONEscaped(b, name)
-			b = append(b, " T"...)
-			b = strconv.AppendInt(b, int64(tid), 10)
-			b = append(b, `","args":{"tid":`...)
-			b = strconv.AppendInt(b, int64(tid), 10)
-			b = append(b, `,"wait_us":`...)
-			b = appendUS(b, r.ev.wait[i])
-			b = append(b, `,"from_wake":`...)
-			b = strconv.AppendBool(b, r.ev.flag[i] != 0)
-			b = append(b, `}}`...)
-		case evWake, evMigrate, evSteal:
-			kind, otherKey := "wake", "origin"
-			switch r.ev.kind[i] {
-			case evMigrate:
-				kind, otherKey = "migrate", "from"
-			case evSteal:
-				kind, otherKey = "steal", "victim"
+	for _, blk := range r.ev.blocks {
+		for i := range blk {
+			ev := &blk[i]
+			sep()
+			tid := ev.tid
+			name := ""
+			if tid >= 1 && int(tid) <= len(r.st) && r.st[tid-1].th != nil {
+				name = r.st[tid-1].th.Name
 			}
-			b = append(b, `{"ph":"i","s":"t","pid":0,"tid":`...)
-			b = strconv.AppendInt(b, int64(r.ev.core[i]), 10)
-			b = append(b, `,"ts":`...)
-			b = appendUS(b, r.ev.t[i])
-			b = append(b, `,"name":"`...)
-			b = append(b, kind...)
-			b = append(b, `","args":{"tid":`...)
-			b = strconv.AppendInt(b, int64(tid), 10)
-			b = append(b, `,"`...)
-			b = append(b, otherKey...)
-			b = append(b, `":`...)
-			b = strconv.AppendInt(b, int64(r.ev.other[i]), 10)
-			b = append(b, `}}`...)
+			switch ev.kind {
+			case evSlice:
+				b = append(b, `{"ph":"X","pid":0,"tid":`...)
+				b = strconv.AppendInt(b, int64(ev.core), 10)
+				b = append(b, `,"ts":`...)
+				b = appendUS(b, ev.t)
+				b = append(b, `,"dur":`...)
+				b = appendUS(b, ev.dur)
+				b = append(b, `,"name":"`...)
+				b = appendJSONEscaped(b, name)
+				b = append(b, " T"...)
+				b = strconv.AppendInt(b, int64(tid), 10)
+				b = append(b, `","args":{"tid":`...)
+				b = strconv.AppendInt(b, int64(tid), 10)
+				b = append(b, `,"wait_us":`...)
+				b = appendUS(b, ev.wait)
+				b = append(b, `,"from_wake":`...)
+				b = strconv.AppendBool(b, ev.flag != 0)
+				b = append(b, `}}`...)
+			case evWake, evMigrate, evSteal:
+				kind, otherKey := "wake", "origin"
+				switch ev.kind {
+				case evMigrate:
+					kind, otherKey = "migrate", "from"
+				case evSteal:
+					kind, otherKey = "steal", "victim"
+				}
+				b = append(b, `{"ph":"i","s":"t","pid":0,"tid":`...)
+				b = strconv.AppendInt(b, int64(ev.core), 10)
+				b = append(b, `,"ts":`...)
+				b = appendUS(b, ev.t)
+				b = append(b, `,"name":"`...)
+				b = append(b, kind...)
+				b = append(b, `","args":{"tid":`...)
+				b = strconv.AppendInt(b, int64(tid), 10)
+				b = append(b, `,"`...)
+				b = append(b, otherKey...)
+				b = append(b, `":`...)
+				b = strconv.AppendInt(b, int64(ev.other), 10)
+				b = append(b, `}}`...)
+			}
 		}
 	}
 

@@ -154,28 +154,48 @@ const (
 	evSteal
 )
 
-// events is the bounded SoA event buffer. dur/wait are slice-only; other
-// is the instant's second core (origin/from/victim; -1 = none).
-type events struct {
-	kind  []uint8
-	tid   []int32
-	core  []int32
-	other []int32
-	t     []int64
-	dur   []int64
-	wait  []int64
-	flag  []uint8 // slice fromWake
+// event is one buffered slice or instant. dur, wait and flag (fromWake)
+// are slice-only; other is an instant's second core (origin/from/victim;
+// -1 = none). Every reader takes whole events in recording order, so they
+// are stored whole rather than as parallel columns.
+type event struct {
+	t, dur, wait     int64
+	tid, core, other int32
+	kind, flag       uint8
 }
 
-func (e *events) append(kind uint8, tid, core, other int32, t, dur, wait int64, flag uint8) {
-	e.kind = append(e.kind, kind)
-	e.tid = append(e.tid, tid)
-	e.core = append(e.core, core)
-	e.other = append(e.other, other)
-	e.t = append(e.t, t)
-	e.dur = append(e.dur, dur)
-	e.wait = append(e.wait, wait)
-	e.flag = append(e.flag, flag)
+// Block capacities of the event store, in events (40 bytes each): the
+// first block is small so a run of a few events does not pay for thousands,
+// every later one is evBlock.
+const (
+	evFirstBlock = 256
+	evBlock      = 4096
+)
+
+// events is the bounded event store: append-only blocks that are never
+// regrown or copied, so recording costs each event's bytes once. The
+// Recorder bounds n by maxEv.
+type events struct {
+	blocks [][]event
+	n      int // events held
+	slices int // evSlice events among them
+}
+
+func (e *events) append(ev event) {
+	last := len(e.blocks) - 1
+	if last < 0 || len(e.blocks[last]) == cap(e.blocks[last]) {
+		size := evBlock
+		if last < 0 {
+			size = evFirstBlock
+		}
+		e.blocks = append(e.blocks, make([]event, 0, size))
+		last++
+	}
+	e.blocks[last] = append(e.blocks[last], ev)
+	e.n++
+	if ev.kind == evSlice {
+		e.slices++
+	}
 }
 
 // Recorder is an attached timeline recorder. All methods are single-trial,
@@ -392,12 +412,15 @@ func (r *Recorder) closeRun(st *tstate, end int64) {
 	st.runNS += end - st.startNS
 	r.slices++
 	if r.recSlice {
-		if len(r.ev.kind) < r.maxEv {
+		if r.ev.n < r.maxEv {
 			var fw uint8
 			if st.pendFromWake {
 				fw = 1
 			}
-			r.ev.append(evSlice, int32(st.th.ID), st.core, -1, st.startNS, end-st.startNS, st.pendWaitNS, fw)
+			r.ev.append(event{
+				kind: evSlice, tid: int32(st.th.ID), core: st.core, other: -1,
+				t: st.startNS, dur: end - st.startNS, wait: st.pendWaitNS, flag: fw,
+			})
 		} else {
 			r.dropped++
 		}
@@ -410,11 +433,11 @@ func (r *Recorder) instant(kind uint8, tid, core, other int32, t int64) {
 	if !r.recInst {
 		return
 	}
-	if len(r.ev.kind) >= r.maxEv {
+	if r.ev.n >= r.maxEv {
 		r.dropped++
 		return
 	}
-	r.ev.append(kind, tid, core, other, t, 0, 0, 0)
+	r.ev.append(event{kind: kind, tid: tid, core: core, other: other, t: t})
 }
 
 // onWake fires at wakeup placement, before the enqueue: any stale RUN

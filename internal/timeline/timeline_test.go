@@ -184,7 +184,7 @@ func TestEventDropBoundedByBudget(t *testing.T) {
 	if sum.DroppedEvents == 0 {
 		t.Fatal("tiny budget did not drop events")
 	}
-	if got, max := len(r.ev.kind), 4096/estEventBytes; got > max {
+	if got, max := r.eventCount(), 4096/estEventBytes; got > max {
 		t.Fatalf("buffered %d events, budget allows %d", got, max)
 	}
 	// Accounting and the worst table must be exact despite drops.
@@ -211,12 +211,12 @@ func TestTrackSelection(t *testing.T) {
 	}
 	m.Run(20 * time.Millisecond)
 	r.Close()
-	for i, k := range r.ev.kind {
-		if k == evSlice {
+	r.eachEvent(func(i int, ev *event) {
+		if ev.kind == evSlice {
 			t.Fatalf("event %d is a slice despite instants-only selection", i)
 		}
-	}
-	if len(r.ev.kind) == 0 {
+	})
+	if r.eventCount() == 0 {
 		t.Fatal("no instants recorded")
 	}
 	// Slices are still accounted even when their events are not exported.
