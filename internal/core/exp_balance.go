@@ -122,17 +122,19 @@ func fig7Trial(kind SchedulerKind, scale float64) (Trial[Row], *probe.Set) {
 			if launchedAt == 0 {
 				launchedAt = m.Now()
 			}
-			awake := 0
-			for _, w := range in.Workers {
-				if w.State() == sim.StateRunnable || w.State() == sim.StateRunning {
-					awake++
+			if len(in.Workers) != 512 {
+				return false
+			}
+			// This runs on every event, and until the very end the answer
+			// is no: stop at the first worker still asleep, looking from
+			// the back because the cascade wakes the last worker last.
+			for i := len(in.Workers) - 1; i >= 0; i-- {
+				if st := in.Workers[i].State(); st != sim.StateRunnable && st != sim.StateRunning {
+					return false
 				}
 			}
-			if len(in.Workers) == 512 && awake == 512 {
-				allRunnable = m.Now()
-				return true
-			}
-			return false
+			allRunnable = m.Now()
+			return true
 		},
 		Extract: func(m *sim.Machine) Row {
 			row := Row{Label: string(kind), Order: []string{"workers", "time_to_all_runnable_s"},

@@ -109,14 +109,15 @@ func BootstrapMeanCI(xs []float64, conf float64, iters int, seed int64) (lo, hi 
 	scratch := bootScratch(iters)
 	defer bootPool.Put(scratch)
 	means := (*scratch)[:iters]
+	hasNaN := false
 	for it := range means {
 		var sum float64
 		for i := 0; i < n; i++ {
 			sum += xs[rng.intn(n)]
 		}
 		means[it] = sum / float64(n)
+		hasNaN = hasNaN || means[it] != means[it]
 	}
-	sort.Float64s(means)
 	alpha := (1 - conf) / 2
 	loIdx := int(alpha * float64(iters))
 	hiIdx := int((1-alpha)*float64(iters)) - 1
@@ -126,7 +127,67 @@ func BootstrapMeanCI(xs []float64, conf float64, iters int, seed int64) (lo, hi 
 	if hiIdx >= iters {
 		hiIdx = iters - 1
 	}
+	// Only two order statistics are read, so select them rather than sort:
+	// the upper one first, then the lower one within what that left below.
+	// Values that compare equal are the same bits here (a resample sum is
+	// never -0), so this returns exactly what sorting would. NaN has no
+	// order to select by and keeps sort.Float64s's NaN-first convention.
+	if hasNaN {
+		sort.Float64s(means)
+	} else {
+		selectKth(means, hiIdx)
+		selectKth(means[:hiIdx+1], loIdx)
+	}
 	return means[loIdx], means[hiIdx]
+}
+
+// selectKth rearranges a, which must hold no NaN, so that a[k] is the
+// value sorting would put there, with nothing larger before it and nothing
+// smaller after: quickselect on a median-of-three pivot, finishing ranges
+// under 16 by insertion sort.
+func selectKth(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for hi-lo >= 16 {
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo..j] <= pivot <= a[i..hi], and anything between is the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		for j := i; j > lo && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
 }
 
 // bootPool recycles bootstrap resample buffers across BootstrapMeanCI

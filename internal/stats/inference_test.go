@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -102,6 +104,74 @@ func TestBootstrapMeanCIPooledScratchIsDeterministic(t *testing.T) {
 		lo2, hi2 := BootstrapMeanCI(xs, 0.95, 1000, 42)
 		if lo2 != lo1 || hi2 != hi1 {
 			t.Fatalf("round %d: [%g, %g] != first call [%g, %g]", i, lo2, hi2, lo1, hi1)
+		}
+	}
+}
+
+// TestBootstrapMeanCIMatchesSorting holds the selecting BootstrapMeanCI to
+// the sorting one it replaced, bit for bit, over 10 000 random cases: few
+// and many values, heavy ties (so that most resample means coincide),
+// infinities and signed zeros, NaN (the sorting fallback), every iteration
+// count around the insertion-sort cutoff, and confidences in and out of
+// range.
+func TestBootstrapMeanCIMatchesSorting(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e300}
+	for c := 0; c < 10000; c++ {
+		xs := make([]float64, 2+rng.Intn(12))
+		for i := range xs {
+			switch rng.Intn(4) {
+			case 0:
+				xs[i] = float64(rng.Intn(3)) // ties
+			case 1:
+				xs[i] = rng.NormFloat64() * 1e3
+			default:
+				xs[i] = 90 + rng.Float64()
+			}
+			if c%10 == 0 && rng.Intn(4) == 0 {
+				xs[i] = special[rng.Intn(len(special))]
+			}
+		}
+		iters := 1 + rng.Intn(40)
+		if c%4 == 0 {
+			iters = 1 + rng.Intn(3000)
+		}
+		conf := []float64{0.95, 0.9, 0.5, 0.999, 0.01, rng.Float64(), 0, 1, -1}[rng.Intn(9)]
+		seed := rng.Int63() - 1<<62
+		lo, hi := BootstrapMeanCI(xs, conf, iters, seed)
+		wlo, whi := bootstrapMeanCISorted(xs, conf, iters, seed)
+		if math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) {
+			t.Fatalf("case %d: xs %v conf %g iters %d seed %d: [%g, %g], sorting gives [%g, %g]",
+				c, xs, conf, iters, seed, lo, hi, wlo, whi)
+		}
+	}
+}
+
+// TestSelectKth: the selected position holds what sorting puts there and
+// splits the rest around it, for every k of inputs on both sides of the
+// insertion-sort cutoff, with and without ties.
+func TestSelectKth(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range []int{1, 2, 15, 16, 17, 18, 100, 1000} {
+		for _, distinct := range []int{1, 3, n, 1 << 30} {
+			src := make([]float64, n)
+			for i := range src {
+				src[i] = float64(rng.Intn(distinct))
+			}
+			want := append([]float64(nil), src...)
+			sort.Float64s(want)
+			for k := 0; k < n; k += 1 + n/50 {
+				a := append([]float64(nil), src...)
+				selectKth(a, k)
+				if a[k] != want[k] {
+					t.Fatalf("n %d distinct %d k %d: selected %g, sorted has %g", n, distinct, k, a[k], want[k])
+				}
+				for i, v := range a {
+					if (i < k && v > a[k]) || (i > k && v < a[k]) {
+						t.Fatalf("n %d distinct %d k %d: a[%d] = %g on the wrong side of %g", n, distinct, k, i, v, a[k])
+					}
+				}
+			}
 		}
 	}
 }
