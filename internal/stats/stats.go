@@ -12,6 +12,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -33,7 +34,8 @@ const (
 	histBase         = time.Microsecond
 )
 
-func bucketOf(d time.Duration) int {
+// bucketOfLog defines the bucketing: 16 buckets per doubling of d/1µs.
+func bucketOfLog(d time.Duration) int {
 	if d < histBase {
 		return 0
 	}
@@ -41,6 +43,50 @@ func bucketOf(d time.Duration) int {
 	i := int(l * bucketsPerOctave)
 	if i >= bucketCount {
 		i = bucketCount - 1
+	}
+	return i
+}
+
+// bucketBound[i] is the smallest duration bucketOfLog puts in bucket i,
+// found from bucketOfLog itself so that bucketOf agrees with it on every
+// nanosecond (one nanosecond moves log2·16 by 1e-10 at the top of the
+// range, far more than the logarithm's rounding, so the buckets are
+// contiguous ranges).
+var bucketBound = func() (b [bucketCount]time.Duration) {
+	for i := range b {
+		d := time.Duration(float64(histBase) * math.Pow(2, float64(i)/bucketsPerOctave))
+		for bucketOfLog(d) < i {
+			d++
+		}
+		for d > histBase && bucketOfLog(d-1) >= i {
+			d--
+		}
+		b[i] = d
+	}
+	return b
+}()
+
+// bucketOf is bucketOfLog without the logarithm, which was most of
+// Observe's cost: the bit length gives the power-of-two octave, the offset
+// within it a guess a bucket or two low (log2 lies above its chord), and
+// the bounds settle it.
+func bucketOf(d time.Duration) int {
+	if d < histBase {
+		return 0
+	}
+	if d >= bucketBound[bucketCount-1] {
+		return bucketCount - 1
+	}
+	e := bits.Len64(uint64(d)) - 1
+	i := bucketsPerOctave*e + int((uint64(d)-1<<e)*bucketsPerOctave>>e) - 160 // 160 ≥ 16·log2(1000)
+	if i < 0 {
+		i = 0
+	}
+	for bucketBound[i] > d {
+		i--
+	}
+	for bucketBound[i+1] <= d {
+		i++
 	}
 	return i
 }

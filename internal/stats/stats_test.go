@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -192,5 +193,61 @@ func TestHistogramEmptyContract(t *testing.T) {
 	// bucket with samples, not garbage.
 	if got, want := h.Quantile(math.NaN()), h.Quantile(0); got != want {
 		t.Fatalf("Quantile(NaN) = %v, want Quantile(0) = %v", got, want)
+	}
+}
+
+// TestBucketOfMatchesLog holds the table-driven bucketOf to the logarithm
+// that defines the buckets, on every nanosecond where they could part: a
+// few either side of each bucket bound and of each power of two (where the
+// octave and the guess change), the range ends, and 10 M random durations
+// over 0…200 s, uniform and log-uniform so that the short buckets are hit
+// as densely as the long ones.
+func TestBucketOfMatchesLog(t *testing.T) {
+	check := func(d time.Duration) {
+		if d < 0 {
+			return
+		}
+		if got, want := bucketOf(d), bucketOfLog(d); got != want {
+			t.Fatalf("bucketOf(%d ns) = %d, the logarithm gives %d", d, got, want)
+		}
+	}
+	for i, b := range bucketBound {
+		if i > 0 && b <= bucketBound[i-1] {
+			t.Fatalf("bound %d (%d ns) not above bound %d (%d ns)", i, b, i-1, bucketBound[i-1])
+		}
+		if bucketOfLog(b) != i || (b > histBase && bucketOfLog(b-1) != i-1) {
+			t.Fatalf("bound %d = %d ns is not where the logarithm enters the bucket", i, b)
+		}
+		for off := time.Duration(-3); off <= 3; off++ {
+			check(b + off)
+		}
+	}
+	for e := 0; e < 63; e++ {
+		for off := time.Duration(-3); off <= 3; off++ {
+			check(time.Duration(1)<<e + off)
+		}
+	}
+	check(0)
+	check(math.MaxInt64)
+	rng := rand.New(rand.NewSource(20))
+	const span = 200 * time.Second
+	for i := 0; i < 5_000_000; i++ {
+		check(time.Duration(rng.Int63n(int64(span))))
+		check(time.Duration(math.Exp(rng.Float64() * math.Log(float64(span)))))
+	}
+}
+
+// BenchmarkHistogramObserve prices one Observe over durations spread
+// log-uniformly from 1µs to 10 s.
+func BenchmarkHistogramObserve(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ds := make([]time.Duration, 4096)
+	for i := range ds {
+		ds[i] = time.Duration(1e3 * math.Exp(rng.Float64()*math.Log(1e7)))
+	}
+	var h Histogram
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(ds[i&4095])
 	}
 }
