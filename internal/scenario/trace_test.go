@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -244,5 +245,48 @@ func TestTraceSpecValidation(t *testing.T) {
 		if got := err.Error(); !strings.Contains(got, tc.want) {
 			t.Errorf("trace %s:\n got  %s\n want …%s…", tc.trace, got, tc.want)
 		}
+	}
+}
+
+// TestStreamedRunAllocBudget fails when a recorded run goes back to copying
+// its streams as they grow: the bundled web-tail run with every decision
+// traced and the timeline on may allocate at most twice what its two
+// streams weigh. The streams themselves are one of the two; the other
+// covers the dtrace chunks they are joined from (0.38×), the timeline's
+// event blocks (0.2×), the slack in the Perfetto size estimate and the
+// simulation itself, 1.74× in all; regrown buffers cost 2.6×. It runs at
+// full scale, a quarter of a second, because the per-trial fixed costs
+// (timer wheel, dtrace ring) are 0.09× there and 0.45× at scale 0.25.
+// Not under -race, which compiles slices.Grow into two allocations.
+func TestStreamedRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under -race")
+	}
+	sp, err := LoadBuiltin("web-tail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := *sp
+	cp.Trace, cp.Timeline = &TraceSpec{}, &TimelineSpec{}
+	var rep *Report
+	var before, after runtime.MemStats
+	runner.WithWorkers(1, func() {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rep = mustRun(t, &cp, 1)
+		runtime.ReadMemStats(&after)
+	})
+	streams := 0
+	for i := range rep.Trials {
+		tr := &rep.Trials[i]
+		if len(tr.TraceData) == 0 || len(tr.TimelineData) == 0 {
+			t.Fatalf("%s: %d trace bytes, %d timeline bytes", tr.Name, len(tr.TraceData), len(tr.TimelineData))
+		}
+		streams += len(tr.TraceData) + len(tr.TimelineData)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d bytes for %d stream bytes: %.2f×", got, streams, float64(got)/float64(streams))
+	if got > 2*uint64(streams) {
+		t.Fatalf("allocated %d bytes to deliver %d stream bytes (%.2f×), budget 2.0×", got, streams, float64(got)/float64(streams))
 	}
 }
