@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // Magic is the first line of every dtrace/v1 stream.
@@ -93,31 +92,21 @@ type chunkHeader struct {
 type encoder struct {
 	cols    colMask
 	opts    Options
-	w       io.Writer // opts.Sink; nil keeps chunks
-	chunks  [][]byte  // writes not yet joined into out
-	out     []byte    // the joined stream, once bytes was asked for it
-	scratch []byte    // the sink path's reused chunk buffer
+	chunks  [][]byte // writes not yet joined into out (no sink)
+	out     []byte   // the joined stream, once bytes was asked for it
+	scratch []byte   // the sink path's reused chunk buffer
 	written int64
-	max     int64
 	err     error
 }
 
-func (e *encoder) init(cols colMask, opts Options) {
-	e.cols = cols
-	e.opts = opts
-	e.max = opts.MaxBytes
-	e.w = opts.Sink
-}
-
-// emit hands one encoded piece to the sink, or keeps it: without a sink b
-// must be the caller's to give away.
+// emit writes one encoded piece to the sink, or with none keeps b itself.
 func (e *encoder) emit(b []byte) error {
-	if e.w == nil {
+	if e.opts.Sink == nil {
 		e.chunks = append(e.chunks, b)
 		e.written += int64(len(b))
 		return nil
 	}
-	n, err := e.w.Write(b)
+	n, err := e.opts.Sink.Write(b)
 	e.written += int64(n)
 	if err != nil {
 		e.err = err
@@ -125,10 +114,10 @@ func (e *encoder) emit(b []byte) error {
 	return err
 }
 
-// bytes returns the in-memory stream as one slice: the first call after a
-// write joins the chunks into an exactly-sized slice and drops them, later
-// calls return that slice. A Report's TraceData is one []byte, which is why
-// the stream is joined at all. nil with a sink.
+// bytes returns the in-memory stream (nil with a sink) as one slice: it
+// joins the chunks into an exactly-sized slice and drops them, and until
+// something more is written returns that slice again. The stream is joined
+// at all because a Report's TraceData is one []byte.
 func (e *encoder) bytes() []byte {
 	if len(e.chunks) > 0 {
 		out := append(make([]byte, 0, e.written), e.out...)
@@ -178,12 +167,12 @@ func (e *encoder) writeChunk(r *Recorder) bool {
 			size += int64(r.n * cd.width)
 		}
 	}
-	if e.written+size > e.max {
+	if e.written+size > e.opts.MaxBytes {
 		return false
 	}
 	var b []byte
-	if e.w == nil {
-		b = make([]byte, 0, int(size)) // kept as encoded: see emit
+	if e.opts.Sink == nil {
+		b = make([]byte, 0, int(size)) // emit keeps it
 	} else {
 		if cap(e.scratch) < int(size) {
 			e.scratch = make([]byte, 0, int(size))

@@ -235,7 +235,7 @@ func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
 	if ex, ok := m.Scheduler().(sim.PickExplainer); ok {
 		r.explainer = ex
 	}
-	r.enc.init(cols, opts)
+	r.enc.cols, r.enc.opts = cols, opts
 	if err := r.enc.writeHeader(); err != nil {
 		return nil, err
 	}

@@ -128,10 +128,9 @@ func BootstrapMeanCI(xs []float64, conf float64, iters int, seed int64) (lo, hi 
 		hiIdx = iters - 1
 	}
 	// Only two order statistics are read, so select them rather than sort:
-	// the upper one first, then the lower one within what that left below.
-	// Values that compare equal are the same bits here (a resample sum is
-	// never -0), so this returns exactly what sorting would. NaN has no
-	// order to select by and keeps sort.Float64s's NaN-first convention.
+	// the upper, then the lower within what that left below it. Means that
+	// compare equal are the same bits (a resample sum is never -0), so this
+	// returns exactly what sorting would; NaN has no order to select by.
 	if hasNaN {
 		sort.Float64s(means)
 	} else {
@@ -143,22 +142,13 @@ func BootstrapMeanCI(xs []float64, conf float64, iters int, seed int64) (lo, hi 
 
 // selectKth rearranges a, which must hold no NaN, so that a[k] is the
 // value sorting would put there, with nothing larger before it and nothing
-// smaller after: quickselect on a median-of-three pivot, finishing ranges
-// under 16 by insertion sort.
+// smaller after: quickselect on a median-of-three pivot, ranges under 16
+// finished by sorting them (an insertion sort at that size).
 func selectKth(a []float64, k int) {
 	lo, hi := 0, len(a)-1
 	for hi-lo >= 16 {
-		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi] < a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		pivot := a[mid]
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		pivot := max(min(x, y), min(max(x, y), z))
 		i, j := lo, hi
 		for i <= j {
 			for a[i] < pivot {
@@ -183,11 +173,7 @@ func selectKth(a []float64, k int) {
 			return
 		}
 	}
-	for i := lo + 1; i <= hi; i++ {
-		for j := i; j > lo && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
+	sort.Float64s(a[lo : hi+1])
 }
 
 // bootPool recycles bootstrap resample buffers across BootstrapMeanCI

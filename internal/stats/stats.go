@@ -49,12 +49,11 @@ func bucketOfLog(d time.Duration) int {
 
 // bucketBound[i] is the smallest duration bucketOfLog puts in bucket i,
 // found from bucketOfLog itself so that bucketOf agrees with it on every
-// nanosecond (one nanosecond moves log2·16 by 1e-10 at the top of the
-// range, far more than the logarithm's rounding, so the buckets are
-// contiguous ranges).
+// nanosecond. (One nanosecond moves log2·16 by at least 1e-10, far more
+// than the logarithm's rounding, so each bucket is one contiguous range.)
 var bucketBound = func() (b [bucketCount]time.Duration) {
 	for i := range b {
-		d := time.Duration(float64(histBase) * math.Pow(2, float64(i)/bucketsPerOctave))
+		d := bucketLow(i) // within a nanosecond of it
 		for bucketOfLog(d) < i {
 			d++
 		}
@@ -67,25 +66,14 @@ var bucketBound = func() (b [bucketCount]time.Duration) {
 }()
 
 // bucketOf is bucketOfLog without the logarithm, which was most of
-// Observe's cost: the bit length gives the power-of-two octave, the offset
-// within it a guess a bucket or two low (log2 lies above its chord), and
-// the bounds settle it.
+// Observe's cost. The bit length gives the power-of-two octave and the
+// offset within it a guess never high and at most three low (log2 lies on
+// or above its chord, and 160 ≥ 16·log2(1000)); the bounds settle it.
 func bucketOf(d time.Duration) int {
-	if d < histBase {
-		return 0
-	}
-	if d >= bucketBound[bucketCount-1] {
-		return bucketCount - 1
-	}
+	d = min(max(d, histBase), bucketBound[bucketCount-1])
 	e := bits.Len64(uint64(d)) - 1
-	i := bucketsPerOctave*e + int((uint64(d)-1<<e)*bucketsPerOctave>>e) - 160 // 160 ≥ 16·log2(1000)
-	if i < 0 {
-		i = 0
-	}
-	for bucketBound[i] > d {
-		i--
-	}
-	for bucketBound[i+1] <= d {
+	i := max(0, bucketsPerOctave*e+int((uint64(d)-1<<e)*bucketsPerOctave>>e)-160)
+	for i+1 < bucketCount && bucketBound[i+1] <= d {
 		i++
 	}
 	return i

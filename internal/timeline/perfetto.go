@@ -103,7 +103,7 @@ func (r *Recorder) AppendPerfetto(buf []byte, counters []CounterTrack) []byte {
 				b = append(b, `,"wait_us":`...)
 				b = appendUS(b, ev.wait)
 				b = append(b, `,"from_wake":`...)
-				b = strconv.AppendBool(b, ev.flag != 0)
+				b = strconv.AppendBool(b, ev.fromWake)
 				b = append(b, `}}`...)
 			case evWake, evMigrate, evSteal:
 				kind, otherKey := "wake", "origin"

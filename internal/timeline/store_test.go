@@ -65,7 +65,7 @@ func TestEventStoreBlockBoundaries(t *testing.T) {
 					case 0:
 						st := &tstate{th: th, core: int32(i % 7), startNS: ts, pendWaitNS: int64(i), pendFromWake: i%2 == 0}
 						r.closeRun(st, ts+500)
-						want = event{kind: evSlice, tid: 3, core: int32(i % 7), other: -1, t: ts, dur: 500, wait: int64(i), flag: uint8(1 - i%2)}
+						want = event{kind: evSlice, tid: 3, core: int32(i % 7), other: -1, t: ts, dur: 500, wait: int64(i), fromWake: i%2 == 0}
 					case 1:
 						r.instant(evWake, 3, 0, -1, ts)
 						want = event{kind: evWake, tid: 3, core: 0, other: -1, t: ts}

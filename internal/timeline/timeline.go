@@ -154,32 +154,28 @@ const (
 	evSteal
 )
 
-// event is one buffered slice or instant. dur, wait and flag (fromWake)
-// are slice-only; other is an instant's second core (origin/from/victim;
+// event is one buffered slice or instant. dur, wait and fromWake are
+// slice-only; other is an instant's second core (origin/from/victim;
 // -1 = none). Every reader takes whole events in recording order, so they
-// are stored whole rather than as parallel columns.
+// are stored whole, not as parallel columns.
 type event struct {
 	t, dur, wait     int64
 	tid, core, other int32
-	kind, flag       uint8
+	kind             uint8
+	fromWake         bool
 }
 
-// Block capacities of the event store, in events (40 bytes each): the
-// first block is small so a run of a few events does not pay for thousands,
-// every later one is evBlock.
-const (
-	evFirstBlock = 256
-	evBlock      = 4096
-)
-
-// events is the bounded event store: append-only blocks that are never
-// regrown or copied, so recording costs each event's bytes once. The
-// Recorder bounds n by maxEv.
+// events is the bounded event store (the Recorder holds n to maxEv):
+// append-only blocks that are never regrown or copied, so an event costs
+// its 40 bytes once. The first block is small so that a run of a few
+// events does not pay for thousands; every later one holds evBlock.
 type events struct {
 	blocks [][]event
 	n      int // events held
 	slices int // evSlice events among them
 }
+
+const evFirstBlock, evBlock = 256, 4096
 
 func (e *events) append(ev event) {
 	last := len(e.blocks) - 1
@@ -413,13 +409,9 @@ func (r *Recorder) closeRun(st *tstate, end int64) {
 	r.slices++
 	if r.recSlice {
 		if r.ev.n < r.maxEv {
-			var fw uint8
-			if st.pendFromWake {
-				fw = 1
-			}
 			r.ev.append(event{
-				kind: evSlice, tid: int32(st.th.ID), core: st.core, other: -1,
-				t: st.startNS, dur: end - st.startNS, wait: st.pendWaitNS, flag: fw,
+				kind: evSlice, tid: int32(st.th.ID), core: st.core, other: -1, t: st.startNS,
+				dur: end - st.startNS, wait: st.pendWaitNS, fromWake: st.pendFromWake,
 			})
 		} else {
 			r.dropped++
