@@ -116,7 +116,7 @@ func BootstrapMeanCI(xs []float64, conf float64, iters int, seed int64) (lo, hi 
 			sum += xs[rng.intn(n)]
 		}
 		means[it] = sum / float64(n)
-		hasNaN = hasNaN || means[it] != means[it]
+		hasNaN = hasNaN || math.IsNaN(means[it])
 	}
 	alpha := (1 - conf) / 2
 	loIdx := int(alpha * float64(iters))
