@@ -22,6 +22,9 @@ type entity struct {
 	repr *taskGroup
 	// owner is the runqueue level holding this entity.
 	owner *cfsRQ
+	// group caches groupFor(thread) (thread entities only; nil until the
+	// first rqFor): Thread.Group never changes after spawn.
+	group *taskGroup
 
 	id       int
 	vruntime int64 // virtual runtime, ns scaled by nice-0/weight

@@ -132,13 +132,14 @@ func (s *Sched) groupFor(t *sim.Thread) *taskGroup {
 }
 
 // rqFor returns the runqueue level a thread's entity enqueues on, for a
-// given core.
-func (s *Sched) rqFor(t *sim.Thread, core int) *cfsRQ {
-	g := s.groupFor(t)
-	if g == s.root {
-		return s.root.rqs[core]
+// given core. The group is looked up once per thread, here and not in Fork:
+// groups number their entities in the order they are created, which must
+// stay the order of first enqueue.
+func (s *Sched) rqFor(se *entity, core int) *cfsRQ {
+	if se.group == nil {
+		se.group = s.groupFor(se.thread)
 	}
-	return g.rqs[core]
+	return se.group.rqs[core]
 }
 
 // Fork implements sim.Scheduler: allocate the child's entity. The vruntime
@@ -159,7 +160,7 @@ func (s *Sched) Exit(t *sim.Thread) {}
 func (s *Sched) Enqueue(c *sim.Core, t *sim.Thread, flags int) {
 	cs := &s.cores[c.ID]
 	se := s.ent(t)
-	rq := s.rqFor(t, c.ID)
+	rq := s.rqFor(se, c.ID)
 
 	wakeup := flags&sim.FlagWakeup != 0
 	fork := flags&sim.FlagFork != 0
@@ -501,7 +502,7 @@ func (s *Sched) DebugEntity(t *sim.Thread) string {
 // plus the rq identity check for t's own entity.
 func (s *Sched) DebugGroupRQ(t *sim.Thread, core int) string {
 	se := s.ent(t)
-	rq := s.rqFor(t, core)
+	rq := s.rqFor(se, core)
 	out := fmt.Sprintf("rq==owner:%v curr=%v items:", rq == se.owner, rq.curr != nil)
 	found := false
 	for _, it := range rq.tree.Items() {

@@ -254,9 +254,10 @@ func TestTraceSpecValidation(t *testing.T) {
 // streams weigh. The streams themselves are one of the two; the other
 // covers the dtrace chunks they are joined from (0.38×), the timeline's
 // event blocks (0.2×), the slack in the Perfetto size estimate and the
-// simulation itself, 1.74× in all; regrown buffers cost 2.6×. It runs at
+// simulation itself, 1.67× in all; regrown buffers cost 2.6×. It runs at
 // full scale, a quarter of a second, because the per-trial fixed costs
-// (timer wheel, dtrace ring) are 0.09× there and 0.45× at scale 0.25.
+// (the dtrace ring; the timer wheel no longer has one) are 0.02× there
+// and 0.18× at scale 0.25.
 // Not under -race, which compiles slices.Grow into two allocations.
 func TestStreamedRunAllocBudget(t *testing.T) {
 	if raceEnabled {

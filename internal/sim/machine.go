@@ -142,9 +142,6 @@ func NewMachine(tp *topo.Topology, sched Scheduler, opts Options) *Machine {
 		cbFree:   -1,
 	}
 	m.useHeap = opts.UseEventHeap || forceEventHeap.Load()
-	if !m.useHeap {
-		m.wheel.init()
-	}
 	// One contiguous allocation backs every core plus the dense token
 	// table: the dispatch path indexes both by core ID.
 	m.coreArr = make([]Core, tp.NCores())

@@ -9,19 +9,22 @@ import (
 // everything but the scheduler ticks (those stand in the rotor, rotor.go).
 // Most queued events — burst ends, timed sleeps — are armed a short horizon
 // ahead of the clock, so a wheel turns the heap's O(log n) sift per
-// insert/expire into O(1) slot appends and batched slot drains.
+// insert/expire into O(1) list links and batched slot drains.
 //
 // Layout: wheelLevels rings of wheelSlots slots over the event clock
-// (nanosecond time.Duration values). Level k's slots are
+// (nanosecond time.Duration values); a slot is a FIFO list threaded through
+// one node pool all slots share (timerWheel.nodes), so the wheel's memory
+// follows the events pending, not the slots they pass. Level k's slots are
 // 2^(wheelShift0 + k*wheelBits) ns wide — 4.096µs at level 0, then ~1ms,
 // ~268ms, ~68.7s. Filing is delta-based: an event goes to the lowest level
 // where its slot index is within a full ring of the cursor's position at
 // that level, so anything under ~1ms of horizon lands in level 0 no matter
 // where the boundaries fall, under ~268ms in level 1, and so on; events
 // past the top level's rolling horizon (~4.9h) wait in a small overflow
-// heap. When the cursor reaches a higher-level slot, that slot's events
-// cascade one level down (each event cascades at most wheelLevels-1 times),
-// and when the overflow's span becomes reachable its events are refiled.
+// heap. When the cursor reaches a higher-level slot, that slot's nodes are
+// relinked into the levels below (each event cascades at most
+// wheelLevels-1 times and is never copied on the way), and when the
+// overflow's span becomes reachable its events are refiled.
 //
 // Determinism contract: events pop in strictly increasing (at, seq) order —
 // exactly the binary heap's total order, so the two engines are
@@ -53,16 +56,25 @@ const (
 	wheelMask   = wheelSlots - 1
 	wheelShift0 = 12 // 4.096µs level-0 slots
 	wheelLevels = 4
-
-	// wheelSlotCap seeds every slot's backing array (one arena allocation
-	// at init), so steady-state filing into rarely-visited slots does not
-	// allocate; busier slots grow once and keep their capacity.
-	wheelSlotCap = 2
 )
+
+// wheelNode is one pooled list cell. It holds no pointer, so the collector
+// never scans the pool.
+type wheelNode struct {
+	e    event
+	next int32 // 1-based index of the next node on the same list; 0 ends it
+}
+
+// wheelSlot is a FIFO list of nodes in filing order: 1-based indices into
+// timerWheel.nodes, both 0 when empty. tail makes the append — and the
+// splice of a drained list onto the free list — O(1).
+type wheelSlot struct {
+	head, tail int32
+}
 
 // wheelLevel is one ring of slots plus a non-empty bitmap for O(1) scans.
 type wheelLevel struct {
-	slots  [wheelSlots][]event
+	slots  [wheelSlots]wheelSlot
 	bitmap [wheelSlots / 64]uint64
 }
 
@@ -100,7 +112,7 @@ func (lv *wheelLevel) next(from, to int64) (int64, bool) {
 	return 0, false
 }
 
-// timerWheel is the engine's event queue. init must run before use.
+// timerWheel is the engine's event queue; the zero value is an empty wheel.
 type timerWheel struct {
 	// cur is the current slot batch: all undelivered events earlier than
 	// curEnd(), sorted by (at, seq); cur[:curIdx] is already delivered.
@@ -110,25 +122,16 @@ type timerWheel struct {
 	// before cursor<<wheelShift0 is delivered or in cur.
 	cursor int64
 	// size counts events filed in the levels (excluding cur and overflow).
-	size   int
+	size int
+	// nodes is the pool behind every slot list; free heads the list of
+	// unused nodes (1-based, 0 when none). The pool only grows, and only
+	// when every node is in use: len(nodes) is the high-water mark of size.
+	nodes  []wheelNode
+	free   int32
 	levels [wheelLevels]wheelLevel
 	// over holds events beyond the top level's rolling horizon, ordered;
 	// they are refiled when their span becomes reachable.
 	over eventHeap
-}
-
-// init carves every slot's initial backing out of one arena, so filing
-// allocates only when a slot outgrows wheelSlotCap (and then keeps the
-// larger capacity for the rest of the run).
-func (w *timerWheel) init() {
-	arena := make([]event, wheelLevels*wheelSlots*wheelSlotCap)
-	i := 0
-	for k := range w.levels {
-		for s := range w.levels[k].slots {
-			w.levels[k].slots[s] = arena[i : i : i+wheelSlotCap]
-			i += wheelSlotCap
-		}
-	}
 }
 
 // curEnd is the exclusive upper bound of the region covered by cur.
@@ -170,22 +173,53 @@ func (w *timerWheel) pushCur(e event) {
 	w.cur[i] = e
 }
 
-// file places an event with at >= curEnd into the lowest level whose ring
-// reaches it from the cursor, or the overflow heap beyond the top horizon.
-func (w *timerWheel) file(e event) {
-	slot := int64(e.at) >> wheelShift0
+// level returns the lowest level whose ring reaches level-0 slot index slot
+// from the cursor, or wheelLevels beyond the top horizon.
+func (w *timerWheel) level(slot int64) int {
 	for k := 0; k < wheelLevels; k++ {
 		shift := uint(wheelBits * k)
 		if slot>>shift-w.cursor>>shift < wheelSlots {
-			lv := &w.levels[k]
-			idx := (slot >> shift) & wheelMask
-			lv.slots[idx] = append(lv.slots[idx], e)
-			lv.mark(idx)
-			w.size++
-			return
+			return k
 		}
 	}
-	w.over.push(e)
+	return wheelLevels
+}
+
+// file places an event with at >= curEnd into the lowest level whose ring
+// reaches it from the cursor, or the overflow heap beyond the top horizon,
+// taking its node from the free list or, with none free, growing the pool.
+func (w *timerWheel) file(e event) {
+	slot := int64(e.at) >> wheelShift0
+	k := w.level(slot)
+	if k == wheelLevels {
+		w.over.push(e)
+		return
+	}
+	n := w.free
+	if n != 0 {
+		w.free = w.nodes[n-1].next
+	} else {
+		w.nodes = append(w.nodes, wheelNode{})
+		n = int32(len(w.nodes))
+	}
+	w.nodes[n-1] = wheelNode{e: e}
+	w.link(k, slot, n)
+	w.size++
+}
+
+// link appends node n, its next already 0, to the level-k slot that covers
+// level-0 slot index slot.
+func (w *timerWheel) link(k int, slot int64, n int32) {
+	lv := &w.levels[k]
+	idx := (slot >> uint(wheelBits*k)) & wheelMask
+	sl := &lv.slots[idx]
+	if sl.tail == 0 {
+		sl.head = n
+		lv.mark(idx)
+	} else {
+		w.nodes[sl.tail-1].next = n
+	}
+	sl.tail = n
 }
 
 // peekAt returns the next event's time without consuming it, advancing the
@@ -285,8 +319,13 @@ func (w *timerWheel) drainSlot(s int64) {
 	lv := &w.levels[0]
 	idx := s & wheelMask
 	sl := lv.slots[idx]
-	w.cur = append(w.cur[:0], sl...)
-	lv.slots[idx] = sl[:0]
+	w.cur = w.cur[:0]
+	for n := sl.head; n != 0; n = w.nodes[n-1].next {
+		w.cur = append(w.cur, w.nodes[n-1].e)
+	}
+	w.nodes[sl.tail-1].next = w.free
+	w.free = sl.head
+	lv.slots[idx] = wheelSlot{}
 	lv.clear(idx)
 	w.size -= len(w.cur)
 	w.cursor = s + 1
@@ -312,19 +351,27 @@ func (w *timerWheel) cascadeInto() bool {
 	return any
 }
 
-// cascade refiles level-k slot s into the lower levels. The cursor is
-// inside the slot, so every event refiles strictly below k; the slot's
-// backing array is untouched by those appends and is kept for reuse.
+// cascade relinks the nodes of level-k slot s into the lower levels, in
+// list order and in place. The cursor is inside the slot, so every event
+// refiles strictly below k (invariant 2).
 func (w *timerWheel) cascade(k int, s int64) {
 	lv := &w.levels[k]
 	idx := s & wheelMask
-	sl := lv.slots[idx]
+	n := lv.slots[idx].head
+	lv.slots[idx] = wheelSlot{}
 	lv.clear(idx)
-	w.size -= len(sl)
-	for i := range sl {
-		w.file(sl[i])
+	for n != 0 {
+		nd := &w.nodes[n-1]
+		next := nd.next
+		nd.next = 0
+		slot := int64(nd.e.at) >> wheelShift0
+		below := w.level(slot)
+		if below >= k {
+			panic("sim: timer wheel cascade did not refile below its level")
+		}
+		w.link(below, slot, n)
+		n = next
 	}
-	lv.slots[idx] = sl[:0]
 }
 
 // sortEvents orders a drained slot by (at, seq): insertion sort for the

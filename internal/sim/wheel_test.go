@@ -24,9 +24,7 @@ type wheelOracle struct {
 }
 
 func newWheelOracle(t *testing.T) *wheelOracle {
-	o := &wheelOracle{t: t}
-	o.w.init()
-	return o
+	return &wheelOracle{t: t}
 }
 
 // push schedules an event at the given time on both queues. Times before
@@ -86,19 +84,74 @@ func (o *wheelOracle) drain() {
 	}
 }
 
-// TestWheelMatchesHeapFuzz interleaves random pushes and pops with horizons
-// spanning every wheel level and the overflow, across several seeds.
-func TestWheelMatchesHeapFuzz(t *testing.T) {
-	// Horizon buckets, one per structural regime: within the current
-	// level-0 slot, level 0, each higher level, and past the top horizon.
-	horizons := []time.Duration{
-		1 << wheelShift0,                                // same/adjacent slot
-		wheelSlots << wheelShift0,                       // level 0 ring
-		wheelSlots << (wheelShift0 + wheelBits),         // level 1
-		wheelSlots << (wheelShift0 + 2*wheelBits),       // level 2
-		wheelSlots << (wheelShift0 + 3*wheelBits),       // level 3
-		2 * (wheelSlots << (wheelShift0 + 3*wheelBits)), // overflow
+// checkPool verifies the node pool's structure: every node is on exactly
+// one slot list or on the free list, each slot list holds the events of
+// that slot and ends at its tail, the bitmap mirrors the heads, and size
+// counts the linked nodes.
+func (o *wheelOracle) checkPool() {
+	o.t.Helper()
+	w := &o.w
+	seen := make([]bool, len(w.nodes))
+	visit := func(n int32, where string) {
+		if n < 1 || int(n) > len(w.nodes) {
+			o.t.Fatalf("%s: node index %d outside the pool of %d", where, n, len(w.nodes))
+		}
+		if seen[n-1] {
+			o.t.Fatalf("%s: node %d is linked twice", where, n)
+		}
+		seen[n-1] = true
 	}
+	linked := 0
+	for k := range w.levels {
+		lv := &w.levels[k]
+		for idx := range lv.slots {
+			sl := lv.slots[idx]
+			if (sl.head == 0) != (sl.tail == 0) || lv.occupied(int64(idx)) != (sl.head != 0) {
+				o.t.Fatalf("level %d slot %d: head %d, tail %d, bitmap %v", k, idx, sl.head, sl.tail, lv.occupied(int64(idx)))
+			}
+			last := int32(0)
+			for n := sl.head; n != 0; n = w.nodes[n-1].next {
+				visit(n, "slot list")
+				at := w.nodes[n-1].e.at
+				if got := int(int64(at) >> uint(wheelShift0+wheelBits*k) & wheelMask); got != idx {
+					o.t.Fatalf("level %d slot %d holds an event at %v, which belongs in slot %d", k, idx, at, got)
+				}
+				last = n
+				linked++
+			}
+			if last != sl.tail {
+				o.t.Fatalf("level %d slot %d: tail %d, but the list ends at node %d", k, idx, sl.tail, last)
+			}
+		}
+	}
+	if linked != w.size {
+		o.t.Fatalf("size %d, but %d nodes are linked into slots", w.size, linked)
+	}
+	for n := w.free; n != 0; n = w.nodes[n-1].next {
+		visit(n, "free list")
+	}
+	for i, ok := range seen {
+		if !ok {
+			o.t.Fatalf("node %d is on no list", i+1)
+		}
+	}
+}
+
+// wheelHorizons has one bucket per structural regime: within the current
+// level-0 slot, level 0, each higher level, and past the top horizon.
+var wheelHorizons = []time.Duration{
+	1 << wheelShift0,                                // same/adjacent slot
+	wheelSlots << wheelShift0,                       // level 0 ring
+	wheelSlots << (wheelShift0 + wheelBits),         // level 1
+	wheelSlots << (wheelShift0 + 2*wheelBits),       // level 2
+	wheelSlots << (wheelShift0 + 3*wheelBits),       // level 3
+	2 * (wheelSlots << (wheelShift0 + 3*wheelBits)), // overflow
+}
+
+// TestWheelMatchesHeapFuzz interleaves random pushes and pops with horizons
+// spanning every wheel level and the overflow, across several seeds, and
+// checks the pool's structure after every step.
+func TestWheelMatchesHeapFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		o := newWheelOracle(t)
@@ -107,11 +160,111 @@ func TestWheelMatchesHeapFuzz(t *testing.T) {
 			case rng.Intn(3) == 0 && o.h.len() > 0:
 				o.pop()
 			default:
-				h := horizons[rng.Intn(len(horizons))]
+				h := wheelHorizons[rng.Intn(len(wheelHorizons))]
 				o.push(o.clock + time.Duration(rng.Int63n(int64(h))))
 			}
+			o.checkPool()
 		}
 		o.drain()
+		o.checkPool()
+	}
+}
+
+// TestWheelPoolBoundedByPending: the pool grows only when every node is in
+// use, so a million churn operations that never hold more than N events
+// leave it at N nodes or fewer — wherever the events were filed, however
+// often they cascaded, whichever slots they visited.
+func TestWheelPoolBoundedByPending(t *testing.T) {
+	for _, limit := range []int{1, 64, 5000} {
+		rng := rand.New(rand.NewSource(int64(limit)))
+		var w timerWheel
+		var clock time.Duration
+		var seq uint64
+		for op := 0; op < 1_000_000; op++ {
+			if w.len() < limit && (w.len() == 0 || rng.Intn(4) != 0) {
+				h := wheelHorizons[rng.Intn(len(wheelHorizons))]
+				seq++
+				w.push(event{at: clock + time.Duration(rng.Int63n(int64(h))), seq: seq})
+			} else {
+				w.peekAt()
+				clock = w.pop().at
+			}
+			if len(w.nodes) > limit {
+				t.Fatalf("at most %d pending, op %d: the pool holds %d nodes", limit, op, len(w.nodes))
+			}
+		}
+		if len(w.nodes) < (limit+1)/2 {
+			t.Fatalf("at most %d pending: the pool reached only %d nodes, so the churn never pressed on the bound", limit, len(w.nodes))
+		}
+	}
+}
+
+// slotEvents lists level-k slot idx in list order.
+func (w *timerWheel) slotEvents(k int, idx int64) []event {
+	var es []event
+	for n := w.levels[k].slots[idx&wheelMask].head; n != 0; n = w.nodes[n-1].next {
+		es = append(es, w.nodes[n-1].e)
+	}
+	return es
+}
+
+// TestWheelSlotOrderIsFilingOrder: a slot hands drainSlot its events in the
+// order they were filed — first the ones a cascade relinked, in their own
+// filing order, then the ones filed directly — which is what the slice
+// wheel's appends produced, so sortEvents starts from the same permutation.
+// The times descend so that filing order is not sorted order.
+func TestWheelSlotOrderIsFilingOrder(t *testing.T) {
+	var w timerWheel
+	const target = int64(wheelSlots + 5) // a level-0 slot one ring ahead: files at level 1
+	at := func(i int) time.Duration { return time.Duration(target<<wheelShift0) + time.Duration(100-i) }
+	for i := 1; i <= 4; i++ {
+		w.push(event{at: at(i), seq: uint64(i)})
+	}
+	if got := len(w.slotEvents(1, target>>wheelBits)); got != 4 {
+		t.Fatalf("%d events in the level-1 slot, want 4", got)
+	}
+	// Draining the last slot of the first block steps the cursor over the
+	// level-1 boundary and cascades the four.
+	w.push(event{at: time.Duration((wheelSlots - 1) << wheelShift0), seq: 5})
+	w.peekAt()
+	w.pop()
+	for i := 6; i <= 8; i++ {
+		w.push(event{at: at(i), seq: uint64(i)})
+	}
+	got := w.slotEvents(0, target)
+	want := []uint64{1, 2, 3, 4, 6, 7, 8}
+	if len(got) != len(want) {
+		t.Fatalf("%d events in the level-0 slot, want %d", len(got), len(want))
+	}
+	for i, e := range got {
+		if e.seq != want[i] {
+			t.Fatalf("slot position %d holds seq %d, want %d (filing order)", i, e.seq, want[i])
+		}
+	}
+	// And the drain still delivers them by (at, seq): descending seq here.
+	for _, seq := range []uint64{8, 7, 6, 4, 3, 2, 1} {
+		if _, ok := w.peekAt(); !ok {
+			t.Fatal("wheel empty early")
+		}
+		if e := w.pop(); e.seq != seq {
+			t.Fatalf("popped seq %d, want %d", e.seq, seq)
+		}
+	}
+}
+
+// TestWheelZeroValue: a timerWheel needs no set-up.
+func TestWheelZeroValue(t *testing.T) {
+	var w timerWheel
+	e := event{at: 3 * time.Millisecond, seq: 1, id: 7}
+	w.push(e)
+	if at, ok := w.peekAt(); !ok || at != e.at {
+		t.Fatalf("peekAt = %v, %v", at, ok)
+	}
+	if got := w.pop(); got != e {
+		t.Fatalf("popped %+v, want %+v", got, e)
+	}
+	if _, ok := w.peekAt(); ok || w.len() != 0 {
+		t.Fatalf("wheel not empty after its only event: len %d", w.len())
 	}
 }
 

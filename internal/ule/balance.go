@@ -22,11 +22,13 @@ func (s *Sched) armBalancer() {
 // balance is sched_balance as the paper describes it: repeatedly pair the
 // most-loaded unused core (donor) with the least-loaded unused core
 // (receiver) and migrate exactly one thread; a core may be donor or
-// receiver at most once per invocation.
+// receiver at most once per invocation. It runs only from its own timer —
+// never re-entered through Migrate — so one set of marks on Sched serves.
 func (s *Sched) balance() {
 	s.m.TraceBalance(s.m.Cores[0])
 	s.m.Counters.Get("ule.balance_invocations").Inc(1)
-	used := make([]bool, len(s.tdqs))
+	used := s.balanceUsed
+	clear(used)
 	for {
 		donor, receiver := -1, -1
 		hi, lo := -1, int(^uint(0)>>1)

@@ -22,6 +22,10 @@ type Sched struct {
 	// retries on every tick — short-circuits without touching the topology.
 	stealThresh int
 	loaded      int
+
+	// balanceUsed is balance's per-invocation donor/receiver marks, one per
+	// core, kept here so the periodic balancer does not allocate.
+	balanceUsed []bool
 }
 
 // tdq is the per-core queue state (struct tdq).
@@ -88,6 +92,7 @@ func (s *Sched) Attach(m *sim.Machine) {
 	for i, c := range m.Cores {
 		s.tdqs[i] = tdq{core: c}
 	}
+	s.balanceUsed = make([]bool, len(m.Cores))
 	s.stealThresh = s.P.StealThresh
 	if s.stealThresh < 1 {
 		s.stealThresh = 1
