@@ -149,7 +149,7 @@ type Pair struct {
 // head-to-head pairs; with one, the report still carries per-cell
 // summaries (useful for baselines). The replicated grid is a sample grid
 // (scenario.Spec.WithSeeds): only metrics are read, so its recorders run in
-// accounting mode and its trials and cache entries carry no streams.
+// accounting mode and its trials and cache entries are metric vectors.
 func Run(sp *scenario.Spec, opt Options) (*Report, error) {
 	opt = opt.withDefaults()
 	seeds := sp.ReplicationSeeds(opt.Replications)

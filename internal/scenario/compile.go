@@ -529,8 +529,12 @@ type cell struct {
 // extract reads the trial's outcome into a TrialReport, honouring the
 // spec's metric selection. Everything read here is deterministic state of
 // the (single-threaded, seeded) simulation, so reports are byte-identical
-// however the surrounding grid was scheduled.
+// however the surrounding grid was scheduled. A sample grid's report is its
+// metric vector: Derived is computed from the same probes, recorders and
+// fault plan, but the sections no metric reads (Series, CoreUtil, Faults,
+// Trace, Timeline) are never built.
 func (s *Spec) extract(m *sim.Machine, states []*entryState, att *probe.Attachment, rec *dtrace.Recorder, tlrec *timeline.Recorder, tf trialFaults, c cell) TrialReport {
+	full := !s.sampleGrid
 	rep := TrialReport{
 		Name:      c.name,
 		Cores:     c.cores,
@@ -592,58 +596,64 @@ func (s *Spec) extract(m *sim.Machine, states []*entryState, att *probe.Attachme
 		}
 	}
 
-	if s.wants(MetricUtilization) {
+	if s.wants(MetricUtilization) && full {
 		rep.CoreUtil = make([]float64, len(m.Cores))
 		for i, co := range m.Cores {
 			rep.CoreUtil[i] = co.Utilization()
 		}
 	}
 
+	derive := func(name string, v float64) {
+		if rep.Derived == nil {
+			rep.Derived = map[string]float64{}
+		}
+		rep.Derived[name] = v
+	}
 	if att != nil {
 		set := att.Set()
-		set.Each(func(sr *probe.Series) {
-			rep.Series = append(rep.Series, seriesReport(sr))
-		})
+		if full {
+			set.Each(func(sr *probe.Series) {
+				rep.Series = append(rep.Series, seriesReport(sr))
+			})
+		}
 		rep.Derived = deriveSeriesMetrics(set, c.window, tf.occs)
 	}
 	if len(tf.occs) > 0 {
-		// Echo the resolved activations — Occurrences is a pure function
-		// of (plan, window), so every derived recovery metric is auditable
-		// from the report alone.
-		us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-		for _, o := range tf.occs {
-			rep.Faults = append(rep.Faults, FaultReport{
-				Kind: string(o.Kind), AtUS: us(o.At), EndUS: us(o.End), Cores: o.Cores,
-			})
+		if full {
+			// Echo the resolved activations — Occurrences is a pure function
+			// of (plan, window), so every derived recovery metric is
+			// auditable from the report alone.
+			us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+			for _, o := range tf.occs {
+				rep.Faults = append(rep.Faults, FaultReport{
+					Kind: string(o.Kind), AtUS: us(o.At), EndUS: us(o.End), Cores: o.Cores,
+				})
+			}
 		}
 		if v, ok := tf.deg.close(c.window); ok {
-			if rep.Derived == nil {
-				rep.Derived = map[string]float64{}
-			}
-			rep.Derived[MetricDegradedOpsPerSec] = v
+			derive(MetricDegradedOpsPerSec, v)
 		}
 	}
 	if rec != nil {
 		_ = rec.Close() // in-memory sink: Close cannot fail
 		hr := rec.Headroom()
-		rep.Trace = &TraceReport{Summary: rec.Summary(), Headroom: hr}
-		rep.TraceData = rec.Bytes()
+		if full {
+			rep.Trace = &TraceReport{Summary: rec.Summary(), Headroom: hr}
+			rep.TraceData = rec.Bytes()
+		}
 		if hr.Wakes > 0 {
-			if rep.Derived == nil {
-				rep.Derived = map[string]float64{}
-			}
-			rep.Derived[MetricHeadroomPct] = hr.Pct
+			derive(MetricHeadroomPct, hr.Pct)
 		}
 	}
 	if tlrec != nil {
 		tlrec.Close()
 		sum := tlrec.Summary()
-		rep.Timeline = &TimelineReport{
-			Summary: sum,
-			Classes: tlrec.Classes(),
-			Worst:   tlrec.Worst(),
-		}
-		if !s.sampleGrid {
+		if full {
+			rep.Timeline = &TimelineReport{
+				Summary: sum,
+				Classes: tlrec.Classes(),
+				Worst:   tlrec.Worst(),
+			}
 			// Replay the trial's probe series as Perfetto counter tracks;
 			// the export gates them on the spec's track selection.
 			var counters []timeline.CounterTrack
@@ -654,14 +664,11 @@ func (s *Spec) extract(m *sim.Machine, states []*entryState, att *probe.Attachme
 			rep.TimelineData = tlrec.AppendPerfetto(nil, counters)
 		}
 		if sum.SpanNS > 0 {
-			if rep.Derived == nil {
-				rep.Derived = map[string]float64{}
-			}
-			rep.Derived[MetricRunFrac] = sum.RunFrac
-			rep.Derived[MetricWaitFrac] = sum.WaitFrac
-			rep.Derived[MetricSleepFrac] = sum.SleepFrac
+			derive(MetricRunFrac, sum.RunFrac)
+			derive(MetricWaitFrac, sum.WaitFrac)
+			derive(MetricSleepFrac, sum.SleepFrac)
 			if sum.Wakeups > 0 {
-				rep.Derived[MetricSchedLatencyP99US] = sum.LatencyP99US
+				derive(MetricSchedLatencyP99US, sum.LatencyP99US)
 			}
 		}
 	}

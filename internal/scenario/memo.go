@@ -22,9 +22,9 @@ import (
 //
 //  1. cachePrefix (once per Compile): everything cells share — the workload
 //     mix, metric selection, series/trace/timeline/fault blocks, the
-//     spec-level window, whether the spec is a sample grid (its trials
-//     carry no streams, so they must not answer a plain run, nor a plain
-//     run's them), and the format versions of every byte stream that rides
+//     spec-level window, whether the spec is a sample grid (its trials are
+//     metric vectors without streams, so they must not answer a plain run,
+//     nor a plain run's them), and the format versions of every byte stream that rides
 //     the report (the schema salt).
 //  2. cellFingerprint (per cell): the sweep coordinates — cores, resolved
 //     scheduler kind + decoded parameter overrides, effective scale, the
@@ -42,8 +42,10 @@ import (
 // window flooring, ...): every old cache entry then misses, which is the
 // only safe failure mode.
 
-// memoSaltVersion versions the fingerprint computation itself.
-const memoSaltVersion = "schedbattle/trial-memo/v1"
+// memoSaltVersion versions the fingerprint computation itself. v2: a sample
+// grid's entry holds its metric vector only (compile.go, extract), so no
+// full-report sample-grid entry written under v1 is ever served.
+const memoSaltVersion = "schedbattle/trial-memo/v2"
 
 // cacheSalt folds in the format version of everything a cached entry
 // carries: the report schema, the dtrace stream format, the Perfetto
@@ -114,8 +116,9 @@ func cellFingerprint(prefix memo.Key, cores int, rs resolvedSched, scale float64
 // rather than embedded in the JSON: the dtrace and Perfetto payloads
 // dominate a traced trial's size, and base64ing them would grow every
 // entry by a third and make warm-run decode cost scale with stream size
-// instead of report size. A sample grid's trial has no streams: its two
-// stream sections are empty and the entry is the report alone.
+// instead of report size. A sample grid's trial has no streams and no
+// section a metric does not read: its two stream sections are empty and
+// the entry is the metric vector's JSON (~1 kB).
 
 // encodeTrialReport serializes one trial outcome for the cache.
 func encodeTrialReport(r TrialReport) ([]byte, error) {

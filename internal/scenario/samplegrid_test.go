@@ -13,10 +13,11 @@ import (
 	"repro/internal/runner"
 )
 
-// Sample grids (Spec.WithSeeds) run their recorders in accounting mode.
-// These tests pin the mode's contract: everything a replication is read
-// for equals the plain spec's, nothing of a stream exists, and the two
-// modes never answer each other out of a cache.
+// Sample grids (Spec.WithSeeds) run their recorders in accounting mode and
+// report metric vectors. These tests pin the mode's contract: everything a
+// replication is read for equals the plain spec's, no section a metric does
+// not read and nothing of a stream exists, and the two modes never answer
+// each other out of a cache.
 
 // recorded returns sp with trace and timeline blocks where it has none, as
 // the CLI's -trace/-timeline enable them, so every bundled scenario
@@ -33,20 +34,11 @@ func recorded(sp *Spec) *Spec {
 	return &cp
 }
 
-// streamless clears from a plain trial what a sample-grid trial does not
-// carry: the streams and the three summary fields that measure them.
-func streamless(tr TrialReport) TrialReport {
+// metricVector clears from a plain trial what a sample-grid trial does not
+// carry: the five sections no metric reads and the two streams.
+func metricVector(tr TrialReport) TrialReport {
+	tr.Series, tr.CoreUtil, tr.Faults, tr.Trace, tr.Timeline = nil, nil, nil, nil, nil
 	tr.TraceData, tr.TimelineData = nil, nil
-	if tr.Trace != nil {
-		cp := *tr.Trace
-		cp.Summary.Bytes, cp.Summary.Dropped = 0, 0
-		tr.Trace = &cp
-	}
-	if tr.Timeline != nil {
-		cp := *tr.Timeline
-		cp.Summary.DroppedEvents = 0
-		tr.Timeline = &cp
-	}
 	return tr
 }
 
@@ -69,10 +61,11 @@ func mustMarshal(t *testing.T, v any) []byte {
 }
 
 // TestSampleGridEqualsPlainRun: every bundled scenario, both engines —
-// the replicated view's trials equal the plain run's at the same seeds in
-// every metric, derived value, headroom verdict, summary count, class
-// account and worst-wakeup entry, carry no stream, conserve time, and do
-// not depend on the pool width.
+// the replicated view's trials are the plain run's at the same seeds with
+// Series, CoreUtil, Faults, Trace, Timeline and both streams dropped: the
+// same metric set, every metric bit-equal, identity, Throughput, Latency,
+// Counters and Derived JSON-equal; they conserve time and do not depend on
+// the pool width.
 func TestSampleGridEqualsPlainRun(t *testing.T) {
 	specs, err := Builtin()
 	if err != nil {
@@ -105,8 +98,15 @@ func TestSampleGridEqualsPlainRun(t *testing.T) {
 				}
 				for i := range plain.Trials {
 					p, g := &plain.Trials[i], &grid.Trials[i]
-					if len(p.TraceData) == 0 || len(p.TimelineData) == 0 || p.Trace.Summary.Bytes == 0 {
-						t.Fatalf("%s: plain run carries no streams", p.Name)
+					if len(p.TraceData) == 0 || len(p.TimelineData) == 0 || p.Trace == nil || p.Timeline == nil {
+						t.Fatalf("%s: plain run carries no streams or summaries", p.Name)
+					}
+					if (len(sp.Faults) > 0 && len(p.Faults) == 0) || (sp.Series != nil && len(p.Series) == 0) {
+						t.Fatalf("%s: plain run echoes no faults or series", p.Name)
+					}
+					if g.Series != nil || g.CoreUtil != nil || g.Faults != nil || g.Trace != nil || g.Timeline != nil {
+						t.Fatalf("%s: replicated trial carries a section no metric reads: %d series, %d utilizations, %d faults, trace %v, timeline %v",
+							g.Name, len(g.Series), len(g.CoreUtil), len(g.Faults), g.Trace != nil, g.Timeline != nil)
 					}
 					if g.TraceData != nil || g.TimelineData != nil {
 						t.Fatalf("%s: replicated trial carries %d trace and %d timeline bytes",
@@ -117,20 +117,19 @@ func TestSampleGridEqualsPlainRun(t *testing.T) {
 					}
 					for _, d := range p.Metrics() {
 						pv, _ := p.MetricValue(d.Name)
-						if gv, ok := g.MetricValue(d.Name); !ok || gv != pv {
+						if gv, ok := g.MetricValue(d.Name); !ok || math.Float64bits(gv) != math.Float64bits(pv) {
 							t.Errorf("%s: %s = %v replicated, %v plain", p.Name, d.Name, gv, pv)
 						}
 					}
-					// Derived, Trace.Headroom, both Summaries less the stream
-					// sizes, Classes, Worst — and every other section — at once.
-					if a, b := mustMarshal(t, streamless(*p)), mustMarshal(t, *g); !bytes.Equal(a, b) {
-						t.Fatalf("%s: replicated report differs from the plain one beyond the stream sizes:\nplain: %s\ngrid:  %s",
+					// Identity, Throughput, Latency, Counters and Derived at once.
+					if a, b := mustMarshal(t, metricVector(*p)), mustMarshal(t, *g); !bytes.Equal(a, b) {
+						t.Fatalf("%s: replicated report differs from the plain one beyond the dropped sections:\nplain: %s\ngrid:  %s",
 							p.Name, firstDiff(a, b), firstDiff(b, a))
 					}
-					sum := g.Timeline.Summary
-					if sum.SpanNS <= 0 || math.Abs(sum.RunFrac+sum.WaitFrac+sum.SleepFrac-1) > 1e-9 {
-						t.Errorf("%s: run %v + wait %v + sleep %v of span %d does not conserve",
-							g.Name, sum.RunFrac, sum.WaitFrac, sum.SleepFrac, sum.SpanNS)
+					d := g.Derived
+					if sum := d[MetricRunFrac] + d[MetricWaitFrac] + d[MetricSleepFrac]; math.Abs(sum-1) > 1e-9 {
+						t.Errorf("%s: run %v + wait %v + sleep %v does not conserve",
+							g.Name, d[MetricRunFrac], d[MetricWaitFrac], d[MetricSleepFrac])
 					}
 				}
 			})

@@ -64,14 +64,16 @@ func (s *Spec) ReplicationSeeds(n int) []int64 {
 // its own fresh slice, leaving the original's untouched.
 //
 // The copy is a sample grid: replications are read through
-// TrialReport.MetricValue, never through their streams, so its trace and
-// timeline blocks attach their recorders in accounting mode
-// (dtrace.AttachAccounting, timeline.AttachAccounting). Every metric,
-// count, headroom verdict, time-in-state account, latency quantile and
-// worst-wakeup entry equals the plain spec's at the same seed; TraceData
-// and TimelineData are nil and Trace.Summary.Bytes/Dropped and
-// Timeline.Summary.DroppedEvents read 0. Streams come from running the
-// plain spec (`schedbattle -scenario`); the two never share a cache entry.
+// TrialReport.Metrics and MetricValue, so each trial report is its metric
+// vector. It keeps the identity fields (Name, Cores, Scheduler, Seed,
+// Scale, WindowS, Events), Throughput, Latency, Counters and Derived, each
+// equal to the plain spec's at the same seed (Derived is still computed
+// from the trial's probes, recorders and fault plan); Series, CoreUtil,
+// Faults, Trace, Timeline, TraceData and TimelineData are never built. Its
+// trace and timeline blocks attach their recorders in accounting mode
+// (dtrace.AttachAccounting, timeline.AttachAccounting). Series, summaries
+// and streams come from running the plain spec (`schedbattle -scenario`);
+// the two never share a cache entry.
 func (s *Spec) WithSeeds(seeds []int64) *Spec {
 	clone := *s
 	clone.sampleGrid = true

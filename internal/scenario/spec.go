@@ -76,8 +76,10 @@ type Spec struct {
 	validated bool
 	// sampleGrid marks the view WithSeeds returns: a replicated grid read
 	// for its metrics only. Its trace and timeline recorders attach in
-	// accounting mode and its trials carry no streams (samples.go); the
-	// flag is part of the cell fingerprint (memo.go).
+	// accounting mode and its trial reports are metric vectors — identity,
+	// Throughput, Latency, Counters, Derived; no series, summaries or
+	// streams (samples.go, extract); the flag is part of the cell
+	// fingerprint (memo.go).
 	sampleGrid bool
 }
 

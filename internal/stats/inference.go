@@ -127,53 +127,76 @@ func BootstrapMeanCI(xs []float64, conf float64, iters int, seed int64) (lo, hi 
 	if hiIdx >= iters {
 		hiIdx = iters - 1
 	}
-	// Only two order statistics are read, so select them rather than sort:
-	// the upper, then the lower within what that left below it. Means that
+	// Only two order statistics are read, and both sit in the tails, so
+	// they are taken from heaps of the tails rather than a sort. Means that
 	// compare equal are the same bits (a resample sum is never -0), so this
 	// returns exactly what sorting would; NaN has no order to select by.
 	if hasNaN {
 		sort.Float64s(means)
-	} else {
-		selectKth(means, hiIdx)
-		selectKth(means[:hiIdx+1], loIdx)
+		return means[loIdx], means[hiIdx]
 	}
-	return means[loIdx], means[hiIdx]
+	return tails(means, loIdx, hiIdx)
 }
 
-// selectKth rearranges a, which must hold no NaN, so that a[k] is the
-// value sorting would put there, with nothing larger before it and nothing
-// smaller after: quickselect on a median-of-three pivot, ranges under 16
-// finished by sorting them (an insertion sort at that size).
-func selectKth(a []float64, k int) {
-	lo, hi := 0, len(a)-1
-	for hi-lo >= 16 {
-		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
-		pivot := max(min(x, y), min(max(x, y), z))
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < pivot {
-				i++
-			}
-			for a[j] > pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		// a[lo..j] <= pivot <= a[i..hi], and anything between is the pivot.
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return
+// tails returns the values sorting a, which must hold no NaN, would put at
+// lo and hi (lo ≤ hi), and reorders a. A max-heap in a[:lo+1] keeps the
+// lo+1 smallest values met so far, so its root ends as the lower one; the
+// rest, a[lo+1:], then holds every larger value, and a min-heap at its end
+// keeps the len(a)-hi largest of them, whose root is the upper one. At the
+// gate's 1 000 resamples and 95 % each heap holds 26 of them.
+func tails(a []float64, lo, hi int) (float64, float64) {
+	small := a[:lo+1]
+	for i := len(small)/2 - 1; i >= 0; i-- {
+		siftDown(small, i, true)
+	}
+	for i := len(small); i < len(a); i++ {
+		if a[i] < small[0] {
+			small[0], a[i] = a[i], small[0]
+			siftDown(small, 0, true)
 		}
 	}
-	sort.Float64s(a[lo : hi+1])
+	if hi == lo {
+		return small[0], small[0]
+	}
+	rest := a[lo+1:]
+	large := rest[len(rest)-(len(a)-hi):]
+	for i := len(large)/2 - 1; i >= 0; i-- {
+		siftDown(large, i, false)
+	}
+	for i := range rest[:len(rest)-len(large)] {
+		if rest[i] > large[0] {
+			large[0], rest[i] = rest[i], large[0]
+			siftDown(large, 0, false)
+		}
+	}
+	return small[0], large[0]
+}
+
+// siftDown restores the heap property below h[i], in a max-heap or a
+// min-heap.
+func siftDown(h []float64, i int, maxHeap bool) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && above(h[c+1], h[c], maxHeap) {
+			c++
+		}
+		if !above(h[c], h[i], maxHeap) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// above reports whether x belongs strictly above y in the heap.
+func above(x, y float64, maxHeap bool) bool {
+	if maxHeap {
+		return x > y
+	}
+	return x < y
 }
 
 // bootPool recycles bootstrap resample buffers across BootstrapMeanCI

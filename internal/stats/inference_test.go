@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -108,14 +107,37 @@ func TestBootstrapMeanCIPooledScratchIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestBootstrapMeanCIMatchesSorting holds the selecting BootstrapMeanCI to
-// the sorting one it replaced, bit for bit, over 10 000 random cases: few
-// and many values, heavy ties (so that most resample means coincide),
-// infinities and signed zeros, NaN (the sorting fallback), every iteration
-// count around the insertion-sort cutoff, and confidences in and out of
-// range.
+// TestBootstrapMeanCIMatchesSorting holds BootstrapMeanCI, which reads its
+// two order statistics off heaps of the tails, to the sorting one it
+// replaced, bit for bit. First the shapes battles use — iters 1 000, 1 001,
+// 2 000 and 10 000 × 2, 5 and 10 values × confidence 0.8, 0.9, 0.95 and
+// 0.99 — and confidences so low that the two heaps together hold about all
+// of the means. Then 10 000 random cases: few and many values, heavy ties
+// (so that most resample means coincide), infinities and signed zeros, NaN
+// (the sorting fallback), small iteration counts (heaps of one or two),
+// and confidences in and out of range.
 func TestBootstrapMeanCIMatchesSorting(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
+	check := func(xs []float64, conf float64, iters int, seed int64) {
+		t.Helper()
+		lo, hi := BootstrapMeanCI(xs, conf, iters, seed)
+		wlo, whi := bootstrapMeanCISorted(xs, conf, iters, seed)
+		if math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) {
+			t.Fatalf("xs %v conf %g iters %d seed %d: [%g, %g], sorting gives [%g, %g]",
+				xs, conf, iters, seed, lo, hi, wlo, whi)
+		}
+	}
+	for _, iters := range []int{1000, 1001, 2000, 10000} {
+		for _, n := range []int{2, 5, 10} {
+			for _, conf := range []float64{0.8, 0.9, 0.95, 0.99, 0.01, 0.003, 0.001, 1e-9} {
+				xs := make([]float64, n)
+				for i := range xs {
+					xs[i] = 90 + rng.NormFloat64()
+				}
+				check(xs, conf, iters, rng.Int63())
+			}
+		}
+	}
 	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e300}
 	for c := 0; c < 10000; c++ {
 		xs := make([]float64, 2+rng.Intn(12))
@@ -137,52 +159,29 @@ func TestBootstrapMeanCIMatchesSorting(t *testing.T) {
 			iters = 1 + rng.Intn(3000)
 		}
 		conf := []float64{0.95, 0.9, 0.5, 0.999, 0.01, rng.Float64(), 0, 1, -1}[rng.Intn(9)]
-		seed := rng.Int63() - 1<<62
-		lo, hi := BootstrapMeanCI(xs, conf, iters, seed)
-		wlo, whi := bootstrapMeanCISorted(xs, conf, iters, seed)
-		if math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) {
-			t.Fatalf("case %d: xs %v conf %g iters %d seed %d: [%g, %g], sorting gives [%g, %g]",
-				c, xs, conf, iters, seed, lo, hi, wlo, whi)
-		}
+		check(xs, conf, iters, rng.Int63()-1<<62)
 	}
 }
 
-// TestSelectKth: the selected position holds what sorting puts there and
-// splits the rest around it, for every k of inputs on both sides of the
-// insertion-sort cutoff, with and without ties.
-func TestSelectKth(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, n := range []int{1, 2, 15, 16, 17, 18, 100, 1000} {
-		for _, distinct := range []int{1, 3, n, 1 << 30} {
-			src := make([]float64, n)
-			for i := range src {
-				src[i] = float64(rng.Intn(distinct))
-			}
-			want := append([]float64(nil), src...)
-			sort.Float64s(want)
-			for k := 0; k < n; k += 1 + n/50 {
-				a := append([]float64(nil), src...)
-				selectKth(a, k)
-				if a[k] != want[k] {
-					t.Fatalf("n %d distinct %d k %d: selected %g, sorted has %g", n, distinct, k, a[k], want[k])
-				}
-				for i, v := range a {
-					if (i < k && v > a[k]) || (i > k && v < a[k]) {
-						t.Fatalf("n %d distinct %d k %d: a[%d] = %g on the wrong side of %g", n, distinct, k, i, v, a[k])
-					}
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkBootstrapMeanCI tracks the inference hot path's allocation
-// behavior: with the pooled resample scratch the steady state must not
-// allocate per call (b.ReportAllocs makes regressions visible).
+// BenchmarkBootstrapMeanCI times one interval and tracks the inference hot
+// path's allocation behavior: with the pooled resample scratch the steady
+// state must not allocate per call (b.ReportAllocs makes regressions
+// visible). "gate" is the shape the -check gate computes thousands of
+// times (five seeds, 1 000 resamples); "wide" is ten values at 10 000.
 func BenchmarkBootstrapMeanCI(b *testing.B) {
-	xs := []float64{91.2, 88.7, 90.1, 89.9, 92.4, 87.3, 90.8, 91.5, 89.2, 90.4}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		BootstrapMeanCI(xs, 0.95, 10000, int64(i))
+	for _, bc := range []struct {
+		name  string
+		xs    []float64
+		iters int
+	}{
+		{"gate", []float64{91.2, 88.7, 90.1, 89.9, 92.4}, 1000},
+		{"wide", []float64{91.2, 88.7, 90.1, 89.9, 92.4, 87.3, 90.8, 91.5, 89.2, 90.4}, 10000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BootstrapMeanCI(bc.xs, 0.95, bc.iters, int64(i))
+			}
+		})
 	}
 }

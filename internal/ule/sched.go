@@ -39,8 +39,6 @@ type tdq struct {
 	// whole load metric ("the load of a core is simply defined as the
 	// number of threads currently runnable on this core").
 	load int
-	// ticks counts scheduler ticks on this core.
-	ticks int
 	// softPreempt records that a higher-priority thread was enqueued from
 	// this core's context (sched_setpreempt's TDF_NEEDRESCHED): honoured
 	// at the next tick, never immediately — "full preemption is disabled".
@@ -354,7 +352,6 @@ func (s *Sched) CheckPreempt(c *sim.Core, t *sim.Thread, flags int) bool {
 // the running thread, recompute its priority, and expire its slice.
 func (s *Sched) Tick(c *sim.Core, curr *sim.Thread) {
 	q := &s.tdqs[c.ID]
-	q.ticks++
 	q.timeshare.Advance()
 	if curr == nil {
 		// tdq_idled runs from the idle loop; retry stealing each tick. A
