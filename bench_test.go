@@ -157,8 +157,8 @@ func BenchmarkAblation_ULEFullPreempt(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures raw engine speed: simulated
 // seconds per wall second on a busy 32-core machine, plus the engine event
-// rate (the same numerator `schedbattle -perf` writes to
-// BENCH_engine.json).
+// rate (Machine.EventsProcessed, the numerator of the benchmark's
+// sim.events_per_s).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {

@@ -19,7 +19,7 @@
 //	schedbattle -battle web-tail -scale 0.1 -out battle.json -md battle.md
 //	schedbattle -battle all -scale 0.05 -replications 5 -baseline baselines/ci.json
 //	schedbattle -check -baseline baselines/ci.json -md battle-report.md
-//	schedbattle -perf
+//	schedbattle -scenario web-tail -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -28,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -36,19 +37,21 @@ import (
 	"repro/internal/memo"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole CLI. It returns the exit status instead of exiting, so
+// the deferred profile writers finish on every path.
+func run() (status int) {
 	var (
 		list       = flag.Bool("list", false, "list experiments and exit")
-		run        = flag.String("run", "", "experiment id to run")
+		runID      = flag.String("run", "", "experiment id to run")
 		all        = flag.Bool("all", false, "run every experiment")
 		scale      = flag.Float64("scale", 1.0, "duration scale in (0,1]: 1.0 = paper-sized")
 		seriesDir  = flag.String("series", "", "with -run/-all: directory for gnuplot series files; with -scenario: path for the probe-series CSV export")
 		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "trial-grid worker pool width")
 		seed       = flag.Int64("seed", 0, "base-seed perturbation for every trial (0 = the paper-tuned seeds)")
-		engine     = flag.String("engine", "wheel", "event queue engine, \"wheel\" or \"heap\" (outputs must be byte-identical — the crossval escape hatch)")
 		trialTmo   = flag.Duration("trial-timeout", 0, "per-trial wall-clock watchdog (0 = off): a stuck trial fails itself instead of wedging the grid")
 		out        = flag.String("out", "", "write a structured JSON report to this file (\"-\" = stdout)")
 		scen       = flag.String("scenario", "", "run a scenario: bundled name or path to a .json spec")
@@ -62,15 +65,8 @@ func main() {
 		mdOut      = flag.String("md", "", "write the markdown battle matrix to this file (default: stdout)")
 		baseline   = flag.String("baseline", "", "with -battle: write a baseline snapshot here; with -check: the baseline to gate against")
 		check      = flag.Bool("check", false, "re-run the -baseline file's scenarios and exit non-zero on significant regressions")
-		perf       = flag.Bool("perf", false, "run the engine perf harness and write -perf-out")
-		perfOut    = flag.String("perf-out", "BENCH_engine.json", "engine perf harness output file")
-		perfIters  = flag.Int("perf-iters", 5, "perf harness repetitions per scenario (best run is reported)")
-		perfCheck  = flag.Bool("perf-check", false, "re-time the perf scenarios and fail on events/sec regressions beyond -perf-tolerance vs the committed -perf-out trajectory")
-		perfTol    = flag.Float64("perf-tolerance", 0.10, "with -perf-check: allowed events/sec regression fraction")
-		perfLabel  = flag.String("perf-label", "", "perf harness trajectory label (default: short git head or \"dev\")")
-		perfEngine = flag.String("perf-engine", "wheel", "with -perf: event queue to time, \"wheel\" or \"heap\" (A/B the engines on one machine)")
-		cpuProf    = flag.String("cpuprofile", "", "with -perf: write a pprof CPU profile of the timed runs here")
-		memProf    = flag.String("memprofile", "", "with -perf: write a pprof heap profile taken after the timed runs here")
+		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run here")
+		memProf    = flag.String("memprofile", "", "write a pprof allocation profile, taken when the run finishes, here")
 		cacheDir   = flag.String("cache", "", "persist the trial-result cache in this directory: re-runs of identical trials load stored results instead of simulating")
 		noCache    = flag.Bool("no-cache", false, "disable trial-result memoization (in-grid dedup of identical cells stays)")
 		cacheStats = flag.Bool("cache-stats", false, "print trial-cache hit/miss statistics to stderr when the run finishes")
@@ -91,58 +87,46 @@ func main() {
 		} {
 			if f.set {
 				fmt.Fprintf(os.Stderr, "schedbattle: %s does nothing beside -check or -battle (replicated grids keep no per-trial streams): use it only with -scenario\n", f.name)
-				os.Exit(2)
+				return 2
 			}
 		}
 	}
 
-	if *perf || *perfCheck {
-		opt := perfOptions{
-			iters: *perfIters, label: *perfLabel, engine: *perfEngine,
-			cpuProfile: *cpuProf, memProfile: *memProf,
-		}
-		var err error
-		if *perfCheck {
-			err = runPerfCheck(*perfOut, opt, *perfTol)
-		} else {
-			err = runPerf(*perfOut, opt)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "schedbattle: perf: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "schedbattle: %v\n", err)
+		return 2
 	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "schedbattle: %v\n", err)
+			if status == 0 {
+				status = 1
+			}
+		}
+	}()
 
 	if *list {
 		for _, e := range core.Experiments() {
 			fmt.Printf("%-18s %s\n", e.ID, e.Title)
 		}
 		fmt.Printf("\nschedulers: %v\n", core.SchedulerKinds())
-		return
+		return 0
 	}
 
 	if *scenList {
 		if err := listScenarios(); err != nil {
 			fmt.Fprintf(os.Stderr, "schedbattle: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if !(*scale > 0 && *scale <= 1) {
 		fmt.Fprintf(os.Stderr, "schedbattle: -scale %g out of range: must be in (0, 1]\n", *scale)
-		os.Exit(2)
+		return 2
 	}
 
-	switch *engine {
-	case "wheel":
-	case "heap":
-		sim.SetForceEventHeap(true)
-	default:
-		fmt.Fprintf(os.Stderr, "schedbattle: -engine %q: must be \"wheel\" or \"heap\"\n", *engine)
-		os.Exit(2)
-	}
 	runner.SetWorkers(*jobs)
 	core.SetBaseSeed(*seed)
 	core.SetTrialTimeout(*trialTmo)
@@ -166,13 +150,13 @@ func main() {
 	if *noCache {
 		if *cacheDir != "" {
 			fmt.Fprintln(os.Stderr, "schedbattle: -cache and -no-cache are mutually exclusive")
-			os.Exit(2)
+			return 2
 		}
 	} else {
 		c, err := memo.New(*cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "schedbattle: opening cache %s: %v\n", *cacheDir, err)
-			os.Exit(2)
+			return 2
 		}
 		core.SetTrialCache(c)
 	}
@@ -182,12 +166,12 @@ func main() {
 		reportCacheStats()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "schedbattle: check: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		if regs > 0 {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *battleArg != "" {
@@ -196,9 +180,9 @@ func main() {
 		reportCacheStats()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "schedbattle: battle: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *scen != "" {
@@ -210,9 +194,9 @@ func main() {
 		reportCacheStats()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "schedbattle: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	var ids []string
@@ -221,12 +205,12 @@ func main() {
 		for _, e := range core.Experiments() {
 			ids = append(ids, e.ID)
 		}
-	case *run != "":
-		ids = []string{*run}
+	case *runID != "":
+		ids = []string{*runID}
 	default:
-		fmt.Fprintln(os.Stderr, "schedbattle: need -run <id>, -all, -scenario, -scenarios, -battle, -check, -perf, or -list")
+		fmt.Fprintln(os.Stderr, "schedbattle: need -run <id>, -all, -scenario, -scenarios, -battle, -check, or -list")
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	// With -out -, the JSON report owns stdout; the human-readable result
@@ -271,8 +255,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "schedbattle: %d of %d experiments failed: %v\n", len(failed), len(ids), failed)
 	}
 	if len(failed) > 0 || outErr {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // experimentIDs lists every registered experiment id.
@@ -330,4 +315,41 @@ func writeSeries(dir string, res *core.Result) error {
 		}
 	}
 	return nil
+}
+
+// startProfiles starts the -cpuprofile CPU profile and returns the function
+// that stops it and writes the -memprofile allocation profile; an empty path
+// leaves that profile off.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // settle the allocation counts up to this point
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }

@@ -105,12 +105,11 @@ func TestRunScenarioTimehistOnly(t *testing.T) {
 	}
 }
 
-// TestMain lets the tests below run the real main(): re-executed with
-// schedbattleMainEnv set, the test binary is the CLI.
+// TestMain lets the tests below run the real CLI: re-executed with
+// schedbattleMainEnv set, the test binary is schedbattle.
 func TestMain(m *testing.M) {
 	if os.Getenv(schedbattleMainEnv) == "1" {
-		main()
-		os.Exit(0)
+		os.Exit(run())
 	}
 	os.Exit(m.Run())
 }
@@ -155,5 +154,37 @@ func TestReplicatedModesRejectStreamFlags(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(dir); len(left) != 0 {
 		t.Fatalf("refused runs left %d files behind", len(left))
+	}
+}
+
+// TestProfilesInEveryMode: -cpuprofile and -memprofile write complete
+// gzipped pprof files whatever the mode, also when the run exits non-zero.
+func TestProfilesInEveryMode(t *testing.T) {
+	modes := map[string]struct {
+		args []string
+		exit int
+	}{
+		"scenario":      {[]string{"-scenario", "web-tail", "-scale", "0.02"}, 0},
+		"check":         {[]string{"-check", "-baseline", "../../baselines/ci.json", "-jobs", "2"}, 0},
+		"check-failing": {[]string{"-check", "-baseline", "no-such-baseline.json"}, 2},
+	}
+	for mode, m := range modes {
+		t.Run(mode, func(t *testing.T) {
+			dir := t.TempDir()
+			cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+			cmd := exec.Command(os.Args[0], append(m.args, "-cpuprofile", cpu, "-memprofile", mem)...)
+			cmd.Env = append(os.Environ(), schedbattleMainEnv+"=1")
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			if cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != m.exit {
+				t.Fatalf("exit: %v, want status %d; stderr: %s", err, m.exit, stderr.String())
+			}
+			for _, p := range []string{cpu, mem} {
+				if b, err := os.ReadFile(p); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+					t.Errorf("%s is not a gzip file (%d bytes, %v)", filepath.Base(p), len(b), err)
+				}
+			}
+		})
 	}
 }

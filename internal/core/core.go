@@ -56,9 +56,6 @@ type MachineConfig struct {
 	TraceCapacity int
 	// KernelNoise starts per-core kworker threads (multicore experiments).
 	KernelNoise bool
-	// UseEventHeap runs the machine on the binary-heap event queue instead
-	// of the timer wheel (byte-identical outputs; wheel cross-validation).
-	UseEventHeap bool
 }
 
 // Topology returns the topo for the configured core count.
@@ -91,7 +88,6 @@ func NewMachine(mc MachineConfig) *sim.Machine {
 		Seed:          mc.Seed,
 		Cost:          mc.Cost,
 		TraceCapacity: mc.TraceCapacity,
-		UseEventHeap:  mc.UseEventHeap,
 	})
 	if mc.KernelNoise {
 		apps.StartKernelNoise(m, 15*time.Millisecond, 300*time.Microsecond)

@@ -112,13 +112,6 @@ func TestDeterminism(t *testing.T) {
 	if !bytes.Equal(r1.Bytes(), r2.Bytes()) {
 		t.Fatal("identical runs produced different traces")
 	}
-	// The heap engine must produce the byte-identical trace.
-	sim.SetForceEventHeap(true)
-	defer sim.SetForceEventHeap(false)
-	r3, _ := record(t, Options{})
-	if !bytes.Equal(r1.Bytes(), r3.Bytes()) {
-		t.Fatal("wheel and heap engines produced different traces")
-	}
 }
 
 func TestColumnSelection(t *testing.T) {

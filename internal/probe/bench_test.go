@@ -5,9 +5,8 @@ package probe_test
 // the hook-instrumented engine — it must stay at 0 allocs/op and within
 // noise (<2%) of internal/sim's BenchmarkEngineEvents, proving the
 // no-probes fast path is a nil check — while "attached" carries every
-// built-in probe at the default cadence, pricing real telemetry.
-// Recorded alongside the engine scenarios in BENCH_engine.json
-// (`schedbattle -perf`).
+// built-in probe at the default cadence, pricing real telemetry. The
+// benchmark's probe.on_cost is the same contrast end to end.
 
 import (
 	"testing"

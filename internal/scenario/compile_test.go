@@ -47,6 +47,24 @@ func reportBytes(t *testing.T, sp *Spec, scale float64) []byte {
 	return out
 }
 
+// firstDiff returns a window of a around the first byte where a and b
+// diverge, for a readable failure message.
+func firstDiff(a, b []byte) []byte {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	lo := i - 60
+	if lo < 0 {
+		lo = 0
+	}
+	hi := i + 60
+	if hi > len(a) {
+		hi = len(a)
+	}
+	return a[lo:hi]
+}
+
 // TestReportByteIdenticalAcrossJobs is the engine's core guarantee: the
 // same spec and seed produce byte-identical reports whatever the worker
 // pool width.

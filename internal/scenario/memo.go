@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dtrace"
 	"repro/internal/memo"
-	"repro/internal/sim"
 	"repro/internal/timeline"
 )
 
@@ -28,10 +27,9 @@ import (
 //     the report (the schema salt).
 //  2. cellFingerprint (per cell): the sweep coordinates — cores, resolved
 //     scheduler kind + decoded parameter overrides, effective scale, the
-//     cell's seed-axis value — plus the process-wide knobs trial outcomes
+//     cell's seed-axis value — plus the process-wide knob trial outcomes
 //     depend on: the CLI base-seed perturbation (it feeds open-loop arrival
-//     streams directly, not just via the resolved machine seed) and the
-//     engine selection override.
+//     streams directly, not just via the resolved machine seed).
 //  3. core.RunTrialsErr folds in the RESOLVED machine seed (memo.Derive)
 //     after occurrence-based seed resolution — same-named cells on the
 //     derived-seed path draw distinct seeds, so compile time is too early
@@ -77,7 +75,7 @@ func (s *Spec) cachePrefix() (memo.Key, bool) {
 }
 
 // cellFingerprint folds one sweep cell's coordinates and the process-wide
-// outcome-affecting knobs into the spec prefix. seed is the cell's
+// base-seed perturbation into the spec prefix. seed is the cell's
 // seed-axis value, not the resolved machine seed — core folds that in
 // after resolution.
 func cellFingerprint(prefix memo.Key, cores int, rs resolvedSched, scale float64, seed int64) (memo.Key, bool) {
@@ -98,7 +96,6 @@ func cellFingerprint(prefix memo.Key, cores int, rs resolvedSched, scale float64
 		Float(scale).
 		Int(seed).
 		Int(core.BaseSeed()).
-		Bool(sim.ForceEventHeap()).
 		Sum(), true
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memo"
-	"repro/internal/sim"
 )
 
 // memoBaseSpec builds a small but block-complete spec — workload, metrics,
@@ -98,7 +97,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		seen[k] = name
 	}
 
-	// CLI scale and the process-wide knobs move the key too. (The CLI
+	// CLI scale and the process-wide base seed move the key too. (The CLI
 	// scale is fingerprinted as the EFFECTIVE per-cell scale, so cli 0.25
 	// over axis [1] deliberately equals the scale-axis mutation's cli 0.5
 	// over axis [0.5] — same trial, same key.)
@@ -110,12 +109,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 	core.SetBaseSeed(0)
 	if kBase == base {
 		t.Error("base-seed perturbation did not move the fingerprint")
-	}
-	prev := sim.SetForceEventHeap(true)
-	kHeap := firstKey(t, memoBaseSpec(), 0.5)
-	sim.SetForceEventHeap(prev)
-	if kHeap == base {
-		t.Error("engine selection did not move the fingerprint")
 	}
 }
 

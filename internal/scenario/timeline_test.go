@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/timeline"
 )
 
@@ -119,38 +118,6 @@ func TestTimelineDeterminismAcrossJobs(t *testing.T) {
 		}
 		if !bytes.Equal(d1, j8[name]) {
 			t.Errorf("%s: timeline bytes differ between -jobs 1 and -jobs 8", name)
-		}
-	}
-}
-
-// TestTimelineEngineCrossValidation: identical timeline bytes whether the
-// sim runs on the timer wheel or the binary event heap.
-func TestTimelineEngineCrossValidation(t *testing.T) {
-	sp, err := Parse("mini-timeline.json", []byte(timelineSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	collect := func() map[string][]byte {
-		rep, err := sp.Run(0.25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := map[string][]byte{}
-		for i := range rep.Trials {
-			out[rep.Trials[i].Name] = rep.Trials[i].TimelineData
-		}
-		return out
-	}
-	wheel := collect()
-	sim.SetForceEventHeap(true)
-	defer sim.SetForceEventHeap(false)
-	heap := collect()
-	for name, w := range wheel {
-		if len(w) == 0 {
-			t.Fatalf("%s: empty timeline data", name)
-		}
-		if !bytes.Equal(w, heap[name]) {
-			t.Errorf("%s: timeline bytes differ between wheel and heap engines", name)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dtrace"
 	"repro/internal/runner"
-	"repro/internal/sim"
 )
 
 // traceSpec is a small scenario with a full trace block: an open-loop
@@ -132,38 +131,6 @@ func TestTraceDeterminismAcrossJobs(t *testing.T) {
 	}
 	if !bytes.HasPrefix(j1.csv, []byte("trial,"+dtrace.CSVHeader+"\n")) {
 		t.Fatalf("trace CSV header malformed:\n%s", j1.csv[:80])
-	}
-}
-
-// TestTraceEngineCrossValidation: identical trace bytes whether the sim
-// runs on the timer wheel or the binary event heap.
-func TestTraceEngineCrossValidation(t *testing.T) {
-	sp, err := Parse("mini-trace.json", []byte(traceSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	collect := func() map[string][]byte {
-		rep, err := sp.Run(0.25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := map[string][]byte{}
-		for i := range rep.Trials {
-			out[rep.Trials[i].Name] = rep.Trials[i].TraceData
-		}
-		return out
-	}
-	wheel := collect()
-	sim.SetForceEventHeap(true)
-	defer sim.SetForceEventHeap(false)
-	heap := collect()
-	for name, w := range wheel {
-		if len(w) == 0 {
-			t.Fatalf("%s: empty trace data", name)
-		}
-		if !bytes.Equal(w, heap[name]) {
-			t.Errorf("%s: trace bytes differ between wheel and heap engines", name)
-		}
 	}
 }
 

@@ -1,9 +1,9 @@
 package sim
 
-// Engine microbenchmarks: the perf trajectory of the event core is tracked
-// from these plus BenchmarkSimulatorThroughput (repo root) and the
-// `schedbattle -perf` harness (BENCH_engine.json). Run with -benchmem: the
-// hot timer paths must report 0 allocs/op.
+// Engine microbenchmarks: the event core is timed by these plus
+// BenchmarkSimulatorThroughput (repo root) and the engine-dense workload of
+// `go run ./bench`. Run with -benchmem: the hot timer paths must report 0
+// allocs/op.
 
 import (
 	"fmt"

@@ -474,7 +474,7 @@ func TestTickGridPreservedAcrossIdle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, heap := range []bool{false, true} {
 				s := &tickLogFIFO{FIFO: NewFIFO()}
-				m := NewMachine(tp, s, Options{Seed: 7, Cost: &CostModel{}, UseEventHeap: heap})
+				m := newMachineOn(heap, tp, s, Options{Seed: 7, Cost: &CostModel{}})
 				m.StartThreadCfg(ThreadConfig{Name: "busy", Group: "app", Pinned: []int{0},
 					Prog: &looper{burst: time.Millisecond}})
 				m.StartThreadCfg(ThreadConfig{Name: "onoff", Group: "app", Pinned: []int{1},
@@ -493,7 +493,7 @@ func TestTickGridPreservedAcrossIdle(t *testing.T) {
 func TestTickGridAfterOutOfDispatchStart(t *testing.T) {
 	for _, heap := range []bool{false, true} {
 		s := &tickLogFIFO{FIFO: NewFIFO()}
-		m := NewMachine(topo.SingleCore(), s, Options{Seed: 3, Cost: &CostModel{}, UseEventHeap: heap})
+		m := newMachineOn(heap, topo.SingleCore(), s, Options{Seed: 3, Cost: &CostModel{}})
 		m.StartThread("a", "app", 0, &script{ops: []Op{Run(500 * time.Microsecond)}})
 		m.Run(3 * time.Millisecond) // a exits at 0.5ms; the machine idles to 3ms
 		m.StartThread("b", "app", 0, &script{ops: []Op{Run(1500 * time.Microsecond)}})
@@ -510,7 +510,7 @@ func TestTickGridAfterOutOfDispatchStart(t *testing.T) {
 func TestIdleMachineTicksEveryCore(t *testing.T) {
 	for _, heap := range []bool{false, true} {
 		s := &tickLogFIFO{FIFO: NewFIFO()}
-		m := NewMachine(topo.Small(), s, Options{Seed: 1, UseEventHeap: heap})
+		m := newMachineOn(heap, topo.Small(), s, Options{Seed: 1})
 		m.Run(time.Second)
 		// Core i's grid is i/8 ms + k ms, k ≥ 1: 1000 points in (0, 1s] for
 		// core 0, 999 for the seven staggered ones.

@@ -64,8 +64,8 @@ type event struct {
 }
 
 // eventHeap is a binary min-heap of events ordered by (at, seq): the
-// original engine queue, kept as the cross-validation escape hatch
-// (Options.UseEventHeap) and as the timer wheel's overflow structure.
+// original engine queue, kept as the reference engine tests cross-validate
+// the wheel against (forceEventHeap) and as the wheel's overflow structure.
 type eventHeap struct {
 	es []event
 }

@@ -34,9 +34,9 @@ type Machine struct {
 	hooks *hooks
 
 	now time.Duration
-	// wheel is the default event queue; heap is the cross-validation
-	// escape hatch (Options.UseEventHeap), kept byte-equivalent by the
-	// strict (at, seq) total order both implement.
+	// wheel is the event queue; heap is the reference engine tests
+	// cross-validate it against (forceEventHeap), kept byte-equivalent by
+	// the strict (at, seq) total order both implement.
 	wheel   timerWheel
 	heap    eventHeap
 	useHeap bool
@@ -98,28 +98,15 @@ type Options struct {
 	// TraceCapacity bounds retained trace records (counts are always
 	// exact); default 0 retains counts only.
 	TraceCapacity int
-	// UseEventHeap runs the machine on the binary-heap event queue instead
-	// of the hierarchical timer wheel. Both implement the same strict
-	// (at, seq) order, so all outputs are byte-identical; the flag exists
-	// for cross-validation and A/B timing.
-	UseEventHeap bool
 }
 
-// forceEventHeap is the package-wide UseEventHeap override the
-// cross-validation suite flips to rebuild identical machines on the heap
-// engine without threading an option through every construction site.
+// forceEventHeap puts every machine built while it is set on the
+// binary-heap event queue instead of the timer wheel. The heap is the
+// reference engine: both implement the same strict (at, seq) order, so all
+// outputs are byte-identical. Only tests set it (export_test.go), to
+// rebuild identical machines on the heap without threading an option
+// through every construction site.
 var forceEventHeap atomic.Bool
-
-// SetForceEventHeap forces (or stops forcing) every subsequently built
-// machine onto the binary-heap event queue, returning the previous
-// setting. Intended for wheel-vs-heap cross-validation tests.
-func SetForceEventHeap(v bool) bool { return forceEventHeap.Swap(v) }
-
-// ForceEventHeap reports the current package-wide engine override. Trial
-// fingerprints fold it in: the engines are byte-interchangeable by
-// contract, but the trial cache must never paper over a divergence, so a
-// heap-engined run can only ever hit heap-engined entries.
-func ForceEventHeap() bool { return forceEventHeap.Load() }
 
 // NewMachine builds a machine with the given topology and scheduler and
 // attaches the scheduler. Per-core scheduler ticks start immediately.
@@ -141,7 +128,7 @@ func NewMachine(tp *topo.Topology, sched Scheduler, opts Options) *Machine {
 		nextTID:  1,
 		cbFree:   -1,
 	}
-	m.useHeap = opts.UseEventHeap || forceEventHeap.Load()
+	m.useHeap = forceEventHeap.Load()
 	// One contiguous allocation backs every core plus the dense token
 	// table: the dispatch path indexes both by core ID.
 	m.coreArr = make([]Core, tp.NCores())
@@ -286,7 +273,7 @@ func (m *Machine) fire(e *event) {
 }
 
 // EventsProcessed returns how many events the machine has dispatched — the
-// engine-throughput numerator of the perf harness.
+// engine-throughput numerator behind the benchmark's sim.events.
 func (m *Machine) EventsProcessed() uint64 { return m.events }
 
 // endRun marks the machine as outside event dispatch: anything happening

@@ -85,7 +85,7 @@ func TestRotorHeadIsArgmin(t *testing.T) {
 		for li, heap := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(int64(n)))
 			tp := topo.MustNew(topo.Config{NUMANodes: 1, LLCsPerNode: 1, CoresPerLLC: n})
-			m := NewMachine(tp, NewFIFO(), Options{Seed: 5, Cost: &CostModel{}, UseEventHeap: heap})
+			m := newMachineOn(heap, tp, NewFIFO(), Options{Seed: 5, Cost: &CostModel{}})
 			log := &popLog{t: t, m: m}
 			logs[li] = log
 			period := m.tickPeriod
@@ -150,7 +150,7 @@ func TestRotorEvictedStaleTick(t *testing.T) {
 	tp := topo.MustNew(topo.Config{NUMANodes: 1, LLCsPerNode: 1, CoresPerLLC: 2})
 	var logs [2]*popLog
 	for li, heap := range []bool{false, true} {
-		m := NewMachine(tp, NewFIFO(), Options{Seed: 1, Cost: &CostModel{}, UseEventHeap: heap})
+		m := newMachineOn(heap, tp, NewFIFO(), Options{Seed: 1, Cost: &CostModel{}})
 		log := &popLog{t: t, m: m}
 		logs[li] = log
 		m.OnTick(func(c *Core) { log.note(fmt.Sprintf("tick core %d", c.ID)) })

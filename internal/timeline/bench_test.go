@@ -31,7 +31,7 @@ func benchMachine(attach bool) (*sim.Machine, *Recorder) {
 
 // BenchmarkTimelineOverhead measures the engine with and without a
 // timeline recorder attached; the off/on delta is the flight recorder's
-// cost and feeds the pr9 BENCH_engine.json entry.
+// cost (the benchmark's timeline.on_cost prices it end to end).
 func BenchmarkTimelineOverhead(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {
