@@ -47,7 +47,8 @@ func newMachine(seed int64) *sim.Machine {
 
 // TestAllKindsInstallAndRun drives every fault kind through a live
 // machine and checks the mechanism counters. The same kinds run under the
-// timer wheel and the binary heap in internal/sim/crossval_test.go.
+// timer wheel and the binary heap in
+// internal/scenario/engine_crossval_test.go.
 func TestAllKindsInstallAndRun(t *testing.T) {
 	plan := &Plan{Events: []Event{
 		{Kind: CPUOff, At: 50 * time.Millisecond, Duration: 40 * time.Millisecond, Cores: []int{6, 7}},

@@ -32,19 +32,24 @@ const faultSpecJSON = `{
 
 // TestFaultKindsEngineCrossValidation is the fault determinism gate:
 // every fault kind, under every builtin scheduler, must produce byte-
-// identical reports at -jobs 1 and -jobs 8. The wheel-vs-heap leg runs in
-// internal/sim/crossval_test.go, over the bundled hotplug-storm and
-// noisy-neighbor scenarios, which between them use all four kinds.
+// identical reports under the timer wheel and the binary heap, and at
+// -jobs 1 and -jobs 8.
 func TestFaultKindsEngineCrossValidation(t *testing.T) {
 	sp, err := Parse("fault-mix.json", []byte(faultSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jobs1, jobs8 []byte
-	runner.WithWorkers(1, func() { jobs1 = reportBytes(t, sp, 1) })
-	runner.WithWorkers(8, func() { jobs8 = reportBytes(t, sp, 1) })
-	if !bytes.Equal(jobs1, jobs8) {
-		t.Fatalf("faulted report differs between -jobs 1 and -jobs 8:\n%s", firstDiff(jobs1, jobs8))
+	var wheel1, wheel8, heap1 []byte
+	onEngine(t, false, func() {
+		runner.WithWorkers(1, func() { wheel1 = reportBytes(t, sp, 1) })
+		runner.WithWorkers(8, func() { wheel8 = reportBytes(t, sp, 1) })
+	})
+	onEngine(t, true, func() { heap1 = reportBytes(t, sp, 1) })
+	if !bytes.Equal(wheel1, wheel8) {
+		t.Fatalf("faulted report differs between -jobs 1 and -jobs 8:\n%s", firstDiff(wheel1, wheel8))
+	}
+	if !bytes.Equal(wheel1, heap1) {
+		t.Fatalf("faulted report differs between wheel and heap:\n%s", firstDiff(wheel1, heap1))
 	}
 }
 

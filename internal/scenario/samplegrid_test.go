@@ -60,13 +60,12 @@ func mustMarshal(t *testing.T, v any) []byte {
 	return out
 }
 
-// TestSampleGridEqualsPlainRun: every bundled scenario, on the wheel (the
-// heap leg is in internal/sim/crossval_test.go) — the replicated view's
-// trials are the plain run's at the same seeds with Series, CoreUtil,
-// Faults, Trace, Timeline and both streams dropped: the same metric set,
-// every metric bit-equal, identity, Throughput, Latency, Counters and
-// Derived JSON-equal; they conserve time and do not depend on the pool
-// width.
+// TestSampleGridEqualsPlainRun: every bundled scenario, both engines —
+// the replicated view's trials are the plain run's at the same seeds with
+// Series, CoreUtil, Faults, Trace, Timeline and both streams dropped: the
+// same metric set, every metric bit-equal, identity, Throughput, Latency,
+// Counters and Derived JSON-equal; they conserve time and do not depend on
+// the pool width.
 func TestSampleGridEqualsPlainRun(t *testing.T) {
 	specs, err := Builtin()
 	if err != nil {
@@ -74,59 +73,67 @@ func TestSampleGridEqualsPlainRun(t *testing.T) {
 	}
 	const scale = 0.05
 	for _, sp := range specs {
-		t.Run(sp.Name+"/wheel", func(t *testing.T) {
-			plainSpec := recorded(sp)
-			gridSpec := plainSpec.WithSeeds(plainSpec.Seeds)
-			var plain, grid *Report
-			var grid1 []byte
-			runner.WithWorkers(8, func() {
-				plain = mustRun(t, plainSpec, scale)
-				grid = mustRun(t, gridSpec, scale)
-			})
-			runner.WithWorkers(1, func() { grid1 = reportBytes(t, gridSpec, scale) })
-			if !bytes.Equal(mustMarshal(t, grid), grid1) {
-				t.Fatal("sample grid differs between -jobs 8 and -jobs 1")
+		for _, heap := range []bool{false, true} {
+			name := sp.Name + "/wheel"
+			if heap {
+				name = sp.Name + "/heap"
 			}
-			if len(plain.Trials) != len(grid.Trials) || len(plain.Trials) == 0 {
-				t.Fatalf("%d plain trials, %d replicated", len(plain.Trials), len(grid.Trials))
-			}
-			for i := range plain.Trials {
-				p, g := &plain.Trials[i], &grid.Trials[i]
-				if len(p.TraceData) == 0 || len(p.TimelineData) == 0 || p.Trace == nil || p.Timeline == nil {
-					t.Fatalf("%s: plain run carries no streams or summaries", p.Name)
+			t.Run(name, func(t *testing.T) {
+				plainSpec := recorded(sp)
+				gridSpec := plainSpec.WithSeeds(plainSpec.Seeds)
+				var plain, grid *Report
+				var grid1 []byte
+				onEngine(t, heap, func() {
+					runner.WithWorkers(8, func() {
+						plain = mustRun(t, plainSpec, scale)
+						grid = mustRun(t, gridSpec, scale)
+					})
+					runner.WithWorkers(1, func() { grid1 = reportBytes(t, gridSpec, scale) })
+				})
+				if !bytes.Equal(mustMarshal(t, grid), grid1) {
+					t.Fatal("sample grid differs between -jobs 8 and -jobs 1")
 				}
-				if (len(sp.Faults) > 0 && len(p.Faults) == 0) || (sp.Series != nil && len(p.Series) == 0) {
-					t.Fatalf("%s: plain run echoes no faults or series", p.Name)
+				if len(plain.Trials) != len(grid.Trials) || len(plain.Trials) == 0 {
+					t.Fatalf("%d plain trials, %d replicated", len(plain.Trials), len(grid.Trials))
 				}
-				if g.Series != nil || g.CoreUtil != nil || g.Faults != nil || g.Trace != nil || g.Timeline != nil {
-					t.Fatalf("%s: replicated trial carries a section no metric reads: %d series, %d utilizations, %d faults, trace %v, timeline %v",
-						g.Name, len(g.Series), len(g.CoreUtil), len(g.Faults), g.Trace != nil, g.Timeline != nil)
-				}
-				if g.TraceData != nil || g.TimelineData != nil {
-					t.Fatalf("%s: replicated trial carries %d trace and %d timeline bytes",
-						g.Name, len(g.TraceData), len(g.TimelineData))
-				}
-				if !reflect.DeepEqual(p.Metrics(), g.Metrics()) {
-					t.Fatalf("%s: metric sets differ: %v vs %v", p.Name, p.Metrics(), g.Metrics())
-				}
-				for _, d := range p.Metrics() {
-					pv, _ := p.MetricValue(d.Name)
-					if gv, ok := g.MetricValue(d.Name); !ok || math.Float64bits(gv) != math.Float64bits(pv) {
-						t.Errorf("%s: %s = %v replicated, %v plain", p.Name, d.Name, gv, pv)
+				for i := range plain.Trials {
+					p, g := &plain.Trials[i], &grid.Trials[i]
+					if len(p.TraceData) == 0 || len(p.TimelineData) == 0 || p.Trace == nil || p.Timeline == nil {
+						t.Fatalf("%s: plain run carries no streams or summaries", p.Name)
+					}
+					if (len(sp.Faults) > 0 && len(p.Faults) == 0) || (sp.Series != nil && len(p.Series) == 0) {
+						t.Fatalf("%s: plain run echoes no faults or series", p.Name)
+					}
+					if g.Series != nil || g.CoreUtil != nil || g.Faults != nil || g.Trace != nil || g.Timeline != nil {
+						t.Fatalf("%s: replicated trial carries a section no metric reads: %d series, %d utilizations, %d faults, trace %v, timeline %v",
+							g.Name, len(g.Series), len(g.CoreUtil), len(g.Faults), g.Trace != nil, g.Timeline != nil)
+					}
+					if g.TraceData != nil || g.TimelineData != nil {
+						t.Fatalf("%s: replicated trial carries %d trace and %d timeline bytes",
+							g.Name, len(g.TraceData), len(g.TimelineData))
+					}
+					if !reflect.DeepEqual(p.Metrics(), g.Metrics()) {
+						t.Fatalf("%s: metric sets differ: %v vs %v", p.Name, p.Metrics(), g.Metrics())
+					}
+					for _, d := range p.Metrics() {
+						pv, _ := p.MetricValue(d.Name)
+						if gv, ok := g.MetricValue(d.Name); !ok || math.Float64bits(gv) != math.Float64bits(pv) {
+							t.Errorf("%s: %s = %v replicated, %v plain", p.Name, d.Name, gv, pv)
+						}
+					}
+					// Identity, Throughput, Latency, Counters and Derived at once.
+					if a, b := mustMarshal(t, metricVector(*p)), mustMarshal(t, *g); !bytes.Equal(a, b) {
+						t.Fatalf("%s: replicated report differs from the plain one beyond the dropped sections:\nplain: %s\ngrid:  %s",
+							p.Name, firstDiff(a, b), firstDiff(b, a))
+					}
+					d := g.Derived
+					if sum := d[MetricRunFrac] + d[MetricWaitFrac] + d[MetricSleepFrac]; math.Abs(sum-1) > 1e-9 {
+						t.Errorf("%s: run %v + wait %v + sleep %v does not conserve",
+							g.Name, d[MetricRunFrac], d[MetricWaitFrac], d[MetricSleepFrac])
 					}
 				}
-				// Identity, Throughput, Latency, Counters and Derived at once.
-				if a, b := mustMarshal(t, metricVector(*p)), mustMarshal(t, *g); !bytes.Equal(a, b) {
-					t.Fatalf("%s: replicated report differs from the plain one beyond the dropped sections:\nplain: %s\ngrid:  %s",
-						p.Name, firstDiff(a, b), firstDiff(b, a))
-				}
-				d := g.Derived
-				if sum := d[MetricRunFrac] + d[MetricWaitFrac] + d[MetricSleepFrac]; math.Abs(sum-1) > 1e-9 {
-					t.Errorf("%s: run %v + wait %v + sleep %v does not conserve",
-						g.Name, d[MetricRunFrac], d[MetricWaitFrac], d[MetricSleepFrac])
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -2,16 +2,13 @@ package sim
 
 import "repro/internal/topo"
 
-// The binary heap is the reference engine the timer wheel is held to. These
-// helpers are the only way to select it, so only tests can.
+// The binary heap is the reference engine the timer wheel is held to. sim
+// exports no way to select it: this package's tests use these helpers, and
+// internal/scenario's cross-validation links to forceEventHeap directly.
 
 // SetForceEventHeap puts every machine built afterwards on the heap engine
 // (or back on the wheel) and returns the previous setting.
 func SetForceEventHeap(v bool) bool { return forceEventHeap.Swap(v) }
-
-// OnEventHeap reports whether m runs on the heap engine, so a
-// cross-validation can check that its heap leg really does.
-func OnEventHeap(m *Machine) bool { return m.useHeap }
 
 // newMachineOn builds a machine on the heap engine when heap is set and on
 // the wheel otherwise.

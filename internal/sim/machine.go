@@ -103,9 +103,11 @@ type Options struct {
 // forceEventHeap puts every machine built while it is set on the
 // binary-heap event queue instead of the timer wheel. The heap is the
 // reference engine: both implement the same strict (at, seq) order, so all
-// outputs are byte-identical. Only tests set it (export_test.go), to
+// outputs are byte-identical. Only tests set it (export_test.go here,
+// engine_crossval_test.go in internal/scenario by its link name), to
 // rebuild identical machines on the heap without threading an option
-// through every construction site.
+// through every construction site. Renaming it fails that test build; its
+// type must stay atomic.Bool to match the linked declaration.
 var forceEventHeap atomic.Bool
 
 // NewMachine builds a machine with the given topology and scheduler and

@@ -28,8 +28,8 @@ import (
 //
 // Determinism contract: events pop in strictly increasing (at, seq) order —
 // exactly the binary heap's total order, so the two engines are
-// byte-interchangeable (crossval_test.go holds them to that). The
-// invariants behind it:
+// byte-interchangeable (internal/scenario/engine_crossval_test.go holds
+// them to that). The invariants behind it:
 //
 //  1. Every undelivered event with at < curEnd (= cursor slot start) is in
 //     cur, sorted by (at, seq), undrained portion cur[curIdx:].
