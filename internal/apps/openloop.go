@@ -62,7 +62,7 @@ func OpenLoopWeb(cfg OpenLoopConfig) Spec {
 			dist = workload.Poisson
 		}
 		return Launch(m, "openweb", env, func(in *Instance) sim.Program {
-			q := ipc.NewReqQueue("openweb")
+			q := ipc.NewReqQueue()
 			in.Latency = q.Latency
 			seed := cfg.Seed
 			if seed == 0 {

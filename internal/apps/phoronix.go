@@ -58,7 +58,7 @@ func buildApp(name string, jobsPerCore int, burst time.Duration, burstsPerJob in
 func SevenZip() Spec {
 	return Spec{Name: "7zip", New: func(m *sim.Machine, env Env) *Instance {
 		return Launch(m, "7zip", env, func(in *Instance) sim.Program {
-			pipe := ipc.NewPipe("7zip.chunks", 16)
+			pipe := ipc.NewPipe(16)
 			return &workload.Forker{
 				N:        env.Cores,
 				InitCost: 500 * time.Microsecond,
@@ -78,7 +78,7 @@ func SevenZip() Spec {
 func Gzip() Spec {
 	return Spec{Name: "gzip", New: func(m *sim.Machine, env Env) *Instance {
 		return Launch(m, "gzip", env, func(in *Instance) sim.Program {
-			pipe := ipc.NewPipe("gzip.blocks", 4)
+			pipe := ipc.NewPipe(4)
 			return &workload.Forker{
 				N:        1,
 				InitCost: 500 * time.Microsecond,
@@ -107,7 +107,7 @@ func CRay() Spec {
 			wqs := make([]*sim.WaitQueue, n)
 			released := make([]bool, n)
 			for i := range wqs {
-				wqs[i] = sim.NewWaitQueue(fmt.Sprintf("c-ray.start.%d", i))
+				wqs[i] = sim.NewWaitQueue()
 			}
 			release := func(ctx *sim.Ctx, i int) {
 				released[i] = true
@@ -202,7 +202,7 @@ func Scimark(variant int) Spec {
 	name := fmt.Sprintf("scimark2-(%d)", variant)
 	return Spec{Name: name, New: func(m *sim.Machine, env Env) *Instance {
 		return Launch(m, name, env, func(in *Instance) sim.Program {
-			progress := sim.NewWaitQueue(name + ".progress")
+			progress := sim.NewWaitQueue()
 			return &workload.Forker{
 				N:        2, // two JVM service threads
 				InitCost: time.Millisecond,

@@ -69,10 +69,10 @@ func Sysbench(cfg SysbenchConfig) Spec {
 			// connection (the Figure 3 behaviour).
 			shared := &stats.Histogram{}
 			in.Latency = shared
-			mu := ipc.NewMutex("mysql.lock")
+			mu := ipc.NewMutex()
 			queues := make([]*ipc.ReqQueue, cfg.Threads)
 			for i := range queues {
-				queues[i] = ipc.NewReqQueue(fmt.Sprintf("sysbench.conn%d", i))
+				queues[i] = ipc.NewReqQueue()
 				queues[i].Latency = shared
 			}
 			stopped := false
@@ -139,10 +139,10 @@ func RocksDB() Spec {
 		service := 300 * time.Microsecond
 		rate := int(1.1 * float64(env.Cores) / service.Seconds())
 		return Launch(m, "rocksdb", env, func(in *Instance) sim.Program {
-			q := ipc.NewReqQueue("rocksdb")
+			q := ipc.NewReqQueue()
 			q.MaxDepth = 4 * threads
 			in.Latency = q.Latency
-			mu := ipc.NewMutex("memtable.lock")
+			mu := ipc.NewMutex()
 			interval := time.Duration(int64(time.Second) / int64(rate))
 			started := false
 			startLoad := func() {
@@ -188,9 +188,9 @@ func Apache() Spec {
 		const window = 100
 		const httpdThreads = 100
 		return Launch(m, "apache", env, func(in *Instance) sim.Program {
-			q := ipc.NewReqQueue("httpd")
+			q := ipc.NewReqQueue()
 			in.Latency = q.Latency
-			resp := sim.NewWaitQueue("ab.resp")
+			resp := sim.NewWaitQueue()
 			outstanding := 0
 			return &workload.Forker{
 				N:        httpdThreads + 1,
@@ -240,7 +240,7 @@ func Hackbench(groups, msgsPerSender int) Spec {
 					// members: receivers first, then senders.
 					pipes := make([]*ipc.Pipe, fanout)
 					for i := range pipes {
-						pipes[i] = ipc.NewPipe(fmt.Sprintf("hb.g%d.p%d", g, i), 8)
+						pipes[i] = ipc.NewPipe(8)
 					}
 					return fmt.Sprintf("group-%d", g), &workload.Forker{
 						N:        2 * fanout,

@@ -16,7 +16,7 @@ func barrierApp(name string, phase time.Duration, jitterPct int, spin, ioSleep t
 	return Spec{Name: name, New: func(m *sim.Machine, env Env) *Instance {
 		return Launch(m, name, env, func(in *Instance) sim.Program {
 			n := env.Cores
-			bar := ipc.NewBarrier(name+".bar", n, spin)
+			bar := ipc.NewBarrier(n, spin)
 			return &workload.Forker{
 				N:        n,
 				InitCost: time.Millisecond,
@@ -103,7 +103,7 @@ func Bodytrack() Spec {
 func Canneal() Spec {
 	return Spec{Name: "canneal", New: func(m *sim.Machine, env Env) *Instance {
 		return Launch(m, "canneal", env, func(in *Instance) sim.Program {
-			mu := ipc.NewMutex("canneal.netlist")
+			mu := ipc.NewMutex()
 			return &workload.Forker{
 				N:        env.Cores,
 				InitCost: 2 * time.Millisecond,
@@ -199,7 +199,7 @@ func pipelineApp(name string, stageCosts []time.Duration) Spec {
 			nStages := len(stageCosts)
 			pipes := make([]*ipc.Pipe, nStages)
 			for i := range pipes {
-				pipes[i] = ipc.NewPipe(fmt.Sprintf("%s.q%d", name, i), 16)
+				pipes[i] = ipc.NewPipe(16)
 			}
 			// Worker pool per stage: divide the cores across stages, at
 			// least one each.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/sim"
 )
 
 // TestEngineSteadyStateAllocFree: the engine-dense shape — sysbench plus the
@@ -41,12 +42,13 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestMachineConstructionAllocBudget holds what a trial costs before its
-// first event. A 32-core machine is ~35 kB under CFS and ~136 kB under ULE
-// (its 32 tdqs carry their priority queues by value); the timer wheel adds
-// nothing until an event is filed. A wheel that seeds per-slot storage
-// again — 98 kB of arena and 16 kB more of slice headers, on each of a
-// sweep's hundreds of machines — fails both bounds. Not under -race, whose
-// runtime allocates on the side.
+// first event. A 32-core machine is ~35 kB under CFS and ~70 kB under ULE,
+// whose 32 tdqs carry their 128 priority FIFOs by value at one word each
+// (1 096 B a tdq); the timer wheel adds nothing until an event is filed. A
+// wheel that seeds per-slot storage again — 98 kB of arena and 16 kB more
+// of slice headers, on each of a sweep's hundreds of machines — fails both
+// bounds, and FIFOs back at head, tail and size (136 kB) fail ULE's. Not
+// under -race, whose runtime allocates on the side.
 func TestMachineConstructionAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes differ under -race")
@@ -54,7 +56,7 @@ func TestMachineConstructionAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		kind   SchedulerKind
 		budget uint64
-	}{{CFS, 48_000}, {ULE, 150_000}} {
+	}{{CFS, 48_000}, {ULE, 90_000}} {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -67,4 +69,31 @@ func TestMachineConstructionAllocBudget(t *testing.T) {
 		}
 		runtime.KeepAlive(m)
 	}
+}
+
+// TestSpawnAllocBudget holds what one thread costs to start on a 32-core
+// CFS machine: the Thread, its CFS entity and its share of the thread
+// table's growth, ~580 B in all. A thread owns no wait queue until
+// something joins it; an exit queue built for every thread again (with its
+// name + ".exit" string, 679 B a thread) fails the bound. Not under -race.
+func TestSpawnAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under -race")
+	}
+	const threads, budget = 4096, 630
+	m := NewMachine(MachineConfig{Cores: 32, Kind: CFS, Seed: 1})
+	prog := sim.ProgramFunc(func(*sim.Ctx) sim.Op { return sim.Exit() })
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < threads; i++ {
+		m.StartThread("worker", "app", 0, prog)
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / threads
+	t.Logf("cfs: %d bytes per spawned thread", got)
+	if got > budget {
+		t.Errorf("cfs: %d bytes per spawned thread, budget %d", got, budget)
+	}
+	runtime.KeepAlive(m)
 }

@@ -280,9 +280,20 @@ func DecodeHeader(data []byte) (Header, int, error) {
 	if err := json.Unmarshal(rest[:nl], &h); err != nil {
 		return h, 0, fmt.Errorf("dtrace: header: %w", err)
 	}
+	have := map[string]string{}
 	for _, c := range h.Columns {
 		if w := typeWidth(c.Type); w == 0 {
 			return h, 0, fmt.Errorf("dtrace: column %q has unknown type %q", c.Name, c.Type)
+		}
+		have[c.Name] = c.Type
+	}
+	// Decode reads a known column at its canonical width, and the mandatory
+	// ones bound a chunk's record count by its length.
+	for _, cd := range colDefs {
+		if typ, ok := have[cd.name]; ok && typ != cd.typ {
+			return h, 0, fmt.Errorf("dtrace: column %q has type %q, want %q", cd.name, typ, cd.typ)
+		} else if !ok && cd.group == 0 {
+			return h, 0, fmt.Errorf("dtrace: header lacks column %q", cd.name)
 		}
 	}
 	return h, len(Magic) + 1 + nl + 1, nil
@@ -323,11 +334,26 @@ func Decode(data []byte) (*Trace, error) {
 			return nil, fmt.Errorf("dtrace: negative chunk counts %+v", ch)
 		}
 		body = body[nl+1:]
+		// Size every column before building anything, so a chunk header
+		// that claims more than the body holds is an error, not an
+		// allocation.
+		size := 0
+		for _, c := range h.Columns {
+			n, w := ch.Records, typeWidth(c.Type)
+			if c.Name == "cand_id" || c.Name == "cand_key" {
+				n = ch.Cands
+			}
+			if n > (len(body)-size)/w {
+				return nil, fmt.Errorf("dtrace: truncated column %q (need %d×%d bytes, have %d)", c.Name, n, w, len(body)-size)
+			}
+			size += n * w
+		}
 		base := len(tr.Recs)
 		for i := 0; i < ch.Records; i++ {
 			rec := Rec{Other: -1}
 			tr.Recs = append(tr.Recs, rec)
 		}
+		var candLen []byte
 		var candID []int32
 		var candKey []int64
 		for _, c := range h.Columns {
@@ -336,12 +362,8 @@ func Decode(data []byte) (*Trace, error) {
 			if c.Name == "cand_id" || c.Name == "cand_key" {
 				n = ch.Cands
 			}
-			need := n * w
-			if len(body) < need {
-				return nil, fmt.Errorf("dtrace: truncated column %q (need %d bytes, have %d)", c.Name, need, len(body))
-			}
-			col := body[:need]
-			body = body[need:]
+			col := body[:n*w]
+			body = body[n*w:]
 			switch c.Name {
 			case "t_ns":
 				for i := 0; i < n; i++ {
@@ -373,9 +395,7 @@ func Decode(data []byte) (*Trace, error) {
 				}
 			case "cand_len":
 				// Applied after cand_id/cand_key are read.
-				for i := 0; i < n; i++ {
-					tr.Recs[base+i].Cand = make([]Candidate, binary.LittleEndian.Uint16(col[i*2:]))
-				}
+				candLen = col
 			case "cand_id":
 				candID = make([]int32, n)
 				for i := range candID {
@@ -393,9 +413,15 @@ func Decode(data []byte) (*Trace, error) {
 		// Stitch the flat candidate arrays back onto the records.
 		off := 0
 		for i := base; i < len(tr.Recs); i++ {
-			want := len(tr.Recs[i].Cand)
+			want := 0
+			if candLen != nil {
+				want = int(binary.LittleEndian.Uint16(candLen[(i-base)*2:]))
+			}
 			if off+want > len(candID) || len(candID) != len(candKey) {
 				return nil, fmt.Errorf("dtrace: cand_len sum exceeds chunk cand count")
+			}
+			if candLen != nil {
+				tr.Recs[i].Cand = make([]Candidate, want)
 			}
 			for j := 0; j < want; j++ {
 				tr.Recs[i].Cand[j] = Candidate{ID: candID[off+j], Key: candKey[off+j]}

@@ -215,7 +215,7 @@ func (a *antagonist) Next(ctx *sim.Ctx) sim.Op {
 
 func (inj *Injector) installAntagonist(idx int, e *Event) {
 	m := inj.m
-	a := &antagonist{wq: sim.NewWaitQueue(fmt.Sprintf("antag%d", idx)), burst: e.Burst}
+	a := &antagonist{wq: sim.NewWaitQueue(), burst: e.Burst}
 	spawned := false
 	for act := 0; act < e.activations(); act++ {
 		at := e.At + time.Duration(act)*e.Period
@@ -257,7 +257,7 @@ func (w *stormWorker) Next(ctx *sim.Ctx) sim.Op {
 
 func (inj *Injector) installStorm(idx int, e *Event) {
 	m := inj.m
-	wq := sim.NewWaitQueue(fmt.Sprintf("storm%d", idx))
+	wq := sim.NewWaitQueue()
 	spawned := false
 	for act := 0; act < e.activations(); act++ {
 		at := e.At + time.Duration(act)*e.Period

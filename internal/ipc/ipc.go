@@ -30,8 +30,8 @@ type Mutex struct {
 }
 
 // NewMutex returns an unlocked mutex.
-func NewMutex(name string) *Mutex {
-	return &Mutex{WQ: sim.NewWaitQueue(name)}
+func NewMutex() *Mutex {
+	return &Mutex{WQ: sim.NewWaitQueue()}
 }
 
 // TryLock attempts to take the mutex for t; on failure the caller should
@@ -79,8 +79,8 @@ type Barrier struct {
 }
 
 // NewBarrier returns a barrier for n participants.
-func NewBarrier(name string, n int, spin time.Duration) *Barrier {
-	return &Barrier{N: n, SpinBudget: spin, WQ: sim.NewWaitQueue(name)}
+func NewBarrier(n int, spin time.Duration) *Barrier {
+	return &Barrier{N: n, SpinBudget: spin, WQ: sim.NewWaitQueue()}
 }
 
 // Arrive registers the caller at the barrier. If it is the last arrival the
@@ -134,14 +134,14 @@ type Pipe struct {
 }
 
 // NewPipe returns a pipe holding up to capacity messages.
-func NewPipe(name string, capacity int) *Pipe {
+func NewPipe(capacity int) *Pipe {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Pipe{
 		Cap:     capacity,
-		Readers: sim.NewWaitQueue(name + ".r"),
-		Writers: sim.NewWaitQueue(name + ".w"),
+		Readers: sim.NewWaitQueue(),
+		Writers: sim.NewWaitQueue(),
 	}
 }
 
@@ -199,9 +199,9 @@ type ReqQueue struct {
 }
 
 // NewReqQueue returns an empty request queue.
-func NewReqQueue(name string) *ReqQueue {
+func NewReqQueue() *ReqQueue {
 	return &ReqQueue{
-		Workers: sim.NewWaitQueue(name + ".workers"),
+		Workers: sim.NewWaitQueue(),
 		Latency: &stats.Histogram{},
 	}
 }
@@ -239,8 +239,8 @@ type Semaphore struct {
 }
 
 // NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(name string, n int) *Semaphore {
-	return &Semaphore{WQ: sim.NewWaitQueue(name), avail: n}
+func NewSemaphore(n int) *Semaphore {
+	return &Semaphore{WQ: sim.NewWaitQueue(), avail: n}
 }
 
 // TryAcquire takes a permit if available.

@@ -48,7 +48,7 @@ func (w *lockWorker) Next(ctx *sim.Ctx) sim.Op {
 
 func TestMutexMutualExclusionAndProgress(t *testing.T) {
 	m := newMachine()
-	mu := NewMutex("mu")
+	mu := NewMutex()
 	ws := make([]*lockWorker, 4)
 	for i := range ws {
 		ws[i] = &lockWorker{mu: mu, hold: time.Millisecond, think: 100 * time.Microsecond, iters: 50}
@@ -70,7 +70,7 @@ func TestMutexMutualExclusionAndProgress(t *testing.T) {
 
 func TestMutexPanics(t *testing.T) {
 	m := newMachine()
-	mu := NewMutex("mu")
+	mu := NewMutex()
 	done := false
 	m.StartThread("x", "app", 0, sim.ProgramFunc(func(ctx *sim.Ctx) sim.Op {
 		if done {
@@ -157,7 +157,7 @@ func (w *barrierWorker) Next(ctx *sim.Ctx) sim.Op {
 
 func TestBarrierRounds(t *testing.T) {
 	m := newMachine()
-	bar := NewBarrier("bar", 4, 100*time.Microsecond)
+	bar := NewBarrier(4, 100*time.Microsecond)
 	ws := make([]*barrierWorker, 4)
 	for i := range ws {
 		// Different compute times force real waiting.
@@ -178,7 +178,7 @@ func TestBarrierRounds(t *testing.T) {
 func TestBarrierSpinOnlyWhenFast(t *testing.T) {
 	// With equal compute and a generous spin budget, nobody should sleep.
 	m := newMachine()
-	bar := NewBarrier("bar", 2, 50*time.Millisecond)
+	bar := NewBarrier(2, 50*time.Millisecond)
 	ws := make([]*barrierWorker, 2)
 	for i := range ws {
 		ws[i] = &barrierWorker{bar: bar, compute: time.Millisecond, rounds: 20}
@@ -239,7 +239,7 @@ func (r *pipeReceiver) Next(ctx *sim.Ctx) sim.Op {
 
 func TestPipeTransfersAll(t *testing.T) {
 	m := newMachine()
-	p := NewPipe("p", 8)
+	p := NewPipe(8)
 	recv := &pipeReceiver{p: p, n: 500, perMs: 10 * time.Microsecond}
 	m.StartThread("recv", "hb", 0, recv)
 	m.StartThread("send", "hb", 0, &pipeSender{p: p, n: 500, perMs: 10 * time.Microsecond})
@@ -258,7 +258,7 @@ func TestPipeTransfersAll(t *testing.T) {
 func TestPipeBackpressure(t *testing.T) {
 	// Slow reader forces the writer to block on a full pipe.
 	m := newMachine()
-	p := NewPipe("p", 2)
+	p := NewPipe(2)
 	recv := &pipeReceiver{p: p, n: 20, perMs: 5 * time.Millisecond}
 	m.StartThread("recv", "hb", 0, recv)
 	sender := m.StartThread("send", "hb", 0, &pipeSender{p: p, n: 20, perMs: 10 * time.Microsecond})
@@ -284,7 +284,7 @@ func (w *reqWorker) Next(ctx *sim.Ctx) sim.Op {
 
 func TestReqQueueLatency(t *testing.T) {
 	m := newMachine()
-	q := NewReqQueue("db")
+	q := NewReqQueue()
 	for i := 0; i < 4; i++ {
 		m.StartThread("worker", "db", 0, &reqWorker{q: q})
 	}
@@ -308,7 +308,7 @@ func TestReqQueueLatency(t *testing.T) {
 
 func TestReqQueueBounded(t *testing.T) {
 	m := newMachine()
-	q := NewReqQueue("db")
+	q := NewReqQueue()
 	q.MaxDepth = 2
 	q.Push(m, time.Millisecond)
 	q.Push(m, time.Millisecond)
@@ -322,7 +322,7 @@ func TestReqQueueBounded(t *testing.T) {
 
 func TestSemaphore(t *testing.T) {
 	m := newMachine()
-	s := NewSemaphore("sem", 2)
+	s := NewSemaphore(2)
 	if !s.TryAcquire() || !s.TryAcquire() {
 		t.Fatal("acquire failed with permits available")
 	}
@@ -351,7 +351,7 @@ func TestSemaphore(t *testing.T) {
 func TestPipeFIFOAndCapOnLiveLength(t *testing.T) {
 	m := newMachine()
 	ctx := &sim.Ctx{M: m}
-	p := NewPipe("p", 4)
+	p := NewPipe(4)
 	sent, received := 0, 0
 	for round := 0; round < 5000; round++ {
 		for p.Len() < 1+round%4 {
@@ -382,7 +382,7 @@ func TestPipeFIFOAndCapOnLiveLength(t *testing.T) {
 // queue: oldest first, Depth the live count, MaxDepth enforced on it.
 func TestReqQueueFIFOAndMaxDepthOnLiveLength(t *testing.T) {
 	m := newMachine()
-	q := NewReqQueue("db")
+	q := NewReqQueue()
 	q.MaxDepth = 3
 	pushed, popped := 0, 0
 	var dropped uint64

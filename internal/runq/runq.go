@@ -29,50 +29,60 @@ type Entry struct {
 // OnQueue reports whether e is currently linked into some queue.
 func (e *Entry) OnQueue() bool { return e.q != nil }
 
+// fifo is one priority's queue: a doubly linked list whose head's prev is
+// its tail, so an empty fifo is a nil head and costs one word.
 type fifo struct {
-	head, tail *Entry
-	size       int
+	head *Entry
+}
+
+func (f *fifo) tail() *Entry {
+	if f.head == nil {
+		return nil
+	}
+	return f.head.prev
 }
 
 func (f *fifo) pushTail(e *Entry) {
 	e.q = f
-	e.prev = f.tail
 	e.next = nil
-	if f.tail != nil {
-		f.tail.next = e
-	} else {
+	if f.head == nil {
+		e.prev = e
 		f.head = e
+		return
 	}
-	f.tail = e
-	f.size++
+	t := f.head.prev
+	t.next = e
+	e.prev = t
+	f.head.prev = e
 }
 
 func (f *fifo) pushHead(e *Entry) {
 	e.q = f
 	e.next = f.head
-	e.prev = nil
-	if f.head != nil {
-		f.head.prev = e
+	if f.head == nil {
+		e.prev = e
 	} else {
-		f.tail = e
+		e.prev = f.head.prev
+		f.head.prev = e
 	}
 	f.head = e
-	f.size++
 }
 
 func (f *fifo) remove(e *Entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
+	switch {
+	case e == f.head:
 		f.head = e.next
-	}
-	if e.next != nil {
+		if f.head != nil {
+			f.head.prev = e.prev
+		}
+	case e.next == nil: // the tail
+		e.prev.next = nil
+		f.head.prev = e.prev
+	default:
+		e.prev.next = e.next
 		e.next.prev = e.prev
-	} else {
-		f.tail = e.prev
 	}
 	e.next, e.prev, e.q = nil, nil, nil
-	f.size--
 }
 
 // Queue is a fixed-priority multi-FIFO run queue with a bitmap index.
@@ -126,7 +136,7 @@ func (q *Queue) Remove(e *Entry) {
 	}
 	pri := e.Pri
 	q.qs[pri].remove(e)
-	if q.qs[pri].size == 0 {
+	if q.qs[pri].head == nil {
 		q.bitmap &^= 1 << uint(pri)
 	}
 	q.size--
@@ -175,7 +185,7 @@ func (q *Queue) Last() *Entry {
 		return nil
 	}
 	pri := fls(q.bitmap)
-	return q.qs[pri].tail
+	return q.qs[pri].tail()
 }
 
 // ffs returns the index of the least significant set bit (bitmap != 0).
@@ -248,7 +258,7 @@ func (c *Calendar) Choose() *Entry {
 	}
 	for i := 0; i < NQS; i++ {
 		slot := (c.ridx + i) % NQS
-		if c.q.qs[slot].size > 0 {
+		if c.q.qs[slot].head != nil {
 			c.ridx = slot
 			return c.q.qs[slot].head
 		}
@@ -269,7 +279,7 @@ func (c *Calendar) Choose() *Entry {
 func (c *Calendar) Advance() {
 	if c.insIdx == c.ridx {
 		c.insIdx = (c.insIdx + 1) % NQS
-		if c.q.qs[c.ridx].size == 0 {
+		if c.q.qs[c.ridx].head == nil {
 			c.ridx = c.insIdx
 		}
 	}
@@ -294,8 +304,8 @@ func (c *Calendar) Last() *Entry {
 	}
 	for i := NQS - 1; i >= 0; i-- {
 		slot := (c.ridx + i) % NQS
-		if c.q.qs[slot].size > 0 {
-			return c.q.qs[slot].tail
+		if c.q.qs[slot].head != nil {
+			return c.q.qs[slot].tail()
 		}
 	}
 	return nil

@@ -287,3 +287,211 @@ func TestFfsFls(t *testing.T) {
 		t.Fatal("high bit")
 	}
 }
+
+// refQueue is the slice-of-slices model a Queue or Calendar must agree
+// with: one plain FIFO per slot and the calendar's two indices, with the
+// same rotation rules as Calendar.
+type refQueue struct {
+	qs           [NQS][]*Entry
+	ridx, insIdx int
+}
+
+func (r *refQueue) len() int {
+	n := 0
+	for _, q := range r.qs {
+		n += len(q)
+	}
+	return n
+}
+
+func (r *refQueue) remove(e *Entry) {
+	q := r.qs[e.Pri]
+	for i, x := range q {
+		if x == e {
+			r.qs[e.Pri] = append(q[:i:i], q[i+1:]...)
+			return
+		}
+	}
+	panic("refQueue: entry not found")
+}
+
+// order lists the entries in scan order from slot start.
+func (r *refQueue) order(start int) []*Entry {
+	var out []*Entry
+	for i := 0; i < NQS; i++ {
+		out = append(out, r.qs[(start+i)%NQS]...)
+	}
+	return out
+}
+
+func (r *refQueue) calAdd(e *Entry, pri int) int {
+	slot := (r.insIdx + pri) % NQS
+	if r.ridx != r.insIdx && slot == r.ridx {
+		slot = (slot - 1 + NQS) % NQS
+	}
+	r.qs[slot] = append(r.qs[slot], e)
+	return slot
+}
+
+func (r *refQueue) calChoose() *Entry {
+	for i := 0; i < NQS; i++ {
+		if slot := (r.ridx + i) % NQS; len(r.qs[slot]) > 0 {
+			r.ridx = slot
+			return r.qs[slot][0]
+		}
+	}
+	return nil
+}
+
+func (r *refQueue) calAdvance() {
+	if r.insIdx == r.ridx {
+		r.insIdx = (r.insIdx + 1) % NQS
+		if len(r.qs[r.ridx]) == 0 {
+			r.ridx = r.insIdx
+		}
+	}
+}
+
+func visit(each func(func(*Entry) bool), stop int) []*Entry {
+	var got []*Entry
+	each(func(e *Entry) bool {
+		got = append(got, e)
+		return len(got) != stop
+	})
+	return got
+}
+
+func sameEntries(a, b []*Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestQueueMatchesReference drives random Add/AddHead/Remove/Choose/Last/
+// Each/BestPri sequences through a Queue and checks every answer against
+// the slice-of-slices model, so the one-word FIFOs (tail = head.prev) keep
+// the order a head/tail/size FIFO had.
+func TestQueueMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q Queue
+		var ref refQueue
+		var live []*Entry
+		// Few priorities on some seeds, so FIFOs grow long.
+		span := []int{1, 3, NQS}[seed%3]
+		for step := 0; step < 2000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4 || len(live) == 0:
+				e, pri := &Entry{Payload: step}, rng.Intn(span)
+				if op%2 == 0 {
+					q.Add(e, pri)
+					ref.qs[pri] = append(ref.qs[pri], e)
+				} else {
+					q.AddHead(e, pri)
+					ref.qs[pri] = append([]*Entry{e}, ref.qs[pri]...)
+				}
+				live = append(live, e)
+			case op < 7:
+				i := rng.Intn(len(live))
+				q.Remove(live[i])
+				ref.remove(live[i])
+				if live[i].OnQueue() {
+					t.Fatalf("seed %d step %d: removed entry still on a queue", seed, step)
+				}
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			case op < 8 && len(live) > 0:
+				// Choose-and-run: the pick leaves and comes back at the tail.
+				e := q.Choose()
+				q.Remove(e)
+				q.Add(e, e.Pri)
+				ref.remove(e)
+				ref.qs[e.Pri] = append(ref.qs[e.Pri], e)
+			}
+			want := ref.order(0)
+			var wantChoose, wantLast *Entry
+			wantBest := NQS
+			if len(want) > 0 {
+				wantChoose = want[0]
+				wantBest = wantChoose.Pri
+				for p := NQS - 1; p >= 0; p-- {
+					if n := len(ref.qs[p]); n > 0 {
+						wantLast = ref.qs[p][n-1]
+						break
+					}
+				}
+			}
+			if q.Len() != len(want) || q.Empty() != (len(want) == 0) {
+				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, q.Len(), len(want))
+			}
+			if q.Choose() != wantChoose || q.Last() != wantLast || q.BestPri() != wantBest {
+				t.Fatalf("seed %d step %d: Choose/Last/BestPri disagree with the model", seed, step)
+			}
+			if !sameEntries(visit(q.Each, -1), want) {
+				t.Fatalf("seed %d step %d: Each order disagrees with the model", seed, step)
+			}
+			if k := rng.Intn(len(want) + 1); k > 0 && !sameEntries(visit(q.Each, k), want[:k]) {
+				t.Fatalf("seed %d step %d: Each stopped after %d disagrees", seed, step, k)
+			}
+		}
+	}
+}
+
+// TestCalendarMatchesReference is TestQueueMatchesReference for the
+// rotating calendar, with Advance in the mix.
+func TestCalendarMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var c Calendar
+		var ref refQueue
+		var live []*Entry
+		span := []int{1, 4, NQS}[seed%3]
+		for step := 0; step < 2000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4 || len(live) == 0:
+				e, pri := &Entry{Payload: step}, rng.Intn(span)
+				c.Add(e, pri)
+				if slot := ref.calAdd(e, pri); e.Pri != slot {
+					t.Fatalf("seed %d step %d: filed at slot %d, model says %d", seed, step, e.Pri, slot)
+				}
+				live = append(live, e)
+			case op < 6:
+				i := rng.Intn(len(live))
+				c.Remove(live[i])
+				ref.remove(live[i])
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			case op < 8:
+				c.Advance()
+				ref.calAdvance()
+			default:
+				if got, want := c.Choose(), ref.calChoose(); got != want {
+					t.Fatalf("seed %d step %d: Choose disagrees with the model", seed, step)
+				}
+			}
+			want := ref.order(ref.ridx)
+			var wantLast *Entry
+			if len(want) > 0 {
+				wantLast = want[len(want)-1]
+			}
+			if c.Len() != len(want) || c.Empty() != (len(want) == 0) {
+				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, c.Len(), len(want))
+			}
+			if c.Last() != wantLast {
+				t.Fatalf("seed %d step %d: Last disagrees with the model", seed, step)
+			}
+			if !sameEntries(visit(c.Each, -1), want) {
+				t.Fatalf("seed %d step %d: Each order disagrees with the model", seed, step)
+			}
+			if k := rng.Intn(len(want) + 1); k > 0 && !sameEntries(visit(c.Each, k), want[:k]) {
+				t.Fatalf("seed %d step %d: Each stopped after %d disagrees", seed, step, k)
+			}
+		}
+	}
+}

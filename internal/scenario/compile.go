@@ -454,7 +454,7 @@ func (s *Spec) install(m *sim.Machine, ei, cores int, seed int64, trialName stri
 		// worker pool, and arrival generator, so the offered load scales
 		// with count like every other entry kind.
 		for inst := 0; inst < count; inst++ {
-			q := ipc.NewReqQueue(fmt.Sprintf("%s-%d", st.label, inst))
+			q := ipc.NewReqQueue()
 			st.hists = append(st.hists, q.Latency)
 			for i := 0; i < ol.Workers; i++ {
 				m.StartThreadCfg(sim.ThreadConfig{

@@ -69,3 +69,41 @@ func FuzzDecodeTrialReport(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseSpec: a spec file is user input, so no bytes may panic Parse or
+// the validation behind it, and a spec Parse accepts must validate again
+// unchanged. Seeded with every bundled spec and the test specs, all of
+// which must be accepted, plus truncated and empty documents.
+func FuzzParseSpec(f *testing.F) {
+	entries, err := libraryFS.ReadDir("library")
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := [][]byte{[]byte(validSpec), []byte(gridSpec), []byte(faultSpecJSON), []byte(seriesSpec)}
+	for _, e := range entries {
+		data, err := libraryFS.ReadFile("library/" + e.Name())
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid = append(valid, data)
+	}
+	for _, data := range valid {
+		if _, err := Parse("seed", data); err != nil {
+			f.Fatalf("valid seed rejected: %v", err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	for _, s := range []string{"", "{}", "[]", "null", `{"name": "x"}`} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := Parse("fuzz", data)
+		if err != nil {
+			return
+		}
+		if err := sp.Validate(); err != nil {
+			t.Fatalf("accepted spec fails validation again: %v", err)
+		}
+	})
+}

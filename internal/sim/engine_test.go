@@ -79,7 +79,7 @@ func TestSleepAccountsSleepTime(t *testing.T) {
 
 func TestBlockAndSignal(t *testing.T) {
 	m := newTestMachine(t, topo.SingleCore())
-	wq := NewWaitQueue("q")
+	wq := NewWaitQueue()
 	waiter := m.StartThread("waiter", "app", 0, &script{ops: []Op{Block(wq), Run(time.Millisecond)}})
 	m.StartThread("signaler", "app", 0, &script{ops: []Op{Run(10 * time.Millisecond)}, hooks: map[int]func(*Ctx){
 		1: func(ctx *Ctx) { ctx.Signal(wq, 1) }, // after the run burst
@@ -115,7 +115,7 @@ func TestWakeOnTimedSleepCancelsTimer(t *testing.T) {
 
 func TestSpinReleasedByBroadcast(t *testing.T) {
 	m := newTestMachine(t, topo.MustNew(topo.Config{NUMANodes: 1, LLCsPerNode: 1, CoresPerLLC: 2}))
-	wq := NewWaitQueue("barrier")
+	wq := NewWaitQueue()
 	spinner := m.StartThread("spinner", "app", 0, &script{ops: []Op{
 		Spin(wq, time.Hour), // would spin for an hour
 		Run(time.Millisecond),
@@ -138,7 +138,7 @@ func TestSpinReleasedByBroadcast(t *testing.T) {
 
 func TestSpinTimeoutCompletes(t *testing.T) {
 	m := newTestMachine(t, topo.SingleCore())
-	wq := NewWaitQueue("never")
+	wq := NewWaitQueue()
 	th := m.StartThread("s", "app", 0, &script{ops: []Op{
 		Spin(wq, 5*time.Millisecond),
 		Run(time.Millisecond),
@@ -331,10 +331,10 @@ func TestWakeRunningIsNoop(t *testing.T) {
 	}
 }
 
-func TestExitWQBroadcastsJoiners(t *testing.T) {
+func TestExitQueueBroadcastsJoiners(t *testing.T) {
 	m := newTestMachine(t, topo.MustNew(topo.Config{NUMANodes: 1, LLCsPerNode: 1, CoresPerLLC: 2}))
 	worker := m.StartThread("worker", "app", 0, &script{ops: []Op{Run(10 * time.Millisecond)}})
-	joiner := m.StartThread("joiner", "app", 0, &script{ops: []Op{Block(worker.ExitWQ), Run(time.Millisecond)}})
+	joiner := m.StartThread("joiner", "app", 0, &script{ops: []Op{Block(worker.ExitQueue()), Run(time.Millisecond)}})
 	m.Run(time.Second)
 	if joiner.State() != StateDead {
 		t.Fatalf("joiner state = %v, want dead after join", joiner.State())

@@ -432,7 +432,6 @@ func (m *Machine) spawn(name, group string, nice int, prog Program, parent *Thre
 		mach:   m,
 		prog:   prog,
 		state:  StateNew,
-		ExitWQ: NewWaitQueue(name + ".exit"),
 	}
 	t.ctx = Ctx{T: t, M: m}
 	if parent != nil {
@@ -929,7 +928,9 @@ func (m *Machine) exitCurrent(c *Core, t *Thread) {
 	m.live--
 	m.sched.Exit(t)
 	m.Trace.Record(trace.Event{At: m.now, Kind: trace.Exit, Core: c.ID, OtherCore: -1, Thread: t.ID})
-	m.Broadcast(t.ExitWQ)
+	if t.exitWQ != nil {
+		m.Broadcast(t.exitWQ)
+	}
 	if t.OnExit != nil {
 		t.OnExit(t)
 	}

@@ -92,8 +92,9 @@ type Thread struct {
 	// OnExit, if set, runs when the thread dies (application bookkeeping).
 	OnExit func(*Thread)
 
-	// ExitWQ is broadcast when the thread exits, supporting joins.
-	ExitWQ *WaitQueue
+	// exitWQ is broadcast when the thread exits, supporting joins; it is
+	// created by the first ExitQueue call, so a thread nobody joins has none.
+	exitWQ *WaitQueue
 
 	// current op execution state
 	op          Op
@@ -118,6 +119,15 @@ type Thread struct {
 	spinWQ *WaitQueue
 
 	zeroOps int // consecutive zero-time ops, to catch stuck programs
+}
+
+// ExitQueue returns the wait queue broadcast when t exits; block on it to
+// join t.
+func (t *Thread) ExitQueue() *WaitQueue {
+	if t.exitWQ == nil {
+		t.exitWQ = NewWaitQueue()
+	}
+	return t.exitWQ
 }
 
 // State returns the thread's lifecycle state.

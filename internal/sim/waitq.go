@@ -7,17 +7,14 @@ import "repro/internal/queue"
 // kernel substrate exposes; the ipc package builds mutexes, barriers, pipes
 // and request queues on top of it.
 type WaitQueue struct {
-	// Name labels the queue in traces.
-	Name string
-
 	waiters queue.FIFO[*Thread]
 	// spinners are threads with an active OpSpin watching this queue; a
 	// Broadcast releases them early.
 	spinners []*Thread
 }
 
-// NewWaitQueue returns an empty named wait queue.
-func NewWaitQueue(name string) *WaitQueue { return &WaitQueue{Name: name} }
+// NewWaitQueue returns an empty wait queue.
+func NewWaitQueue() *WaitQueue { return &WaitQueue{} }
 
 // Len returns the number of blocked threads (spinners excluded).
 func (wq *WaitQueue) Len() int { return wq.waiters.Len() }

@@ -11,7 +11,7 @@ import (
 // array is reused and compacted underneath.
 func TestWaitQueueFIFOWithRemovals(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	wq := NewWaitQueue("q")
+	wq := NewWaitQueue()
 	var model []*Thread
 	id := 0
 	for step := 0; step < 10000; step++ {

@@ -18,8 +18,10 @@ import (
 
 // Histogram is a logarithmic-bucket latency histogram covering 1µs..~100s
 // with ~4% relative precision; enough for the paper's ms-scale latencies.
+// The 3.4 kB of buckets is allocated by the first Observe or non-empty
+// Merge, so a histogram nothing records into costs only its header.
 type Histogram struct {
-	buckets [bucketCount]uint64
+	buckets *[bucketCount]uint64
 	count   uint64
 	sum     time.Duration
 	min     time.Duration
@@ -87,6 +89,9 @@ func bucketLow(i int) time.Duration {
 func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
+	}
+	if h.buckets == nil {
+		h.buckets = new([bucketCount]uint64)
 	}
 	h.buckets[bucketOf(d)]++
 	h.count++
@@ -167,6 +172,9 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.count == 0 {
 		return
+	}
+	if h.buckets == nil {
+		h.buckets = new([bucketCount]uint64)
 	}
 	for i, c := range o.buckets {
 		h.buckets[i] += c

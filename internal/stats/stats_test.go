@@ -154,6 +154,56 @@ func TestMeanStddevSpread(t *testing.T) {
 	}
 }
 
+// TestHistogramLazyBucketsMatchEager: a histogram that allocates its
+// buckets on first use answers exactly as one that saw every sample
+// directly. Random samples are split over histograms (some left empty) and
+// merged in random order into one that has never observed; Count, Mean,
+// Min, Max and every Quantile must equal the directly-observed ones, an
+// empty Merge must allocate nothing, and merging must not touch the source.
+func TestHistogramLazyBucketsMatchEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	qs := []float64{math.NaN(), -1, 0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1, 2}
+	for trial := 0; trial < 500; trial++ {
+		parts := make([]Histogram, 1+rng.Intn(6))
+		var eager, merged Histogram
+		for n := rng.Intn(200); n > 0; n-- {
+			d := time.Duration(rng.ExpFloat64() * float64(time.Duration(1+rng.Intn(4))*time.Millisecond))
+			if rng.Intn(20) == 0 {
+				d = -d
+			}
+			parts[rng.Intn(len(parts))].Observe(d)
+			eager.Observe(d)
+		}
+		for _, i := range rng.Perm(len(parts)) {
+			src := parts[i]
+			var snapshot [bucketCount]uint64
+			if src.buckets != nil {
+				snapshot = *src.buckets
+			}
+			merged.Merge(&parts[i])
+			if (parts[i].buckets == nil) != (src.count == 0) || parts[i] != src ||
+				(src.buckets != nil && *src.buckets != snapshot) {
+				t.Fatalf("trial %d: Merge changed its source", trial)
+			}
+		}
+		if (merged.buckets == nil) != (eager.Count() == 0) {
+			t.Fatalf("trial %d: %d samples but buckets allocated = %v", trial, eager.Count(), merged.buckets != nil)
+		}
+		if merged.Count() != eager.Count() || merged.Mean() != eager.Mean() ||
+			merged.Min() != eager.Min() || merged.Max() != eager.Max() {
+			t.Fatalf("trial %d: merged %v, eager %v", trial, merged.String(), eager.String())
+		}
+		for _, q := range qs {
+			if got, want := merged.Quantile(q), eager.Quantile(q); got != want {
+				t.Fatalf("trial %d: Quantile(%v) = %v, eager %v", trial, q, got, want)
+			}
+		}
+		if eager.buckets != nil && *merged.buckets != *eager.buckets {
+			t.Fatalf("trial %d: merged buckets differ from eager ones", trial)
+		}
+	}
+}
+
 // TestHistogramEmptyContract pins the empty-histogram contract: every
 // summary accessor returns exactly 0 with no samples — never an
 // uninitialised or stale extreme — and a NaN quantile cannot poison the

@@ -16,7 +16,7 @@ import (
 
 // record runs a tiny deterministic fixture and returns the recorder plus
 // its exported trace bytes.
-func record(t *testing.T, counters []CounterTrack) (*Recorder, []byte) {
+func record(t testing.TB, counters []CounterTrack) (*Recorder, []byte) {
 	t.Helper()
 	m := sim.NewMachine(topo.SingleCore(), sim.NewFIFO(), sim.Options{Seed: 11})
 	r, err := Attach(m, Options{})

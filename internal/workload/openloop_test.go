@@ -89,7 +89,7 @@ func TestOpenLoopOfferedLoadIndependentOfService(t *testing.T) {
 	// open-loop property a closed-loop client lacks.
 	for _, service := range []time.Duration{50 * time.Microsecond, 5 * time.Millisecond} {
 		m := newMachine(1)
-		q := ipc.NewReqQueue("ol")
+		q := ipc.NewReqQueue()
 		arrivals := 0
 		OpenLoop{
 			Q:       q,
@@ -115,7 +115,7 @@ func TestOpenLoopOfferedLoadIndependentOfService(t *testing.T) {
 
 func TestOpenLoopLatencyGrowsWhenOverloaded(t *testing.T) {
 	m := newMachine(1)
-	q := ipc.NewReqQueue("ol")
+	q := ipc.NewReqQueue()
 	// Offered load 2× one core: queueing delay must dominate service time.
 	OpenLoop{
 		Q:       q,
@@ -134,7 +134,7 @@ func TestOpenLoopLatencyGrowsWhenOverloaded(t *testing.T) {
 
 func TestOpenLoopStartDelaysFirstArrival(t *testing.T) {
 	m := newMachine(1)
-	q := ipc.NewReqQueue("ol")
+	q := ipc.NewReqQueue()
 	OpenLoop{
 		Q:       q,
 		Gen:     NewArrivalGen(Periodic, time.Millisecond, 1),
@@ -155,7 +155,7 @@ func TestOpenLoopStartDelaysFirstArrival(t *testing.T) {
 func TestOpenLoopServiceJitterStaysDeterministic(t *testing.T) {
 	run := func() uint64 {
 		m := newMachine(2)
-		q := ipc.NewReqQueue("ol")
+		q := ipc.NewReqQueue()
 		OpenLoop{
 			Q:       q,
 			Gen:     NewArrivalGen(Poisson, 500*time.Microsecond, 11),

@@ -46,7 +46,7 @@ func TestFiniteComputeExitsAfterN(t *testing.T) {
 
 func TestBarrierWorkerPhases(t *testing.T) {
 	m := newMachine(4)
-	bar := ipc.NewBarrier("b", 4, time.Millisecond)
+	bar := ipc.NewBarrier(4, time.Millisecond)
 	var phases [4]int
 	for i := 0; i < 4; i++ {
 		i := i
@@ -65,8 +65,8 @@ func TestBarrierWorkerPhases(t *testing.T) {
 
 func TestServerWorkerWithLock(t *testing.T) {
 	m := newMachine(2)
-	q := ipc.NewReqQueue("db")
-	mu := ipc.NewMutex("dblock")
+	q := ipc.NewReqQueue()
+	mu := ipc.NewMutex()
 	var done int
 	for i := 0; i < 4; i++ {
 		m.StartThread("w", "db", 0, &ServerWorker{
@@ -91,8 +91,8 @@ func TestServerWorkerWithLock(t *testing.T) {
 
 func TestBatchClientRoundTrips(t *testing.T) {
 	m := newMachine(1)
-	q := ipc.NewReqQueue("httpd")
-	resp := sim.NewWaitQueue("resp")
+	q := ipc.NewReqQueue()
+	resp := sim.NewWaitQueue()
 	outstanding := 0
 	var trips int
 	m.StartThread("ab", "ab", 0, &BatchClient{
@@ -141,7 +141,7 @@ func TestSpinPollerElasticity(t *testing.T) {
 	// Under FIFO (no priority), the poller's spin is cut short whenever the
 	// compute thread progresses; verify the release path works end-to-end.
 	m := newMachine(2)
-	progress := sim.NewWaitQueue("progress")
+	progress := sim.NewWaitQueue()
 	// Jitter breaks phase-locking between the poll period and the
 	// broadcast instants.
 	m.StartThread("compute", "a", 0, &Loop{Burst: time.Millisecond, JitterPct: 30, Progress: progress})
@@ -164,7 +164,7 @@ func TestCascadeChain(t *testing.T) {
 	wqs := make([]*sim.WaitQueue, n)
 	released := make([]bool, n)
 	for i := range wqs {
-		wqs[i] = sim.NewWaitQueue("c")
+		wqs[i] = sim.NewWaitQueue()
 	}
 	awake := 0
 	for i := 0; i < n; i++ {
@@ -191,8 +191,8 @@ func TestCascadeChain(t *testing.T) {
 
 func TestPipelineFlows(t *testing.T) {
 	m := newMachine(4)
-	p1 := ipc.NewPipe("s1", 4)
-	p2 := ipc.NewPipe("s2", 4)
+	p1 := ipc.NewPipe(4)
+	p2 := ipc.NewPipe(4)
 	var out int
 	m.StartThread("src", "pl", 0, &Source{Out: p1, Cost: 100 * time.Microsecond, N: 50})
 	m.StartThread("mid", "pl", 0, &PipelineStage{In: p1, Out: p2, Cost: 200 * time.Microsecond})
