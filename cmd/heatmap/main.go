@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -34,6 +35,12 @@ func main() {
 		width   = flag.Int("width", 120, "columns of the rendered map")
 	)
 	flag.Parse()
+	if *width < 2 {
+		// Columns sample times tEnd*x/(width-1): the first and last column
+		// are both needed.
+		fmt.Fprintf(os.Stderr, "heatmap: -width %d: need at least 2 columns\n", *width)
+		os.Exit(2)
+	}
 
 	var data []byte
 	switch {
@@ -168,8 +175,9 @@ func at(pts []point, tUS float64) float64 {
 }
 
 // render draws one trial's matching series as an ASCII heatmap and
-// returns the number of rows drawn (0 when nothing matched).
-func render(w *os.File, tr *trialSeries, prefix string, width int) int {
+// returns the number of rows drawn (0 when nothing matched). width must be
+// at least 2.
+func render(w io.Writer, tr *trialSeries, prefix string, width int) int {
 	var names []string
 	for _, name := range tr.order {
 		if strings.HasPrefix(name, prefix) {

@@ -137,8 +137,24 @@ func TestSysbenchMasterForkDegradation(t *testing.T) {
 	}
 }
 
+// preemptTally wraps a scheduler and counts, per thread ID, the preempted
+// deschedules the engine hands to PutPrev.
+type preemptTally struct {
+	sim.Scheduler
+	byThread map[int]uint64
+}
+
+func (p *preemptTally) PutPrev(c *sim.Core, t *sim.Thread, flags int) {
+	if flags&sim.FlagPreempted != 0 {
+		p.byThread[t.ID]++
+	}
+	p.Scheduler.PutPrev(c, t, flags)
+}
+
 func TestApacheBatchingOnULEvsPreemptionOnCFS(t *testing.T) {
-	run := func(m *sim.Machine) (ops uint64, preempts uint64) {
+	run := func(s sim.Scheduler) (ops uint64, preempts uint64) {
+		tally := &preemptTally{Scheduler: s, byThread: map[int]uint64{}}
+		m := sim.NewMachine(topo.SingleCore(), tally, sim.Options{Seed: 3})
 		in := Apache().New(m, Env{Cores: 1})
 		m.Run(ShellWarmup + 10*time.Second)
 		var ab *sim.Thread
@@ -150,13 +166,17 @@ func TestApacheBatchingOnULEvsPreemptionOnCFS(t *testing.T) {
 		if ab == nil {
 			t.Fatal("no ab thread")
 		}
-		return in.Ops(), m.Trace.PreemptionsOf(ab.ID)
+		var total uint64
+		for _, n := range tally.byThread {
+			total += n
+		}
+		if total != m.Counts.Preemptions {
+			t.Fatalf("%s: PutPrev saw %d preemptions, engine counted %d", s.Name(), total, m.Counts.Preemptions)
+		}
+		return in.Ops(), tally.byThread[ab.ID]
 	}
-	cm := cfsMachine(topo.SingleCore(), 3)
-	uops, upre := uint64(0), uint64(0)
-	cops, cpre := run(cm)
-	um := uleMachine(topo.SingleCore(), 3)
-	uops, upre = run(um)
+	cops, cpre := run(cfs.NewDefault())
+	uops, upre := run(ule.NewDefault())
 	if cpre == 0 {
 		t.Fatalf("CFS never preempted ab (got %d)", cpre)
 	}
@@ -166,7 +186,6 @@ func TestApacheBatchingOnULEvsPreemptionOnCFS(t *testing.T) {
 	if uops <= cops {
 		t.Fatalf("apache ops ULE=%d vs CFS=%d; ULE should win (paper: +40%%)", uops, cops)
 	}
-	_ = uops
 }
 
 func TestMGOneThreadPerCoreULE(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 type looper struct{ burst time.Duration }
@@ -33,7 +32,7 @@ func (s *sleeper) Next(ctx *sim.Ctx) sim.Op {
 
 func newMachine(p Params, tp *topo.Topology, seed int64) (*sim.Machine, *Sched) {
 	s := New(p)
-	m := sim.NewMachine(tp, s, sim.Options{Seed: seed, Cost: &sim.CostModel{}, TraceCapacity: 0})
+	m := sim.NewMachine(tp, s, sim.Options{Seed: seed, Cost: &sim.CostModel{}})
 	return m, s
 }
 
@@ -123,7 +122,7 @@ func TestWakeupPreemption(t *testing.T) {
 	m.StartThread("hog", "hogs", 0, &looper{burst: 50 * time.Millisecond})
 	m.StartThread("inter", "inter", 0, &sleeper{run: 200 * time.Microsecond, sleep: 30 * time.Millisecond})
 	m.Run(2 * time.Second)
-	if got := m.Trace.Count(trace.Preempt); got == 0 {
+	if got := m.Counts.Preemptions; got == 0 {
 		t.Fatal("sleeper never preempted the hog despite huge vruntime gap")
 	}
 }
@@ -140,9 +139,9 @@ func TestForkDoesNotPreempt(t *testing.T) {
 		return sim.Run(5 * time.Millisecond)
 	}))
 	m.RunUntil(func() bool { return forked }, time.Second)
-	pre := m.Trace.Count(trace.Preempt)
+	pre := m.Counts.Preemptions
 	m.Run(m.Now() + 2*time.Millisecond)
-	if m.Trace.Count(trace.Preempt) != pre {
+	if m.Counts.Preemptions != pre {
 		t.Fatal("fork preempted the parent")
 	}
 }
@@ -215,7 +214,7 @@ func TestSelectIdleSiblingPrefersPrevCore(t *testing.T) {
 	if th.LastCore == nil {
 		t.Fatal("never ran")
 	}
-	migs := m.Trace.Count(trace.Migrate)
+	migs := m.Counts.Migrations
 	if migs > 0 {
 		t.Fatalf("idle-machine sleeper migrated %d times", migs)
 	}

@@ -52,8 +52,6 @@ type MachineConfig struct {
 	ULEParams *ule.Params
 	// Cost overrides the default cost model when non-nil.
 	Cost *sim.CostModel
-	// TraceCapacity retains that many trace records.
-	TraceCapacity int
 	// KernelNoise starts per-core kworker threads (multicore experiments).
 	KernelNoise bool
 }
@@ -84,11 +82,7 @@ func NewMachine(mc MachineConfig) *sim.Machine {
 	if mc.Seed == 0 {
 		mc.Seed = 42
 	}
-	m := sim.NewMachine(mc.Topology(), sched, sim.Options{
-		Seed:          mc.Seed,
-		Cost:          mc.Cost,
-		TraceCapacity: mc.TraceCapacity,
-	})
+	m := sim.NewMachine(mc.Topology(), sched, sim.Options{Seed: mc.Seed, Cost: mc.Cost})
 	if mc.KernelNoise {
 		apps.StartKernelNoise(m, 15*time.Millisecond, 300*time.Microsecond)
 	}

@@ -42,7 +42,7 @@ func (l *looper) Next(ctx *sim.Ctx) sim.Op { return sim.Run(l.burst) }
 
 func newMachine(seed int64) *sim.Machine {
 	return sim.NewMachine(topo.Small(), sim.NewFIFO(),
-		sim.Options{Seed: seed, Cost: &sim.CostModel{}, TraceCapacity: 0})
+		sim.Options{Seed: seed, Cost: &sim.CostModel{}})
 }
 
 // TestAllKindsInstallAndRun drives every fault kind through a live

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // DefaultCadence is the sampling period when Options does not choose one:
@@ -291,11 +290,11 @@ func installSteals(a *Attachment) {
 	rateSampler(a, "rate.steals", func() uint64 { return n })
 }
 
-// installPreemptions reads the trace's exact preemption count (counts are
-// always maintained, whatever the record capacity).
+// installPreemptions reads the engine's preemption count
+// (sim.Machine.Counts).
 func installPreemptions(a *Attachment) {
 	m := a.m
-	rateSampler(a, "rate.preemptions", func() uint64 { return m.Trace.Count(trace.Preempt) })
+	rateSampler(a, "rate.preemptions", func() uint64 { return m.Counts.Preemptions })
 }
 
 // installTicks counts fired scheduler ticks via the tick hook. Every

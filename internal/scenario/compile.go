@@ -16,7 +16,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timeline"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -582,14 +581,14 @@ func (s *Spec) extract(m *sim.Machine, states []*entryState, att *probe.Attachme
 
 	if s.wants(MetricCounters) {
 		rep.Counters = map[string]uint64{
-			"switches":    m.Trace.Count(trace.Switch),
-			"wakeups":     m.Trace.Count(trace.Wakeup),
-			"migrations":  m.Trace.Count(trace.Migrate),
-			"preemptions": m.Trace.Count(trace.Preempt),
-			"forks":       m.Trace.Count(trace.Fork),
-			"exits":       m.Trace.Count(trace.Exit),
-			"balances":    m.Trace.Count(trace.Balance),
-			"steals":      m.Trace.Count(trace.Steal),
+			"switches":    m.Counts.Switches,
+			"wakeups":     m.Counts.Wakeups,
+			"migrations":  m.Counts.Migrations,
+			"preemptions": m.Counts.Preemptions,
+			"forks":       m.Counts.Forks,
+			"exits":       m.Counts.Exits,
+			"balances":    m.Counts.Balances,
+			"steals":      m.Counts.Steals,
 		}
 		for _, cn := range m.Counters.Names() {
 			rep.Counters[cn] = m.Counters.Value(cn)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // script is a test program executing a fixed list of ops, then exiting.
@@ -37,7 +36,7 @@ func (l *looper) Next(ctx *Ctx) Op { return Run(l.burst) }
 
 func newTestMachine(t *testing.T, tp *topo.Topology) *Machine {
 	t.Helper()
-	return NewMachine(tp, NewFIFO(), Options{Seed: 7, Cost: &CostModel{}, TraceCapacity: 10000})
+	return NewMachine(tp, NewFIFO(), Options{Seed: 7, Cost: &CostModel{}})
 }
 
 func TestSingleThreadRunsAndExits(t *testing.T) {
@@ -53,7 +52,7 @@ func TestSingleThreadRunsAndExits(t *testing.T) {
 	if m.LiveThreads() != 0 {
 		t.Fatalf("LiveThreads = %d", m.LiveThreads())
 	}
-	if m.Trace.Count(trace.Exit) != 1 {
+	if m.Counts.Exits != 1 {
 		t.Fatal("missing exit trace")
 	}
 }
@@ -172,7 +171,7 @@ func TestForkRunsChild(t *testing.T) {
 		t.Fatalf("child RunTime = %v", child.RunTime)
 	}
 	// Two fork records: the root StartThread and the Ctx.Fork child.
-	if got := m.Trace.Count(trace.Fork); got != 2 {
+	if got := m.Counts.Forks; got != 2 {
 		t.Fatalf("fork trace count = %d, want 2", got)
 	}
 }
@@ -214,14 +213,14 @@ func TestIdleStealSpreadsLoad(t *testing.T) {
 			t.Fatalf("core %d has %d runnable, want 1 (counts=%v)", i, n, counts)
 		}
 	}
-	if m.Trace.Count(trace.Steal) == 0 {
+	if m.Counts.Steals == 0 {
 		t.Fatal("no steals traced")
 	}
 }
 
 func TestDeterminismSameSeed(t *testing.T) {
 	run := func() (time.Duration, uint64) {
-		m := NewMachine(topo.Small(), NewFIFO(), Options{Seed: 99, TraceCapacity: 0})
+		m := NewMachine(topo.Small(), NewFIFO(), Options{Seed: 99})
 		for i := 0; i < 6; i++ {
 			m.StartThread("w", "app", 0, &script{ops: []Op{
 				Run(3 * time.Millisecond), Sleep(time.Millisecond),
@@ -234,7 +233,7 @@ func TestDeterminismSameSeed(t *testing.T) {
 		for _, th := range m.Threads() {
 			total += th.RunTime
 		}
-		return total, m.Trace.Count(trace.Switch)
+		return total, m.Counts.Switches
 	}
 	r1, s1 := run()
 	r2, s2 := run()
@@ -274,7 +273,7 @@ func TestMigrationPenaltyAppliedAcrossLLC(t *testing.T) {
 	m.Run(10 * time.Millisecond)
 	m.SetPinned(b, nil)
 	m.Run(100 * time.Millisecond)
-	if m.Trace.Count(trace.Migrate) == 0 {
+	if m.Counts.Migrations == 0 {
 		t.Fatal("no migration happened")
 	}
 	_ = a
@@ -558,6 +557,85 @@ func (p *runSleeper) Next(ctx *Ctx) Op {
 		return Run(p.run)
 	}
 	return Sleep(p.sleep)
+}
+
+// TestEventCountIdentities checks Machine.Counts against what the engine
+// can tell by other means, across the scripted FIFO runs above: every
+// thread was forked once, the dead ones exited once, a preemption is a
+// switch, and every steal moves its thread with Migrate.
+func TestEventCountIdentities(t *testing.T) {
+	two := topo.MustNew(topo.Config{NUMANodes: 1, LLCsPerNode: 1, CoresPerLLC: 2})
+	four := topo.MustNew(topo.Config{NUMANodes: 1, LLCsPerNode: 1, CoresPerLLC: 4})
+	runs := []struct {
+		name string
+		tp   *topo.Topology
+		run  func(m *Machine)
+	}{
+		{"exit", topo.SingleCore(), func(m *Machine) {
+			m.StartThread("w", "app", 0, &script{ops: []Op{Run(5 * time.Millisecond), Run(3 * time.Millisecond)}})
+			m.Run(time.Second)
+		}},
+		{"fork", topo.SingleCore(), func(m *Machine) {
+			m.StartThread("parent", "app", 0, &script{
+				ops: []Op{Run(time.Millisecond), Run(time.Millisecond)},
+				hooks: map[int]func(*Ctx){1: func(ctx *Ctx) {
+					ctx.Fork("child", "app", 0, &script{ops: []Op{Run(2 * time.Millisecond)}})
+				}},
+			})
+			m.Run(time.Second)
+		}},
+		{"round-robin", topo.SingleCore(), func(m *Machine) {
+			m.StartThread("a", "app", 0, &looper{burst: time.Millisecond})
+			m.StartThread("b", "app", 0, &looper{burst: time.Millisecond})
+			m.Run(2 * time.Second)
+		}},
+		{"spin-broadcast", two, func(m *Machine) {
+			wq := NewWaitQueue()
+			m.StartThread("spinner", "app", 0, &script{ops: []Op{Spin(wq, time.Hour), Run(time.Millisecond)}})
+			m.StartThread("releaser", "app", 0, &script{ops: []Op{Run(20 * time.Millisecond)}, hooks: map[int]func(*Ctx){
+				1: func(ctx *Ctx) { ctx.Broadcast(wq) },
+			}})
+			m.Run(time.Second)
+		}},
+		{"idle-steal", four, func(m *Machine) {
+			var ths []*Thread
+			for i := 0; i < 4; i++ {
+				ths = append(ths, m.StartThreadCfg(ThreadConfig{Name: "s", Group: "app", Pinned: []int{0}, Prog: &looper{burst: time.Millisecond}}))
+			}
+			m.Run(50 * time.Millisecond)
+			for _, th := range ths {
+				m.SetPinned(th, nil)
+			}
+			m.Run(200 * time.Millisecond)
+		}},
+		{"churn", topo.Small(), func(m *Machine) {
+			for i := 0; i < 40; i++ {
+				m.StartThread("w", "app", 0, &script{ops: []Op{
+					Run(time.Millisecond), Sleep(2 * time.Millisecond),
+					Run(time.Millisecond), Yield(),
+					Run(3 * time.Millisecond),
+				}})
+			}
+			m.Run(5 * time.Second)
+		}},
+	}
+	for _, r := range runs {
+		m := newTestMachine(t, r.tp)
+		r.run(m)
+		c := m.Counts
+		if c.Forks != uint64(len(m.Threads())) {
+			t.Errorf("%s: Forks = %d, %d threads created", r.name, c.Forks, len(m.Threads()))
+		}
+		if c.Exits != c.Forks-uint64(m.LiveThreads()) {
+			t.Errorf("%s: Exits = %d, want Forks %d - live %d", r.name, c.Exits, c.Forks, m.LiveThreads())
+		}
+		if c.Preemptions > c.Switches {
+			t.Errorf("%s: Preemptions %d > Switches %d", r.name, c.Preemptions, c.Switches)
+		}
+		if c.Steals > c.Migrations {
+			t.Errorf("%s: Steals %d > Migrations %d", r.name, c.Steals, c.Migrations)
+		}
+	}
 }
 
 func TestThreadConservation(t *testing.T) {

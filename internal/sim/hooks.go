@@ -10,7 +10,8 @@ package sim
 //   - migrate:  a balancer/stealer moved a runnable thread between cores
 //     (fires before the arrival's enqueue hook);
 //   - steal:    an idle core stole a thread from a victim (reported by
-//     the scheduler via TraceSteal; the accompanying Migrate also fires);
+//     the scheduler via TraceSteal, which also bumps Machine.Counts.Steals;
+//     the accompanying Migrate also fires);
 //   - tick:     a scheduler tick fired on a core (after token
 //     validation, i.e. only ticks that actually run);
 //   - pick:     a core's PickNext chose a thread — the decision point of

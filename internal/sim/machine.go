@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // Machine is the simulated multicore computer: cores, threads, the event
@@ -18,8 +17,8 @@ type Machine struct {
 	Topo *topo.Topology
 	// Cores are the CPUs, indexed by ID.
 	Cores []*Core
-	// Trace records scheduler events.
-	Trace *trace.Buffer
+	// Counts tallies the engine's scheduler events.
+	Counts EventCounts
 	// Counters collects named counts from schedulers and workloads.
 	Counters *stats.CounterSet
 	// Cost prices context switches, migrations, and scheduler work.
@@ -95,9 +94,28 @@ type Options struct {
 	Seed int64
 	// Cost overrides the default cost model; nil uses DefaultCostModel.
 	Cost *CostModel
-	// TraceCapacity bounds retained trace records (counts are always
-	// exact); default 0 retains counts only.
-	TraceCapacity int
+}
+
+// EventCounts tallies scheduler events over a machine's life — the counts
+// the paper's analysis reads (e.g. "ab is preempted 2 million times",
+// §5.3). Plain fields keep counting free of allocation.
+type EventCounts struct {
+	// Switches counts context switches, switches to idle included.
+	Switches uint64
+	// Wakeups counts sleeping or blocked threads made runnable.
+	Wakeups uint64
+	// Migrations counts runnable threads moved between cores.
+	Migrations uint64
+	// Preemptions counts involuntary deschedules of a runnable thread.
+	Preemptions uint64
+	// Forks counts threads created.
+	Forks uint64
+	// Exits counts threads terminated.
+	Exits uint64
+	// Balances counts load-balancer invocations (TraceBalance).
+	Balances uint64
+	// Steals counts idle steals (TraceSteal).
+	Steals uint64
 }
 
 // forceEventHeap puts every machine built while it is set on the
@@ -122,7 +140,6 @@ func NewMachine(tp *topo.Topology, sched Scheduler, opts Options) *Machine {
 	}
 	m := &Machine{
 		Topo:     tp,
-		Trace:    trace.New(opts.TraceCapacity),
 		Counters: stats.NewCounterSet(),
 		Cost:     cost,
 		sched:    sched,
@@ -448,7 +465,7 @@ func (m *Machine) spawn(name, group string, nice int, prog Program, parent *Thre
 	origin := m.execCore
 	c := m.sched.SelectCore(t, origin, FlagFork)
 	m.assertAllowed(c, t)
-	m.Trace.Record(trace.Event{At: m.now, Kind: trace.Fork, Core: c.ID, OtherCore: -1, Thread: t.ID})
+	m.Counts.Forks++
 	m.enqueueRunnable(c, t, FlagFork)
 	return t
 }
@@ -477,7 +494,7 @@ func (m *Machine) Wake(t *Thread) {
 	if t.LastCore != nil && t.LastCore != target && !m.Topo.ShareLLC(t.LastCore.ID, target.ID) {
 		t.pendingPenalty += m.Cost.MigrationPenalty
 	}
-	m.Trace.Record(trace.Event{At: m.now, Kind: trace.Wakeup, Core: target.ID, OtherCore: coreID(origin), Thread: t.ID})
+	m.Counts.Wakeups++
 	if m.hooks != nil {
 		for _, fn := range m.hooks.wake {
 			fn(target, origin, t)
@@ -543,7 +560,7 @@ func (m *Machine) Migrate(t *Thread, from, to *Core) {
 	if t.LastCore != nil && !m.Topo.ShareLLC(t.LastCore.ID, to.ID) {
 		t.pendingPenalty += m.Cost.MigrationPenalty
 	}
-	m.Trace.Record(trace.Event{At: m.now, Kind: trace.Migrate, Core: from.ID, OtherCore: to.ID, Thread: t.ID})
+	m.Counts.Migrations++
 	if m.hooks != nil {
 		for _, fn := range m.hooks.migrate {
 			fn(from, to, t)
@@ -603,14 +620,15 @@ func (m *Machine) ChargeScan(c *Core, d time.Duration) {
 	c.ScanTime += d
 }
 
-// TraceBalance records a balancer invocation for core c.
+// TraceBalance counts a balancer invocation for core c.
 func (m *Machine) TraceBalance(c *Core) {
-	m.Trace.Record(trace.Event{At: m.now, Kind: trace.Balance, Core: c.ID, OtherCore: -1})
+	m.Counts.Balances++
 }
 
-// TraceSteal records an idle steal by c from victim.
+// TraceSteal counts an idle steal by c from victim and fires the steal
+// hooks; the scheduler then moves t with Migrate.
 func (m *Machine) TraceSteal(c, victim *Core, t *Thread) {
-	m.Trace.Record(trace.Event{At: m.now, Kind: trace.Steal, Core: c.ID, OtherCore: victim.ID, Thread: t.ID})
+	m.Counts.Steals++
 	if m.hooks != nil {
 		for _, fn := range m.hooks.steal {
 			fn(c, victim, t)
@@ -680,7 +698,7 @@ func (m *Machine) dispatch(c *Core) {
 				}
 			}
 			if c.lastThread != nil {
-				m.Trace.Record(trace.Event{At: m.now, Kind: trace.Switch, Core: c.ID, OtherCore: -1, Thread: 0, Other: c.lastThread.ID})
+				m.Counts.Switches++
 				c.lastThread = nil
 			}
 			c.markIdle()
@@ -711,7 +729,7 @@ func (m *Machine) start(c *Core, t *Thread) {
 		c.runStart += m.Cost.PickFixedCost
 	}
 	if c.lastThread != t {
-		m.Trace.Record(trace.Event{At: m.now, Kind: trace.Switch, Core: c.ID, OtherCore: -1, Thread: t.ID, Other: threadID(c.lastThread)})
+		m.Counts.Switches++
 		if m.Cost.SwitchCost > 0 {
 			c.SchedTime += m.Cost.SwitchCost
 			c.runStart += m.Cost.SwitchCost
@@ -887,7 +905,7 @@ func (m *Machine) deschedule(c *Core, flags int) {
 	c.flushRun()
 	m.burstTok[c.ID]++ // invalidate burst-end
 	if flags&FlagPreempted != 0 {
-		m.Trace.Record(trace.Event{At: m.now, Kind: trace.Preempt, Core: c.ID, OtherCore: -1, Thread: t.ID})
+		m.Counts.Preemptions++
 		t.pendingPenalty += m.Cost.PreemptPenalty
 	}
 	t.state = StateRunnable
@@ -927,7 +945,7 @@ func (m *Machine) exitCurrent(c *Core, t *Thread) {
 	t.opValid = false
 	m.live--
 	m.sched.Exit(t)
-	m.Trace.Record(trace.Event{At: m.now, Kind: trace.Exit, Core: c.ID, OtherCore: -1, Thread: t.ID})
+	m.Counts.Exits++
 	if t.exitWQ != nil {
 		m.Broadcast(t.exitWQ)
 	}
@@ -955,11 +973,4 @@ func (m *Machine) stopCurrent(c *Core, t *Thread, flags int) {
 	// The sleep/block op is consumed; the program resumes with a fresh op
 	// on wakeup. Exit consumes trivially.
 	t.opValid = false
-}
-
-func threadID(t *Thread) int {
-	if t == nil {
-		return 0
-	}
-	return t.ID
 }

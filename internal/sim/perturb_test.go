@@ -24,7 +24,7 @@ func TestOfflineCoreDrainsAndRefusesWork(t *testing.T) {
 			m := newTestMachine(t, topo.Small())
 			_ = mk // scheduler kind is fixed by newTestMachine for fifo; rebuild for the wrapper
 			if name == "default-drain" {
-				m = NewMachine(topo.Small(), &noHotplug{FIFO: NewFIFO()}, Options{Seed: 7, Cost: &CostModel{}, TraceCapacity: 10000})
+				m = NewMachine(topo.Small(), &noHotplug{FIFO: NewFIFO()}, Options{Seed: 7, Cost: &CostModel{}})
 			}
 			var ths []*Thread
 			for i := 0; i < 12; i++ {

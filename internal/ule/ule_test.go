@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 type looper struct{ burst time.Duration }
@@ -32,7 +31,7 @@ func (s *sleeper) Next(ctx *sim.Ctx) sim.Op {
 
 func newMachine(p Params, tp *topo.Topology, seed int64) (*sim.Machine, *Sched) {
 	s := New(p)
-	m := sim.NewMachine(tp, s, sim.Options{Seed: seed, Cost: &sim.CostModel{}, TraceCapacity: 0})
+	m := sim.NewMachine(tp, s, sim.Options{Seed: seed, Cost: &sim.CostModel{}})
 	return m, s
 }
 
@@ -154,7 +153,7 @@ func TestNoWakeupPreemption(t *testing.T) {
 	m.StartThread("hog", "a", 0, &looper{burst: 50 * time.Millisecond})
 	m.StartThread("inter", "b", 0, &sleeper{run: 100 * time.Microsecond, sleep: 5 * time.Millisecond})
 	m.Run(5 * time.Second)
-	if got := m.Trace.Count(trace.Preempt); got != 0 {
+	if got := m.Counts.Preemptions; got != 0 {
 		t.Fatalf("ULE produced %d wakeup preemptions; full preemption is disabled", got)
 	}
 }
@@ -166,7 +165,7 @@ func TestFullPreemptAblation(t *testing.T) {
 	m.StartThread("hog", "a", 0, &looper{burst: 50 * time.Millisecond})
 	m.StartThread("inter", "b", 0, &sleeper{run: 100 * time.Microsecond, sleep: 5 * time.Millisecond})
 	m.Run(5 * time.Second)
-	if got := m.Trace.Count(trace.Preempt); got == 0 {
+	if got := m.Counts.Preemptions; got == 0 {
 		t.Fatal("FullPreempt ablation produced no preemptions")
 	}
 }
@@ -203,7 +202,7 @@ func TestOneThreadPerCorePlacement(t *testing.T) {
 		}
 	}
 	// After the initial placement there is nothing to migrate.
-	if migs := m.Trace.Count(trace.Migrate); migs > 4 {
+	if migs := m.Counts.Migrations; migs > 4 {
 		t.Fatalf("ULE migrated %d times on a static balanced workload", migs)
 	}
 }
@@ -263,7 +262,7 @@ func TestBalancerMovesOneThreadPerInvocation(t *testing.T) {
 	// threads: migrations - steals ≤ invocations (it can move at most one
 	// per invocation: core 0 is the only donor).
 	steals := m.Counters.Value("ule.steals")
-	migs := m.Trace.Count(trace.Migrate)
+	migs := m.Counts.Migrations
 	invocations := m.Counters.Value("ule.balance_invocations")
 	if steals != 7 {
 		t.Fatalf("steals = %d, want 7", steals)

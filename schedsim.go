@@ -88,8 +88,6 @@ type Config struct {
 	ULEParams *ule.Params
 	// Cost overrides the micro-architectural cost model.
 	Cost *sim.CostModel
-	// TraceCapacity retains that many scheduler trace records.
-	TraceCapacity int
 }
 
 // Machine is a simulated multicore computer running one scheduler.
@@ -105,14 +103,13 @@ func New(cfg Config) *Machine {
 		cfg.Scheduler = CFS
 	}
 	m := core.NewMachine(core.MachineConfig{
-		Cores:         cfg.Cores,
-		Kind:          cfg.Scheduler,
-		Seed:          cfg.Seed,
-		CFSParams:     cfg.CFSParams,
-		ULEParams:     cfg.ULEParams,
-		Cost:          cfg.Cost,
-		TraceCapacity: cfg.TraceCapacity,
-		KernelNoise:   cfg.KernelNoise,
+		Cores:       cfg.Cores,
+		Kind:        cfg.Scheduler,
+		Seed:        cfg.Seed,
+		CFSParams:   cfg.CFSParams,
+		ULEParams:   cfg.ULEParams,
+		Cost:        cfg.Cost,
+		KernelNoise: cfg.KernelNoise,
 	})
 	return &Machine{M: m}
 }
