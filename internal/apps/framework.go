@@ -59,9 +59,6 @@ type Instance struct {
 // AddOp records one unit of useful work.
 func (in *Instance) AddOp() { in.ops++ }
 
-// AddOps records n units of useful work.
-func (in *Instance) AddOps(n int) { in.ops += uint64(n) }
-
 // Ops returns the work units completed so far.
 func (in *Instance) Ops() uint64 { return in.ops }
 

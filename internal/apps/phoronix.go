@@ -94,10 +94,6 @@ func Gzip() Spec {
 	}}
 }
 
-// CRayProbe, when set, is called with the worker index each time a c-ray
-// worker passes the cascading barrier (test/figure instrumentation).
-var CRayProbe func(i int)
-
 // CRay is the §6.2 study application: 16 threads per core released through
 // a cascading chain (thread i wakes thread i+1), then pure rendering.
 func CRay() Spec {
@@ -128,16 +124,6 @@ func CRay() Spec {
 					if i+1 < n {
 						next := i + 1
 						cw.ReleaseNext = func(ctx *sim.Ctx) { release(ctx, next) }
-					}
-					if CRayProbe != nil {
-						idx := i
-						prev := cw.OnAwake
-						cw.OnAwake = func() {
-							if prev != nil {
-								prev()
-							}
-							CRayProbe(idx)
-						}
 					}
 					return fmt.Sprintf("render-%d", i), cw
 				},

@@ -261,12 +261,12 @@ func Hackbench(groups, msgsPerSender int) Spec {
 						OnForked: func(i int, t *sim.Thread) {
 							in.Workers = append(in.Workers, t)
 							if i < fanout {
-								t.OnExit = func(*sim.Thread) {
+								t.SetOnExit(func(*sim.Thread) {
 									receiversLeft--
 									if receiversLeft == 0 {
 										in.MarkDone()
 									}
-								}
+								})
 							}
 						},
 					}

@@ -475,48 +475,3 @@ func (cs *coreState) removeThread(t *sim.Thread) {
 
 var _ sim.Scheduler = (*Sched)(nil)
 var _ sim.PickExplainer = (*Sched)(nil)
-
-// DebugEntity renders an entity's scheduling state for diagnostics.
-func (s *Sched) DebugEntity(t *sim.Thread) string {
-	se := s.ent(t)
-	var ownerMin, lmVr int64 = -1, -1
-	var ownerNr int
-	if se.owner != nil {
-		ownerMin = se.owner.minVruntime
-		ownerNr = se.owner.nrRunning
-		if lm := se.owner.leftmost(); lm != nil {
-			lmVr = lm.vruntime
-		}
-	}
-	geInfo := ""
-	if se.owner != nil && se.owner.group != nil {
-		g, core := se.owner.group, se.owner.core
-		ge := g.entities[core]
-		geInfo = fmt.Sprintf(" ge{vr=%d w=%d onRQ=%v}", ge.vruntime, g.share(core), ge.onRQ)
-	}
-	return fmt.Sprintf("vr=%d ownerMin=%d leftmost=%d nr=%d onRQ=%v inTree=%v%s",
-		se.vruntime, ownerMin, lmVr, ownerNr, se.onRQ, se.inTree, geInfo)
-}
-
-// DebugGroupRQ lists (name, vruntime) of entities in t's group rq on core,
-// plus the rq identity check for t's own entity.
-func (s *Sched) DebugGroupRQ(t *sim.Thread, core int) string {
-	se := s.ent(t)
-	rq := s.rqFor(se, core)
-	out := fmt.Sprintf("rq==owner:%v curr=%v items:", rq == se.owner, rq.curr != nil)
-	found := false
-	for _, it := range rq.tree.Items() {
-		e := it.(*entity)
-		name := "?"
-		if e.thread != nil {
-			name = e.thread.Name
-		}
-		if e == se {
-			found = true
-			name += "*"
-		}
-		out += fmt.Sprintf(" %s@%d", name, e.vruntime)
-	}
-	out += fmt.Sprintf(" [stuckInThisTree=%v]", found)
-	return out
-}

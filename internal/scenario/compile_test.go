@@ -271,3 +271,47 @@ func TestOpenLoopSeedAxisChangesArrivals(t *testing.T) {
 		t.Fatalf("different seeds produced identical event counts (%d)", rep.Trials[0].Events)
 	}
 }
+
+// TestBundledScenarioCountIdentities: the engine's event counts obey their
+// identities in every bundled scenario under both paper schedulers — a
+// thread exits at most once after its fork, a preemption is a switch, and
+// every steal moves its thread with Migrate. fork-storm's hackbench
+// retires threads whose exit hooks live in the thread's side record, so a
+// doubled exit path shows here.
+func TestBundledScenarioCountIdentities(t *testing.T) {
+	specs, err := Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const scale = 0.02
+	for _, sp := range specs {
+		cp := *sp
+		cp.Schedulers = []SchedSpec{{Kind: "cfs"}, {Kind: "ule"}}
+		cp.Metrics = nil
+		cp.resolved, cp.validated = nil, false
+		if err := cp.Validate(); err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		rep := mustRun(t, &cp, scale)
+		kinds := map[string]bool{}
+		for _, tr := range rep.Trials {
+			kinds[tr.Scheduler] = true
+			c := tr.Counters
+			if c["forks"] == 0 || c["switches"] == 0 {
+				t.Errorf("%s: %d forks, %d switches: nothing ran", tr.Name, c["forks"], c["switches"])
+			}
+			if c["exits"] > c["forks"] {
+				t.Errorf("%s: %d exits > %d forks", tr.Name, c["exits"], c["forks"])
+			}
+			if c["preemptions"] > c["switches"] {
+				t.Errorf("%s: %d preemptions > %d switches", tr.Name, c["preemptions"], c["switches"])
+			}
+			if c["steals"] > c["migrations"] {
+				t.Errorf("%s: %d steals > %d migrations", tr.Name, c["steals"], c["migrations"])
+			}
+		}
+		if !kinds["cfs"] || !kinds["ule"] {
+			t.Errorf("%s: ran schedulers %v, want cfs and ule", sp.Name, kinds)
+		}
+	}
+}

@@ -130,7 +130,7 @@ func (c *Core) flushRun() {
 	c.runStart = now
 	t.RunTime += delta
 	c.BusyTime += delta
-	if t.opValid && (t.op.Kind == OpRun || t.op.Kind == OpSpin) {
+	if t.opValid && (t.opKind == OpRun || t.opKind == OpSpin) {
 		t.opRemaining -= c.workFor(delta)
 		if t.opRemaining < 0 {
 			t.opRemaining = 0
@@ -154,7 +154,7 @@ func (c *Core) chargeSched(d time.Duration) {
 			base = c.mach.now
 		}
 		c.runStart = base + d
-		if c.Curr.opValid && (c.Curr.op.Kind == OpRun || c.Curr.op.Kind == OpSpin) {
+		if c.Curr.opValid && (c.Curr.opKind == OpRun || c.Curr.opKind == OpSpin) {
 			c.mach.scheduleBurstEnd(c)
 		}
 	}

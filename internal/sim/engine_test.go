@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/topo"
 )
@@ -149,6 +150,92 @@ func TestSpinTimeoutCompletes(t *testing.T) {
 	if th.RunTime != 6*time.Millisecond {
 		t.Fatalf("RunTime = %v, want 6ms", th.RunTime)
 	}
+}
+
+// spinLogger spins on wq until released, then logs its name, runs
+// onRelease (if any) and exits.
+type spinLogger struct {
+	name      string
+	wq        *WaitQueue
+	log       *[]string
+	onRelease func(*Ctx)
+	spun      bool
+}
+
+func (p *spinLogger) Next(ctx *Ctx) Op {
+	if !p.spun {
+		p.spun = true
+		return Spin(p.wq, time.Hour)
+	}
+	*p.log = append(*p.log, p.name)
+	if p.onRelease != nil {
+		p.onRelease(ctx)
+	}
+	return Exit()
+}
+
+// TestBroadcastSpinnersAllocFree: releasing running spinners takes its
+// snapshot on the machine's scratch stack, so a Broadcast allocates
+// nothing, and a Broadcast nested inside a released spinner's program
+// finishes its own queue before the outer one resumes its snapshot in
+// order.
+func TestBroadcastSpinnersAllocFree(t *testing.T) {
+	t.Run("alloc", func(t *testing.T) {
+		m := newTestMachine(t, topo.Small())
+		wq := NewWaitQueue()
+		released := 0
+		for i := 0; i < 3; i++ {
+			m.StartThreadCfg(ThreadConfig{Name: "spin", Group: "app", Pinned: []int{i},
+				Prog: ProgramFunc(func(*Ctx) Op {
+					released++
+					return Spin(wq, 500*time.Microsecond)
+				})})
+		}
+		cycle := func() {
+			m.Broadcast(wq)
+			m.Run(m.Now() + time.Millisecond)
+		}
+		for i := 0; i < 20; i++ {
+			cycle()
+		}
+		before := released
+		if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+			t.Errorf("Broadcast releasing %d running spinners: %.1f allocations per cycle, want 0", wq.Spinners(), avg)
+		}
+		// 51 cycles of one broadcast (3 releases) and two budget expiries.
+		if got, want := released-before, 51*3*3; got != want {
+			t.Fatalf("%d spins started over 51 cycles, want %d: the spinners are not all running", got, want)
+		}
+	})
+	t.Run("nested", func(t *testing.T) {
+		m := newTestMachine(t, topo.Small())
+		a, b := NewWaitQueue(), NewWaitQueue()
+		var log []string
+		start := func(name string, core int, wq *WaitQueue, onRelease func(*Ctx)) {
+			m.StartThreadCfg(ThreadConfig{Name: name, Group: "app", Pinned: []int{core},
+				Prog: &spinLogger{name: name, wq: wq, log: &log, onRelease: onRelease}})
+		}
+		start("a1", 0, a, func(ctx *Ctx) { ctx.Broadcast(b) })
+		start("a2", 1, a, nil)
+		start("a3", 2, a, nil)
+		start("b1", 3, b, nil)
+		start("b2", 4, b, nil)
+		start("b3", 5, b, nil)
+		m.Run(time.Millisecond)
+		m.Broadcast(a)
+		want := []string{"a1", "b1", "b2", "b3", "a2", "a3"}
+		if len(log) != len(want) {
+			t.Fatalf("released %v, want %v", log, want)
+		}
+		for i := range want {
+			if log[i] != want[i] {
+				t.Fatalf("released %v, want %v", log, want)
+			}
+		}
+		if a.Spinners() != 0 || b.Spinners() != 0 || len(m.spinScratch) != 0 {
+			t.Fatalf("after release: %d + %d spinners registered, scratch depth %d", a.Spinners(), b.Spinners(), len(m.spinScratch))
+		}
+	})
 }
 
 func TestForkRunsChild(t *testing.T) {
@@ -542,6 +629,15 @@ func TestHotTimerPathsAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("hot timer paths allocated %.1f allocs per 5ms window, want 0", avg)
+	}
+}
+
+// TestThreadSize pins a thread's footprint at the 224-byte size class:
+// fields few threads set live behind Thread.extra, and the op state shares
+// one word.
+func TestThreadSize(t *testing.T) {
+	if got := unsafe.Sizeof(Thread{}); got > 224 {
+		t.Errorf("sizeof(Thread) = %d bytes, want <= 224", got)
 	}
 }
 

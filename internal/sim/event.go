@@ -156,13 +156,3 @@ func (r *Rand) DurationIn(lo, hi time.Duration) time.Duration {
 	}
 	return lo + time.Duration(r.r.Int63n(int64(hi-lo)))
 }
-
-// ExpDuration returns an exponentially distributed duration with the given
-// mean, capped at 100× the mean (open-loop arrival processes).
-func (r *Rand) ExpDuration(mean time.Duration) time.Duration {
-	d := time.Duration(r.r.ExpFloat64() * float64(mean))
-	if d > 100*mean {
-		d = 100 * mean
-	}
-	return d
-}

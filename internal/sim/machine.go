@@ -86,6 +86,11 @@ type Machine struct {
 	execCore *Core
 	// pendingPin carries StartThreadCfg affinity into spawn.
 	pendingPin []int
+	// spinScratch is Broadcast's snapshot stack: each call appends the
+	// spinners it releases above the frames of the calls it is nested in,
+	// walks its own frame by index and truncates back, so releasing
+	// spinners allocates nothing once the stack has grown.
+	spinScratch []*Thread
 }
 
 // Options configures machine construction.
@@ -435,7 +440,7 @@ func (m *Machine) StartThreadCfg(cfg ThreadConfig) *Thread {
 	m.pendingPin = cfg.Pinned
 	t := m.spawn(cfg.Name, cfg.Group, cfg.Nice, cfg.Prog, nil)
 	m.pendingPin = nil
-	t.OnExit = cfg.OnExit
+	t.SetOnExit(cfg.OnExit)
 	return t
 }
 
@@ -452,9 +457,9 @@ func (m *Machine) spawn(name, group string, nice int, prog Program, parent *Thre
 	}
 	t.ctx = Ctx{T: t, M: m}
 	if parent != nil {
-		t.Pinned = append([]int(nil), parent.Pinned...)
+		t.setPinned(append([]int(nil), parent.Pinned()...))
 	} else if m.pendingPin != nil {
-		t.Pinned = append([]int(nil), m.pendingPin...)
+		t.setPinned(append([]int(nil), m.pendingPin...))
 	}
 	m.ensurePlaceable(t)
 	m.nextTID++
@@ -525,9 +530,13 @@ func (m *Machine) Broadcast(wq *WaitQueue) {
 		m.Wake(t)
 	}
 	// Release spinners: running ones complete their spin now; preempted
-	// ones complete when next dispatched.
-	spinners := append([]*Thread(nil), wq.spinners...)
-	for _, t := range spinners {
+	// ones complete when next dispatched. Completing a spin runs program
+	// code, which may broadcast again and append its own frame above this
+	// one, or grow the stack: index it afresh on every step.
+	base := len(m.spinScratch)
+	m.spinScratch = append(m.spinScratch, wq.spinners...)
+	for i, end := base, len(m.spinScratch); i < end; i++ {
+		t := m.spinScratch[i]
 		t.spinDone = true
 		if t.state == StateRunning {
 			c := t.core
@@ -536,6 +545,8 @@ func (m *Machine) Broadcast(wq *WaitQueue) {
 			m.completeOpNow(c, t)
 		}
 	}
+	clear(m.spinScratch[base:])
+	m.spinScratch = m.spinScratch[:base]
 }
 
 // Migrate moves a runnable (not running) thread between cores; balancers
@@ -572,7 +583,7 @@ func (m *Machine) Migrate(t *Thread, from, to *Core) {
 // SetPinned changes a thread's affinity (taskset). Unpinning takes effect
 // through normal balancing, as in the paper's Figure 6 experiment.
 func (m *Machine) SetPinned(t *Thread, cores []int) {
-	t.Pinned = cores
+	t.setPinned(cores)
 }
 
 // RunnableCounts samples NrRunnable for every core — the y-axis of the
@@ -595,20 +606,9 @@ func (m *Machine) RunnableCountsInto(buf []int) []int {
 	return buf
 }
 
-// ChargeSched bills d of scheduler work to core c (or the exec core when c
-// is nil), consuming simulated CPU time.
-func (m *Machine) ChargeSched(c *Core, d time.Duration) {
-	if c == nil {
-		c = m.execCore
-	}
-	if c == nil {
-		return
-	}
-	c.chargeSched(d)
-}
-
-// ChargeScan bills placement-scan work: like ChargeSched but also counted
-// in the core's ScanTime (the paper's §6.3 scheduler-time metric).
+// ChargeScan bills placement-scan work to core c (or the exec core when c
+// is nil), consuming simulated CPU time and counting it in the core's
+// ScanTime (the paper's §6.3 scheduler-time metric).
 func (m *Machine) ChargeScan(c *Core, d time.Duration) {
 	if c == nil {
 		c = m.execCore
@@ -743,14 +743,14 @@ func (m *Machine) start(c *Core, t *Thread) {
 	}
 
 	if t.opValid {
-		switch t.op.Kind {
+		switch t.opKind {
 		case OpRun, OpSpin:
-			if t.op.Kind == OpSpin && t.spinDone {
+			if t.opKind == OpSpin && t.spinDone {
 				// Condition fired while we waited on the runqueue.
 				m.completeOpNow(c, t)
 				return
 			}
-			if t.op.Kind == OpRun && t.pendingPenalty > 0 {
+			if t.opKind == OpRun && t.pendingPenalty > 0 {
 				t.opRemaining += t.pendingPenalty
 				t.pendingPenalty = 0
 			}
@@ -758,7 +758,7 @@ func (m *Machine) start(c *Core, t *Thread) {
 			m.afterBoundary(c)
 			return
 		default:
-			panic(fmt.Sprintf("sim: thread %v dispatched with pending %v op", t, t.op.Kind))
+			panic(fmt.Sprintf("sim: thread %v dispatched with pending %v op", t, t.opKind))
 		}
 	}
 	m.advance(c, t)
@@ -781,9 +781,9 @@ func (m *Machine) scheduleBurstEnd(c *Core) {
 
 // completeOpNow finishes t's current op on c and advances the program.
 func (m *Machine) completeOpNow(c *Core, t *Thread) {
-	if t.op.Kind == OpSpin {
-		if t.spinWQ != nil {
-			t.spinWQ.removeSpinner(t)
+	if t.opKind == OpSpin {
+		if t.wq != nil {
+			t.wq.removeSpinner(t)
 		}
 		t.spinDone = false
 	}
@@ -806,7 +806,7 @@ func (m *Machine) advance(c *Core, t *Thread) {
 		if t.state != StateRunning || c.Curr != t {
 			panic(fmt.Sprintf("sim: %v changed state during Next()", t))
 		}
-		t.op = op
+		t.opKind = op.Kind
 		t.opValid = true
 		t.spinDone = false
 
@@ -946,11 +946,13 @@ func (m *Machine) exitCurrent(c *Core, t *Thread) {
 	m.live--
 	m.sched.Exit(t)
 	m.Counts.Exits++
-	if t.exitWQ != nil {
-		m.Broadcast(t.exitWQ)
-	}
-	if t.OnExit != nil {
-		t.OnExit(t)
+	if x := t.extra; x != nil {
+		if x.exitWQ != nil {
+			m.Broadcast(x.exitWQ)
+		}
+		if x.onExit != nil {
+			x.onExit(t)
+		}
 	}
 	// The exit broadcast may already have refilled the core (a joiner was
 	// placed here and dispatched); only dispatch if still empty.

@@ -44,11 +44,11 @@ func (m *Machine) OfflineCore(id int) bool {
 	m.nOffline++
 	// Break now-unsatisfiable pins before any placement decision runs.
 	for _, t := range m.threads {
-		if t.state == StateDead || t.Pinned == nil {
+		if t.state == StateDead || t.Pinned() == nil {
 			continue
 		}
 		if !m.anyAllowed(t) {
-			t.Pinned = nil
+			t.setPinned(nil)
 			m.Counters.Get("hotplug.affinity_breaks").Inc(1)
 		}
 	}
@@ -120,7 +120,7 @@ func (m *Machine) drainCore(c *Core) {
 
 // anyAllowed reports whether any core of t's pin set is online.
 func (m *Machine) anyAllowed(t *Thread) bool {
-	for _, id := range t.Pinned {
+	for _, id := range t.Pinned() {
 		if id >= 0 && id < len(m.coreArr) && !m.coreArr[id].offline {
 			return true
 		}
@@ -133,11 +133,11 @@ func (m *Machine) anyAllowed(t *Thread) bool {
 // threads created with explicit affinity after their cores went down;
 // existing threads are fixed eagerly by OfflineCore.
 func (m *Machine) ensurePlaceable(t *Thread) {
-	if m.nOffline == 0 || t.Pinned == nil {
+	if m.nOffline == 0 || t.Pinned() == nil {
 		return
 	}
 	if !m.anyAllowed(t) {
-		t.Pinned = nil
+		t.setPinned(nil)
 		m.Counters.Get("hotplug.affinity_breaks").Inc(1)
 	}
 }
@@ -164,7 +164,7 @@ func (m *Machine) SetCoreSpeed(id int, factor float64) {
 	}
 	c.speedNum = num
 	t := c.Curr
-	if t != nil && t.opValid && (t.op.Kind == OpRun || t.op.Kind == OpSpin) {
+	if t != nil && t.opValid && (t.opKind == OpRun || t.opKind == OpSpin) {
 		m.scheduleBurstEnd(c)
 	}
 }

@@ -91,7 +91,7 @@ func TestOfflineBreaksUnsatisfiablePinning(t *testing.T) {
 	if !m.OfflineCore(2) {
 		t.Fatal("OfflineCore(2) refused")
 	}
-	if th.Pinned != nil {
+	if th.Pinned() != nil {
 		t.Fatal("unsatisfiable pin not broken")
 	}
 	if got := m.Counters.Value("hotplug.affinity_breaks"); got != 1 {

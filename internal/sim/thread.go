@@ -60,9 +60,8 @@ type Thread struct {
 	// Parent is the forking thread (nil for initial threads).
 	Parent *Thread
 
-	mach  *Machine
-	prog  Program
-	state State
+	mach *Machine
+	prog Program
 
 	// core is the core whose runnable set contains the thread (while
 	// Runnable or Running).
@@ -85,22 +84,20 @@ type Thread struct {
 	// ULE td_sched).
 	SchedData any
 
-	// Pinned restricts the thread to the given core IDs; nil means any
-	// core. Models taskset/pthread affinity (the Figure 6 pin/unpin).
-	Pinned []int
+	// extra holds the rarely set fields (affinity, exit hook, exit queue);
+	// nil until one of them is set, so most threads pay one pointer.
+	extra *threadExtra
 
-	// OnExit, if set, runs when the thread dies (application bookkeeping).
-	OnExit func(*Thread)
+	// state, the current op's kind and flags, and the zero-time op count
+	// share one word. opKind is meaningful while opValid; the op's duration
+	// lives on in opRemaining and its queue in wq.
+	state    State
+	opKind   OpKind
+	opValid  bool
+	spinDone bool
+	zeroOps  int32 // consecutive zero-time ops, to catch stuck programs
 
-	// exitWQ is broadcast when the thread exits, supporting joins; it is
-	// created by the first ExitQueue call, so a thread nobody joins has none.
-	exitWQ *WaitQueue
-
-	// current op execution state
-	op          Op
-	opValid     bool
 	opRemaining time.Duration
-	spinDone    bool
 	// pendingPenalty is extra time the next Run burst costs (cold cache
 	// after migration or preemption).
 	pendingPenalty time.Duration
@@ -108,26 +105,73 @@ type Thread struct {
 	// sleepStart is when the current sleep/block began; the timer-wake
 	// validation token lives in the machine's dense Machine.sleepTok table.
 	sleepStart time.Duration
-	wq         *WaitQueue // wait queue we are blocked on, if any
+	// wq is the queue the thread is blocked on or, during an active Spin
+	// op, the queue it watches. The two never overlap: a spin ends only
+	// through completeOpNow, which unregisters the spinner first.
+	wq *WaitQueue
 
 	// ctx is the thread's reusable Program context, so operation
 	// boundaries allocate nothing; nested advances (a forked child
 	// dispatching inside the parent's Next) each use their own thread's.
 	ctx Ctx
+}
 
-	// spinWQ is the queue this thread's active Spin op watches.
-	spinWQ *WaitQueue
+// threadExtra is the side record for fields few threads set.
+type threadExtra struct {
+	// pinned restricts the thread to the given core IDs; nil means any
+	// core. Models taskset/pthread affinity (the Figure 6 pin/unpin).
+	pinned []int
+	// onExit, if set, runs when the thread dies (application bookkeeping).
+	onExit func(*Thread)
+	// exitWQ is broadcast when the thread exits, supporting joins; it is
+	// created by the first ExitQueue call, so a thread nobody joins has none.
+	exitWQ *WaitQueue
+}
 
-	zeroOps int // consecutive zero-time ops, to catch stuck programs
+// ext returns t's side record, creating it on first use.
+func (t *Thread) ext() *threadExtra {
+	if t.extra == nil {
+		t.extra = &threadExtra{}
+	}
+	return t.extra
+}
+
+// Pinned returns the core IDs the thread is restricted to; nil means any
+// core. The slice must not be modified; change affinity with
+// Machine.SetPinned.
+func (t *Thread) Pinned() []int {
+	if t.extra == nil {
+		return nil
+	}
+	return t.extra.pinned
+}
+
+// setPinned replaces t's affinity, creating the side record only for a
+// non-nil set.
+func (t *Thread) setPinned(cores []int) {
+	if cores == nil && t.extra == nil {
+		return
+	}
+	t.ext().pinned = cores
+}
+
+// SetOnExit registers fn to run when t dies (application bookkeeping),
+// replacing any earlier one; nil removes it.
+func (t *Thread) SetOnExit(fn func(*Thread)) {
+	if fn == nil && t.extra == nil {
+		return
+	}
+	t.ext().onExit = fn
 }
 
 // ExitQueue returns the wait queue broadcast when t exits; block on it to
 // join t.
 func (t *Thread) ExitQueue() *WaitQueue {
-	if t.exitWQ == nil {
-		t.exitWQ = NewWaitQueue()
+	x := t.ext()
+	if x.exitWQ == nil {
+		x.exitWQ = NewWaitQueue()
 	}
-	return t.exitWQ
+	return x.exitWQ
 }
 
 // State returns the thread's lifecycle state.
@@ -151,10 +195,10 @@ func (t *Thread) CanRunOn(id int) bool {
 	if t.mach.coreArr[id].offline {
 		return false
 	}
-	if t.Pinned == nil {
+	if t.extra == nil || t.extra.pinned == nil {
 		return true
 	}
-	for _, c := range t.Pinned {
+	for _, c := range t.extra.pinned {
 		if c == id {
 			return true
 		}

@@ -48,14 +48,14 @@ func (wq *WaitQueue) popWaiter() *Thread {
 
 func (wq *WaitQueue) addSpinner(t *Thread) {
 	wq.spinners = append(wq.spinners, t)
-	t.spinWQ = wq
+	t.wq = wq
 }
 
 func (wq *WaitQueue) removeSpinner(t *Thread) {
 	for i, w := range wq.spinners {
 		if w == t {
 			wq.spinners = append(wq.spinners[:i], wq.spinners[i+1:]...)
-			t.spinWQ = nil
+			t.wq = nil
 			return
 		}
 	}

@@ -5,12 +5,14 @@
 //
 // The default machine mirrors the paper's evaluation box: 32 cores arranged
 // as 4 NUMA nodes of 8 cores, each node sharing one LLC. Topologies are
-// immutable after construction.
+// immutable after construction, so the preset machines are built once per
+// process and shared by every machine and goroutine that asks for them.
 package topo
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Level identifies a sharing level in the topology, ordered from the
@@ -143,23 +145,30 @@ func MustNew(cfg Config) *Topology {
 	return t
 }
 
-// Default returns the paper's evaluation machine: 32 cores, 4 NUMA nodes,
-// one LLC per node, no SMT.
-func Default() *Topology {
-	return MustNew(Config{NUMANodes: 4, LLCsPerNode: 1, CoresPerLLC: 8, SMTWidth: 1})
+// preset returns a function building the topology for cfg once and then
+// returning that same instance on every call.
+func preset(cfg Config) func() *Topology {
+	return sync.OnceValue(func() *Topology { return MustNew(cfg) })
 }
+
+var (
+	defaultTopo    = preset(Config{NUMANodes: 4, LLCsPerNode: 1, CoresPerLLC: 8, SMTWidth: 1})
+	singleCoreTopo = preset(Config{NUMANodes: 1, LLCsPerNode: 1, CoresPerLLC: 1, SMTWidth: 1})
+	smallTopo      = preset(Config{NUMANodes: 1, LLCsPerNode: 2, CoresPerLLC: 4, SMTWidth: 1})
+)
+
+// Default returns the paper's evaluation machine: 32 cores, 4 NUMA nodes,
+// one LLC per node, no SMT. Every call returns the same shared instance.
+func Default() *Topology { return defaultTopo() }
 
 // SingleCore returns a one-core machine, used by the paper's §5 per-core
-// scheduling experiments.
-func SingleCore() *Topology {
-	return MustNew(Config{NUMANodes: 1, LLCsPerNode: 1, CoresPerLLC: 1, SMTWidth: 1})
-}
+// scheduling experiments. Every call returns the same shared instance.
+func SingleCore() *Topology { return singleCoreTopo() }
 
 // Small returns an 8-core desktop-like machine (2 LLC groups of 4), the
-// paper's secondary i7 machine analogue.
-func Small() *Topology {
-	return MustNew(Config{NUMANodes: 1, LLCsPerNode: 2, CoresPerLLC: 4, SMTWidth: 1})
-}
+// paper's secondary i7 machine analogue. Every call returns the same shared
+// instance.
+func Small() *Topology { return smallTopo() }
 
 // NCores returns the number of cores.
 func (t *Topology) NCores() int { return t.nCores }
@@ -176,16 +185,15 @@ func (t *Topology) NodeOf(c int) int { return t.node[c] }
 // LLCOf returns the LLC group index of core c.
 func (t *Topology) LLCOf(c int) int { return t.llc[c] }
 
-// NodeCores returns the cores of NUMA node n. The returned slice must not
-// be modified.
+// NodeCores returns the cores of NUMA node n. The returned slice is the
+// topology's own, shared by every machine in the process built on it (the
+// presets are shared by all): it must not be modified.
 func (t *Topology) NodeCores(n int) []int { return t.nodes[n] }
 
-// LLCCores returns the cores of LLC group g. The returned slice must not be
-// modified.
-func (t *Topology) LLCCores(g int) []int { return t.llcs[g] }
-
 // Group returns the cores sharing level lvl with core c, including c. The
-// returned slice must not be modified.
+// returned slice is the topology's own, shared by every machine in the
+// process built on it (the presets are shared by all): it must not be
+// modified.
 func (t *Topology) Group(c int, lvl Level) []int {
 	if lvl < LevelSelf {
 		lvl = LevelSelf

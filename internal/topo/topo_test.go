@@ -146,6 +146,28 @@ func TestNodeAndLLCCoresPartition(t *testing.T) {
 	}
 }
 
+// TestPresetTopologiesShared: each preset is built once per process and
+// every call returns that instance, so a sweep's machines share one
+// topology instead of rebuilding it per trial.
+func TestPresetTopologiesShared(t *testing.T) {
+	for _, p := range []struct {
+		name  string
+		get   func() *Topology
+		cores int
+	}{{"Default", Default, 32}, {"SingleCore", SingleCore, 1}, {"Small", Small, 8}} {
+		a, b := p.get(), p.get()
+		if a != b {
+			t.Errorf("%s returned %p then %p, want one shared instance", p.name, a, b)
+		}
+		if a.NCores() != p.cores {
+			t.Errorf("%s has %d cores, want %d", p.name, a.NCores(), p.cores)
+		}
+	}
+	if Default() == Small() || Default() == SingleCore() {
+		t.Error("distinct presets share an instance")
+	}
+}
+
 func TestLevelsWiden(t *testing.T) {
 	tp := Default()
 	ls := tp.Levels(LevelLLC)
