@@ -109,7 +109,7 @@ func TestRunScenarioTimehistOnly(t *testing.T) {
 // schedbattleMainEnv set, the test binary is schedbattle.
 func TestMain(m *testing.M) {
 	if os.Getenv(schedbattleMainEnv) == "1" {
-		os.Exit(run())
+		main()
 	}
 	os.Exit(m.Run())
 }

@@ -19,9 +19,4 @@ func (s *Sched) CoreOffline(c *sim.Core) {
 	}
 }
 
-// CoreOnline implements sim.Hotplugger: the per-core runqueues survive
-// the offline window empty; the engine's post-online dispatch runs
-// newidle balance to pull work back.
-func (s *Sched) CoreOnline(c *sim.Core) {}
-
 var _ sim.Hotplugger = (*Sched)(nil)

@@ -301,10 +301,6 @@ func (s *Sched) PutPrev(c *sim.Core, t *sim.Thread, flags int) {
 	}
 }
 
-// Yield implements sim.Scheduler: vruntime has been charged; the entity
-// re-queues at its tree position.
-func (s *Sched) Yield(c *sim.Core, t *sim.Thread) {}
-
 // chargePath advances vruntime for the thread entity and its group entity
 // by the thread's un-accounted runtime (update_curr cascade).
 func (s *Sched) chargePath(cs *coreState, t *sim.Thread) {

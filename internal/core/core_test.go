@@ -58,8 +58,8 @@ func TestMachineConfigTopologies(t *testing.T) {
 // TestTable2Shape is the headline per-core result: ULE starves fibo,
 // doubles sysbench throughput, and slashes latency.
 func TestTable2Shape(t *testing.T) {
-	c := coSched(CFS, 0.1)
-	u := coSched(ULE, 0.1)
+	outs := coSchedAll(0.1, CFS, ULE)
+	c, u := outs[0], outs[1]
 	if u.txPerSec <= 1.3*c.txPerSec {
 		t.Errorf("ULE tx/s %.0f not ≫ CFS %.0f (paper ratio 1.83)", u.txPerSec, c.txPerSec)
 	}

@@ -126,43 +126,14 @@ func coSchedTrial(kind SchedulerKind, scale float64) Trial[*coSchedOutcome] {
 	}
 }
 
-// coSchedCache memoises outcomes: fig1, fig2, and table2 all read the same
-// runs. It is only touched from the driver goroutine, never from workers.
-var coSchedCache = map[string]*coSchedOutcome{}
-
-func coSchedKey(kind SchedulerKind, scale float64) string {
-	// The base seed participates so SetBaseSeed invalidates prior runs
-	// instead of returning stale outcomes.
-	return fmt.Sprintf("%s/%.3f/%d", kind, scale, BaseSeed())
-}
-
-// coSchedAll returns the outcome per requested kind, executing all uncached
-// kinds as one parallel trial grid.
+// coSchedAll runs the §5.1 workload under every requested kind as one
+// parallel trial grid and returns the outcomes in kind order.
 func coSchedAll(scale float64, kinds ...SchedulerKind) []*coSchedOutcome {
-	var missing []SchedulerKind
-	for _, k := range kinds {
-		if _, ok := coSchedCache[coSchedKey(k, scale)]; !ok {
-			missing = append(missing, k)
-		}
-	}
-	if len(missing) > 0 {
-		trials := make([]Trial[*coSchedOutcome], len(missing))
-		for i, k := range missing {
-			trials[i] = coSchedTrial(k, scale)
-		}
-		for i, o := range RunTrials(trials) {
-			coSchedCache[coSchedKey(missing[i], scale)] = o
-		}
-	}
-	out := make([]*coSchedOutcome, len(kinds))
+	trials := make([]Trial[*coSchedOutcome], len(kinds))
 	for i, k := range kinds {
-		out[i] = coSchedCache[coSchedKey(k, scale)]
+		trials[i] = coSchedTrial(k, scale)
 	}
-	return out
-}
-
-func coSched(kind SchedulerKind, scale float64) *coSchedOutcome {
-	return coSchedAll(scale, kind)[0]
+	return RunTrials(trials)
 }
 
 func init() {
@@ -172,7 +143,8 @@ func init() {
 		Run: func(scale float64) *Result {
 			r := &Result{ID: "fig1", Title: "fibo/sysbench cumulative runtime"}
 			kinds := []SchedulerKind{CFS, ULE}
-			for i, o := range coSchedAll(scale, kinds...) {
+			outs := coSchedAll(scale, kinds...)
+			for i, o := range outs {
 				r.AddSeries(string(kinds[i]), o.runtimes)
 				r.Rows = append(r.Rows, Row{
 					Label: string(kinds[i]),
@@ -183,7 +155,7 @@ func init() {
 					},
 				})
 			}
-			c, u := coSched(CFS, scale), coSched(ULE, scale)
+			c, u := outs[0], outs[1]
 			r.AddNote("paper: on CFS fibo keeps accumulating runtime during sysbench; on ULE it is starved (unbounded)")
 			r.AddNote("measured: fibo ran %.1fs (CFS) vs %.2fs (ULE) while sysbench was active",
 				c.fiboDuring.Seconds(), u.fiboDuring.Seconds())
@@ -194,7 +166,7 @@ func init() {
 		ID:    "fig2",
 		Title: "Interactivity penalty of fibo and sysbench threads over time (ULE)",
 		Run: func(scale float64) *Result {
-			o := coSched(ULE, scale)
+			o := coSchedAll(scale, ULE)[0]
 			r := &Result{ID: "fig2", Title: "ULE interactivity penalties"}
 			r.AddSeries("ule", o.penalties)
 			fiboMax := o.penalties.Get("fibo").Max()
@@ -217,7 +189,8 @@ func init() {
 		Run: func(scale float64) *Result {
 			r := &Result{ID: "table2", Title: "fibo/sysbench co-scheduling results"}
 			kinds := []SchedulerKind{CFS, ULE}
-			for i, o := range coSchedAll(scale, kinds...) {
+			outs := coSchedAll(scale, kinds...)
+			for i, o := range outs {
 				r.Rows = append(r.Rows, Row{
 					Label: string(kinds[i]),
 					Order: []string{"fibo_runtime_s", "sysbench_tx_per_s", "sysbench_avg_latency_ms"},
@@ -228,7 +201,7 @@ func init() {
 					},
 				})
 			}
-			c, u := coSched(CFS, scale), coSched(ULE, scale)
+			c, u := outs[0], outs[1]
 			r.AddNote("paper: fibo 160s vs 158s; sysbench 290 vs 532 tx/s; latency 441ms vs 125ms")
 			r.AddNote("measured ULE/CFS: tx ratio %.2f (paper 1.83), latency ratio %.2f (paper 0.28)",
 				u.txPerSec/c.txPerSec, float64(u.latencyAvg)/float64(c.latencyAvg))
@@ -247,12 +220,7 @@ func init() {
 		starvedBatch  int
 		executedInter int
 	}
-	var cache = map[string]*outcome{}
 	run := func(scale float64) *outcome {
-		key := fmt.Sprintf("%.3f/%d", scale, BaseSeed())
-		if o, ok := cache[key]; ok {
-			return o
-		}
 		o := &outcome{runtimes: probe.NewSet(0), penalties: probe.NewSet(0)}
 		var (
 			u   *ule.Sched
@@ -300,9 +268,7 @@ func init() {
 				return o
 			},
 		}
-		res := RunTrials([]Trial[*outcome]{trial})[0]
-		cache[key] = res
-		return res
+		return RunTrials([]Trial[*outcome]{trial})[0]
 	}
 	register(Experiment{
 		ID:    "fig3",

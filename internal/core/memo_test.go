@@ -188,3 +188,34 @@ func TestGridDedupByteIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestTrialCacheDecodeFailureResimulates: a stored payload the trial's
+// codec rejects counts as corrupt, and the cell is simulated again to the
+// same outcome instead of failing.
+func TestTrialCacheDecodeFailureResimulates(t *testing.T) {
+	c, err := memo.New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetTrialCache(c)
+	defer SetTrialCache(nil)
+
+	key := memo.NewHasher("t").Str("undecodable").Sum()
+	var execs atomic.Int64
+	grid := func() []Trial[int64] {
+		tr := memoTrial("u", key, 13, &execs)
+		tr.Decode = func([]byte) (int64, error) { return 0, fmt.Errorf("schema drift") }
+		return []Trial[int64]{tr}
+	}
+	first := RunTrials(grid())
+	second := RunTrials(grid())
+	if got := execs.Load(); got != 2 {
+		t.Fatalf("executed %d times, want 2 (the undecodable hit re-simulates)", got)
+	}
+	if first[0] != second[0] || first[0] == 0 {
+		t.Fatalf("re-simulated result %v, fresh result %v", second[0], first[0])
+	}
+	if st := c.Stats(); st.Corrupt != 1 || st.Hits != 1 || st.Stores != 1 {
+		t.Fatalf("cache stats %+v, want 1 corrupt / 1 hit / 1 store", st)
+	}
+}

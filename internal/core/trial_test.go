@@ -65,21 +65,27 @@ func TestRunTrialsOccurrenceSeeding(t *testing.T) {
 	}
 }
 
-// TestCoSchedCacheRespectsBaseSeed guards the SetBaseSeed contract: cached
-// co-scheduling outcomes must not leak across base seeds.
+// TestCoSchedCacheRespectsBaseSeed guards the SetBaseSeed contract for
+// the co-scheduling driver that fig1, fig2 and table2 share: a base-seed
+// change yields a different outcome, and restoring seed 0 reproduces the
+// first one exactly.
 func TestCoSchedCacheRespectsBaseSeed(t *testing.T) {
-	defer SetBaseSeed(0)
-	SetBaseSeed(0)
-	a := coSched(ULE, 0.1)
-	SetBaseSeed(424242)
-	b := coSched(ULE, 0.1)
-	if a == b {
-		t.Fatal("base-seed change returned the seed-0 cached outcome")
+	type scalars struct {
+		txPerSec                                 float64
+		latencyAvg, sysbenchT, fiboT, fiboDuring time.Duration
 	}
-	SetBaseSeed(0)
-	c := coSched(ULE, 0.1)
-	if a != c {
-		t.Fatal("restoring base seed 0 should hit the original cache entry")
+	run := func(seed int64) scalars {
+		SetBaseSeed(seed)
+		o := coSchedAll(0.1, ULE)[0]
+		return scalars{o.txPerSec, o.latencyAvg, o.sysbenchT, o.fiboT, o.fiboDuring}
+	}
+	defer SetBaseSeed(0)
+	a := run(0)
+	if b := run(424242); a == b {
+		t.Fatalf("base seed 424242 reproduced the seed-0 outcome %+v", a)
+	}
+	if c := run(0); a != c {
+		t.Fatalf("seed 0 run twice: %+v then %+v", a, c)
 	}
 }
 

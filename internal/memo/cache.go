@@ -88,9 +88,6 @@ func New(dir string) (*Cache, error) {
 	return &Cache{mem: map[Key]entry{}, dir: dir}, nil
 }
 
-// Dir returns the disk layer's directory ("" when memory-only).
-func (c *Cache) Dir() string { return c.dir }
-
 // path is the on-disk location for a key.
 func (c *Cache) path(k Key) string {
 	hex := k.String()

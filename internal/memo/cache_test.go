@@ -220,3 +220,11 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Fatalf("expected both stores and hits, got %+v", st)
 	}
 }
+
+func TestStatsString(t *testing.T) {
+	s := Stats{Hits: 3, Misses: 2, Stores: 2, BytesRead: 3 << 20, BytesWritten: 1 << 19, WallSaved: 1234567 * time.Microsecond}
+	const want = "3 hits, 2 misses, 2 stores, 3.0 MiB read, 0.5 MiB written, 1.235s wall saved"
+	if got := s.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}

@@ -44,7 +44,6 @@ type Options struct {
 type Attachment struct {
 	m        *sim.Machine
 	set      *Set
-	cadence  time.Duration
 	samplers []func(now time.Duration)
 	stopped  bool
 
@@ -68,11 +67,11 @@ type builtinProbe struct {
 // builtins lists every built-in probe in stable (sorted) order.
 var builtins = []builtinProbe{
 	{"live", "live (non-dead) thread count", installLive},
-	{"migrations", "runnable-thread migrations per second (migrate hook)", installMigrations},
+	{"migrations", "runnable-thread migrations per second", installMigrations},
 	{"preemptions", "involuntary preemptions per second", installPreemptions},
 	{"runq", "per-core runnable depth (the Figure 6/7 heatmap signal)", installRunq},
 	{"runqlat", "per-group runqueue wait quantiles in µs (enqueue→dispatch hooks)", installRunqlat},
-	{"steals", "idle steals per second (steal hook)", installSteals},
+	{"steals", "idle steals per second", installSteals},
 	{"ticks", "scheduler ticks per second across all cores (tick hook)", installTicks},
 	{"util", "per-core windowed utilization in [0,1]", installUtil},
 }
@@ -108,7 +107,7 @@ func Attach(m *sim.Machine, opts Options) (*Attachment, error) {
 	if set == nil {
 		set = NewSet(opts.Capacity)
 	}
-	a := &Attachment{m: m, set: set, cadence: cadence}
+	a := &Attachment{m: m, set: set}
 	seen := map[string]bool{}
 	for _, name := range opts.Probes {
 		if seen[name] {
@@ -152,9 +151,6 @@ func MustAttach(m *sim.Machine, opts Options) *Attachment {
 
 // Set returns the attachment's destination series set.
 func (a *Attachment) Set() *Set { return a.set }
-
-// Cadence returns the sampling period.
-func (a *Attachment) Cadence() time.Duration { return a.cadence }
 
 // Custom appends a bespoke sampler on the attachment's cadence; fn
 // receives the simulated sample time and records wherever it likes
@@ -259,10 +255,11 @@ func installLive(a *Attachment) {
 }
 
 // rateSampler converts a monotonically increasing count source into a
-// per-second windowed rate series.
+// per-second windowed rate series. Counting starts at attach: events
+// before it fall in no window.
 func rateSampler(a *Attachment, name string, count func() uint64) {
 	s := a.set.Get(name)
-	var prev uint64
+	prev := count()
 	var prevNow time.Duration
 	a.samplers = append(a.samplers, func(now time.Duration) {
 		window := (now - prevNow).Seconds()
@@ -276,18 +273,18 @@ func rateSampler(a *Attachment, name string, count func() uint64) {
 	})
 }
 
-// installMigrations counts Machine.Migrate calls via the migrate hook.
+// installMigrations reads the engine's migration count
+// (sim.Machine.Counts), bumped wherever the migrate hook fires.
 func installMigrations(a *Attachment) {
-	var n uint64
-	a.m.OnMigrate(func(from, to *sim.Core, t *sim.Thread) { n++ })
-	rateSampler(a, "rate.migrations", func() uint64 { return n })
+	m := a.m
+	rateSampler(a, "rate.migrations", func() uint64 { return m.Counts.Migrations })
 }
 
-// installSteals counts idle steals via the steal hook.
+// installSteals reads the engine's idle-steal count (sim.Machine.Counts),
+// bumped wherever the steal hook fires.
 func installSteals(a *Attachment) {
-	var n uint64
-	a.m.OnSteal(func(c, victim *sim.Core, t *sim.Thread) { n++ })
-	rateSampler(a, "rate.steals", func() uint64 { return n })
+	m := a.m
+	rateSampler(a, "rate.steals", func() uint64 { return m.Counts.Steals })
 }
 
 // installPreemptions reads the engine's preemption count

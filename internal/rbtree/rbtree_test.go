@@ -286,3 +286,21 @@ func BenchmarkInsertPopMin(b *testing.B) {
 		tr.Insert(it)
 	}
 }
+
+// TestCheckInvariantsDetectsCorruption: the checker the other tests lean
+// on must itself fail on a broken tree.
+func TestCheckInvariantsDetectsCorruption(t *testing.T) {
+	var tr Tree
+	for i := 0; i < 8; i++ {
+		tr.Insert(newItem(i, i))
+	}
+	tr.root.color = red
+	if err := tr.CheckInvariants(); err == nil || err.Error() != "rbtree: root is red" {
+		t.Fatalf("red root: got %v", err)
+	}
+	tr.root.color = black
+	tr.leftmost = tr.root
+	if err := tr.CheckInvariants(); err == nil || err.Error() != "rbtree: leftmost cache stale" {
+		t.Fatalf("stale leftmost: got %v", err)
+	}
+}

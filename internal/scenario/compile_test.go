@@ -2,10 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/runner"
 )
 
@@ -312,6 +315,43 @@ func TestBundledScenarioCountIdentities(t *testing.T) {
 		}
 		if !kinds["cfs"] || !kinds["ule"] {
 			t.Errorf("%s: ran schedulers %v, want cfs and ule", sp.Name, kinds)
+		}
+	}
+}
+
+// TestTrialFailuresMessage: the aggregate error names the failure count,
+// the grid size and the first failure, without its stack.
+func TestTrialFailuresMessage(t *testing.T) {
+	err := &TrialFailures{Total: 4, Errs: []*core.TrialError{
+		{Index: 1, Name: "web/cfs", Value: "boom", Stack: []byte("goroutine 7 [running]")},
+		{Index: 3, Name: "web/ule", Value: "bang"},
+	}}
+	const want = `2 of 4 trials failed; first: trial "web/cfs" failed: boom`
+	if got := err.Error(); got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
+}
+
+// TestRunKeepsReportWhenTrialsFail: trials that trip the wall-clock
+// watchdog fail only their own cells. Run still returns the report, with
+// the panic message in each failed cell, together with a *TrialFailures.
+func TestRunKeepsReportWhenTrialsFail(t *testing.T) {
+	core.SetTrialTimeout(time.Nanosecond)
+	defer core.SetTrialTimeout(0)
+	// 10 µs bursts for 2 s: far past the 64k events between deadline checks.
+	sp := mustParse(t, `{"name": "busy", "machine": {"cores": [1]}, "schedulers": [{"kind": "cfs"}],
+		"seeds": [1, 2], "window": "2s", "workload": [{"loop": {"burst": "10us"}}]}`)
+	rep, err := sp.Run(1)
+	var fails *TrialFailures
+	if !errors.As(err, &fails) || fails.Total != 2 || len(fails.Errs) != 2 {
+		t.Fatalf("err = %v, want both trials failed", err)
+	}
+	if rep == nil || len(rep.Trials) != 2 {
+		t.Fatalf("report %+v, want two skeleton cells", rep)
+	}
+	for _, tr := range rep.Trials {
+		if !strings.Contains(tr.Error, "wall-clock deadline") || tr.Name == "" {
+			t.Errorf("cell %q: error %q, want the watchdog message", tr.Name, tr.Error)
 		}
 	}
 }

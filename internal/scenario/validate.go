@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/cfs"
 	"repro/internal/core"
 	"repro/internal/dtrace"
+	"repro/internal/fault"
 	"repro/internal/probe"
 	"repro/internal/timeline"
 	"repro/internal/ule"
@@ -101,6 +103,26 @@ func suggest(name string, known []string) string {
 	return fmt.Sprintf(" (did you mean %q?)", best)
 }
 
+// checkNames checks a list field against its known namespace: each entry
+// of names (at pos.field[i]) must be in known — a near miss gets a
+// did-you-mean — and may appear once. what names an entry in messages
+// ("probe", "column group").
+func checkNames(pos, field, what string, names, known []string) error {
+	seen := map[string]bool{}
+	for i, name := range names {
+		npos := fmt.Sprintf("%s.%s[%d]", pos, field, i)
+		if !slices.Contains(known, name) {
+			return verr(npos, "unknown %s %q%s (known: %s)",
+				what, name, suggest(name, known), strings.Join(known, ", "))
+		}
+		if seen[name] {
+			return verr(npos, "%s %q listed twice", what, name)
+		}
+		seen[name] = true
+	}
+	return nil
+}
+
 // Validate checks the spec and resolves scheduler kinds and parameter
 // overrides. Errors are *Error values positioned at the offending field's
 // spec path. Validate is idempotent and caches success: a spec validates
@@ -169,14 +191,7 @@ func (s *Spec) Validate() error {
 	}
 
 	for i, mName := range s.Metrics {
-		ok := false
-		for _, known := range AllMetrics {
-			if mName == known {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(AllMetrics, mName) {
 			return verr(fmt.Sprintf("metrics[%d]", i), "unknown metric %q%s (known: %s)",
 				mName, suggest(mName, AllMetrics), strings.Join(AllMetrics, ", "))
 		}
@@ -215,9 +230,10 @@ func (s *Spec) Validate() error {
 // events, so a large count is a generation bug, not a plan.
 const maxFaults = 64
 
-// faultKinds lists the fault mechanisms, matching internal/fault's Kind
-// constants (kept as strings here so validation owns its own namespace).
-var faultKinds = []string{"cpu_off", "throttle", "antagonist", "wakeup_storm"}
+// faultKinds lists the fault mechanisms: internal/fault's Kind constants.
+var faultKinds = []string{
+	string(fault.CPUOff), string(fault.Throttle), string(fault.Antagonist), string(fault.WakeupStorm),
+}
 
 // maxFaultActivations bounds count: repeated activations each schedule
 // timer events up front, so a huge count is a typo.
@@ -227,17 +243,11 @@ const maxFaultActivations = 1024
 // smallest swept machine; window is the spec's scale-1 window, inside
 // which the first activation must fall.
 func (f *FaultSpec) validate(pos string, minCores int, window time.Duration) error {
-	known := false
-	for _, k := range faultKinds {
-		if f.Kind == k {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(faultKinds, f.Kind) {
 		return verr(pos+".kind", "unknown fault kind %q%s (known: %s)",
 			f.Kind, suggest(f.Kind, faultKinds), strings.Join(faultKinds, ", "))
 	}
+	kind := fault.Kind(f.Kind)
 	if f.At.D() <= 0 {
 		return verr(pos+".at", "at must be a positive duration")
 	}
@@ -266,7 +276,7 @@ func (f *FaultSpec) validate(pos string, minCores int, window time.Duration) err
 
 	// Field applicability per kind, mirroring the style of entry
 	// validation: a set-but-ignored field is a spec mistake.
-	threaded := f.Kind == "antagonist" || f.Kind == "wakeup_storm"
+	threaded := kind == fault.Antagonist || kind == fault.WakeupStorm
 	if !threaded {
 		if f.Threads != 0 {
 			return verr(pos+".threads", "threads applies to antagonist and wakeup_storm only")
@@ -278,16 +288,16 @@ func (f *FaultSpec) validate(pos string, minCores int, window time.Duration) err
 			return verr(pos+".nice", "nice applies to antagonist and wakeup_storm only")
 		}
 	}
-	if f.Kind != "throttle" && f.Factor != 0 {
+	if kind != fault.Throttle && f.Factor != 0 {
 		return verr(pos+".factor", "factor applies to throttle only")
 	}
 	if threaded && len(f.Cores) > 0 {
 		return verr(pos+".cores", "cores applies to cpu_off and throttle only")
 	}
 
-	switch f.Kind {
-	case "cpu_off", "throttle":
-		if f.Kind == "cpu_off" && len(f.Cores) == 0 {
+	switch kind {
+	case fault.CPUOff, fault.Throttle:
+		if kind == fault.CPUOff && len(f.Cores) == 0 {
 			return verr(pos+".cores", "cpu_off requires at least one target core")
 		}
 		seen := map[int]bool{}
@@ -301,13 +311,13 @@ func (f *FaultSpec) validate(pos string, minCores int, window time.Duration) err
 			}
 			seen[c] = true
 		}
-		if f.Kind == "cpu_off" && len(f.Cores) >= minCores {
+		if kind == fault.CPUOff && len(f.Cores) >= minCores {
 			return verr(pos+".cores", "offlining %d cores leaves nothing online on the smallest swept machine (%d cores)", len(f.Cores), minCores)
 		}
-		if f.Kind == "throttle" && !(f.Factor >= 0.01 && f.Factor <= 1) {
+		if kind == fault.Throttle && !(f.Factor >= 0.01 && f.Factor <= 1) {
 			return verr(pos+".factor", "factor %g out of range [0.01, 1]", f.Factor)
 		}
-	case "antagonist", "wakeup_storm":
+	case fault.Antagonist, fault.WakeupStorm:
 		if f.Threads < 1 {
 			return verr(pos+".threads", "threads must be at least 1")
 		}
@@ -317,7 +327,7 @@ func (f *FaultSpec) validate(pos string, minCores int, window time.Duration) err
 		if f.Burst.D() <= 0 {
 			return verr(pos+".burst", "burst must be a positive duration")
 		}
-		if f.Kind == "wakeup_storm" && f.Duration.D() != 0 {
+		if kind == fault.WakeupStorm && f.Duration.D() != 0 {
 			return verr(pos+".duration", "wakeup_storm is instantaneous — duration does not apply")
 		}
 	}
@@ -331,24 +341,8 @@ func (ss *SeriesSpec) validate(pos string) error {
 	if len(ss.Probes) == 0 {
 		return verr(pos+".probes", "at least one probe is required (known: %s)", strings.Join(probe.Names(), ", "))
 	}
-	known := probe.Names()
-	seen := map[string]bool{}
-	for i, name := range ss.Probes {
-		ok := false
-		for _, k := range known {
-			if name == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return verr(fmt.Sprintf("%s.probes[%d]", pos, i), "unknown probe %q%s (known: %s)",
-				name, suggest(name, known), strings.Join(known, ", "))
-		}
-		if seen[name] {
-			return verr(fmt.Sprintf("%s.probes[%d]", pos, i), "probe %q listed twice", name)
-		}
-		seen[name] = true
+	if err := checkNames(pos, "probes", "probe", ss.Probes, probe.Names()); err != nil {
+		return err
 	}
 	if ss.Cadence.D() < 0 {
 		return verr(pos+".cadence", "cadence must not be negative")
@@ -376,26 +370,7 @@ func (ts *TraceSpec) validate(pos string) error {
 	if ts.MaxBytes < 0 || (ts.MaxBytes > 0 && ts.MaxBytes < 4096) {
 		return verr(pos+".maxBytes", "maxBytes %d too small (min 4096)", ts.MaxBytes)
 	}
-	known := dtrace.ColumnGroups()
-	seen := map[string]bool{}
-	for i, name := range ts.Columns {
-		ok := false
-		for _, k := range known {
-			if name == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return verr(fmt.Sprintf("%s.columns[%d]", pos, i), "unknown column group %q%s (known: %s)",
-				name, suggest(name, known), strings.Join(known, ", "))
-		}
-		if seen[name] {
-			return verr(fmt.Sprintf("%s.columns[%d]", pos, i), "column group %q listed twice", name)
-		}
-		seen[name] = true
-	}
-	return nil
+	return checkNames(pos, "columns", "column group", ts.Columns, dtrace.ColumnGroups())
 }
 
 // validate checks the thread-state timeline block. Bounds mirror what
@@ -418,26 +393,7 @@ func (tl *TimelineSpec) validate(pos string) error {
 	if tl.MaxBytes < 0 || (tl.MaxBytes > 0 && tl.MaxBytes < 4096) {
 		return verr(pos+".maxBytes", "maxBytes %d too small (min 4096)", tl.MaxBytes)
 	}
-	known := timeline.TrackGroups()
-	seen := map[string]bool{}
-	for i, name := range tl.Perfetto {
-		ok := false
-		for _, k := range known {
-			if name == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return verr(fmt.Sprintf("%s.perfetto[%d]", pos, i), "unknown track group %q%s (known: %s)",
-				name, suggest(name, known), strings.Join(known, ", "))
-		}
-		if seen[name] {
-			return verr(fmt.Sprintf("%s.perfetto[%d]", pos, i), "track group %q listed twice", name)
-		}
-		seen[name] = true
-	}
-	return nil
+	return checkNames(pos, "perfetto", "track group", tl.Perfetto, timeline.TrackGroups())
 }
 
 // resolveSchedulers expands "*" and decodes parameter overrides into
@@ -467,14 +423,7 @@ func (s *Spec) resolveSchedulers() error {
 			return nil
 		}
 		kind := core.SchedulerKind(sp.Kind)
-		known := false
-		for _, k := range registered {
-			if k == kind {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.Contains(registered, kind) {
 			return verr(pos+".kind", "unknown scheduler kind %q (registered: %v)", sp.Kind, registered)
 		}
 		if seen[kind] {
@@ -647,13 +596,5 @@ func (e *Entry) label(i int) string {
 
 // wants reports whether metric m is selected (empty Metrics = all).
 func (s *Spec) wants(m string) bool {
-	if len(s.Metrics) == 0 {
-		return true
-	}
-	for _, sel := range s.Metrics {
-		if sel == m {
-			return true
-		}
-	}
-	return false
+	return len(s.Metrics) == 0 || slices.Contains(s.Metrics, m)
 }

@@ -73,9 +73,6 @@ type Core struct {
 // Machine returns the owning machine.
 func (c *Core) Machine() *Machine { return c.mach }
 
-// Idle reports whether the core has no running thread.
-func (c *Core) Idle() bool { return c.Curr == nil }
-
 // Offline reports whether the core is hot-unplugged.
 func (c *Core) Offline() bool { return c.offline }
 
@@ -83,14 +80,6 @@ func (c *Core) Offline() bool { return c.offline }
 // resolve to a multiple of 1/65536, small enough that work×speedDen
 // arithmetic cannot overflow int64 for any realistic simulated window.
 const speedDen = 1 << 16
-
-// Speed returns the core's current speed factor (1.0 = full speed).
-func (c *Core) Speed() float64 {
-	if c.speedNum == 0 {
-		return 1
-	}
-	return float64(c.speedNum) / float64(speedDen)
-}
 
 // wallFor returns the wall time the core needs to retire work at its
 // current speed. The ceiling pairs with workFor's floor-with-carry so a

@@ -311,8 +311,7 @@ func TestDeterminismSameSeed(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			m.StartThread("w", "app", 0, &script{ops: []Op{
 				Run(3 * time.Millisecond), Sleep(time.Millisecond),
-				Run(2 * time.Millisecond), Yield(),
-				Run(time.Millisecond),
+				Run(2 * time.Millisecond), Run(time.Millisecond),
 			}})
 		}
 		m.Run(time.Second)
@@ -708,8 +707,7 @@ func TestEventCountIdentities(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				m.StartThread("w", "app", 0, &script{ops: []Op{
 					Run(time.Millisecond), Sleep(2 * time.Millisecond),
-					Run(time.Millisecond), Yield(),
-					Run(3 * time.Millisecond),
+					Run(time.Millisecond), Run(3 * time.Millisecond),
 				}})
 			}
 			m.Run(5 * time.Second)
@@ -741,8 +739,7 @@ func TestThreadConservation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.StartThread("w", "app", 0, &script{ops: []Op{
 			Run(time.Millisecond), Sleep(2 * time.Millisecond),
-			Run(time.Millisecond), Yield(),
-			Run(3 * time.Millisecond),
+			Run(time.Millisecond), Run(3 * time.Millisecond),
 		}})
 	}
 	m.Run(5 * time.Second)
@@ -756,5 +753,55 @@ func TestThreadConservation(t *testing.T) {
 		if th.RunTime != 5*time.Millisecond {
 			t.Fatalf("thread %v RunTime = %v, want 5ms", th, th.RunTime)
 		}
+	}
+}
+
+// strayPick is FIFO with a broken PickNext: once stray is set it returns
+// that thread whatever its state.
+type strayPick struct {
+	*FIFO
+	stray *Thread
+}
+
+func (s *strayPick) PickNext(c *Core) *Thread {
+	if s.stray != nil {
+		return s.stray
+	}
+	return s.FIFO.PickNext(c)
+}
+
+// TestPickNextContractViolationPanics: the engine refuses a picked thread
+// that is not runnable on the picking core, naming its state and core.
+func TestPickNextContractViolationPanics(t *testing.T) {
+	sched := &strayPick{FIFO: NewFIFO()}
+	m := NewMachine(topo.SingleCore(), sched, Options{Seed: 7, Cost: &CostModel{}})
+	sleeper := m.StartThread("sleeper", "app", 0, &script{ops: []Op{Sleep(time.Hour)}})
+	m.Run(time.Millisecond)
+	sched.stray = sleeper
+	defer func() {
+		const want = "sim: PickNext returned T1(sleeper/app sleeping) (state sleeping, core -1) on core 0"
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+	}()
+	m.StartThread("w", "app", 0, &script{ops: []Op{Run(time.Millisecond)}})
+	m.Run(2 * time.Millisecond)
+}
+
+func TestStringers(t *testing.T) {
+	for k, want := range map[OpKind]string{OpRun: "run", OpSleep: "sleep", OpBlock: "block", OpSpin: "spin", OpExit: "exit", OpExit + 1: "op(?)"} {
+		if got := k.String(); got != want {
+			t.Errorf("OpKind(%d).String() = %q, want %q", k, got, want)
+		}
+	}
+	m := newTestMachine(t, topo.SingleCore())
+	c := m.Cores[0]
+	if got := c.String(); got != "core0[idle]" {
+		t.Errorf("idle core renders %q", got)
+	}
+	m.StartThread("w", "app", 0, &script{ops: []Op{Run(time.Second)}})
+	m.Run(time.Millisecond)
+	if got := c.String(); got != "core0[w]" {
+		t.Errorf("busy core renders %q", got)
 	}
 }

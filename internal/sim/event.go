@@ -146,9 +146,6 @@ func (r *Rand) Intn(n int) int { return r.r.Intn(n) }
 // Int63n returns a uniform int64 in [0, n).
 func (r *Rand) Int63n(n int64) int64 { return r.r.Int63n(n) }
 
-// Float64 returns a uniform float64 in [0, 1).
-func (r *Rand) Float64() float64 { return r.r.Float64() }
-
 // DurationIn returns a uniform duration in [lo, hi).
 func (r *Rand) DurationIn(lo, hi time.Duration) time.Duration {
 	if hi <= lo {

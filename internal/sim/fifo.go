@@ -70,9 +70,6 @@ func (f *FIFO) Dequeue(c *Core, t *Thread, flags int) {
 	panic("fifo: dequeue of unknown thread")
 }
 
-// Yield implements Scheduler.
-func (f *FIFO) Yield(c *Core, t *Thread) {}
-
 // PickNext implements Scheduler.
 func (f *FIFO) PickNext(c *Core) *Thread {
 	rq := &f.rqs[c.ID]
@@ -189,10 +186,6 @@ func (f *FIFO) CoreOffline(c *Core) {
 		f.m.Migrate(t, c, target)
 	}
 }
-
-// CoreOnline implements Hotplugger: nothing to rebuild — the engine's
-// post-online dispatch pulls work back via IdleBalance.
-func (f *FIFO) CoreOnline(c *Core) {}
 
 var _ Scheduler = (*FIFO)(nil)
 var _ Hotplugger = (*FIFO)(nil)

@@ -309,18 +309,6 @@ func (m *Machine) endRun() {
 	m.curSeq = m.seq
 }
 
-// pending reports whether any event is left: in the active queue or
-// standing in the rotor (a machine with only ticks pending is not done).
-func (m *Machine) pending() bool {
-	if m.tickHead >= 0 {
-		return true
-	}
-	if m.useHeap {
-		return m.heap.len() > 0
-	}
-	return m.wheel.len() > 0
-}
-
 // nextEvent pops the next event into e if it is due at or before until:
 // the earlier, by (at, seq), of the queue head and the rotor head. On the wheel
 // engine the queue head is one bounds check into the already-sorted live
@@ -388,7 +376,7 @@ func (m *Machine) Run(until time.Duration) {
 // max; it reports whether pred was satisfied.
 func (m *Machine) RunUntil(pred func() bool, max time.Duration) bool {
 	var e event
-	for m.pending() {
+	for {
 		if pred() {
 			m.endRun()
 			return true
@@ -857,13 +845,6 @@ func (m *Machine) advance(c *Core, t *Thread) {
 			}
 			t.zeroOps = 0
 			m.blockCurrent(c, t, op.WQ)
-			return
-		case OpYield:
-			t.zeroOps = 0
-			t.opValid = false
-			m.sched.Yield(c, t)
-			m.deschedule(c, 0)
-			m.dispatch(c)
 			return
 		case OpExit:
 			m.exitCurrent(c, t)

@@ -8,8 +8,9 @@
 // The Scheduler interface mirrors the paper's Table 1: the Linux scheduling
 // class API on one side and the equivalent FreeBSD entry points on the
 // other (enqueue_task/sched_add, dequeue_task/sched_rem,
-// yield_task/sched_relinquish, pick_next_task/sched_choose,
-// put_prev_task/sched_switch, select_task_rq/sched_pickcpu).
+// pick_next_task/sched_choose, put_prev_task/sched_switch,
+// select_task_rq/sched_pickcpu). yield_task/sched_relinquish has no
+// counterpart: no workload yields.
 package sim
 
 import "time"
@@ -29,8 +30,6 @@ const (
 	// OpSpin consumes CPU (like OpRun) for at most Dur, but completes early
 	// if WQ is broadcast — a spin-wait watching a condition.
 	OpSpin
-	// OpYield relinquishes the CPU, staying runnable.
-	OpYield
 	// OpExit terminates the thread.
 	OpExit
 )
@@ -46,8 +45,6 @@ func (k OpKind) String() string {
 		return "block"
 	case OpSpin:
 		return "spin"
-	case OpYield:
-		return "yield"
 	case OpExit:
 		return "exit"
 	default:
@@ -78,9 +75,6 @@ func Block(wq *WaitQueue) Op { return Op{Kind: OpBlock, WQ: wq} }
 func Spin(wq *WaitQueue, budget time.Duration) Op {
 	return Op{Kind: OpSpin, Dur: budget, WQ: wq}
 }
-
-// Yield returns an op that gives the CPU back to the scheduler.
-func Yield() Op { return Op{Kind: OpYield} }
 
 // Exit returns an op terminating the thread.
 func Exit() Op { return Op{Kind: OpExit} }

@@ -17,12 +17,13 @@ import (
 // implemented, CoreOffline must migrate every thread still queued on c
 // to other cores — c is already marked offline, so the scheduler's own
 // placement helpers (which filter through Thread.CanRunOn) naturally
-// avoid it — and CoreOnline may rebuild per-core state before the
-// engine dispatches the core. Schedulers without the capability get the
-// engine's default drain: one SelectCore+Migrate per stranded thread.
+// avoid it. Schedulers without the capability get the engine's default
+// drain: one SelectCore+Migrate per stranded thread. Bringing a core
+// back needs no scheduler hook: per-core state survives the offline
+// window, and the engine's post-online dispatch runs IdleBalance to pull
+// work over.
 type Hotplugger interface {
 	CoreOffline(c *Core)
-	CoreOnline(c *Core)
 }
 
 // OnlineCores returns the number of cores currently online.
@@ -86,9 +87,6 @@ func (m *Machine) OnlineCore(id int) bool {
 	c.offline = false
 	m.nOffline--
 	m.armTick(c, c.nextGridTick(m.now))
-	if hp, ok := m.sched.(Hotplugger); ok {
-		hp.CoreOnline(c)
-	}
 	m.Counters.Get("hotplug.online").Inc(1)
 	if c.Curr == nil && !c.dispatching {
 		m.dispatch(c)

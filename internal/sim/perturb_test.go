@@ -277,3 +277,11 @@ func TestWallDeadlineDisarmed(t *testing.T) {
 	m.SetWallDeadline(time.Time{}) // zero time disarms
 	m.Run(time.Second)             // must not panic
 }
+
+func TestWallDeadlineErrorMessage(t *testing.T) {
+	err := &WallDeadlineError{SimTime: 1500 * time.Millisecond, Events: 65536}
+	const want = "sim: trial exceeded its wall-clock deadline (simulated 1.5s, 65536 events processed)"
+	if got := err.Error(); got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
+}

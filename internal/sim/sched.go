@@ -45,10 +45,6 @@ type Scheduler interface {
 	// If t is currently running, only accounting is updated.
 	Dequeue(c *Core, t *Thread, flags int)
 
-	// Yield handles a voluntary CPU relinquish (yield_task /
-	// sched_relinquish) before the engine deschedules t.
-	Yield(c *Core, t *Thread)
-
 	// PickNext selects the next thread to run on c (pick_next_task /
 	// sched_choose), removing it from queue structures, or returns nil.
 	PickNext(c *Core) *Thread

@@ -181,12 +181,6 @@ func (t *Thread) State() State { return t.state }
 // sleeping/dead.
 func (t *Thread) Core() *Core { return t.core }
 
-// Machine returns the machine the thread lives on.
-func (t *Thread) Machine() *Machine { return t.mach }
-
-// Running reports whether the thread is currently on a CPU.
-func (t *Thread) Running() bool { return t.state == StateRunning }
-
 // CanRunOn reports whether the thread may be placed on core id: the
 // core must be online and the thread's affinity (if any) must allow it.
 // Every scheduler placement and steal scan filters through here, which
@@ -222,10 +216,6 @@ type Ctx struct {
 
 // Now returns the current simulated time.
 func (c *Ctx) Now() time.Duration { return c.M.Now() }
-
-// Wake makes target runnable if it is sleeping or blocked; otherwise it is
-// a no-op (matching try_to_wake_up semantics on a running task).
-func (c *Ctx) Wake(target *Thread) { c.M.Wake(target) }
 
 // Signal wakes up to n threads blocked on wq (FIFO order).
 func (c *Ctx) Signal(wq *WaitQueue, n int) { c.M.Signal(wq, n) }

@@ -26,9 +26,4 @@ func (s *Sched) CoreOffline(c *sim.Core) {
 	}
 }
 
-// CoreOnline implements sim.Hotplugger: per-core tdq state (calendar
-// position, tick count) survives the offline window untouched; the
-// engine's post-online dispatch runs tdq_idled to pull work back.
-func (s *Sched) CoreOnline(c *sim.Core) {}
-
 var _ sim.Hotplugger = (*Sched)(nil)

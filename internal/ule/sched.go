@@ -196,12 +196,7 @@ func (s *Sched) Enqueue(c *sim.Core, t *sim.Thread, flags int) {
 	}
 	if d.interactive {
 		d.onBatchQ = false
-		if flags&sim.FlagPreempted != 0 {
-			// SRQ_PREEMPTED: preempted threads resume at the head.
-			q.realtime.AddHead(&d.entry, d.pri)
-		} else {
-			q.realtime.Add(&d.entry, d.pri)
-		}
+		q.realtime.Add(&d.entry, d.pri)
 	} else {
 		d.onBatchQ = true
 		q.timeshare.Add(&d.entry, s.batchQueuePri(d))
@@ -314,6 +309,7 @@ func (s *Sched) PutPrev(c *sim.Core, t *sim.Thread, flags int) {
 	if d.interactive {
 		d.onBatchQ = false
 		if flags&sim.FlagPreempted != 0 {
+			// SRQ_PREEMPTED: preempted threads resume at the head.
 			q.realtime.AddHead(&d.entry, d.pri)
 		} else {
 			q.realtime.Add(&d.entry, d.pri)
@@ -322,12 +318,6 @@ func (s *Sched) PutPrev(c *sim.Core, t *sim.Thread, flags int) {
 		d.onBatchQ = true
 		q.timeshare.Add(&d.entry, s.batchQueuePri(d))
 	}
-}
-
-// Yield implements sim.Scheduler (sched_relinquish): consume the slice so
-// the thread rotates to the back.
-func (s *Sched) Yield(c *sim.Core, t *sim.Thread) {
-	s.td(t).slice = 0
 }
 
 // CheckPreempt implements sim.Scheduler: "in ULE, full preemption is

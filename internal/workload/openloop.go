@@ -88,9 +88,6 @@ func (g *ArrivalGen) Next() time.Duration {
 	return d
 }
 
-// Mean returns the configured mean inter-arrival time.
-func (g *ArrivalGen) Mean() time.Duration { return g.mean }
-
 // OpenLoop describes one open-loop request stream: arrivals drawn from Gen
 // are pushed into Q with the given per-request CPU demand, and Q records
 // each request's arrival-to-completion latency. Serving threads are the

@@ -601,27 +601,6 @@ func (s *Source) Next(ctx *sim.Ctx) sim.Op {
 	}
 }
 
-// KWorker is the per-core kernel housekeeping thread: a short burst on a
-// jittered period. Its wakeups are the "micro changes in the load of cores"
-// that mislead CFS's placement in §6.3.
-type KWorker struct {
-	Period time.Duration
-	Burst  time.Duration
-
-	ran bool
-}
-
-// Next implements sim.Program.
-func (k *KWorker) Next(ctx *sim.Ctx) sim.Op {
-	if k.ran {
-		k.ran = false
-		p := k.Period + time.Duration(ctx.Rand().Int63n(int64(k.Period)))
-		return sim.Sleep(p)
-	}
-	k.ran = true
-	return sim.Run(k.Burst)
-}
-
 // jitter applies a deterministic uniform ±pct variation.
 func jitter(ctx *sim.Ctx, d time.Duration, pct int) time.Duration {
 	if pct <= 0 || d <= 0 {

@@ -203,18 +203,6 @@ func TestPipelineFlows(t *testing.T) {
 	}
 }
 
-func TestKWorkerPeriodicNoise(t *testing.T) {
-	m := newMachine(1)
-	th := m.StartThread("kworker/0", "kernel", 0, &KWorker{Period: 10 * time.Millisecond, Burst: 100 * time.Microsecond})
-	m.Run(time.Second)
-	if th.RunTime < 2*time.Millisecond || th.RunTime > 20*time.Millisecond {
-		t.Fatalf("kworker runtime = %v, want a few ms", th.RunTime)
-	}
-	if th.SleepTime < 900*time.Millisecond {
-		t.Fatalf("kworker sleep = %v", th.SleepTime)
-	}
-}
-
 func TestJitterBounds(t *testing.T) {
 	m := newMachine(1)
 	done := false

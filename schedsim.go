@@ -24,7 +24,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cfs"
 	"repro/internal/core"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/ule"
 )
@@ -181,7 +180,7 @@ func Experiments() []Experiment { return core.Experiments() }
 // RunExperiment runs one artifact by id ("fig1".."fig9", "table2",
 // "overhead", "ablation-*") at the given scale (1.0 = paper-sized; smaller
 // shrinks durations). It panics on unknown ids. The experiment's trial grid
-// executes on a worker pool SetJobs wide; results are byte-identical
+// executes on a worker pool GOMAXPROCS wide; results are byte-identical
 // whatever the pool width, because every trial owns a private deterministic
 // machine and results merge in trial order.
 func RunExperiment(id string, scale float64) *Result {
@@ -191,14 +190,3 @@ func RunExperiment(id string, scale float64) *Result {
 	}
 	return e.Run(scale)
 }
-
-// SetJobs sets how many trials of an experiment grid run concurrently
-// (n < 1 restores the default, GOMAXPROCS). Parallelism never changes
-// results — only wall-clock time.
-func SetJobs(n int) { runner.SetWorkers(n) }
-
-// SetBaseSeed installs a deterministic per-trial seed perturbation for all
-// experiment grids. Zero (the default) keeps the paper-tuned seeds;
-// any other value re-derives every trial's seed from (base, trial name,
-// trial index), for repeat-trial variance studies.
-func SetBaseSeed(s int64) { core.SetBaseSeed(s) }

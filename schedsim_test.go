@@ -1,8 +1,11 @@
 package schedsim
 
 import (
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -78,4 +81,25 @@ func TestExperimentRegistryExposed(t *testing.T) {
 		}
 	}()
 	RunExperiment("nope", 1)
+}
+
+// TestRegisterScheduler exercises the README's extension point: a
+// registered kind is listed, accepted by Config.Scheduler, and cannot be
+// registered twice.
+func TestRegisterScheduler(t *testing.T) {
+	const kind SchedulerKind = "facade-test-fifo"
+	factory := func(MachineConfig) sim.Scheduler { return sim.NewFIFO() }
+	if err := RegisterScheduler(kind, factory); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(SchedulerKinds(), kind) {
+		t.Fatalf("SchedulerKinds() = %v, missing %q", SchedulerKinds(), kind)
+	}
+	if err := RegisterScheduler(kind, factory); err == nil {
+		t.Fatal("registering a kind twice succeeded")
+	}
+	m := New(Config{Cores: 2, Scheduler: kind, Seed: 3})
+	if got := m.M.Scheduler().Name(); got != "fifo" {
+		t.Fatalf("scheduler %q, want fifo", got)
+	}
 }
