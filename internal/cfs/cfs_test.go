@@ -279,19 +279,6 @@ func TestMostlySleepingCoreLoadIsLow(t *testing.T) {
 	}
 }
 
-func TestPeriodStretchesWithThreads(t *testing.T) {
-	p := DefaultParams()
-	if got := p.period(4); got != 48*time.Millisecond {
-		t.Fatalf("period(4) = %v", got)
-	}
-	if got := p.period(8); got != 48*time.Millisecond {
-		t.Fatalf("period(8) = %v", got)
-	}
-	if got := p.period(16); got != 96*time.Millisecond {
-		t.Fatalf("period(16) = %v", got)
-	}
-}
-
 func TestWeightTable(t *testing.T) {
 	if weightOf(0) != 1024 {
 		t.Fatal("nice 0 weight")

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -94,6 +95,15 @@ func TestRecorderSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestRecorderSize pins a recorder's footprint: the headroom window's
+// candidate sets live in an arena sized at attach, not in a fixed array
+// for 256 cores that made every recorder 80 272 B.
+func TestRecorderSize(t *testing.T) {
+	if got := unsafe.Sizeof(Recorder{}); got > 80272/4 {
+		t.Errorf("sizeof(Recorder) = %d bytes, want <= %d", got, 80272/4)
+	}
+}
+
 // attachBytes reports the heap bytes one attach call allocates.
 func attachBytes(attach func()) uint64 {
 	var before, after runtime.MemStats
@@ -104,9 +114,12 @@ func attachBytes(attach func()) uint64 {
 }
 
 // TestAccountingRecorderAllocBounded: an accounting-mode recorder owns the
-// counters, one load vector and the fixed-size headroom window — no ring,
-// arena, pick scratch or encoder — so attaching costs a bounded ~80 KiB
-// against the streaming recorder's ~450 KiB, and the oversubscribed
+// counters, one load vector and the headroom window, its candidate arena
+// one entry per core per decision (1 KiB on this eight-core machine) — no
+// ring, record arena, pick scratch or encoder — so attaching costs ~17 KiB
+// against the streaming recorder's ~450 KiB (room for 256 candidates per
+// decision again costs 31 KiB more at the default window of 8), and the
+// oversubscribed
 // 48-thread leg, whose windows are searched, allocates nothing in steady
 // state. Its counts and verdict are the streaming recorder's.
 func TestAccountingRecorderAllocBounded(t *testing.T) {
@@ -122,7 +135,7 @@ func TestAccountingRecorderAllocBounded(t *testing.T) {
 	m, full := machine(), machine()
 	var r, fr *Recorder
 	var err error
-	const bound = 96 << 10
+	const bound = 24 << 10
 	if got := attachBytes(func() { r, err = AttachAccounting(m, Options{}) }); err != nil || got > bound {
 		t.Fatalf("AttachAccounting allocated %d bytes (err %v), want <= %d", got, err, bound)
 	}

@@ -162,11 +162,12 @@ type Summary struct {
 // Attach; call Close after the run, then Bytes/Summary/Headroom.
 //
 // All hot-path state is preallocated at Attach: the SoA ring, the
-// candidate arena, and the headroom window. Recording a decision allocates
-// nothing, the headroom search it may set off included; flushing writes
-// one encoded chunk to the sink through a reused scratch, or with no sink
-// keeps it as one exactly-sized allocation (bounded by MaxBytes in total)
-// that Bytes later joins. An AttachAccounting recorder holds the counters,
+// candidate arena, and the headroom window, whose candidate sets are sized
+// to the machine's cores. Recording a decision allocates nothing, the
+// headroom search it may set off included; flushing writes one encoded
+// chunk to the sink through a reused scratch, or with no sink keeps it as
+// one exactly-sized allocation (bounded by MaxBytes in total) that Bytes
+// later joins. An AttachAccounting recorder holds the counters,
 // loadBuf and hr only.
 type Recorder struct {
 	m    *sim.Machine
@@ -231,7 +232,7 @@ func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
 		loadBuf: make([]int, len(m.Cores)),
 		pickBuf: make([]sim.PickCandidate, 0, maxCandPerRec),
 	}
-	r.hr.window, r.hr.branch = opts.Window, opts.Branch
+	r.initHeadroom()
 	if ex, ok := m.Scheduler().(sim.PickExplainer); ok {
 		r.explainer = ex
 	}
@@ -259,7 +260,7 @@ func AttachAccounting(m *sim.Machine, opts Options) (*Recorder, error) {
 		return nil, err
 	}
 	r := &Recorder{m: m, opts: opts, loadBuf: make([]int, len(m.Cores))}
-	r.hr.window, r.hr.branch = opts.Window, opts.Branch
+	r.initHeadroom()
 	m.OnPick(func(*sim.Core, *sim.Thread) { r.count(KindPick) })
 	m.OnWake(func(target, _ *sim.Core, t *sim.Thread) {
 		if r.count(KindWake) {
@@ -270,6 +271,14 @@ func AttachAccounting(m *sim.Machine, opts Options) (*Recorder, error) {
 	m.OnMigrate(func(_, _ *sim.Core, _ *sim.Thread) { r.count(KindMigrate) })
 	m.OnSteal(func(_, _ *sim.Core, _ *sim.Thread) { r.count(KindSteal) })
 	return r, nil
+}
+
+// initHeadroom carves the headroom window's candidate arena: a wake's
+// alternatives are the machine's cores, so a decision keeps at most one
+// entry per core.
+func (r *Recorder) initHeadroom() {
+	width := min(len(r.m.Cores), maxCandPerRec)
+	r.hr = newHeadroomAcc(r.opts.Window, r.opts.Branch, make([]Candidate, r.opts.Window*width))
 }
 
 // count is accounting mode's whole record path: sample, and tally if kept.

@@ -8,9 +8,16 @@ package dtrace
 // reports, besides the verdict, the wake windows scored and the search
 // nodes visited.
 func SearchCost(tr *Trace, window, branch int) (hr Headroom, windows int, nodes uint64) {
-	acc := headroomAcc{window: window, branch: branch}
+	acc := newTestAcc(window, branch)
 	acc.replay(tr)
 	return acc.result(), (acc.wakes + window - 1) / window, acc.nodes
+}
+
+// newTestAcc returns an accumulator sized as ComputeHeadroom sizes one:
+// room for a record's maxCandPerRec candidates per decision.
+func newTestAcc(window, branch int) *headroomAcc {
+	acc := newHeadroomAcc(window, branch, make([]Candidate, window*maxCandPerRec))
+	return &acc
 }
 
 var (

@@ -61,20 +61,23 @@ type Headroom struct {
 	Pct float64 `json:"pct"`
 }
 
-// headroomAcc accumulates windows online. All storage is fixed-size, so
-// neither buffering a decision nor searching a window allocates.
+// headroomAcc accumulates windows online. Its storage is sized once, by
+// newHeadroomAcc, so neither buffering a decision nor searching a window
+// allocates.
 type headroomAcc struct {
 	window int
 	branch int
 
 	// The buffered window: per decision the chosen core and the allowed
-	// cores with their recorded depths. solveWindow rewrites each Key in
-	// place to the decision's base cost on that core.
+	// cores with their recorded depths, decision i's in the arena row
+	// cands[i*width:], of which set returns the filled part. solveWindow
+	// rewrites each Key in place to the decision's base cost on that core.
 	n      int
+	width  int // candidates a decision keeps at most
 	chosen [MaxWindow]int32
 	ncand  [MaxWindow]int
-	cands  [MaxWindow][maxCandPerRec]Candidate
-	winAch int64 // the buffered decisions' achieved cost
+	cands  []Candidate // window × width entries
+	winAch int64       // the buffered decisions' achieved cost
 
 	// Search state.
 	assign [MaxWindow]int32     // current partial assignment
@@ -133,6 +136,24 @@ type tableEntry struct {
 	epoch uint64
 }
 
+// newHeadroomAcc returns an accumulator for windows of window decisions
+// searched branch ways. arena backs the window's candidate sets,
+// len(arena)/window entries per decision: a decision keeps at most that
+// many candidates.
+func newHeadroomAcc(window, branch int, arena []Candidate) headroomAcc {
+	return headroomAcc{window: window, branch: branch, width: len(arena) / window, cands: arena}
+}
+
+// row returns decision i's arena row, all width entries of it.
+func (a *headroomAcc) row(i int) []Candidate {
+	return a.cands[i*a.width : (i+1)*a.width]
+}
+
+// set returns decision i's buffered candidates.
+func (a *headroomAcc) set(i int) []Candidate {
+	return a.cands[i*a.width : i*a.width+a.ncand[i]]
+}
+
 // next returns the slot for one more decision, first scoring the window
 // if it is full — deferred to here so the slice the previous observe
 // returned stays intact until its caller has copied it.
@@ -150,9 +171,9 @@ func (a *headroomAcc) next() int {
 // become candidates.
 func (a *headroomAcc) observe(chosen int32, t canRunner, loads []int) []Candidate {
 	i := a.next()
-	cs := a.cands[i][:0]
+	cs := a.row(i)[:0]
 	for id, load := range loads {
-		if !t.CanRunOn(id) || len(cs) == maxCandPerRec {
+		if !t.CanRunOn(id) || len(cs) == a.width {
 			continue
 		}
 		cs = append(cs, Candidate{ID: int32(id), Key: int64(load)})
@@ -163,11 +184,12 @@ func (a *headroomAcc) observe(chosen int32, t canRunner, loads []int) []Candidat
 
 // observeCands is observe for replay from a decoded trace, where the
 // allowed-core set and depths come straight from the record (cut to the
-// recorder's own maxCandPerRec). A core listed twice is priced at its
-// first depth both times.
+// row's width). A core listed twice is priced at its first depth both
+// times.
 func (a *headroomAcc) observeCands(chosen int32, cands []Candidate) {
 	i := a.next()
-	cs := a.cands[i][:copy(a.cands[i][:], cands)]
+	cs := a.row(i)
+	cs = cs[:copy(cs, cands)]
 	for k := range cs {
 		for _, p := range cs[:k] {
 			if p.ID == cs[k].ID {
@@ -223,9 +245,9 @@ func (a *headroomAcc) price() {
 	// way the search counts hypothetical ones, on the actual schedule.
 	n := a.n
 	for i, ch := range a.chosen[:n] {
-		for k := range a.cands[i][:a.ncand[i]] {
-			c := &a.cands[i][k]
-			c.Key = max(c.Key, 0) - a.placed(i, c.ID)
+		cs := a.set(i)
+		for k := range cs {
+			cs[k].Key = max(cs[k].Key, 0) - a.placed(i, cs[k].ID)
 		}
 		a.assign[i] = ch
 		if uint32(ch) < hypCores {
@@ -251,7 +273,7 @@ func (a *headroomAcc) price() {
 			a.open[i]++
 		}
 		var low int64
-		for k, c := range a.cands[i][:a.ncand[i]] {
+		for k, c := range a.set(i) {
 			if f := max(c.Key, 0); k == 0 || f < low {
 				low = f
 			}
@@ -315,7 +337,7 @@ func (a *headroomAcc) search(i int, cost int64) {
 	var top [MaxBranch]Candidate
 	w := 0
 	room := a.best - cost - a.suffix[i+1]
-	for _, c := range a.cands[i][:a.ncand[i]] {
+	for _, c := range a.set(i) {
 		if c.Key = max(c.Key+a.placed(i, c.ID), 0); c.Key >= room {
 			continue
 		}
@@ -483,7 +505,10 @@ func ComputeHeadroom(tr *Trace, window, branch int) Headroom {
 	if branch > MaxBranch {
 		branch = MaxBranch
 	}
-	acc := headroomAcc{window: window, branch: branch}
+	// A recorded wake keeps at most maxCandPerRec candidates, whatever the
+	// machine. The arena stays on the stack, so a replay allocates nothing.
+	var arena [MaxWindow * maxCandPerRec]Candidate
+	acc := newHeadroomAcc(window, branch, arena[:window*maxCandPerRec])
 	acc.replay(tr)
 	return acc.result()
 }

@@ -192,7 +192,8 @@ func checkAgainstReference(t *testing.T, data []byte) (nodes [3]uint64, keyed bo
 		t.Fatalf("window %d branch %d over %d wakes: search %+v, reference %+v\ninput %x", window, branch, len(tr.Recs), got, want, data)
 	}
 	for k, shrink := range []uint8{0, tableBits - 2, tableBits} {
-		acc := headroomAcc{window: window, branch: branch, shrink: shrink}
+		acc := newTestAcc(window, branch)
+		acc.shrink = shrink
 		acc.replay(tr)
 		if got := acc.result(); got.Wakes != want.Wakes || got.Achieved != want.Achieved || got.Attainable != want.Attainable {
 			t.Fatalf("window %d branch %d, table of %d: search %+v, reference %+v\ninput %x", window, branch, tableSize>>shrink, got, want, data)
@@ -314,7 +315,7 @@ func TestHeadroomKeyFit(t *testing.T) {
 		{"ids by 300", tied(0, 300, 600, 900), false},
 		{"a negative id", tied(0, 1, -1), false},
 	} {
-		acc := headroomAcc{window: 4, branch: 4}
+		acc := newTestAcc(4, 4)
 		acc.replay(c.tr)
 		got, want := acc.result(), refHeadroom(c.tr, 4, 4)
 		if got.Pct = 0; got != want || got.Attainable >= got.Achieved {
@@ -328,7 +329,7 @@ func TestHeadroomKeyFit(t *testing.T) {
 	// so that core needs a slot too.
 	tr := tied(0, 1)
 	tr.Recs[6] = Rec{Kind: KindWake, Core: 700}
-	acc := headroomAcc{window: 4, branch: 4}
+	acc := newTestAcc(4, 4)
 	acc.replay(tr)
 	if got, want := acc.result(), refHeadroom(tr, 4, 4); acc.keyed || got.Attainable != want.Attainable {
 		t.Errorf("candidate-less wake on core 700: keyed = %v, search %+v, reference %+v", acc.keyed, got, want)

@@ -56,24 +56,23 @@ type Attachment struct {
 	converged   bool
 }
 
-// builtinProbe is one named probe: a description (CLI/docs) and an
-// installer that registers hooks and appends the sampler.
+// builtinProbe is one named probe: an installer that registers hooks and
+// appends the sampler.
 type builtinProbe struct {
 	name    string
-	desc    string
 	install func(a *Attachment)
 }
 
 // builtins lists every built-in probe in stable (sorted) order.
 var builtins = []builtinProbe{
-	{"live", "live (non-dead) thread count", installLive},
-	{"migrations", "runnable-thread migrations per second", installMigrations},
-	{"preemptions", "involuntary preemptions per second", installPreemptions},
-	{"runq", "per-core runnable depth (the Figure 6/7 heatmap signal)", installRunq},
-	{"runqlat", "per-group runqueue wait quantiles in µs (enqueue→dispatch hooks)", installRunqlat},
-	{"steals", "idle steals per second", installSteals},
-	{"ticks", "scheduler ticks per second across all cores (tick hook)", installTicks},
-	{"util", "per-core windowed utilization in [0,1]", installUtil},
+	{"live", installLive},               // live (non-dead) thread count
+	{"migrations", installMigrations},   // runnable-thread migrations per second
+	{"preemptions", installPreemptions}, // involuntary preemptions per second
+	{"runq", installRunq},               // per-core runnable depth (the Figure 6/7 heatmap signal)
+	{"runqlat", installRunqlat},         // per-group runqueue wait quantiles in µs (enqueue→dispatch hooks)
+	{"steals", installSteals},           // idle steals per second
+	{"ticks", installTicks},             // scheduler ticks per second across all cores (tick hook)
+	{"util", installUtil},               // per-core windowed utilization in [0,1]
 }
 
 // Names lists the built-in probe names, sorted.
@@ -84,16 +83,6 @@ func Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Describe returns the one-line description of a built-in probe name.
-func Describe(name string) (string, bool) {
-	for _, b := range builtins {
-		if b.name == name {
-			return b.desc, true
-		}
-	}
-	return "", false
 }
 
 // Attach installs the named probes on m and starts the periodic sampler.

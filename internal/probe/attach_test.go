@@ -92,11 +92,6 @@ func TestAttachErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "listed twice") {
 		t.Fatalf("duplicate probe error = %v", err)
 	}
-	for _, name := range probe.Names() {
-		if _, ok := probe.Describe(name); !ok {
-			t.Errorf("probe %s has no description", name)
-		}
-	}
 }
 
 // TestConvergenceDetector pins the runq probe's online convergence

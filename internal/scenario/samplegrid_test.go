@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -254,5 +255,46 @@ func TestCacheNeverCrossesModes(t *testing.T) {
 	mustRun(t, sp, scale)
 	if st := c.Stats(); st.Misses != 0 || st.Corrupt != 0 {
 		t.Fatalf("after repair: %+v, want no miss", st)
+	}
+}
+
+// TestReplicatedTrialAllocBudget holds what one replication of the CI
+// gate's web-tail group costs: seed 1 as a sample grid at the gate's scale
+// (0.1, eight cores), one CFS and one ULE trial, both recorders in
+// accounting mode. That is ~337 kB, the least of three runs after a warm-up
+// (which pays one-time set-up). The budget is 2 % over it, because the
+// fixed per-trial storage it guards is small beside a trial: a headroom
+// window with room for 256 candidates per decision again (+32 KiB a trial
+// at web-tail's window of 8, +19 %; the fixed array it replaced was 64 KiB)
+// fails it, and so does a timeline thread table grown from empty by append
+// (+2.5 %). Not under -race.
+func TestReplicatedTrialAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under -race")
+	}
+	sp, err := LoadBuiltin("web-tail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := sp.WithSeeds([]int64{1})
+	const budget = 344_000
+	got := ^uint64(0)
+	runner.WithWorkers(1, func() {
+		mustRun(t, grid, 0.1)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			rep := mustRun(t, grid, 0.1)
+			runtime.ReadMemStats(&after)
+			if len(rep.Trials) != 2 {
+				t.Fatalf("%d trials, want one per scheduler", len(rep.Trials))
+			}
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+	})
+	t.Logf("one replication allocated %d bytes", got)
+	if got > budget {
+		t.Fatalf("one replication allocated %d bytes, budget %d", got, budget)
 	}
 }

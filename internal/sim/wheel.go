@@ -13,7 +13,7 @@ import (
 //
 // Layout: wheelLevels rings of wheelSlots slots over the event clock
 // (nanosecond time.Duration values); a slot is a FIFO list threaded through
-// one node pool all slots share (timerWheel.nodes), so the wheel's memory
+// one node pool all slots share (timerWheel.segs), so the wheel's memory
 // follows the events pending, not the slots they pass. Level k's slots are
 // 2^(wheelShift0 + k*wheelBits) ns wide — 4.096µs at level 0, then ~1ms,
 // ~268ms, ~68.7s. Filing is delta-based: an event goes to the lowest level
@@ -56,6 +56,12 @@ const (
 	wheelMask   = wheelSlots - 1
 	wheelShift0 = 12 // 4.096µs level-0 slots
 	wheelLevels = 4
+
+	// The node pool is power-of-two segments of 16, 32, 64 … nodes,
+	// enough of them to cover every positive int32 index.
+	wheelSeg0Bits = 4
+	wheelSeg0     = 1 << wheelSeg0Bits
+	wheelSegs     = 32 - wheelSeg0Bits
 )
 
 // wheelNode is one pooled list cell. It holds no pointer, so the collector
@@ -65,8 +71,8 @@ type wheelNode struct {
 	next int32 // 1-based index of the next node on the same list; 0 ends it
 }
 
-// wheelSlot is a FIFO list of nodes in filing order: 1-based indices into
-// timerWheel.nodes, both 0 when empty. tail makes the append — and the
+// wheelSlot is a FIFO list of nodes in filing order: 1-based pool indices
+// (timerWheel.node), both 0 when empty. tail makes the append — and the
 // splice of a drained list onto the free list — O(1).
 type wheelSlot struct {
 	head, tail int32
@@ -123,15 +129,32 @@ type timerWheel struct {
 	cursor int64
 	// size counts events filed in the levels (excluding cur and overflow).
 	size int
-	// nodes is the pool behind every slot list; free heads the list of
-	// unused nodes (1-based, 0 when none). The pool only grows, and only
-	// when every node is in use: len(nodes) is the high-water mark of size.
-	nodes  []wheelNode
+	// segs is the pool behind every slot list, addressed through node;
+	// free heads the list of unused nodes (1-based, 0 when none). The pool
+	// only grows, and only when every node is in use: used, the number of
+	// nodes ever handed out, is the high-water mark of size. Growth
+	// allocates the next segment and leaves every node where it is.
+	segs   [wheelSegs][]wheelNode
+	used   int32
 	free   int32
 	levels [wheelLevels]wheelLevel
 	// over holds events beyond the top level's rolling horizon, ordered;
 	// they are refiled when their span becomes reachable.
 	over eventHeap
+}
+
+// nodeAt splits 1-based pool index n into its segment and the offset in
+// it: segment s holds indices 16·(2^s − 1) + 1 through 16·(2^(s+1) − 1).
+func nodeAt(n int32) (seg uint, off uint32) {
+	j := uint32(n) + wheelSeg0 - 1
+	top := uint(bits.Len32(j)-1) & 31
+	return top - wheelSeg0Bits, j &^ (1 << top)
+}
+
+// node returns pool node n (1-based).
+func (w *timerWheel) node(n int32) *wheelNode {
+	s, off := nodeAt(n)
+	return &w.segs[s][off]
 }
 
 // curEnd is the exclusive upper bound of the region covered by cur.
@@ -187,7 +210,8 @@ func (w *timerWheel) level(slot int64) int {
 
 // file places an event with at >= curEnd into the lowest level whose ring
 // reaches it from the cursor, or the overflow heap beyond the top horizon,
-// taking its node from the free list or, with none free, growing the pool.
+// taking its node from the free list or, with none free, the next unused
+// one — allocating its segment when it is the first of one.
 func (w *timerWheel) file(e event) {
 	slot := int64(e.at) >> wheelShift0
 	k := w.level(slot)
@@ -196,13 +220,20 @@ func (w *timerWheel) file(e event) {
 		return
 	}
 	n := w.free
+	var nd *wheelNode
 	if n != 0 {
-		w.free = w.nodes[n-1].next
+		nd = w.node(n)
+		w.free = nd.next
 	} else {
-		w.nodes = append(w.nodes, wheelNode{})
-		n = int32(len(w.nodes))
+		w.used++
+		n = w.used
+		s, off := nodeAt(n)
+		if off == 0 {
+			w.segs[s] = make([]wheelNode, wheelSeg0<<s)
+		}
+		nd = &w.segs[s][off]
 	}
-	w.nodes[n-1] = wheelNode{e: e}
+	*nd = wheelNode{e: e}
 	w.link(k, slot, n)
 	w.size++
 }
@@ -217,7 +248,7 @@ func (w *timerWheel) link(k int, slot int64, n int32) {
 		sl.head = n
 		lv.mark(idx)
 	} else {
-		w.nodes[sl.tail-1].next = n
+		w.node(sl.tail).next = n
 	}
 	sl.tail = n
 }
@@ -320,10 +351,12 @@ func (w *timerWheel) drainSlot(s int64) {
 	idx := s & wheelMask
 	sl := lv.slots[idx]
 	w.cur = w.cur[:0]
-	for n := sl.head; n != 0; n = w.nodes[n-1].next {
-		w.cur = append(w.cur, w.nodes[n-1].e)
+	for n := sl.head; n != 0; {
+		nd := w.node(n)
+		w.cur = append(w.cur, nd.e)
+		n = nd.next
 	}
-	w.nodes[sl.tail-1].next = w.free
+	w.node(sl.tail).next = w.free
 	w.free = sl.head
 	lv.slots[idx] = wheelSlot{}
 	lv.clear(idx)
@@ -361,7 +394,7 @@ func (w *timerWheel) cascade(k int, s int64) {
 	lv.slots[idx] = wheelSlot{}
 	lv.clear(idx)
 	for n != 0 {
-		nd := &w.nodes[n-1]
+		nd := w.node(n)
 		next := nd.next
 		nd.next = 0
 		slot := int64(nd.e.at) >> wheelShift0

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The timer wheel's determinism contract is "pops in exactly the binary
@@ -84,17 +85,17 @@ func (o *wheelOracle) drain() {
 	}
 }
 
-// checkPool verifies the node pool's structure: every node is on exactly
-// one slot list or on the free list, each slot list holds the events of
-// that slot and ends at its tail, the bitmap mirrors the heads, and size
-// counts the linked nodes.
+// checkPool verifies the node pool's structure: every node handed out is
+// on exactly one slot list or on the free list, each slot list holds the
+// events of that slot and ends at its tail, the bitmap mirrors the heads,
+// and size counts the linked nodes.
 func (o *wheelOracle) checkPool() {
 	o.t.Helper()
 	w := &o.w
-	seen := make([]bool, len(w.nodes))
+	seen := make([]bool, w.used)
 	visit := func(n int32, where string) {
-		if n < 1 || int(n) > len(w.nodes) {
-			o.t.Fatalf("%s: node index %d outside the pool of %d", where, n, len(w.nodes))
+		if n < 1 || n > w.used {
+			o.t.Fatalf("%s: node index %d outside the pool of %d", where, n, w.used)
 		}
 		if seen[n-1] {
 			o.t.Fatalf("%s: node %d is linked twice", where, n)
@@ -110,9 +111,9 @@ func (o *wheelOracle) checkPool() {
 				o.t.Fatalf("level %d slot %d: head %d, tail %d, bitmap %v", k, idx, sl.head, sl.tail, lv.occupied(int64(idx)))
 			}
 			last := int32(0)
-			for n := sl.head; n != 0; n = w.nodes[n-1].next {
+			for n := sl.head; n != 0; n = w.node(n).next {
 				visit(n, "slot list")
-				at := w.nodes[n-1].e.at
+				at := w.node(n).e.at
 				if got := int(int64(at) >> uint(wheelShift0+wheelBits*k) & wheelMask); got != idx {
 					o.t.Fatalf("level %d slot %d holds an event at %v, which belongs in slot %d", k, idx, at, got)
 				}
@@ -127,7 +128,7 @@ func (o *wheelOracle) checkPool() {
 	if linked != w.size {
 		o.t.Fatalf("size %d, but %d nodes are linked into slots", w.size, linked)
 	}
-	for n := w.free; n != 0; n = w.nodes[n-1].next {
+	for n := w.free; n != 0; n = w.node(n).next {
 		visit(n, "free list")
 	}
 	for i, ok := range seen {
@@ -189,12 +190,59 @@ func TestWheelPoolBoundedByPending(t *testing.T) {
 				w.peekAt()
 				clock = w.pop().at
 			}
-			if len(w.nodes) > limit {
-				t.Fatalf("at most %d pending, op %d: the pool holds %d nodes", limit, op, len(w.nodes))
+			if int(w.used) > limit {
+				t.Fatalf("at most %d pending, op %d: the pool holds %d nodes", limit, op, w.used)
 			}
 		}
-		if len(w.nodes) < (limit+1)/2 {
-			t.Fatalf("at most %d pending: the pool reached only %d nodes, so the churn never pressed on the bound", limit, len(w.nodes))
+		if int(w.used) < (limit+1)/2 {
+			t.Fatalf("at most %d pending: the pool reached only %d nodes, so the churn never pressed on the bound", limit, w.used)
+		}
+	}
+}
+
+// TestWheelPoolGrowsWithoutCopying: the pool grows by allocating the next
+// segment, so every node stays at the address it was handed out at, and
+// the segments double, so the pool never holds more than twice its
+// high-water mark plus the first segment's 16 nodes (56 B each). Right
+// after a growth it is nearly reached: 17 nodes in use hold 48 (bound 50).
+func TestWheelPoolGrowsWithoutCopying(t *testing.T) {
+	if size := unsafe.Sizeof(wheelNode{}); size != 56 {
+		t.Fatalf("a wheel node is %d B, want 56", size)
+	}
+	var w timerWheel
+	var addrs []*wheelNode
+	// One ring ahead, so every event files at level 1 and none drains.
+	far := time.Duration(wheelSlots) << wheelShift0
+	for seq := uint64(1); seq <= 5000; seq++ {
+		w.push(event{at: far + time.Duration(seq), seq: seq})
+		if int(w.used) != len(addrs)+1 {
+			t.Fatalf("%d events filed, none popped: %d nodes handed out", seq, w.used)
+		}
+		addrs = append(addrs, w.node(w.used))
+		pool := 0
+		for _, sg := range w.segs {
+			pool += cap(sg)
+		}
+		if bytes, bound := uintptr(pool)*unsafe.Sizeof(wheelNode{}), uintptr(2*w.used+wheelSeg0)*56; bytes > bound {
+			t.Fatalf("%d nodes in use: the pool holds %d B, bound %d", w.used, bytes, bound)
+		}
+		if _, off := nodeAt(w.used); off != 0 {
+			continue
+		}
+		// A segment was just added: every earlier node is where it was,
+		// holding what it held.
+		for i, p := range addrs {
+			if n := int32(i + 1); w.node(n) != p || p.e.seq != uint64(n) {
+				t.Fatalf("after growing to %d nodes: node %d moved or changed (seq %d)", w.used, n, w.node(n).e.seq)
+			}
+		}
+	}
+	for seq := uint64(1); seq <= 5000; seq++ {
+		if _, ok := w.peekAt(); !ok {
+			t.Fatal("wheel empty early")
+		}
+		if e := w.pop(); e.seq != seq {
+			t.Fatalf("popped seq %d, want %d", e.seq, seq)
 		}
 	}
 }
@@ -202,8 +250,8 @@ func TestWheelPoolBoundedByPending(t *testing.T) {
 // slotEvents lists level-k slot idx in list order.
 func (w *timerWheel) slotEvents(k int, idx int64) []event {
 	var es []event
-	for n := w.levels[k].slots[idx&wheelMask].head; n != 0; n = w.nodes[n-1].next {
-		es = append(es, w.nodes[n-1].e)
+	for n := w.levels[k].slots[idx&wheelMask].head; n != 0; n = w.node(n).next {
+		es = append(es, w.node(n).e)
 	}
 	return es
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -113,4 +114,40 @@ func TestAccountingRecorderAllocBounded(t *testing.T) {
 	if got, want := r.Accounts(), fr.Accounts(); !reflect.DeepEqual(got, want) {
 		t.Fatal("per-thread accounts differ between accounting and streaming")
 	}
+}
+
+// TestAttachSizesThreadTableOnce: attaching to a machine whose threads
+// already exist — every thread of a scenario trial does — allocates the
+// per-thread table once, 96 B a thread, instead of growing it from empty
+// by append (2.5× the final size for 1 000 threads). A thread forked
+// after attach still extends the table.
+func TestAttachSizesThreadTableOnce(t *testing.T) {
+	if size := unsafe.Sizeof(tstate{}); size != 96 {
+		t.Fatalf("a thread's state is %d B, want 96", size)
+	}
+	const threads = 1000
+	m := sim.NewMachine(topo.Small(), sim.NewFIFO(), sim.Options{Seed: 9})
+	for i := 0; i < threads; i++ {
+		m.StartThread("w", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := AttachAccounting(m, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 16 kB is the rest of an attach (TestAccountingRecorderAllocBounded).
+	got, bound := after.TotalAlloc-before.TotalAlloc, uint64(threads*96+16<<10)
+	if len(r.st) != threads || cap(r.st) != threads || got > bound {
+		t.Fatalf("attach with %d threads: table len %d cap %d, %d bytes allocated, want <= %d", threads, len(r.st), cap(r.st), got, bound)
+	}
+	m.Run(5 * time.Millisecond)
+	forked := m.StartThread("late", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
+	m.Run(10 * time.Millisecond)
+	if len(r.st) != threads+1 || r.st[forked.ID-1].th != forked {
+		t.Fatalf("after a fork: table len %d, want %d holding the new thread", len(r.st), threads+1)
+	}
+	r.Close()
+	checkConservation(t, r, int64(m.Now()))
 }

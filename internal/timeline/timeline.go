@@ -323,8 +323,12 @@ func attach(m *sim.Machine, opts Options, events bool) (*Recorder, error) {
 		}
 	}
 
+	// Every thread alive at attach gets its slot now, in one allocation;
+	// a thread forked later extends the table.
+	threads := m.Threads()
+	r.st = make([]tstate, 0, len(threads))
 	now := int64(m.Now())
-	for _, t := range m.Threads() {
+	for _, t := range threads {
 		st := r.ensure(t)
 		if st == nil || t.State() == sim.StateDead {
 			continue

@@ -10,7 +10,7 @@ const interactHalf = 50
 // box renders the r ≥ s branch ambiguously; this is the shipped code: for
 // r > s the score is 2m − m·s/r, rising to 100 as sleep time vanishes —
 // which is exactly the "penalty of fibo quickly rises to the maximum value"
-// behaviour of Figure 2.)
+// behaviour of Figure 2. TestInteractScoreFormula names this reading.)
 func interactScore(runtime, slptime time.Duration) int {
 	switch {
 	case runtime > slptime:

@@ -35,28 +35,6 @@ func newMachine(p Params, tp *topo.Topology, seed int64) (*sim.Machine, *Sched) 
 	return m, s
 }
 
-func TestInteractScoreFormula(t *testing.T) {
-	cases := []struct {
-		r, s time.Duration
-		want int
-	}{
-		{0, 0, 0},
-		{0, time.Second, 0},
-		{time.Second, 0, 100},
-		{time.Second, time.Second, 50},
-		{time.Second, 2 * time.Second, 25}, // m·r/s = 50·1/2
-		{2 * time.Second, time.Second, 75}, // 2m − m·s/r = 100−25
-		{time.Second, 4 * time.Second, 12}, // 50/4
-		{4 * time.Second, time.Second, 88}, // 100 − 50/4 (integer div)
-		{time.Millisecond, 5 * time.Second, 0},
-	}
-	for _, c := range cases {
-		if got := interactScore(c.r, c.s); got != c.want {
-			t.Errorf("interactScore(%v,%v) = %d, want %d", c.r, c.s, got, c.want)
-		}
-	}
-}
-
 func TestInteractScoreRangeProperty(t *testing.T) {
 	f := func(r, s uint32) bool {
 		got := interactScore(time.Duration(r)*time.Microsecond, time.Duration(s)*time.Microsecond)
