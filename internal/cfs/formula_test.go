@@ -113,3 +113,106 @@ func TestSleeperPlacementVectors(t *testing.T) {
 		}
 	}
 }
+
+// The next three tests work their vectors by hand from the kernel functions
+// the model follows (update_curr, wakeup_preempt_entity, calc_group_shares;
+// schedsi's CFS, SNIPPETS.md #1, scales vruntime the same way), at
+// sched_prio_to_weight's 88761 (nice −20), 1024 (nice 0) and 15 (nice 19).
+
+// TestVruntimeStepVectors: charging Δexec of runtime moves a thread's
+// vruntime by Δexec · 1024 / weight, truncated. The kernel multiplies by a
+// truncated 2^32/weight instead of dividing; the model follows the formula,
+// and the two part by a nanosecond on the last two vectors, named for it.
+func TestVruntimeStepVectors(t *testing.T) {
+	const ms = time.Millisecond
+	for _, v := range []struct {
+		name string
+		nice int
+		exec time.Duration
+		want int64
+	}{
+		{"nice 0: virtual time is real time", 0, 10 * ms, 10_000_000},
+		{"nice −20: 10 ms × 1024/88761", -20, 10 * ms, 115_365},
+		{"nice 19: 10 ms × 1024/15", 19, 10 * ms, 682_666_666},
+		{"nice 0, one nanosecond", 0, 1, 1},
+		{"nice −20, one nanosecond: below one virtual ns", -20, 1, 0},
+		{"nice 19, 3 ms: 204 800 000 (the kernel's fixed point gives 204 799 999)", 19, 3 * ms, 204_800_000},
+		{"nice −20, 112 ms: 1 292 099 (the kernel's fixed point gives 1 292 098)", -20, 112 * ms, 1_292_099},
+	} {
+		p := DefaultParams()
+		p.Cgroups = false
+		m, s := newMachine(p, topo.SingleCore(), 1)
+		th := m.StartThread("w", "app", v.nice, &looper{burst: time.Millisecond})
+		se := s.ent(th)
+		before := se.vruntime
+		th.RunTime = se.accounted + v.exec
+		s.chargePath(&s.cores[se.owner.core], th)
+		if got := se.vruntime - before; got != v.want {
+			t.Errorf("%s: Δv = %d, want %d", v.name, got, v.want)
+		}
+	}
+}
+
+// TestWakeupPreemptionBoundary: a woken thread preempts the running one
+// exactly when their vruntime gap exceeds WakeupGranularity · 1024 / the
+// woken thread's weight, so one nanosecond below and at the boundary do
+// not preempt and one nanosecond above does.
+func TestWakeupPreemptionBoundary(t *testing.T) {
+	for _, v := range []struct {
+		nice int
+		gran int64 // 1 ms × 1024 / weight, truncated
+	}{
+		{0, 1_000_000},
+		{-20, 11_536},
+		{19, 68_266_666},
+	} {
+		for _, c := range []struct {
+			gap  int64
+			want bool
+		}{{v.gran - 1, false}, {v.gran, false}, {v.gran + 1, true}} {
+			p := DefaultParams()
+			p.Cgroups = false
+			m, s := newMachine(p, topo.SingleCore(), 1)
+			curr := m.StartThread("curr", "app", 0, &looper{burst: time.Millisecond})
+			woken := m.StartThread("woken", "app", v.nice, &looper{burst: time.Millisecond})
+			core := m.Cores[0]
+			core.Curr = curr
+			s.ent(curr).vruntime = 1_000_000_000
+			s.ent(woken).vruntime = 1_000_000_000 - c.gap
+			if got := s.CheckPreempt(core, woken, sim.FlagWakeup); got != c.want {
+				t.Errorf("nice %d, gap %d (granularity %d): preempt = %v, want %v", v.nice, c.gap, v.gran, got, c.want)
+			}
+		}
+	}
+}
+
+// TestGroupShareVectors: a group's entity on a core weighs max(2, shares ·
+// w / W), w being the group's runnable weight on that core and W its total
+// over all cores; an empty group weighs 2 everywhere. The kernel's W sums
+// the other cores' PELT load averages (tg->load_avg) where the model sums
+// their instantaneous weights, so the vectors hold for runqueues at rest.
+func TestGroupShareVectors(t *testing.T) {
+	for _, v := range []struct {
+		name    string
+		weights []int64 // the group's runnable weight per core
+		want    []int64
+	}{
+		{"empty group: MIN_SHARES everywhere", []int64{0, 0}, []int64{2, 2}},
+		{"all on one core: the whole 1024 there, 2 elsewhere", []int64{1024, 0}, []int64{1024, 2}},
+		{"even split", []int64{1024, 1024}, []int64{512, 512}},
+		{"two threads to one: 1024·2048/3072 and 1024·1024/3072", []int64{2048, 1024}, []int64{682, 341}},
+		{"nice 19 beside nice −20: 1024·15/88776 floors to 2", []int64{15, 88761}, []int64{2, 1023}},
+		{"four cores, one idle: 1024·w/4160", []int64{1024, 3121, 15, 0}, []int64{252, 768, 3, 2}},
+	} {
+		g := &taskGroup{shares: nice0Weight}
+		for core, w := range v.weights {
+			g.rqs = append(g.rqs, &cfsRQ{core: core, group: g})
+			g.rqs[core].addWeight(w)
+		}
+		for core, want := range v.want {
+			if got := g.share(core); got != want {
+				t.Errorf("%s: core %d weighs %d, want %d", v.name, core, got, want)
+			}
+		}
+	}
+}
