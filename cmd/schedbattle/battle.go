@@ -8,6 +8,8 @@ package main
 // significant regressions — the scenario library as a CI gate.
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -61,115 +63,128 @@ func joinMarkdown(reports []*battle.Report) string {
 	return md.String()
 }
 
-// runBattle executes battle runs for every requested scenario and writes
-// the outputs. Markdown goes to mdPath, or stdout when mdPath is empty;
-// the JSON battle file to outPath when set; a baseline snapshot to
-// baselinePath when set.
-func runBattle(arg string, opt battle.Options, outPath, mdPath, baselinePath string) error {
-	names, err := battleTargets(arg)
-	if err != nil {
-		return err
-	}
-	var (
-		reports []*battle.Report
-		sources = map[string]string{}
-	)
-	for _, name := range names {
-		sp, err := scenario.Load(name)
+// battleMode is -battle <names>: markdown goes to -md, or stdout when it
+// is empty; the JSON battle file to -out and a baseline snapshot to
+// -baseline when set.
+func battleMode(fs *flag.FlagSet) func() int {
+	arg := fs.String("battle", "", "battle scenarios (comma-separated `names`/paths, or \"all\"): multi-seed replication, CIs, win/loss/tie matrix")
+	tf := declareTrialFlags(fs, false)
+	reps := fs.Int("replications", 5, "seed-replication count per scheduler")
+	mdPath := fs.String("md", "", "write the markdown battle matrix to this file (default: stdout)")
+	baselinePath := fs.String("baseline", "", "write a baseline snapshot here, for -check to gate against")
+	return tf.run(func() (int, error) {
+		fail := func(err error) (int, error) { return 1, fmt.Errorf("battle: %w", err) }
+		names, err := battleTargets(*arg)
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		rep, err := battle.Run(sp, opt)
-		if err != nil {
-			return err
+		var (
+			opt     = battle.Options{Replications: *reps, Scale: tf.scale}
+			reports []*battle.Report
+			sources = map[string]string{}
+		)
+		for _, name := range names {
+			sp, err := scenario.Load(name)
+			if err != nil {
+				return fail(err)
+			}
+			rep, err := battle.Run(sp, opt)
+			if err != nil {
+				return fail(err)
+			}
+			reports = append(reports, rep)
+			sources[rep.Scenario] = name
 		}
-		reports = append(reports, rep)
-		sources[rep.Scenario] = name
-	}
-	md := joinMarkdown(reports)
+		md := joinMarkdown(reports)
 
-	switch {
-	case mdPath == "" || mdPath == "-":
-		// With -out -, the JSON report owns stdout (same contract as the
-		// experiment sweep); the markdown moves to stderr so piping into a
-		// JSON consumer just works.
-		if outPath == "-" {
-			fmt.Fprint(os.Stderr, md)
-		} else {
-			fmt.Print(md)
+		switch {
+		case *mdPath == "" || *mdPath == "-":
+			// With -out -, the JSON report owns stdout (same contract as the
+			// experiment sweep); the markdown moves to stderr so piping into
+			// a JSON consumer just works.
+			if tf.out == "-" {
+				fmt.Fprint(os.Stderr, md)
+			} else {
+				fmt.Print(md)
+			}
+		default:
+			if err := os.WriteFile(*mdPath, []byte(md), 0o644); err != nil {
+				return fail(fmt.Errorf("writing %s: %w", *mdPath, err))
+			}
+			fmt.Fprintf(os.Stderr, "schedbattle: wrote %s\n", *mdPath)
 		}
-	default:
-		if err := os.WriteFile(mdPath, []byte(md), 0o644); err != nil {
-			return fmt.Errorf("writing %s: %w", mdPath, err)
-		}
-		fmt.Fprintf(os.Stderr, "schedbattle: wrote %s\n", mdPath)
-	}
 
-	if outPath != "" {
-		file := BattleFile{Schema: BattleFileSchema, Reports: reports}
-		if err := scenario.WriteReport(outPath, file); err != nil {
-			return fmt.Errorf("writing %s: %w", outPath, err)
+		if tf.out != "" {
+			file := BattleFile{Schema: BattleFileSchema, Reports: reports}
+			if err := scenario.WriteReport(tf.out, file); err != nil {
+				return fail(fmt.Errorf("writing %s: %w", tf.out, err))
+			}
+			if tf.out != "-" {
+				fmt.Fprintf(os.Stderr, "schedbattle: wrote %s\n", tf.out)
+			}
 		}
-		if outPath != "-" {
-			fmt.Fprintf(os.Stderr, "schedbattle: wrote %s\n", outPath)
-		}
-	}
 
-	if baselinePath != "" {
-		b := battle.NewBaseline(reports, opt, sources)
-		if err := battle.WriteBaseline(baselinePath, b); err != nil {
-			return fmt.Errorf("writing %s: %w", baselinePath, err)
+		if *baselinePath != "" {
+			b := battle.NewBaseline(reports, opt, sources)
+			if err := battle.WriteBaseline(*baselinePath, b); err != nil {
+				return fail(fmt.Errorf("writing %s: %w", *baselinePath, err))
+			}
+			fmt.Fprintf(os.Stderr, "schedbattle: wrote baseline %s\n", *baselinePath)
 		}
-		fmt.Fprintf(os.Stderr, "schedbattle: wrote baseline %s\n", baselinePath)
-	}
-	return nil
+		return 0, nil
+	})
 }
 
-// runCheck executes the regression gate: re-run the baseline's scenarios
-// and compare. Returns the number of regressions (the caller exits
-// non-zero on any); the fresh markdown battle report lands in mdPath when
-// set, so CI can upload it as an artifact either way.
-func runCheck(baselinePath, mdPath string) (int, error) {
-	if baselinePath == "" {
-		return 0, fmt.Errorf("-check needs -baseline <file>")
-	}
-	b, err := battle.LoadBaseline(baselinePath)
-	if err != nil {
-		return 0, err
-	}
-	regs, reports, err := battle.Check(b)
-	if err != nil {
-		return 0, err
-	}
-
-	// In check mode stdout carries the verdict lines, so markdown is only
-	// emitted when asked for: to a file, or to stderr with -md -.
-	if mdPath != "" {
-		md := joinMarkdown(reports)
-		if mdPath == "-" {
-			fmt.Fprint(os.Stderr, md)
-		} else if err := os.WriteFile(mdPath, []byte(md), 0o644); err != nil {
-			return 0, fmt.Errorf("writing %s: %w", mdPath, err)
-		} else {
-			fmt.Fprintf(os.Stderr, "schedbattle: wrote %s\n", mdPath)
+// checkMode is -check, the regression gate: re-run the baseline's
+// scenarios at its recorded scale, replications and seeds, and compare.
+// Any regression exits 1; the fresh markdown battle report lands in -md
+// when set, so CI can upload it as an artifact either way.
+func checkMode(fs *flag.FlagSet) func() int {
+	fs.Bool("check", false, "re-run the -baseline file's scenarios and exit non-zero on significant regressions")
+	tf := declareTrialFlags(fs, true)
+	baselinePath := fs.String("baseline", "", "the baseline to gate against (written by -battle -baseline)")
+	mdPath := fs.String("md", "", "write the fresh markdown battle matrix to this file (\"-\" = stderr; default: none)")
+	return tf.run(func() (int, error) {
+		fail := func(err error) (int, error) { return 2, fmt.Errorf("check: %w", err) }
+		if *baselinePath == "" {
+			return fail(errors.New("-check needs -baseline <file>"))
 		}
-	}
-
-	cells := 0
-	for _, bs := range b.Scenarios {
-		for _, bg := range bs.Groups {
-			cells += len(bg.Entries)
+		b, err := battle.LoadBaseline(*baselinePath)
+		if err != nil {
+			return fail(err)
 		}
-	}
-	for _, r := range regs {
-		fmt.Printf("REGRESSION %s\n", r)
-	}
-	if len(regs) > 0 {
-		fmt.Printf("check: %d of %d baseline cells regressed (%s, scale %g, %d seeds)\n",
-			len(regs), cells, baselinePath, b.CLIScale, b.Replications)
-	} else {
+		regs, reports, err := battle.Check(b)
+		if err != nil {
+			return fail(err)
+		}
+
+		// In check mode stdout carries the verdict lines, so markdown is
+		// only emitted when asked for: to a file, or to stderr with -md -.
+		if *mdPath == "-" {
+			fmt.Fprint(os.Stderr, joinMarkdown(reports))
+		} else if *mdPath != "" {
+			if err := os.WriteFile(*mdPath, []byte(joinMarkdown(reports)), 0o644); err != nil {
+				return fail(fmt.Errorf("writing %s: %w", *mdPath, err))
+			}
+			fmt.Fprintf(os.Stderr, "schedbattle: wrote %s\n", *mdPath)
+		}
+
+		cells := 0
+		for _, bs := range b.Scenarios {
+			for _, bg := range bs.Groups {
+				cells += len(bg.Entries)
+			}
+		}
+		for _, r := range regs {
+			fmt.Printf("REGRESSION %s\n", r)
+		}
+		if len(regs) > 0 {
+			fmt.Printf("check: %d of %d baseline cells regressed (%s, scale %g, %d seeds)\n",
+				len(regs), cells, *baselinePath, b.CLIScale, b.Replications)
+			return 1, nil
+		}
 		fmt.Printf("check: PASS — %d baseline cells within bounds (%s, scale %g, %d seeds)\n",
-			cells, baselinePath, b.CLIScale, b.Replications)
-	}
-	return len(regs), nil
+			cells, *baselinePath, b.CLIScale, b.Replications)
+		return 0, nil
+	})
 }

@@ -6,6 +6,10 @@
 // in the binary or loaded from a file. Trial grids execute on a worker
 // pool (-jobs wide); output is byte-identical whatever the pool width.
 //
+// The first argument picks the mode, and each mode parses only the flags
+// it reads: a flag of another mode, or a second mode, exits 2 before
+// anything runs. `schedbattle <mode> -h` lists a mode's flags.
+//
 // Usage:
 //
 //	schedbattle -list
@@ -31,66 +35,53 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
+	"time"
 
-	"repro/internal/battle"
 	"repro/internal/core"
 	"repro/internal/memo"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
+
+// modes maps each mode flag to the function that declares, on the mode's
+// flag set, exactly the flags the mode reads (the mode flag included) and
+// returns the mode's body, run once the flags have parsed.
+var modes = map[string]func(fs *flag.FlagSet) (body func() int){
+	"list":      listMode,
+	"scenarios": scenariosMode,
+	"run":       runMode,
+	"all":       allMode,
+	"scenario":  scenarioMode,
+	"battle":    battleMode,
+	"check":     checkMode,
+}
 
 // run is the whole CLI. It returns the exit status instead of exiting, so
 // the deferred profile writers finish on every path.
-func run() (status int) {
-	var (
-		list       = flag.Bool("list", false, "list experiments and exit")
-		runID      = flag.String("run", "", "experiment id to run")
-		all        = flag.Bool("all", false, "run every experiment")
-		scale      = flag.Float64("scale", 1.0, "duration scale in (0,1]: 1.0 = paper-sized")
-		seriesDir  = flag.String("series", "", "with -run/-all: directory for gnuplot series files; with -scenario: path for the probe-series CSV export")
-		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "trial-grid worker pool width")
-		seed       = flag.Int64("seed", 0, "base-seed perturbation for every trial (0 = the paper-tuned seeds)")
-		trialTmo   = flag.Duration("trial-timeout", 0, "per-trial wall-clock watchdog (0 = off): a stuck trial fails itself instead of wedging the grid")
-		out        = flag.String("out", "", "write a structured JSON report to this file (\"-\" = stdout)")
-		scen       = flag.String("scenario", "", "run a scenario: bundled name or path to a .json spec")
-		traceDir   = flag.String("trace", "", "with -scenario: directory for per-trial dtrace/v1 decision-trace files (enables tracing even when the spec has no trace block)")
-		traceCSV   = flag.String("trace-csv", "", "with -scenario: path for the decision-trace CSV debug rendering (same enabling rule as -trace)")
-		tlDir      = flag.String("timeline", "", "with -scenario: directory for per-trial Perfetto .trace.json timeline exports (enables the timeline even when the spec has no timeline block)")
-		timehist   = flag.Bool("timehist", false, "with -scenario: print a perf-sched-timehist-style per-slice table to stderr (same enabling rule as -timeline)")
-		scenList   = flag.Bool("scenarios", false, "list bundled scenarios and exit")
-		battleArg  = flag.String("battle", "", "battle scenarios (comma-separated names/paths, or \"all\"): multi-seed replication, CIs, win/loss/tie matrix")
-		reps       = flag.Int("replications", 5, "battle seed-replication count per scheduler")
-		mdOut      = flag.String("md", "", "write the markdown battle matrix to this file (default: stdout)")
-		baseline   = flag.String("baseline", "", "with -battle: write a baseline snapshot here; with -check: the baseline to gate against")
-		check      = flag.Bool("check", false, "re-run the -baseline file's scenarios and exit non-zero on significant regressions")
-		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run here")
-		memProf    = flag.String("memprofile", "", "write a pprof allocation profile, taken when the run finishes, here")
-		cacheDir   = flag.String("cache", "", "persist the trial-result cache in this directory: re-runs of identical trials load stored results instead of simulating")
-		noCache    = flag.Bool("no-cache", false, "disable trial-result memoization (in-grid dedup of identical cells stays)")
-		cacheStats = flag.Bool("cache-stats", false, "print trial-cache hit/miss statistics to stderr when the run finishes")
-	)
-	flag.Parse()
-
-	// -check and -battle run replicated grids, which carry no streams
-	// (scenario.Spec.WithSeeds): an export flag beside them could only be a
-	// silent no-op, so it is refused.
-	if *check || *battleArg != "" {
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"-trace", *traceDir != ""}, {"-trace-csv", *traceCSV != ""},
-			{"-timeline", *tlDir != ""}, {"-timehist", *timehist},
-			{"-series", *seriesDir != ""},
-		} {
-			if f.set {
-				fmt.Fprintf(os.Stderr, "schedbattle: %s does nothing beside -check or -battle (replicated grids keep no per-trial streams): use it only with -scenario\n", f.name)
-				return 2
-			}
-		}
+func run(args []string) (status int) {
+	var declare func(*flag.FlagSet) func() int
+	name := ""
+	if len(args) > 0 && strings.HasPrefix(args[0], "-") {
+		// -name, --name, and either with =value, as the flag package reads them.
+		name, _, _ = strings.Cut(strings.TrimPrefix(args[0][1:], "-"), "=")
+		declare = modes[name]
 	}
+	if declare == nil {
+		fmt.Fprintln(os.Stderr, "usage: schedbattle -list | -scenarios | -run <id> | -all | -scenario <spec> | -battle <names> | -check, the mode first, then its flags (schedbattle <mode> -h lists them)")
+		if name == "h" || name == "help" {
+			return 0 // asked for, as the flag package treats -h
+		}
+		return 2
+	}
+	// A flag the mode does not declare, a second mode among them, exits 2
+	// in Parse, before anything runs.
+	fs := flag.NewFlagSet("schedbattle -"+name, flag.ExitOnError)
+	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run here")
+	memProf := fs.String("memprofile", "", "write a pprof allocation profile, taken when the run finishes, here")
+	body := declare(fs)
+	fs.Parse(args)
 
 	stopProfiles, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -105,159 +96,159 @@ func run() (status int) {
 			}
 		}
 	}()
+	return body()
+}
 
-	if *list {
+// trialFlags are the flags every mode that simulates trials reads.
+type trialFlags struct {
+	scale               float64
+	seed                int64
+	out, cacheDir       string
+	jobs                int
+	trialTimeout        time.Duration
+	noCache, cacheStats bool
+}
+
+// declareTrialFlags declares the trial flags on fs. A replay (-check)
+// leaves out -scale, -seed and -out: the baseline fixes the scale and the
+// seeds, and the verdict goes to stdout.
+func declareTrialFlags(fs *flag.FlagSet, replay bool) *trialFlags {
+	f := &trialFlags{scale: 1}
+	if !replay {
+		fs.Float64Var(&f.scale, "scale", 1.0, "duration scale in (0,1]: 1.0 = paper-sized")
+		fs.Int64Var(&f.seed, "seed", 0, "base-seed perturbation for every trial (0 = the paper-tuned seeds)")
+		fs.StringVar(&f.out, "out", "", "write a structured JSON report to this file (\"-\" = stdout)")
+	}
+	fs.IntVar(&f.jobs, "jobs", runtime.GOMAXPROCS(0), "trial-grid worker pool width")
+	fs.DurationVar(&f.trialTimeout, "trial-timeout", 0, "per-trial wall-clock watchdog (0 = off): a stuck trial fails itself instead of wedging the grid")
+	fs.StringVar(&f.cacheDir, "cache", "", "persist the trial-result cache in this directory: re-runs of identical trials load stored results instead of simulating")
+	fs.BoolVar(&f.noCache, "no-cache", false, "disable trial-result memoization (in-grid dedup of identical cells stays)")
+	fs.BoolVar(&f.cacheStats, "cache-stats", false, "print trial-cache hit/miss statistics to stderr when the run finishes")
+	return f
+}
+
+// run returns the mode body that applies the flags process-wide (worker
+// pool, base seed, watchdog, trial cache), runs body, reports the cache
+// statistics, and then prints body's error, if any. A bad flag value
+// exits 2 before body runs.
+func (f *trialFlags) run(body func() (status int, err error)) func() int {
+	return func() int {
+		if !(f.scale > 0 && f.scale <= 1) {
+			fmt.Fprintf(os.Stderr, "schedbattle: -scale %g out of range: must be in (0, 1]\n", f.scale)
+			return 2
+		}
+		runner.SetWorkers(f.jobs)
+		core.SetBaseSeed(f.seed)
+		core.SetTrialTimeout(f.trialTimeout)
+
+		// Trial-result memoization is on by default (in-memory; -cache adds
+		// the persistent layer). One process-wide cache is shared by every
+		// scenario, battle replication, and -check re-run, so repeated cells
+		// simulate once. Cached and fresh results are byte-identical by
+		// construction — tests pin it — so this cannot change any output,
+		// only how fast it appears.
+		if f.noCache {
+			if f.cacheDir != "" {
+				fmt.Fprintln(os.Stderr, "schedbattle: -cache and -no-cache are mutually exclusive")
+				return 2
+			}
+		} else {
+			c, err := memo.New(f.cacheDir)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "schedbattle: opening cache %s: %v\n", f.cacheDir, err)
+				return 2
+			}
+			core.SetTrialCache(c)
+		}
+
+		status, err := body()
+		if f.cacheStats {
+			if c := core.TrialCache(); c != nil {
+				fmt.Fprintf(os.Stderr, "schedbattle: cache: %s\n", c.Stats())
+			}
+			if d := core.DedupedTrials(); d > 0 {
+				fmt.Fprintf(os.Stderr, "schedbattle: grid dedup: %d duplicate cells served without simulating\n", d)
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "schedbattle: %v\n", err)
+		}
+		return status
+	}
+}
+
+// listMode is -list: the experiment catalog and the scheduler kinds.
+func listMode(fs *flag.FlagSet) func() int {
+	fs.Bool("list", false, "list experiments and exit")
+	return func() int {
 		for _, e := range core.Experiments() {
 			fmt.Printf("%-18s %s\n", e.ID, e.Title)
 		}
 		fmt.Printf("\nschedulers: %v\n", core.SchedulerKinds())
 		return 0
 	}
+}
 
-	if *scenList {
-		if err := listScenarios(); err != nil {
-			fmt.Fprintf(os.Stderr, "schedbattle: %v\n", err)
-			return 1
-		}
-		return 0
-	}
+// runMode is -run <id>: one experiment.
+func runMode(fs *flag.FlagSet) func() int {
+	id := fs.String("run", "", "experiment `id` to run")
+	return experimentsMode(fs, func() []string { return []string{*id} })
+}
 
-	if !(*scale > 0 && *scale <= 1) {
-		fmt.Fprintf(os.Stderr, "schedbattle: -scale %g out of range: must be in (0, 1]\n", *scale)
-		return 2
-	}
+// allMode is -all: every experiment, in catalog order.
+func allMode(fs *flag.FlagSet) func() int {
+	fs.Bool("all", false, "run every experiment")
+	return experimentsMode(fs, experimentIDs)
+}
 
-	runner.SetWorkers(*jobs)
-	core.SetBaseSeed(*seed)
-	core.SetTrialTimeout(*trialTmo)
-
-	// Trial-result memoization is on by default (in-memory; -cache adds the
-	// persistent layer). One process-wide cache is shared by every scenario,
-	// battle replication, and -check re-run, so repeated cells simulate once.
-	// Cached and fresh results are byte-identical by construction — tests
-	// pin it — so this cannot change any output, only how fast it appears.
-	reportCacheStats := func() {
-		if !*cacheStats {
-			return
+// experimentsMode declares the flags -run and -all share and returns the
+// sweep over ids. Every requested experiment runs even if one fails; the
+// combined non-zero exit at the end surfaces all failures at once.
+func experimentsMode(fs *flag.FlagSet, ids func() []string) func() int {
+	tf := declareTrialFlags(fs, false)
+	seriesDir := fs.String("series", "", "directory for gnuplot series files, one per series")
+	return tf.run(func() (int, error) {
+		// With -out -, the JSON report owns stdout; the human-readable
+		// result text moves to stderr so piping into a JSON consumer just
+		// works.
+		text := os.Stdout
+		if tf.out == "-" {
+			text = os.Stderr
 		}
-		if c := core.TrialCache(); c != nil {
-			fmt.Fprintf(os.Stderr, "schedbattle: cache: %s\n", c.Stats())
+		var (
+			ids     = ids()
+			status  int
+			failed  []string
+			reports []scenario.ExperimentReport
+		)
+		for _, id := range ids {
+			res, err := runExperiment(id, tf.scale, *seriesDir, text)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "schedbattle: %s: %v\n", id, err)
+				failed = append(failed, id)
+				continue
+			}
+			reports = append(reports, scenario.FromResult(res))
 		}
-		if d := core.DedupedTrials(); d > 0 {
-			fmt.Fprintf(os.Stderr, "schedbattle: grid dedup: %d duplicate cells served without simulating\n", d)
+		if tf.out != "" {
+			rep := scenario.ExperimentsReport{
+				Schema:      scenario.ExperimentsSchema,
+				Scale:       tf.scale,
+				BaseSeed:    tf.seed,
+				Experiments: reports,
+			}
+			if err := scenario.WriteReport(tf.out, rep); err != nil {
+				fmt.Fprintf(os.Stderr, "schedbattle: writing %s: %v\n", tf.out, err)
+				status = 1
+			} else if tf.out != "-" {
+				fmt.Fprintf(os.Stderr, "schedbattle: wrote %s\n", tf.out)
+			}
 		}
-	}
-	if *noCache {
-		if *cacheDir != "" {
-			fmt.Fprintln(os.Stderr, "schedbattle: -cache and -no-cache are mutually exclusive")
-			return 2
+		if len(failed) > 0 {
+			return 1, fmt.Errorf("%d of %d experiments failed: %v", len(failed), len(ids), failed)
 		}
-	} else {
-		c, err := memo.New(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "schedbattle: opening cache %s: %v\n", *cacheDir, err)
-			return 2
-		}
-		core.SetTrialCache(c)
-	}
-
-	if *check {
-		regs, err := runCheck(*baseline, *mdOut)
-		reportCacheStats()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "schedbattle: check: %v\n", err)
-			return 2
-		}
-		if regs > 0 {
-			return 1
-		}
-		return 0
-	}
-
-	if *battleArg != "" {
-		opt := battle.Options{Replications: *reps, Scale: *scale}
-		err := runBattle(*battleArg, opt, *out, *mdOut, *baseline)
-		reportCacheStats()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "schedbattle: battle: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *scen != "" {
-		err := runScenario(*scen, *scale, scenarioOutputs{
-			out: *out, series: *seriesDir,
-			traceDir: *traceDir, traceCSV: *traceCSV,
-			timelineDir: *tlDir, timehist: *timehist,
-		})
-		reportCacheStats()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "schedbattle: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	var ids []string
-	switch {
-	case *all:
-		for _, e := range core.Experiments() {
-			ids = append(ids, e.ID)
-		}
-	case *runID != "":
-		ids = []string{*runID}
-	default:
-		fmt.Fprintln(os.Stderr, "schedbattle: need -run <id>, -all, -scenario, -scenarios, -battle, -check, or -list")
-		flag.Usage()
-		return 2
-	}
-
-	// With -out -, the JSON report owns stdout; the human-readable result
-	// text moves to stderr so piping into a JSON consumer just works.
-	text := os.Stdout
-	if *out == "-" {
-		text = os.Stderr
-	}
-
-	// Run every requested experiment even if one fails; report a combined
-	// non-zero exit at the end so a sweep surfaces all failures at once.
-	var (
-		failed  []string
-		outErr  bool
-		reports []scenario.ExperimentReport
-	)
-	for _, id := range ids {
-		res, err := runExperiment(id, *scale, *seriesDir, text)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "schedbattle: %s: %v\n", id, err)
-			failed = append(failed, id)
-			continue
-		}
-		reports = append(reports, scenario.FromResult(res))
-	}
-	if *out != "" {
-		rep := scenario.ExperimentsReport{
-			Schema:      scenario.ExperimentsSchema,
-			Scale:       *scale,
-			BaseSeed:    *seed,
-			Experiments: reports,
-		}
-		if err := scenario.WriteReport(*out, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "schedbattle: writing %s: %v\n", *out, err)
-			outErr = true
-		} else if *out != "-" {
-			fmt.Fprintf(os.Stderr, "schedbattle: wrote %s\n", *out)
-		}
-	}
-	reportCacheStats()
-	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "schedbattle: %d of %d experiments failed: %v\n", len(failed), len(ids), failed)
-	}
-	if len(failed) > 0 || outErr {
-		return 1
-	}
-	return 0
+		return status, nil
+	})
 }
 
 // experimentIDs lists every registered experiment id.

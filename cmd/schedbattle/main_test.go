@@ -12,9 +12,14 @@ import (
 // scales, and checks exit status and the shape of what it wrote: the
 // catalog listings, an experiment with its series files, an unknown
 // experiment id, a battle with its markdown matrix, and a timehist digest.
+// A flag beside a mode that does not read it, a second mode, or a mode
+// that is not the first argument exits 2 naming the flag, and nothing
+// runs or is written.
 func TestModesEndToEnd(t *testing.T) {
-	dir := t.TempDir()
+	dir, refused := t.TempDir(), t.TempDir()
 	series, md := filepath.Join(dir, "series"), filepath.Join(dir, "battle.md")
+	const baseline = "../../baselines/ci.json"
+	in := func(name string) string { return filepath.Join(refused, name) }
 	modes := []struct {
 		name   string
 		args   []string
@@ -29,6 +34,18 @@ func TestModesEndToEnd(t *testing.T) {
 		{"run-unknown", []string{"-run", "nope"}, 1, "", "available: ", ""},
 		{"battle", []string{"-battle", "web-tail", "-scale", "0.02", "-replications", "2", "-md", md}, 0, "", "wrote " + md, md},
 		{"timehist", []string{"-scenario", "web-tail", "-scale", "0.02", "-timehist", "-out", filepath.Join(dir, "r.json")}, 0, "", "web-0-w1", filepath.Join(dir, "r.json")},
+		{"run-trace", []string{"-run", "fig2", "-scale", "0.02", "-trace", in("d")}, 2, "", "not defined: -trace\n", ""},
+		{"all-trace", []string{"-all", "-trace", in("d")}, 2, "", "not defined: -trace\n", ""},
+		{"run-md", []string{"-run", "fig2", "-scale", "0.02", "-md", in("m.md")}, 2, "", "not defined: -md\n", ""},
+		{"check-scale", []string{"-check", "-baseline", baseline, "-scale", "0.5"}, 2, "", "not defined: -scale\n", ""},
+		{"check-seed", []string{"-check", "-baseline", baseline, "-seed", "7"}, 2, "", "not defined: -seed\n", ""},
+		{"check-out", []string{"-check", "-baseline", baseline, "-out", in("x.json")}, 2, "", "not defined: -out\n", ""},
+		{"scenario-replications", []string{"-scenario", "web-tail", "-replications", "3"}, 2, "", "not defined: -replications\n", ""},
+		{"scenario-baseline", []string{"-scenario", "web-tail", "-baseline", in("b.json")}, 2, "", "not defined: -baseline\n", ""},
+		{"battle-check", []string{"-battle", "web-tail", "-check", "-baseline", baseline}, 2, "", "not defined: -check\n", ""},
+		{"scenarios-run", []string{"-scenarios", "-run", "fig1"}, 2, "", "not defined: -run\n", ""},
+		{"list-check", []string{"-list", "-check"}, 2, "", "not defined: -check\n", ""},
+		{"mode-not-first", []string{"-scale", "0.1", "-scenario", "web-tail", "-out", in("r.json")}, 2, "", "the mode first", ""},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
@@ -52,5 +69,8 @@ func TestModesEndToEnd(t *testing.T) {
 				}
 			}
 		})
+	}
+	if left, _ := os.ReadDir(refused); len(left) != 0 {
+		t.Fatalf("refused runs left %d files behind", len(left))
 	}
 }

@@ -6,6 +6,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,43 +16,57 @@ import (
 	"repro/internal/timeline"
 )
 
-// listScenarios prints the bundled library: id, grid size, and the spec's
-// one-line description. Trailing hint lines start with "run" so listing
-// consumers (the CI smoke loop) can filter them out by first column.
-func listScenarios() error {
-	specs, err := scenario.Builtin()
-	if err != nil {
-		return err
-	}
-	for _, sp := range specs {
-		trials, err := sp.Compile(1)
-		if err != nil {
-			return err
+// scenarioMode is -scenario <spec>: one scenario with its exports.
+func scenarioMode(fs *flag.FlagSet) func() int {
+	spec := fs.String("scenario", "", "run a scenario: bundled name or path to a .json `spec`")
+	tf := declareTrialFlags(fs, false)
+	var o scenarioOutputs
+	fs.StringVar(&o.series, "series", "", "path for the probe-series CSV export")
+	fs.StringVar(&o.traceDir, "trace", "", "directory for per-trial dtrace/v1 decision-trace files (enables tracing even when the spec has no trace block)")
+	fs.StringVar(&o.traceCSV, "trace-csv", "", "path for the decision-trace CSV debug rendering (same enabling rule as -trace)")
+	fs.StringVar(&o.timelineDir, "timeline", "", "directory for per-trial Perfetto .trace.json timeline exports (enables the timeline even when the spec has no timeline block)")
+	fs.BoolVar(&o.timehist, "timehist", false, "print a perf-sched-timehist-style per-slice table to stderr (same enabling rule as -timeline)")
+	return tf.run(func() (int, error) {
+		o.out = tf.out
+		if err := runScenario(*spec, tf.scale, o); err != nil {
+			return 1, err
 		}
-		fmt.Printf("%-16s %2d trials  %s\n", sp.Name, len(trials), sp.Description)
-	}
-	fmt.Println("\nrun one with:      schedbattle -scenario <name> [-scale 0.1] [-out report.json]")
-	fmt.Println("run a battle with: schedbattle -battle <name>[,<name>...] [-replications 5] [-md battle.md]")
-	return nil
+		return 0, nil
+	})
 }
 
-// scenarioOutputs bundles the -scenario export destinations. Every file
-// and directory path gets mkdir -p semantics: missing parents are created
+// scenariosMode is -scenarios: it prints the bundled library's id, grid
+// size, and one-line description. Trailing hint lines start with "run" so
+// listing consumers (the CI smoke loop) can filter them out by first
+// column.
+func scenariosMode(fs *flag.FlagSet) func() int {
+	fs.Bool("scenarios", false, "list bundled scenarios and exit")
+	return func() int {
+		specs, err := scenario.Builtin()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "schedbattle: %v\n", err)
+			return 1
+		}
+		for _, sp := range specs {
+			trials, err := sp.Compile(1)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "schedbattle: %v\n", err)
+				return 1
+			}
+			fmt.Printf("%-16s %2d trials  %s\n", sp.Name, len(trials), sp.Description)
+		}
+		fmt.Println("\nrun one with:      schedbattle -scenario <name> [-scale 0.1] [-out report.json]")
+		fmt.Println("run a battle with: schedbattle -battle <name>[,<name>...] [-replications 5] [-md battle.md]")
+		return 0
+	}
+}
+
+// scenarioOutputs holds -scenario's export flags. Every file and
+// directory path gets mkdir -p semantics: missing parents are created
 // rather than failing the run after the grid already executed.
 type scenarioOutputs struct {
-	// out receives the JSON report ("" or "-" = stdout).
-	out string
-	// series receives the probe-series CSV export.
-	series string
-	// traceDir receives one dtrace/v1 file per trial; traceCSV the flat
-	// CSV rendering. Either enables tracing with default options when the
-	// spec has no trace block.
-	traceDir, traceCSV string
-	// timelineDir receives one Perfetto .trace.json per trial; timehist
-	// renders the per-slice table to stderr. Either enables the timeline
-	// with default options when the spec has no timeline block.
-	timelineDir string
-	timehist    bool
+	out, series, traceDir, traceCSV, timelineDir string
+	timehist                                     bool
 }
 
 // ensureParentDir creates path's missing parent directories (mkdir -p),
@@ -81,19 +96,16 @@ func runScenario(nameOrPath string, scale float64, o scenarioOutputs) error {
 	if err != nil {
 		return err
 	}
-	if (o.traceDir != "" || o.traceCSV != "") && sp.Trace == nil {
-		// Bundled specs are shared read-only; clone before enabling the
-		// default trace block for this invocation.
-		cp := *sp
+	// Bundled specs are shared read-only: a stream flag enables its
+	// recorder's default block on a copy.
+	cp := *sp
+	if (o.traceDir != "" || o.traceCSV != "") && cp.Trace == nil {
 		cp.Trace = &scenario.TraceSpec{}
-		sp = &cp
 	}
-	if (o.timelineDir != "" || o.timehist) && sp.Timeline == nil {
-		cp := *sp
+	if (o.timelineDir != "" || o.timehist) && cp.Timeline == nil {
 		cp.Timeline = &scenario.TimelineSpec{}
-		sp = &cp
 	}
-	rep, err := sp.Run(scale)
+	rep, err := cp.Run(scale)
 	var fails *scenario.TrialFailures
 	if err != nil {
 		// Partial failure still produced a full report (failed cells carry
@@ -151,7 +163,7 @@ func runScenario(nameOrPath string, scale float64, o scenarioOutputs) error {
 		fmt.Fprintf(os.Stderr, "schedbattle: wrote %s\n", o.series)
 	}
 	if o.traceDir != "" {
-		if err := writeTraces(o.traceDir, rep); err != nil {
+		if err := writeStreams(o.traceDir, "trace", ".dtrace", rep, func(tr *scenario.TrialReport) []byte { return tr.TraceData }); err != nil {
 			return err
 		}
 	}
@@ -166,7 +178,7 @@ func runScenario(nameOrPath string, scale float64, o scenarioOutputs) error {
 		fmt.Fprintf(os.Stderr, "schedbattle: wrote %s\n", o.traceCSV)
 	}
 	if o.timelineDir != "" {
-		if err := writeTimelines(o.timelineDir, rep); err != nil {
+		if err := writeStreams(o.timelineDir, "timeline", ".trace.json", rep, func(tr *scenario.TrialReport) []byte { return tr.TimelineData }); err != nil {
 			return err
 		}
 	}
@@ -186,50 +198,29 @@ func runScenario(nameOrPath string, scale float64, o scenarioOutputs) error {
 	return nil
 }
 
-// writeTraces dumps every trial's encoded dtrace/v1 stream as
-// "<dir>/<trial>.dtrace", the trial name's path separators flattened to
-// underscores ("web-tail/c8/ule/x0.05/s1" → "web-tail_c8_ule_x0.05_s1").
-// Trials without trace data (failed cells) are skipped.
-func writeTraces(dir string, rep *scenario.Report) error {
+// writeStreams dumps one stream of every trial as "<dir>/<trial><ext>",
+// the trial name's path separators flattened to underscores
+// ("web-tail/c8/ule/x0.05/s1" → "web-tail_c8_ule_x0.05_s1"): the
+// dtrace/v1 streams as .dtrace, the Perfetto timelines (loadable at
+// ui.perfetto.dev) as .trace.json. Trials without that stream (failed
+// cells) are skipped; kind names the stream in messages.
+func writeStreams(dir, kind, ext string, rep *scenario.Report, stream func(*scenario.TrialReport) []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("creating trace directory %s: %w", dir, err)
+		return fmt.Errorf("creating %s directory %s: %w", kind, dir, err)
 	}
 	n := 0
 	for i := range rep.Trials {
-		tr := &rep.Trials[i]
-		if len(tr.TraceData) == 0 {
+		data := stream(&rep.Trials[i])
+		if len(data) == 0 {
 			continue
 		}
-		path := filepath.Join(dir, strings.ReplaceAll(tr.Name, "/", "_")+".dtrace")
-		if err := os.WriteFile(path, tr.TraceData, 0o644); err != nil {
-			return fmt.Errorf("writing trace %s: %w", path, err)
+		path := filepath.Join(dir, strings.ReplaceAll(rep.Trials[i].Name, "/", "_")+ext)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return fmt.Errorf("writing %s %s: %w", kind, path, err)
 		}
 		n++
 	}
-	fmt.Fprintf(os.Stderr, "schedbattle: wrote %d trace file(s) to %s\n", n, dir)
-	return nil
-}
-
-// writeTimelines dumps every trial's Perfetto trace-event JSON as
-// "<dir>/<trial>.trace.json" (same name flattening as writeTraces), each
-// loadable at ui.perfetto.dev. Trials without timeline data are skipped.
-func writeTimelines(dir string, rep *scenario.Report) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("creating timeline directory %s: %w", dir, err)
-	}
-	n := 0
-	for i := range rep.Trials {
-		tr := &rep.Trials[i]
-		if len(tr.TimelineData) == 0 {
-			continue
-		}
-		path := filepath.Join(dir, strings.ReplaceAll(tr.Name, "/", "_")+".trace.json")
-		if err := os.WriteFile(path, tr.TimelineData, 0o644); err != nil {
-			return fmt.Errorf("writing timeline %s: %w", path, err)
-		}
-		n++
-	}
-	fmt.Fprintf(os.Stderr, "schedbattle: wrote %d timeline file(s) to %s\n", n, dir)
+	fmt.Fprintf(os.Stderr, "schedbattle: wrote %d %s file(s) to %s\n", n, kind, dir)
 	return nil
 }
 

@@ -117,9 +117,9 @@ func TestMain(m *testing.M) {
 const schedbattleMainEnv = "SCHEDBATTLE_TEST_RUN_MAIN"
 
 // TestReplicatedModesRejectStreamFlags: -check and -battle run replicated
-// grids, which carry no streams, so every stream-export flag beside them
-// is refused up front (exit 2, naming the flag) instead of being a silent
-// no-op — and nothing was run or written.
+// grids, which carry no streams, so their flag sets declare no
+// stream-export flag: each is refused up front (exit 2, naming the flag)
+// instead of being a silent no-op — and nothing was run or written.
 func TestReplicatedModesRejectStreamFlags(t *testing.T) {
 	dir := t.TempDir()
 	flags := map[string][]string{
@@ -146,8 +146,8 @@ func TestReplicatedModesRejectStreamFlags(t *testing.T) {
 					t.Fatalf("exit: %v, want status 2; stderr: %s", err, stderr.String())
 				}
 				msg := stderr.String()
-				if !strings.Contains(msg, name+" ") || !strings.Contains(msg, "only with -scenario") {
-					t.Fatalf("message does not name %s and \"only with -scenario\": %s", name, msg)
+				if !strings.Contains(msg, "flag provided but not defined: "+name+"\n") {
+					t.Fatalf("message does not name %s as not defined: %s", name, msg)
 				}
 			})
 		}

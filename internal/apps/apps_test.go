@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -265,5 +266,29 @@ func TestShellStaysInteractive(t *testing.T) {
 	// And fibo's master is batch by now.
 	if sc := u.Score(in.Master); sc < 60 {
 		t.Fatalf("fibo score = %d; must be batch", sc)
+	}
+}
+
+// TestSysbenchSpecSharedAcrossGoroutines: one default sysbench Spec builds
+// instances on two machines at once, as concurrent trials of a catalog
+// entry do; run under -race, this fails if New writes the config it
+// captured.
+func TestSysbenchSpecSharedAcrossGoroutines(t *testing.T) {
+	spec := SysbenchDefault()
+	var wg sync.WaitGroup
+	ops := make([]uint64, 2)
+	for i := range ops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := cfsMachine(topo.SingleCore(), 1)
+			in := spec.New(m, Env{Cores: 1})
+			m.Run(ShellWarmup + 3*time.Second)
+			ops[i] = in.Ops()
+		}()
+	}
+	wg.Wait()
+	if ops[0] == 0 || ops[0] != ops[1] {
+		t.Fatalf("ops = %v, want two equal non-zero counts", ops)
 	}
 }

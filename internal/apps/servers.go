@@ -56,6 +56,9 @@ func DefaultSysbench() SysbenchConfig {
 // Sysbench builds the OLTP server model with the given config.
 func Sysbench(cfg SysbenchConfig) Spec {
 	return Spec{Name: "sysbench", New: func(m *sim.Machine, env Env) *Instance {
+		// Defaults fill a copy: one Spec builds instances on machines that
+		// run on different goroutines, so the captured cfg stays read-only.
+		cfg := cfg
 		if cfg.Threads == 0 {
 			cfg = DefaultSysbench()
 		}

@@ -126,21 +126,36 @@ func TestAttachSizesThreadTableOnce(t *testing.T) {
 		t.Fatalf("a thread's state is %d B, want 96", size)
 	}
 	const threads = 1000
-	m := sim.NewMachine(topo.Small(), sim.NewFIFO(), sim.Options{Seed: 9})
-	for i := 0; i < threads; i++ {
-		m.StartThread("w", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	r, err := AttachAccounting(m, Options{})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	// The least of three attaches, each on a fresh machine: the runtime
+	// now and then allocates a few kB on the side right after a GC, which
+	// only inflates a sample.
+	var (
+		m   *sim.Machine
+		r   *Recorder
+		got = ^uint64(0)
+	)
+	for i := 0; i < 3; i++ {
+		m = sim.NewMachine(topo.Small(), sim.NewFIFO(), sim.Options{Seed: 9})
+		for j := 0; j < threads; j++ {
+			m.StartThread("w", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		var err error
+		r, err = AttachAccounting(m, Options{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+		if len(r.st) != threads || cap(r.st) != threads {
+			t.Fatalf("attach with %d threads: table len %d cap %d", threads, len(r.st), cap(r.st))
+		}
 	}
 	// 16 kB is the rest of an attach (TestAccountingRecorderAllocBounded).
-	got, bound := after.TotalAlloc-before.TotalAlloc, uint64(threads*96+16<<10)
-	if len(r.st) != threads || cap(r.st) != threads || got > bound {
-		t.Fatalf("attach with %d threads: table len %d cap %d, %d bytes allocated, want <= %d", threads, len(r.st), cap(r.st), got, bound)
+	if bound := uint64(threads*96 + 16<<10); got > bound {
+		t.Fatalf("attach with %d threads: %d bytes allocated, want <= %d", threads, got, bound)
 	}
 	m.Run(5 * time.Millisecond)
 	forked := m.StartThread("late", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})

@@ -132,3 +132,72 @@ func TestPriorityRisesWithScore(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The history clip (FreeBSD 11.1's sched_interact_update), with M =
+// SCHED_SLP_RUN_MAX (the 5 s window) and sum = runtime + sleeptime:
+//
+//	sum < M:             keep the history
+//	sum > 2M:            snap: the larger side to M, the other to 1; on a
+//	                     tie runtime > sleeptime is false, so sleep wins
+//	sum > (M/5)·6:       halve both
+//	otherwise (M ≤ sum): each side to (side/5)·4
+//
+// Each boundary has a vector one ns either side of it.
+func TestInteractUpdateVectors(t *testing.T) {
+	p := DefaultParams()
+	const s = time.Second
+	for _, c := range []struct {
+		name         string
+		r, s         time.Duration
+		wantR, wantS time.Duration
+	}{
+		{"sum = M − 1: kept", 1 * s, 4*s - 1, 1 * s, 4*s - 1},
+		{"sum = M: 4/5 of each", 1 * s, 4 * s, 800 * time.Millisecond, 3200 * time.Millisecond},
+		{"sum = M + 1: 4/5 of each, /5 truncating first", 1 * s, 4*s + 1, 800 * time.Millisecond, 3200 * time.Millisecond},
+		{"sum = (M/5)·6: still 4/5", 2 * s, 4 * s, 1600 * time.Millisecond, 3200 * time.Millisecond},
+		{"sum = (M/5)·6 + 1: halved", 2 * s, 4*s + 1, 1 * s, 2 * s},
+		{"sum = 2M: still halved", 3 * s, 7 * s, 1500 * time.Millisecond, 3500 * time.Millisecond},
+		{"sum = 2M + 1, sleep the larger: snap to (1, M)", 3 * s, 7*s + 1, 1, 5 * s},
+		{"sum = 2M + 1, run the larger: snap to (M, 1)", 7*s + 1, 3 * s, 5 * s, 1},
+		{"runtime = sleeptime past 2M: the tie snaps to sleep", 5*s + 1, 5*s + 1, 1, 5 * s},
+	} {
+		r, sl := c.r, c.s
+		p.interactUpdate(&r, &sl)
+		if r != c.wantR || sl != c.wantS {
+			t.Errorf("%s: interactUpdate(%d, %d) = (%d, %d), want (%d, %d)", c.name, c.r, c.s, r, sl, c.wantR, c.wantS)
+		}
+	}
+}
+
+// The history a child inherits (FreeBSD 11.1's sched_interact_fork), with
+// F the fork cap: when sum = runtime + sleeptime exceeds F, both sides
+// are divided by the integer ratio = sum / F. For F < sum < 2F the ratio
+// truncates to 1 and the history stays above the cap.
+//
+// Departure: FreeBSD's SCHED_SLP_RUN_FORK is (hz / 2) << SCHED_TICK_SHIFT,
+// half a second; SlpRunForkMax defaults to 2 s, four times as much
+// inherited history. The vectors use the model's default.
+func TestInteractForkVectors(t *testing.T) {
+	p := DefaultParams()
+	if p.SlpRunForkMax != 2*time.Second {
+		t.Fatalf("SlpRunForkMax = %v, want the model's 2 s (FreeBSD: 500 ms)", p.SlpRunForkMax)
+	}
+	const s = time.Second
+	for _, c := range []struct {
+		name         string
+		r, s         time.Duration
+		wantR, wantS time.Duration
+	}{
+		{"sum = F: kept", 1 * s, 1 * s, 1 * s, 1 * s},
+		{"sum = F + 1: ratio 1, kept", 1 * s, 1*s + 1, 1 * s, 1*s + 1},
+		{"F < sum < 2F: ratio 1, kept above the cap", 1500 * time.Millisecond, 1500 * time.Millisecond, 1500 * time.Millisecond, 1500 * time.Millisecond},
+		{"sum = 2F: halved", 3 * s, 1 * s, 1500 * time.Millisecond, 500 * time.Millisecond},
+		{"sum = 3F + 1: each side divided by 3, truncating", 4 * s, 2*s + 1, 1333333333, 666666667},
+	} {
+		r, sl := c.r, c.s
+		p.interactFork(&r, &sl)
+		if r != c.wantR || sl != c.wantS {
+			t.Errorf("%s: interactFork(%d, %d) = (%d, %d), want (%d, %d)", c.name, c.r, c.s, r, sl, c.wantR, c.wantS)
+		}
+	}
+}
