@@ -82,6 +82,12 @@ func run(args []string) (status int) {
 	memProf := fs.String("memprofile", "", "write a pprof allocation profile, taken when the run finishes, here")
 	body := declare(fs)
 	fs.Parse(args)
+	if fs.NArg() > 0 {
+		// Parse stops at the first argument that is not a flag; every
+		// flag after it would be dropped unread.
+		fmt.Fprintf(os.Stderr, "schedbattle -%s: unexpected argument %q: every value follows its flag\n", name, fs.Arg(0))
+		return 2
+	}
 
 	stopProfiles, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {

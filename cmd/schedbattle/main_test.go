@@ -12,9 +12,9 @@ import (
 // scales, and checks exit status and the shape of what it wrote: the
 // catalog listings, an experiment with its series files, an unknown
 // experiment id, a battle with its markdown matrix, and a timehist digest.
-// A flag beside a mode that does not read it, a second mode, or a mode
-// that is not the first argument exits 2 naming the flag, and nothing
-// runs or is written.
+// A flag beside a mode that does not read it, a second mode, a stray
+// positional argument, or a mode that is not the first argument exits 2
+// naming the culprit, and nothing runs or is written.
 func TestModesEndToEnd(t *testing.T) {
 	dir, refused := t.TempDir(), t.TempDir()
 	series, md := filepath.Join(dir, "series"), filepath.Join(dir, "battle.md")
@@ -45,6 +45,7 @@ func TestModesEndToEnd(t *testing.T) {
 		{"battle-check", []string{"-battle", "web-tail", "-check", "-baseline", baseline}, 2, "", "not defined: -check\n", ""},
 		{"scenarios-run", []string{"-scenarios", "-run", "fig1"}, 2, "", "not defined: -run\n", ""},
 		{"list-check", []string{"-list", "-check"}, 2, "", "not defined: -check\n", ""},
+		{"stray-argument", []string{"-run", "table2", "-scale", "0.02", "stray", "-out", in("x.json")}, 2, "", `unexpected argument "stray"`, ""},
 		{"mode-not-first", []string{"-scale", "0.1", "-scenario", "web-tail", "-out", in("r.json")}, 2, "", "the mode first", ""},
 	}
 	for _, m := range modes {

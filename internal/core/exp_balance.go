@@ -97,22 +97,26 @@ func runFig6(kind SchedulerKind, scale float64, uleBug bool) (*probe.Set, *Resul
 	return out[0].counts, out[0].result
 }
 
+// fig7Outcome is one c-ray startup trial's output: the summary row and
+// the per-core runnable-depth series the runq probe recorded.
+type fig7Outcome struct {
+	row    Row
+	counts *probe.Set
+}
+
 // fig7Trial declares one c-ray startup run: the cascading-barrier wake
-// chain, measured as time until all 512 workers are runnable. The returned
-// series set is the trial's per-core runnable-depth recording; it is
-// allocated at construction so the driver can adopt it once the grid ran,
-// and the runq probe records into it.
-func fig7Trial(kind SchedulerKind, scale float64) (Trial[Row], *probe.Set) {
+// chain, measured as time until all 512 workers are runnable.
+func fig7Trial(kind SchedulerKind, scale float64) Trial[fig7Outcome] {
 	var in *apps.Instance
-	counts := probe.NewSet(0)
+	var att *probe.Attachment
 	allRunnable := time.Duration(-1)
 	launchedAt := time.Duration(0)
-	trial := Trial[Row]{
+	return Trial[fig7Outcome]{
 		Name:    fmt.Sprintf("fig7/%s", kind),
 		Machine: MachineConfig{Cores: 32, Kind: kind, Seed: 4, KernelNoise: true},
 		Workload: func(m *sim.Machine) {
 			in = apps.CRay().New(m, apps.Env{Cores: 32})
-			probe.MustAttach(m, probe.Options{Probes: []string{"runq"}, Into: counts})
+			att = probe.MustAttach(m, probe.Options{Probes: []string{"runq"}})
 		},
 		Window: apps.ShellWarmup + scaleDur(120*time.Second, scale, 20*time.Second),
 		Until: func(m *sim.Machine) bool {
@@ -136,7 +140,7 @@ func fig7Trial(kind SchedulerKind, scale float64) (Trial[Row], *probe.Set) {
 			allRunnable = m.Now()
 			return true
 		},
-		Extract: func(m *sim.Machine) Row {
+		Extract: func(m *sim.Machine) fig7Outcome {
 			row := Row{Label: string(kind), Order: []string{"workers", "time_to_all_runnable_s"},
 				Values: map[string]float64{"workers": float64(len(in.Workers))}}
 			if allRunnable > 0 {
@@ -144,10 +148,9 @@ func fig7Trial(kind SchedulerKind, scale float64) (Trial[Row], *probe.Set) {
 			} else {
 				row.Values["time_to_all_runnable_s"] = -1
 			}
-			return row
+			return fig7Outcome{row: row, counts: att.Set()}
 		},
 	}
-	return trial, counts
 }
 
 func init() {
@@ -175,14 +178,13 @@ func init() {
 		Run: func(scale float64) *Result {
 			r := &Result{ID: "fig7", Title: "c-ray wake chain"}
 			kinds := []SchedulerKind{ULE, CFS}
-			trials := make([]Trial[Row], len(kinds))
-			series := make([]*probe.Set, len(kinds))
+			trials := make([]Trial[fig7Outcome], len(kinds))
 			for i, kind := range kinds {
-				trials[i], series[i] = fig7Trial(kind, scale)
+				trials[i] = fig7Trial(kind, scale)
 			}
-			for i, row := range RunTrials(trials) {
-				r.AddSeries(string(kinds[i]), series[i])
-				r.Rows = append(r.Rows, row)
+			for i, out := range RunTrials(trials) {
+				r.AddSeries(string(kinds[i]), out.counts)
+				r.Rows = append(r.Rows, out.row)
 			}
 			r.AddNote("paper: ULE needs >11s for all 512 threads to be runnable (batch-born threads starve in the wake chain); CFS needs ~2s; completion time is equal")
 			return r

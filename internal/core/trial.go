@@ -22,6 +22,12 @@ import (
 // deadline passes (just Run(Window) when Until is nil), and Extract reads
 // the outcome. Extract receives the live machine and may advance it further
 // for multi-phase measurements (e.g. "let fibo finish alone" in Table 2).
+//
+// Ownership: a grid hands its closures to RunTrials, which drops a trial's
+// Workload, Until and Extract as soon as its outcome is in, so the machine
+// they reach dies with the trial instead of with the grid. Drivers keep
+// per-trial state only inside those closures (or in the outcome), and
+// build a fresh slice for every run.
 type Trial[T any] struct {
 	// Name labels the trial ("MG/ule", "fig6/cfs"); it also keys derived
 	// per-trial seeds, so it should be stable across runs.
@@ -207,6 +213,12 @@ func (e *TrialError) Error() string {
 // byte-identical whatever the pool width. A panicking trial still aborts
 // the caller (after the rest of the grid completes); grids that must
 // survive individual failures use RunTrialsErr.
+//
+// The caller hands over the trials' closures: once a trial's outcome is
+// in (returned or panicked), and for a dedup duplicate before the grid
+// starts, its Workload, Until and Extract are set to nil in trials. Name,
+// Machine and the cache fields stay. Running the same slice twice
+// therefore runs empty trials the second time; build the grid afresh.
 func RunTrials[T any](trials []Trial[T]) []T {
 	out, errs := RunTrialsErr(trials)
 	if len(errs) > 0 {
@@ -214,6 +226,10 @@ func RunTrials[T any](trials []Trial[T]) []T {
 	}
 	return out
 }
+
+// release drops the trial's closures, and with them everything they
+// captured: the instances, recorders and probes that reach its machine.
+func (t *Trial[T]) release() { t.Workload, t.Until, t.Extract = nil, nil, nil }
 
 // RunTrialsErr is RunTrials with per-trial failure isolation: a trial
 // that panics (a scheduler invariant, a stuck program, the wall-clock
@@ -226,7 +242,8 @@ func RunTrials[T any](trials []Trial[T]) []T {
 // resolved seed — are identical describe byte-identical simulations, so
 // only the first runs and its outcome (or failure) fans back out to every
 // requesting cell. Fanned-out outcomes alias one value; grid consumers
-// treat results as read-only, which scenario reports already do.
+// treat results as read-only, which scenario reports already do. The
+// trials' closures are released as RunTrials describes.
 func RunTrialsErr[T any](trials []Trial[T]) ([]T, []*TrialError) {
 	// Seeds key on the trial name; on the derived path (no explicit seed,
 	// or a non-zero base seed) same-named trials in one grid fall back to
@@ -254,6 +271,7 @@ func RunTrialsErr[T any](trials []Trial[T]) ([]T, []*TrialError) {
 			if j, seen := byKey[keys[i]]; seen {
 				primaryOf[i] = j
 				dedupedTrials.Add(1)
+				trials[i].release()
 				continue
 			}
 			byKey[keys[i]] = len(uniq)
@@ -265,6 +283,7 @@ func RunTrialsErr[T any](trials []Trial[T]) ([]T, []*TrialError) {
 	res, panics := runner.MapErr(len(uniq), func(j int) T {
 		i := uniq[j]
 		t := trials[i]
+		defer trials[i].release()
 		t.Machine.Seed = seeds[i]
 		return executeCached(t, keys[i])
 	})

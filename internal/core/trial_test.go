@@ -111,11 +111,14 @@ func TestRunTrialsErrIsolation(t *testing.T) {
 			Extract: func(m *sim.Machine) uint64 { return m.EventsProcessed() },
 		}
 	}
-	trials := []Trial[uint64]{
-		mkTrial("good/0", false), mkTrial("bad/1", true),
-		mkTrial("good/2", false), mkTrial("good/3", false),
+	// RunTrialsErr releases a grid's closures, so each run gets a fresh one.
+	grid := func() []Trial[uint64] {
+		return []Trial[uint64]{
+			mkTrial("good/0", false), mkTrial("bad/1", true),
+			mkTrial("good/2", false), mkTrial("good/3", false),
+		}
 	}
-	out, errs := RunTrialsErr(trials)
+	out, errs := RunTrialsErr(grid())
 	if len(errs) != 1 {
 		t.Fatalf("errs = %+v, want exactly one", errs)
 	}
@@ -149,7 +152,7 @@ func TestRunTrialsErrIsolation(t *testing.T) {
 			t.Fatalf("RunTrials panic = %v, want *TrialError for bad/1", r)
 		}
 	}()
-	RunTrials(trials)
+	RunTrials(grid())
 }
 
 // TestTrialTimeoutWatchdog: an armed per-trial deadline turns a wedged
@@ -157,17 +160,19 @@ func TestRunTrialsErrIsolation(t *testing.T) {
 func TestTrialTimeoutWatchdog(t *testing.T) {
 	defer SetTrialTimeout(0)
 	SetTrialTimeout(50 * time.Millisecond)
-	trials := []Trial[uint64]{{
-		Name:    "stuck",
-		Machine: MachineConfig{Cores: 1, Kind: "fifo", Seed: 3},
-		// An hour of 5µs bursts: far beyond the wall budget.
-		Window: time.Hour,
-		Workload: func(m *sim.Machine) {
-			m.StartThread("spin", "app", 0, &spinner{burst: 5 * time.Microsecond})
-		},
-		Extract: func(m *sim.Machine) uint64 { return m.EventsProcessed() },
-	}}
-	_, errs := RunTrialsErr(trials)
+	stuck := func(window time.Duration) []Trial[uint64] {
+		return []Trial[uint64]{{
+			Name:    "stuck",
+			Machine: MachineConfig{Cores: 1, Kind: "fifo", Seed: 3},
+			Window:  window,
+			Workload: func(m *sim.Machine) {
+				m.StartThread("spin", "app", 0, &spinner{burst: 5 * time.Microsecond})
+			},
+			Extract: func(m *sim.Machine) uint64 { return m.EventsProcessed() },
+		}}
+	}
+	// An hour of 5µs bursts: far beyond the wall budget.
+	_, errs := RunTrialsErr(stuck(time.Hour))
 	if len(errs) != 1 {
 		t.Fatalf("errs = %+v, want the watchdog failure", errs)
 	}
@@ -176,8 +181,7 @@ func TestTrialTimeoutWatchdog(t *testing.T) {
 	}
 	// Disarmed, the same trial runs normally (tiny window this time).
 	SetTrialTimeout(0)
-	trials[0].Window = 5 * time.Millisecond
-	out, errs := RunTrialsErr(trials)
+	out, errs := RunTrialsErr(stuck(5 * time.Millisecond))
 	if len(errs) != 0 || out[0] == 0 {
 		t.Fatalf("disarmed run failed: out=%v errs=%+v", out, errs)
 	}

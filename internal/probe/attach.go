@@ -33,11 +33,6 @@ type Options struct {
 	// Capacity bounds every series (default DefaultCapacity); on
 	// overflow a series halves its resolution (see Series).
 	Capacity int
-	// Into records into an existing set instead of a fresh one — for
-	// drivers that allocate the destination before the machine exists.
-	// Series the built-in probes create through it still inherit the
-	// set's own capacity.
-	Into *Set
 }
 
 // Attachment is a live probe registration on one machine.
@@ -92,11 +87,7 @@ func Attach(m *sim.Machine, opts Options) (*Attachment, error) {
 	if cadence <= 0 {
 		cadence = DefaultCadence
 	}
-	set := opts.Into
-	if set == nil {
-		set = NewSet(opts.Capacity)
-	}
-	a := &Attachment{m: m, set: set}
+	a := &Attachment{m: m, set: NewSet(opts.Capacity)}
 	seen := map[string]bool{}
 	for _, name := range opts.Probes {
 		if seen[name] {

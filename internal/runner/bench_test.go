@@ -46,24 +46,28 @@ func BenchmarkExperimentGridParallel(b *testing.B)   { benchExperimentGrid(b, 0)
 func benchGridEngineEvents(b *testing.B, workers int) {
 	runner.SetWorkers(workers)
 	defer runner.SetWorkers(0)
-	trials := make([]core.Trial[uint64], 8)
-	for i := range trials {
-		trials[i] = core.Trial[uint64]{
-			Name:    fmt.Sprintf("grid-events-%d", i),
-			Machine: core.MachineConfig{Cores: 8, Kind: core.ULE, KernelNoise: true},
-			Workload: func(m *sim.Machine) {
-				for j := 0; j < 12; j++ {
-					m.StartThread(fmt.Sprintf("w%d", j), "app", 0, &workload.Loop{Burst: time.Millisecond})
-				}
-			},
-			Window:  250 * time.Millisecond,
-			Extract: func(m *sim.Machine) uint64 { return m.EventsProcessed() },
+	// RunTrials releases a grid's closures, so every iteration builds its own.
+	grid := func() []core.Trial[uint64] {
+		trials := make([]core.Trial[uint64], 8)
+		for i := range trials {
+			trials[i] = core.Trial[uint64]{
+				Name:    fmt.Sprintf("grid-events-%d", i),
+				Machine: core.MachineConfig{Cores: 8, Kind: core.ULE, KernelNoise: true},
+				Workload: func(m *sim.Machine) {
+					for j := 0; j < 12; j++ {
+						m.StartThread(fmt.Sprintf("w%d", j), "app", 0, &workload.Loop{Burst: time.Millisecond})
+					}
+				},
+				Window:  250 * time.Millisecond,
+				Extract: func(m *sim.Machine) uint64 { return m.EventsProcessed() },
+			}
 		}
+		return trials
 	}
 	b.ResetTimer()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		for _, n := range core.RunTrials(trials) {
+		for _, n := range core.RunTrials(grid()) {
 			events += n
 		}
 	}

@@ -20,8 +20,9 @@ type Params struct {
 	// SlpRunMax caps the runtime+sleeptime history ("limited to the last 5
 	// seconds of the thread's lifetime").
 	SlpRunMax time.Duration
-	// SlpRunForkMax compresses inherited history at fork
-	// (SCHED_SLP_RUN_FORK: 2 s).
+	// SlpRunForkMax compresses inherited history at fork. The model
+	// keeps 2 s, a departure from FreeBSD 11.1, whose SCHED_SLP_RUN_FORK
+	// is (hz / 2) << SCHED_TICK_SHIFT, half a second.
 	SlpRunForkMax time.Duration
 	// SliceTicks is the timeslice for a lone thread, in stathz ticks ("10
 	// ticks (78ms)").
