@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // Env parameterises an application instance.
@@ -44,48 +45,30 @@ type Instance struct {
 	// otherwise).
 	Latency *stats.Histogram
 
-	m         *sim.Machine
-	ops       uint64
-	startedAt time.Duration
-	doneAt    time.Duration
-	done      bool
-
 	// Master is the application's first thread (after the shell).
 	Master *sim.Thread
-	// Workers are registered worker threads, for per-thread probes.
-	Workers []*sim.Thread
+	// Tally is what the app's programs report: its ops, its forked
+	// Workers (for per-thread probes) and, for a run-to-completion app,
+	// when it finished.
+	workload.Tally
+
+	m         *sim.Machine
+	startedAt time.Duration
 }
-
-// AddOp records one unit of useful work.
-func (in *Instance) AddOp() { in.ops++ }
-
-// Ops returns the work units completed so far.
-func (in *Instance) Ops() uint64 { return in.ops }
-
-// MarkDone freezes the completion time (run-to-completion apps).
-func (in *Instance) MarkDone() {
-	if !in.done {
-		in.done = true
-		in.doneAt = in.m.Now()
-	}
-}
-
-// Done reports whether the app completed.
-func (in *Instance) Done() bool { return in.done }
 
 // Perf is the paper's §5.3 metric: operations per second for servers and
 // throughput apps — equivalently 1/execution-time per work unit for
 // run-to-completion apps. Higher is better.
 func (in *Instance) Perf() float64 {
 	end := in.m.Now()
-	if in.done {
-		end = in.doneAt
+	if in.Done() {
+		end = in.DoneAt()
 	}
 	elapsed := (end - in.startedAt).Seconds()
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(in.ops) / elapsed
+	return float64(in.Ops()) / elapsed
 }
 
 // Spec is a catalog entry: a named application constructor.

@@ -72,17 +72,13 @@ func OpenLoopWeb(cfg OpenLoopConfig) Spec {
 				N:        workers,
 				InitCost: 500 * time.Microsecond,
 				Child: func(i int) (string, sim.Program) {
-					return fmt.Sprintf("web-%d", i), &workload.ServerWorker{Q: q, OnDone: in.AddOp}
+					return fmt.Sprintf("web-%d", i), &workload.ServerWorker{Q: q, Tally: &in.Tally}
 				},
-				OnForked: func(i int, t *sim.Thread) {
-					in.Workers = append(in.Workers, t)
-					if i == workers-1 {
-						workload.OpenLoop{
-							Q:       q,
-							Gen:     workload.NewArrivalGen(dist, time.Duration(float64(time.Second)/rate), seed),
-							Service: service, ServiceJitterPct: cfg.ServiceJitterPct,
-						}.StartOn(m)
-					}
+				Tally: &in.Tally,
+				Then: &workload.OpenLoop{
+					Q:       q,
+					Gen:     workload.NewArrivalGen(dist, time.Duration(float64(time.Second)/rate), seed),
+					Service: service, ServiceJitterPct: cfg.ServiceJitterPct,
 				},
 			}
 		})

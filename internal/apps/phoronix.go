@@ -13,7 +13,7 @@ import (
 func Fibo() Spec {
 	return Spec{Name: "fibo", New: func(m *sim.Machine, env Env) *Instance {
 		return Launch(m, "fibo", env, func(in *Instance) sim.Program {
-			return &workload.Loop{Burst: 10 * time.Millisecond, OnOp: in.AddOp}
+			return &workload.Loop{Burst: 10 * time.Millisecond, Tally: &in.Tally}
 		})
 	}}
 }
@@ -30,24 +30,17 @@ func buildApp(name string, jobsPerCore int, burst time.Duration, burstsPerJob in
 	return Spec{Name: name, New: func(m *sim.Machine, env Env) *Instance {
 		jobs := jobsPerCore * env.Cores
 		return Launch(m, name, env, func(in *Instance) sim.Program {
-			remaining := jobs
+			in.Left = jobs // done when the last job exits
 			return &workload.Forker{
 				N:        jobs,
 				InitCost: time.Millisecond,
 				Child: func(i int) (string, sim.Program) {
 					return fmt.Sprintf("cc-%d", i), &workload.FiniteCompute{
 						Burst: burst, JitterPct: 20, N: burstsPerJob,
-						IOSleep: 2 * time.Millisecond,
-						OnOp:    in.AddOp,
-						OnDone: func() {
-							remaining--
-							if remaining == 0 {
-								in.MarkDone()
-							}
-						},
+						IOSleep: 2 * time.Millisecond, Tally: &in.Tally,
 					}
 				},
-				OnForked: func(i int, t *sim.Thread) { in.Workers = append(in.Workers, t) },
+				Tally: &in.Tally,
 			}
 		})
 	}}
@@ -64,11 +57,11 @@ func SevenZip() Spec {
 				InitCost: 500 * time.Microsecond,
 				Child: func(i int) (string, sim.Program) {
 					return fmt.Sprintf("lzma-%d", i), &workload.PipelineStage{
-						In: pipe, Cost: 4 * time.Millisecond, JitterPct: 15, OnItem: in.AddOp,
+						In: pipe, Cost: 4 * time.Millisecond, JitterPct: 15, Tally: &in.Tally,
 					}
 				},
-				OnForked: func(i int, t *sim.Thread) { in.Workers = append(in.Workers, t) },
-				Then:     &workload.Source{Out: pipe, Cost: 150 * time.Microsecond},
+				Tally: &in.Tally,
+				Then:  &workload.Source{Out: pipe, Cost: 150 * time.Microsecond},
 			}
 		})
 	}}
@@ -84,11 +77,11 @@ func Gzip() Spec {
 				InitCost: 500 * time.Microsecond,
 				Child: func(i int) (string, sim.Program) {
 					return "deflate", &workload.PipelineStage{
-						In: pipe, Cost: 3 * time.Millisecond, JitterPct: 10, OnItem: in.AddOp,
+						In: pipe, Cost: 3 * time.Millisecond, JitterPct: 10, Tally: &in.Tally,
 					}
 				},
-				OnForked: func(i int, t *sim.Thread) { in.Workers = append(in.Workers, t) },
-				Then:     &workload.Source{Out: pipe, Cost: 200 * time.Microsecond},
+				Tally: &in.Tally,
+				Then:  &workload.Source{Out: pipe, Cost: 200 * time.Microsecond},
 			}
 		})
 	}}
@@ -100,14 +93,12 @@ func CRay() Spec {
 	return Spec{Name: "c-ray", New: func(m *sim.Machine, env Env) *Instance {
 		return Launch(m, "c-ray", env, func(in *Instance) sim.Program {
 			n := 16 * env.Cores
-			wqs := make([]*sim.WaitQueue, n)
-			released := make([]bool, n)
-			for i := range wqs {
-				wqs[i] = sim.NewWaitQueue()
-			}
-			release := func(ctx *sim.Ctx, i int) {
-				released[i] = true
-				ctx.Broadcast(wqs[i])
+			workers := make([]workload.CascadeWorker, n)
+			for i := range workers {
+				workers[i] = workload.CascadeWorker{Chunk: 2 * time.Millisecond, Tally: &in.Tally}
+				if i+1 < n {
+					workers[i].Successor = &workers[i+1]
+				}
 			}
 			return &workload.Forker{
 				N: n,
@@ -116,26 +107,23 @@ func CRay() Spec {
 				// threads interactive and later ones batch (§6.2).
 				InitCost: 4 * time.Millisecond,
 				Child: func(i int) (string, sim.Program) {
-					cw := &workload.CascadeWorker{
-						Self: wqs[i], Released: &released[i],
-						Chunk:   2 * time.Millisecond,
-						OnChunk: in.AddOp,
-					}
-					if i+1 < n {
-						next := i + 1
-						cw.ReleaseNext = func(ctx *sim.Ctx) { release(ctx, next) }
-					}
-					return fmt.Sprintf("render-%d", i), cw
+					return fmt.Sprintf("render-%d", i), &workers[i]
 				},
-				OnForked: func(i int, t *sim.Thread) { in.Workers = append(in.Workers, t) },
-				Then: sim.ProgramFunc(func(ctx *sim.Ctx) sim.Op {
-					// Kick the cascade, then behave like a joined main().
-					release(ctx, 0)
-					return sim.Sleep(time.Hour)
-				}),
+				Tally: &in.Tally,
+				Then:  cascadeKick{&workers[0]},
 			}
 		})
 	}}
+}
+
+// cascadeKick is c-ray's master once the renderers are forked: it releases
+// the first, which starts the cascade, and sleeps like a joined main().
+type cascadeKick struct{ first *workload.CascadeWorker }
+
+// Next implements sim.Program.
+func (k cascadeKick) Next(ctx *sim.Ctx) sim.Op {
+	k.first.Release(ctx.M)
+	return sim.Sleep(time.Hour)
 }
 
 // DCraw is RAW photo conversion: single-threaded compute with periodic I/O.
@@ -144,7 +132,7 @@ func DCraw() Spec {
 		return Launch(m, "dcraw", env, func(in *Instance) sim.Program {
 			return &workload.FiniteCompute{
 				Burst: 6 * time.Millisecond, JitterPct: 10, N: 1 << 30,
-				IOSleep: 500 * time.Microsecond, OnOp: in.AddOp,
+				IOSleep: 500 * time.Microsecond, Tally: &in.Tally,
 			}
 		})
 	}}
@@ -159,7 +147,7 @@ func Hmmer() Spec { return singleCompute("hmmer", 5*time.Millisecond) }
 func singleCompute(name string, burst time.Duration) Spec {
 	return Spec{Name: name, New: func(m *sim.Machine, env Env) *Instance {
 		return Launch(m, name, env, func(in *Instance) sim.Program {
-			return &workload.Loop{Burst: burst, JitterPct: 5, OnOp: in.AddOp}
+			return &workload.Loop{Burst: burst, JitterPct: 5, Tally: &in.Tally}
 		})
 	}}
 }
@@ -199,9 +187,9 @@ func Scimark(variant int) Spec {
 						Budget:   p.budget,
 					}
 				},
-				OnForked: func(i int, t *sim.Thread) { in.Workers = append(in.Workers, t) },
+				Tally: &in.Tally,
 				Then: &workload.Loop{
-					Burst: p.burst, JitterPct: 10, OnOp: in.AddOp, Progress: progress,
+					Burst: p.burst, JitterPct: 10, Tally: &in.Tally, Progress: progress,
 				},
 			}
 		})
@@ -221,10 +209,10 @@ func John(variant int) Spec {
 				InitCost: time.Millisecond,
 				Child: func(i int) (string, sim.Program) {
 					return fmt.Sprintf("crack-%d", i), &workload.Loop{
-						Burst: b, JitterPct: 5, OnOp: in.AddOp,
+						Burst: b, JitterPct: 5, Tally: &in.Tally,
 					}
 				},
-				OnForked: func(i int, t *sim.Thread) { in.Workers = append(in.Workers, t) },
+				Tally: &in.Tally,
 			}
 		})
 	}}

@@ -33,8 +33,9 @@ type SysbenchConfig struct {
 	// Think is the per-connection client think time between a response
 	// and the next request.
 	Think time.Duration
-	// TxTarget stops the workload (MarkDone) after that many completed
-	// transactions; 0 runs forever. Table 2 measures a fixed workload.
+	// TxTarget stops the workload (the tally's countdown) after that many
+	// completed transactions; 0 runs forever. Table 2 measures a fixed
+	// workload.
 	TxTarget uint64
 }
 
@@ -72,59 +73,49 @@ func Sysbench(cfg SysbenchConfig) Spec {
 			// connection (the Figure 3 behaviour).
 			shared := &stats.Histogram{}
 			in.Latency = shared
+			in.Left = int(cfg.TxTarget)
 			mu := ipc.NewMutex()
-			queues := make([]*ipc.ReqQueue, cfg.Threads)
-			for i := range queues {
-				queues[i] = ipc.NewReqQueue()
-				queues[i].Latency = shared
-			}
-			stopped := false
-			onDone := func(i int) func() {
-				// One closure per connection, not per transaction.
-				send := func() {
-					if !stopped {
-						queues[i].Push(m, cfg.Service)
-					}
-				}
-				return func() {
-					in.AddOp()
-					if cfg.TxTarget > 0 && in.Ops() >= cfg.TxTarget {
-						if !stopped {
-							stopped = true
-							in.MarkDone()
-						}
-						return
-					}
-					// Closed loop: the connection thinks, then sends again.
-					m.After(cfg.Think, send)
+			conns := make([]workload.ServerWorker, cfg.Threads)
+			for i := range conns {
+				q := ipc.NewReqQueue()
+				q.Latency = shared
+				conns[i] = workload.ServerWorker{
+					Q: q, Mu: mu, CritPermille: cfg.CritPermille, Crit: cfg.Crit,
+					Tally: &in.Tally, Think: cfg.Think, Service: cfg.Service,
 				}
 			}
 			return &workload.Forker{
 				N:        cfg.Threads,
 				InitCost: cfg.InitPerWorker,
 				Child: func(i int) (string, sim.Program) {
-					return fmt.Sprintf("worker-%d", i), &workload.ServerWorker{
-						Q: queues[i], Mu: mu, CritPermille: cfg.CritPermille, Crit: cfg.Crit,
-						OnDone: onDone(i),
-					}
+					return fmt.Sprintf("worker-%d", i), &conns[i]
 				},
-				OnForked: func(i int, t *sim.Thread) {
-					in.Workers = append(in.Workers, t)
-					if i == cfg.Threads-1 {
-						// Prepare phase over: every connection issues its
-						// first request, staggered across one think time.
-						for c := 0; c < cfg.Threads; c++ {
-							cc := c
-							m.After(time.Duration(cc)*cfg.Think/time.Duration(cfg.Threads), func() {
-								queues[cc].Push(m, cfg.Service)
-							})
-						}
-					}
-				},
+				Tally: &in.Tally,
+				Then:  &connect{conns: conns, think: cfg.Think},
 			}
 		})
 		return in
 	}}
+}
+
+// connect is sysbench's master once the prepare phase is over (the last
+// worker forked): every connection sends its first request, staggered
+// across one think time, and the master sleeps like a joined main().
+type connect struct {
+	conns []workload.ServerWorker
+	think time.Duration
+	sent  bool
+}
+
+// Next implements sim.Program.
+func (c *connect) Next(ctx *sim.Ctx) sim.Op {
+	if !c.sent {
+		c.sent = true
+		for i := range c.conns {
+			c.conns[i].Send(ctx.M, time.Duration(i)*c.think/time.Duration(len(c.conns)))
+		}
+	}
+	return sim.Sleep(time.Hour)
 }
 
 // SysbenchDefault is the catalog entry with default parameters.
@@ -146,18 +137,6 @@ func RocksDB() Spec {
 			q.MaxDepth = 4 * threads
 			in.Latency = q.Latency
 			mu := ipc.NewMutex()
-			interval := time.Duration(int64(time.Second) / int64(rate))
-			started := false
-			startLoad := func() {
-				if started {
-					return
-				}
-				started = true
-				m.Every(interval, interval, func() bool {
-					q.Push(m, service)
-					return true
-				})
-			}
 			return &workload.Forker{
 				N:        threads + 1,
 				InitCost: 10 * time.Millisecond,
@@ -168,18 +147,38 @@ func RocksDB() Spec {
 					}
 					return fmt.Sprintf("reader-%d", i), &workload.ServerWorker{
 						Q: q, Mu: mu, CritPermille: 100, Crit: 50 * time.Microsecond,
-						OnDone: in.AddOp,
+						Tally: &in.Tally,
 					}
 				},
-				OnForked: func(i int, t *sim.Thread) {
-					in.Workers = append(in.Workers, t)
-					if i == threads {
-						startLoad()
-					}
+				Tally: &in.Tally,
+				Then: &steadyLoad{
+					q: q, every: time.Duration(int64(time.Second) / int64(rate)), service: service,
 				},
 			}
 		})
 	}}
+}
+
+// steadyLoad is RocksDB's master once the compaction thread is forked: it
+// starts the fixed-rate client, a request every period, and sleeps like a
+// joined main().
+type steadyLoad struct {
+	q              *ipc.ReqQueue
+	every, service time.Duration
+	started        bool
+}
+
+// Next implements sim.Program.
+func (l *steadyLoad) Next(ctx *sim.Ctx) sim.Op {
+	if !l.started {
+		l.started = true
+		m := ctx.M
+		m.Every(l.every, l.every, func() bool {
+			l.q.Push(m, l.service)
+			return true
+		})
+	}
+	return sim.Sleep(time.Hour)
 }
 
 // Apache is the §5.3 preemption case study: httpd with 100 worker threads
@@ -207,14 +206,14 @@ func Apache() Spec {
 							SendCost: 15 * time.Microsecond,
 							Service:  120 * time.Microsecond,
 							RespWQ:   resp, Outstanding: &outstanding,
-							OnRoundTrip: in.AddOp,
+							Tally: &in.Tally,
 						}
 					}
 					return fmt.Sprintf("httpd-%d", i), &workload.RespondingWorker{
 						Q: q, RespWQ: resp, Outstanding: &outstanding,
 					}
 				},
-				OnForked: func(i int, t *sim.Thread) { in.Workers = append(in.Workers, t) },
+				Tally: &in.Tally,
 			}
 		})
 	}}
@@ -228,13 +227,13 @@ func Apache() Spec {
 // msgsPerSender messages from its own pipe.
 func Hackbench(groups, msgsPerSender int) Spec {
 	name := fmt.Sprintf("hackb-%d", groups)
+	const fanout = 20
+	// Round up so every pipe carries the same message count and every
+	// receiver terminates.
+	msgsPerSender = (msgsPerSender + fanout - 1) / fanout * fanout
 	return Spec{Name: name, New: func(m *sim.Machine, env Env) *Instance {
-		const fanout = 20
-		// Round up so every pipe carries the same message count and every
-		// receiver terminates.
-		msgsPerSender = (msgsPerSender + fanout - 1) / fanout * fanout
 		return Launch(m, name, env, func(in *Instance) sim.Program {
-			receiversLeft := groups * fanout
+			in.Left = groups * fanout // done when the last receiver exits
 			return &workload.Forker{
 				N:        groups,
 				InitCost: 100 * time.Microsecond,
@@ -252,8 +251,7 @@ func Hackbench(groups, msgsPerSender int) Spec {
 							if i < fanout {
 								return fmt.Sprintf("recv-%d-%d", g, i), &workload.PipeReceiver{
 									Pipe: pipes[i], PerMsg: 20 * time.Microsecond,
-									Total:  msgsPerSender,
-									OnRecv: func() { in.AddOp() },
+									Total: msgsPerSender, Tally: &in.Tally,
 								}
 							}
 							return fmt.Sprintf("send-%d-%d", g, i-fanout), &workload.PipeSender{
@@ -261,17 +259,7 @@ func Hackbench(groups, msgsPerSender int) Spec {
 								Total: msgsPerSender, MsgSize: 100,
 							}
 						},
-						OnForked: func(i int, t *sim.Thread) {
-							in.Workers = append(in.Workers, t)
-							if i < fanout {
-								t.SetOnExit(func(*sim.Thread) {
-									receiversLeft--
-									if receiversLeft == 0 {
-										in.MarkDone()
-									}
-								})
-							}
-						},
+						Tally: &in.Tally,
 					}
 				},
 			}

@@ -23,10 +23,10 @@ func barrierApp(name string, phase time.Duration, jitterPct int, spin, ioSleep t
 				Child: func(i int) (string, sim.Program) {
 					return fmt.Sprintf("rank-%d", i), &workload.BarrierWorker{
 						Bar: bar, Phase: phase, JitterPct: jitterPct,
-						IOSleep: ioSleep, OnPhase: in.AddOp,
+						IOSleep: ioSleep, Tally: &in.Tally,
 					}
 				},
-				OnForked: func(i int, t *sim.Thread) { in.Workers = append(in.Workers, t) },
+				Tally: &in.Tally,
 			}
 		})
 	}}
@@ -57,10 +57,10 @@ func NASEP() Spec {
 				InitCost: time.Millisecond,
 				Child: func(i int) (string, sim.Program) {
 					return fmt.Sprintf("rank-%d", i), &workload.Loop{
-						Burst: 20 * time.Millisecond, JitterPct: 5, OnOp: in.AddOp,
+						Burst: 20 * time.Millisecond, JitterPct: 5, Tally: &in.Tally,
 					}
 				},
-				OnForked: func(i int, t *sim.Thread) { in.Workers = append(in.Workers, t) },
+				Tally: &in.Tally,
 			}
 		})
 	}}
@@ -110,10 +110,10 @@ func Canneal() Spec {
 				Child: func(i int) (string, sim.Program) {
 					return fmt.Sprintf("anneal-%d", i), &workload.LockedLoop{
 						Mu: mu, Crit: 50 * time.Microsecond, Local: 400 * time.Microsecond,
-						OnOp: in.AddOp,
+						Tally: &in.Tally,
 					}
 				},
-				OnForked: func(i int, t *sim.Thread) { in.Workers = append(in.Workers, t) },
+				Tally: &in.Tally,
 			}
 		})
 	}}
@@ -182,10 +182,10 @@ func poolApp(name string, burst time.Duration) Spec {
 				InitCost: time.Millisecond,
 				Child: func(i int) (string, sim.Program) {
 					return fmt.Sprintf("pool-%d", i), &workload.Loop{
-						Burst: burst, JitterPct: 15, OnOp: in.AddOp,
+						Burst: burst, JitterPct: 15, Tally: &in.Tally,
 					}
 				},
-				OnForked: func(i int, t *sim.Thread) { in.Workers = append(in.Workers, t) },
+				Tally: &in.Tally,
 			}
 		})
 	}}
@@ -222,12 +222,12 @@ func pipelineApp(name string, stageCosts []time.Duration) Spec {
 						Cost: stageCosts[stage], JitterPct: 20,
 					}
 					if stage == nStages-1 {
-						ps.OnItem = in.AddOp
+						ps.Tally = &in.Tally
 					}
 					return fmt.Sprintf("stage%d-%d", stage, i/nStages), ps
 				},
-				OnForked: func(i int, t *sim.Thread) { in.Workers = append(in.Workers, t) },
-				Then:     &workload.Source{Out: pipes[0], Cost: 200 * time.Microsecond},
+				Tally: &in.Tally,
+				Then:  &workload.Source{Out: pipes[0], Cost: 200 * time.Microsecond},
 			}
 		})
 	}}

@@ -135,9 +135,9 @@ func (s *Spec) windowFor(scale float64) time.Duration {
 type entryState struct {
 	label   string
 	startAt time.Duration
-	// ops counts primitive work units; app entries count through their
+	// tally counts primitive work units; app entries count through their
 	// instances instead.
-	ops uint64
+	tally workload.Tally
 	// hists are the entry's own latency histograms (one per open-loop
 	// queue instance).
 	hists []*stats.Histogram
@@ -336,7 +336,7 @@ func totalOps(states []*entryState) uint64 {
 				n += in.Ops()
 			}
 		} else {
-			n += st.ops
+			n += st.tally.Ops()
 		}
 	}
 	return n
@@ -425,7 +425,7 @@ func (s *Spec) install(m *sim.Machine, ei, cores int, seed int64, trialName stri
 			startEntryThread(m, e, fmt.Sprintf("%s-%d", st.label, i), st.label,
 				&workload.Loop{
 					Burst: e.Loop.Burst.D(), JitterPct: e.Loop.JitterPct,
-					OnOp: func() { st.ops++ },
+					Tally: &st.tally,
 				})
 		}
 
@@ -435,7 +435,7 @@ func (s *Spec) install(m *sim.Machine, ei, cores int, seed int64, trialName stri
 				&workload.FiniteCompute{
 					Burst: e.Finite.Burst.D(), JitterPct: e.Finite.JitterPct,
 					N: e.Finite.N, IOSleep: e.Finite.IOSleep.D(),
-					OnOp: func() { st.ops++ },
+					Tally: &st.tally,
 				})
 		}
 
@@ -459,7 +459,7 @@ func (s *Spec) install(m *sim.Machine, ei, cores int, seed int64, trialName stri
 				m.StartThreadCfg(sim.ThreadConfig{
 					Name: fmt.Sprintf("%s-%d-w%d", st.label, inst, i), Group: st.label,
 					Nice: e.Nice, Pinned: pinnedCopy(e.Pinned),
-					Prog: &workload.ServerWorker{Q: q, OnDone: func() { st.ops++ }},
+					Prog: &workload.ServerWorker{Q: q, Tally: &st.tally},
 				})
 			}
 			// The arrival stream is a pure function of (trial, entry,
@@ -559,9 +559,9 @@ func (s *Spec) extract(m *sim.Machine, states []*entryState, att *probe.Attachme
 					er.OpsPerSec += in.Perf()
 				}
 			} else {
-				er.Ops = st.ops
+				er.Ops = st.tally.Ops()
 				if elapsed := (c.window - st.startAt).Seconds(); elapsed > 0 {
-					er.OpsPerSec = float64(st.ops) / elapsed
+					er.OpsPerSec = float64(er.Ops) / elapsed
 				}
 			}
 			if s.wants(MetricLatency) {

@@ -279,8 +279,7 @@ func TestOpenLoopSeedAxisChangesArrivals(t *testing.T) {
 // identities in every bundled scenario under both paper schedulers — a
 // thread exits at most once after its fork, a preemption is a switch, and
 // every steal moves its thread with Migrate. fork-storm's hackbench
-// retires threads whose exit hooks live in the thread's side record, so a
-// doubled exit path shows here.
+// retires hundreds of threads, so a doubled exit path shows here.
 func TestBundledScenarioCountIdentities(t *testing.T) {
 	specs, err := Builtin()
 	if err != nil {

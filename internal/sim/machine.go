@@ -419,8 +419,6 @@ type ThreadConfig struct {
 	// Pinned restricts placement from birth; nil allows any core.
 	Pinned []int
 	Prog   Program
-	// OnExit runs when the thread dies.
-	OnExit func(*Thread)
 }
 
 // StartThreadCfg creates and enqueues a root thread from cfg.
@@ -428,7 +426,6 @@ func (m *Machine) StartThreadCfg(cfg ThreadConfig) *Thread {
 	m.pendingPin = cfg.Pinned
 	t := m.spawn(cfg.Name, cfg.Group, cfg.Nice, cfg.Prog, nil)
 	m.pendingPin = nil
-	t.SetOnExit(cfg.OnExit)
 	return t
 }
 
@@ -594,16 +591,10 @@ func (m *Machine) RunnableCountsInto(buf []int) []int {
 	return buf
 }
 
-// ChargeScan bills placement-scan work to core c (or the exec core when c
-// is nil), consuming simulated CPU time and counting it in the core's
-// ScanTime (the paper's §6.3 scheduler-time metric).
+// ChargeScan bills placement-scan work to core c, which must be non-nil,
+// consuming simulated CPU time and counting it in the core's ScanTime (the
+// paper's §6.3 scheduler-time metric).
 func (m *Machine) ChargeScan(c *Core, d time.Duration) {
-	if c == nil {
-		c = m.execCore
-	}
-	if c == nil {
-		return
-	}
 	c.chargeSched(d)
 	c.ScanTime += d
 }
@@ -927,13 +918,8 @@ func (m *Machine) exitCurrent(c *Core, t *Thread) {
 	m.live--
 	m.sched.Exit(t)
 	m.Counts.Exits++
-	if x := t.extra; x != nil {
-		if x.exitWQ != nil {
-			m.Broadcast(x.exitWQ)
-		}
-		if x.onExit != nil {
-			x.onExit(t)
-		}
+	if x := t.extra; x != nil && x.exitWQ != nil {
+		m.Broadcast(x.exitWQ)
 	}
 	// The exit broadcast may already have refilled the core (a joiner was
 	// placed here and dispatched); only dispatch if still empty.

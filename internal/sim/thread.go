@@ -84,7 +84,7 @@ type Thread struct {
 	// ULE td_sched).
 	SchedData any
 
-	// extra holds the rarely set fields (affinity, exit hook, exit queue);
+	// extra holds the rarely set fields (affinity, exit queue);
 	// nil until one of them is set, so most threads pay one pointer.
 	extra *threadExtra
 
@@ -121,8 +121,6 @@ type threadExtra struct {
 	// pinned restricts the thread to the given core IDs; nil means any
 	// core. Models taskset/pthread affinity (the Figure 6 pin/unpin).
 	pinned []int
-	// onExit, if set, runs when the thread dies (application bookkeeping).
-	onExit func(*Thread)
 	// exitWQ is broadcast when the thread exits, supporting joins; it is
 	// created by the first ExitQueue call, so a thread nobody joins has none.
 	exitWQ *WaitQueue
@@ -153,15 +151,6 @@ func (t *Thread) setPinned(cores []int) {
 		return
 	}
 	t.ext().pinned = cores
-}
-
-// SetOnExit registers fn to run when t dies (application bookkeeping),
-// replacing any earlier one; nil removes it.
-func (t *Thread) SetOnExit(fn func(*Thread)) {
-	if fn == nil && t.extra == nil {
-		return
-	}
-	t.ext().onExit = fn
 }
 
 // ExitQueue returns the wait queue broadcast when t exits; block on it to

@@ -201,3 +201,79 @@ func TestInteractForkVectors(t *testing.T) {
 		}
 	}
 }
+
+// The timeslice by queue load, FreeBSD 11.1's tdq_slice:
+//
+//	load = tdq->tdq_sysload - 1;
+//	if (load >= SCHED_SLICE_MIN_DIVISOR)
+//		return (sched_slice_min);
+//	if (load <= 1)
+//		return (sched_slice);
+//	return (sched_slice / load);
+//
+// with SCHED_SLICE_MIN_DIVISOR = 6. tdq_sysload counts the running thread
+// too, as the model's tdq.load does. The model adds a floor of
+// SliceMinTicks to the division, which never binds while sched_slice / 5
+// is at least sched_slice_min.
+//
+// Departure: the model takes the paper's sched_slice of 10 ticks and
+// sched_slice_min of 1 (params.go). 11.1 sets them at boot to realstathz /
+// SCHED_SLICE_DEFAULT_DIVISOR and that over SCHED_SLICE_MIN_DIVISOR, 12
+// and 2 at stathz 127. The vectors use the model's values.
+func TestSliceVectors(t *testing.T) {
+	s := &Sched{P: DefaultParams()}
+	if s.P.SliceTicks != 10 || s.P.SliceMinTicks != 1 || s.P.SliceMinDivisor != 6 {
+		t.Fatalf("slice params = %d/%d/%d, want the model's 10/1/6", s.P.SliceTicks, s.P.SliceMinTicks, s.P.SliceMinDivisor)
+	}
+	for _, c := range []struct {
+		name    string
+		sysload int
+		want    int
+	}{
+		{"empty queue: load −1 ≤ 1, the whole slice", 0, 10},
+		{"alone: load 0", 1, 10},
+		{"one other: load 1 is still ≤ 1", 2, 10},
+		{"load 2: 10/2", 3, 5},
+		{"load 3: 10/3 truncates", 4, 3},
+		{"load 4: 10/4 truncates", 5, 2},
+		{"load 5: 10/5, the last division", 6, 2},
+		{"load 6 = SCHED_SLICE_MIN_DIVISOR: the minimum", 7, 1},
+		{"load 99: the minimum", 100, 1},
+	} {
+		if got := s.sliceFor(&tdq{load: c.sysload}); got != c.want {
+			t.Errorf("%s: sliceFor(sysload %d) = %d, want %d", c.name, c.sysload, got, c.want)
+		}
+	}
+}
+
+// The calendar index of a batch priority, from FreeBSD 11.1's
+// tdq_runq_add before the tdq_idx rotation:
+//
+//	pri = RQ_NQS * (pri - PRI_MIN_BATCH) / PRI_BATCH_RANGE;
+//
+// where PRI_BATCH_RANGE counts the band's priorities, max − min + 1. The
+// model computes rel·(NQS − 1)/span with span = max − min. On its band,
+// 48..111, both are 64·rel/64 and 63·rel/63: the identity, so every batch
+// priority keeps a calendar slot of its own. (11.1's own band, 152..223,
+// is 72 wide and folds 72 priorities into 64 slots.)
+func TestBatchQueuePriVectors(t *testing.T) {
+	if PriMinBatch != 48 || PriMaxBatch != 111 {
+		t.Fatalf("batch band = %d..%d, want the model's 48..111", PriMinBatch, PriMaxBatch)
+	}
+	s := &Sched{}
+	for _, c := range []struct {
+		name string
+		pri  int
+		want int
+	}{
+		{"top of the band: 64·0/64", 48, 0},
+		{"one below the top: 64·1/64", 49, 1},
+		{"middle: 64·32/64", 80, 32},
+		{"one above the bottom: 64·62/64", 110, 62},
+		{"bottom of the band: 64·63/64, the last slot", 111, 63},
+	} {
+		if got := s.batchQueuePri(&tsd{pri: c.pri}); got != c.want {
+			t.Errorf("%s: batchQueuePri(%d) = %d, want %d", c.name, c.pri, got, c.want)
+		}
+	}
+}

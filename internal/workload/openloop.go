@@ -105,12 +105,22 @@ type OpenLoop struct {
 	ServiceJitterPct int
 	// Start delays the first arrival window by this absolute machine time.
 	Start time.Duration
-	// OnArrival, if set, is called after each push (e.g. to count offered
-	// load against completed load).
-	OnArrival func()
+
+	started bool
 }
 
-// Start arms the injection timer chain on m. Arrivals fire from timer
+// Next implements sim.Program, so a Forker can start the stream as its
+// continuation: the first call arms it at that instant, and the thread
+// then sleeps forever.
+func (ol *OpenLoop) Next(ctx *sim.Ctx) sim.Op {
+	if !ol.started {
+		ol.started = true
+		ol.StartOn(ctx.M)
+	}
+	return sim.Sleep(time.Hour)
+}
+
+// StartOn arms the injection timer chain on m. Arrivals fire from timer
 // context — no injector thread occupies a core, so the offered load is
 // independent of scheduling, the defining property of an open-loop source.
 // The chain reuses one callback closure; per-arrival scheduling is
@@ -125,9 +135,6 @@ func (ol OpenLoop) StartOn(m *sim.Machine) {
 	var fire func()
 	fire = func() {
 		ol.Q.Push(m, ol.service())
-		if ol.OnArrival != nil {
-			ol.OnArrival()
-		}
 		m.After(ol.Gen.Next(), fire)
 	}
 	m.At(ol.Start+ol.Gen.Next(), fire)

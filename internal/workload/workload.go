@@ -3,7 +3,7 @@
 // request-serving loops, pipe senders/receivers, batching RPC clients,
 // forking masters, and progress-watching spin pollers. Each is a
 // sim.Program; the apps package instantiates them with per-application
-// parameters.
+// parameters. Programs report what they do to a shared Tally.
 package workload
 
 import (
@@ -13,14 +13,54 @@ import (
 	"repro/internal/sim"
 )
 
+// Tally is where programs report: an app's threads share one through
+// their Tally fields (nil reports nothing), so the counting is data, not a
+// closure per thread. DESIGN §5 lists what each program reports.
+type Tally struct {
+	// Workers are the threads a Forker started, in fork order.
+	Workers []*sim.Thread
+	// Left is a countdown of finishes still due; the finish that takes it
+	// to zero stamps the done time. A tally whose Left starts at zero never
+	// finishes.
+	Left int
+
+	ops    uint64
+	done   bool
+	doneAt time.Duration
+}
+
+// Ops returns the units of work reported so far.
+func (t *Tally) Ops() uint64 { return t.ops }
+
+// Done reports whether the countdown has reached zero.
+func (t *Tally) Done() bool { return t != nil && t.done }
+
+// DoneAt returns when the countdown reached zero (0 while it has not).
+func (t *Tally) DoneAt() time.Duration { return t.doneAt }
+
+func (t *Tally) add(n uint64) {
+	if t != nil {
+		t.ops += n
+	}
+}
+
+func (t *Tally) finish(now time.Duration) {
+	if t == nil || t.Left <= 0 {
+		return
+	}
+	t.Left--
+	if t.Left == 0 {
+		t.done, t.doneAt = true, now
+	}
+}
+
 // Loop runs bursts forever, reporting one op per burst.
 type Loop struct {
 	// Burst is the CPU time per iteration.
 	Burst time.Duration
 	// JitterPct adds a uniform ±pct variation per burst.
 	JitterPct int
-	// OnOp, if set, is called once per completed burst.
-	OnOp func()
+	Tally     *Tally
 	// Progress, if set, is broadcast after every burst so watchers
 	// (SpinPoller) can observe forward progress.
 	Progress *sim.WaitQueue
@@ -31,9 +71,7 @@ type Loop struct {
 // Next implements sim.Program.
 func (l *Loop) Next(ctx *sim.Ctx) sim.Op {
 	if l.started {
-		if l.OnOp != nil {
-			l.OnOp()
-		}
+		l.Tally.add(1)
 		if l.Progress != nil {
 			ctx.Broadcast(l.Progress)
 		}
@@ -43,16 +81,14 @@ func (l *Loop) Next(ctx *sim.Ctx) sim.Op {
 }
 
 // FiniteCompute runs N bursts then exits; used for compile jobs and other
-// run-to-completion work.
+// run-to-completion work. It reports an op per burst and a finish at exit.
 type FiniteCompute struct {
 	Burst     time.Duration
 	JitterPct int
 	N         int
 	// IOSleep, when positive, sleeps after each burst (I/O bound phases).
 	IOSleep time.Duration
-	// OnOp is called per completed burst; OnDone once before exit.
-	OnOp   func()
-	OnDone func()
+	Tally   *Tally
 
 	i       int
 	pending bool // a burst just completed, account it
@@ -63,9 +99,7 @@ type FiniteCompute struct {
 func (f *FiniteCompute) Next(ctx *sim.Ctx) sim.Op {
 	if f.pending {
 		f.pending = false
-		if f.OnOp != nil {
-			f.OnOp()
-		}
+		f.Tally.add(1)
 		if f.IOSleep > 0 {
 			f.slept = true
 			return sim.Sleep(f.IOSleep)
@@ -73,9 +107,7 @@ func (f *FiniteCompute) Next(ctx *sim.Ctx) sim.Op {
 	}
 	f.slept = false
 	if f.i >= f.N {
-		if f.OnDone != nil {
-			f.OnDone()
-		}
+		f.Tally.finish(ctx.Now())
 		return sim.Exit()
 	}
 	f.i++
@@ -94,8 +126,8 @@ type BarrierWorker struct {
 	IOSleep time.Duration
 	// Phases bounds the number of rounds; 0 = unbounded.
 	Phases int
-	// OnPhase is called when this worker passes a barrier.
-	OnPhase func()
+	// Tally gets an op each time this worker passes the barrier.
+	Tally *Tally
 
 	state int
 	gen   uint64
@@ -143,9 +175,7 @@ func (w *BarrierWorker) Next(ctx *sim.Ctx) sim.Op {
 
 func (w *BarrierWorker) passed() {
 	w.done++
-	if w.OnPhase != nil {
-		w.OnPhase()
-	}
+	w.Tally.add(1)
 	if w.IOSleep > 0 {
 		w.state = 4
 	} else {
@@ -155,19 +185,24 @@ func (w *BarrierWorker) passed() {
 
 // ServerWorker serves requests from a queue, optionally entering a critical
 // section for a fraction of requests (the MySQL lock behaviour of §6.4).
+// Each served request is an op and a finish.
 type ServerWorker struct {
 	Q *ipc.ReqQueue
 	// Mu guards the critical section; CritPermille of requests take it.
 	Mu           *ipc.Mutex
 	CritPermille int
 	Crit         time.Duration
-	// OnDone is called per completed request.
-	OnDone func()
+	Tally        *Tally
+	// Think, when positive, closes the loop: the worker is one client
+	// connection (sysbench's model), and each served request comes back
+	// Think later as a new one of Service, until Tally is done.
+	Think, Service time.Duration
 
-	req    ipc.Request
-	hasReq bool
-	state  int // 0 idle, 1 served (maybe lock), 2 locked crit done
-	wantMu bool
+	// send is the connection's request, one closure for its lifetime.
+	send           func()
+	req            ipc.Request
+	state          int // 0 idle, 1 served (maybe lock), 2 locked crit done
+	hasReq, wantMu bool
 }
 
 // Next implements sim.Program.
@@ -208,9 +243,24 @@ func (w *ServerWorker) complete(ctx *sim.Ctx) {
 	w.Q.Complete(ctx.Now(), w.req)
 	w.hasReq = false
 	w.state = 0
-	if w.OnDone != nil {
-		w.OnDone()
+	w.Tally.add(1)
+	w.Tally.finish(ctx.Now())
+	if w.Think > 0 && !w.Tally.Done() {
+		w.Send(ctx.M, w.Think)
 	}
+}
+
+// Send has the worker's connection push a request d from now, unless Tally
+// is done by then; a closed loop's first request is sent this way.
+func (w *ServerWorker) Send(m *sim.Machine, d time.Duration) {
+	if w.send == nil {
+		w.send = func() {
+			if !w.Tally.Done() {
+				w.Q.Push(m, w.Service)
+			}
+		}
+	}
+	m.After(d, w.send)
 }
 
 // BatchClient is the ab load injector: send a window of requests
@@ -228,8 +278,8 @@ type BatchClient struct {
 	RespWQ *sim.WaitQueue
 	// Outstanding counts in-flight requests (shared with workers).
 	Outstanding *int
-	// OnRoundTrip is called per response received.
-	OnRoundTrip func()
+	// Tally gets an op per response, a window at a time.
+	Tally *Tally
 
 	sent    int
 	sendOne bool
@@ -253,11 +303,7 @@ func (c *BatchClient) Next(ctx *sim.Ctx) sim.Op {
 		if *c.Outstanding > 0 {
 			return sim.Block(c.RespWQ)
 		}
-		if c.OnRoundTrip != nil {
-			for i := 0; i < c.Window; i++ {
-				c.OnRoundTrip()
-			}
-		}
+		c.Tally.add(uint64(c.Window))
 		c.sent = 0
 	}
 }
@@ -306,7 +352,6 @@ type PipeSender struct {
 	PerMsg  time.Duration
 	Total   int
 	MsgSize int
-	OnSent  func()
 
 	sent int
 	next int
@@ -324,19 +369,17 @@ func (s *PipeSender) Next(ctx *sim.Ctx) sim.Op {
 		}
 		s.next++
 		s.sent++
-		if s.OnSent != nil {
-			s.OnSent()
-		}
 		return sim.Run(s.PerMsg)
 	}
 }
 
-// PipeReceiver drains a pipe (hackbench receiver halves).
+// PipeReceiver drains a pipe (hackbench receiver halves), reporting an op
+// per message and a finish at exit.
 type PipeReceiver struct {
 	Pipe   *ipc.Pipe
 	PerMsg time.Duration
 	Total  int
-	OnRecv func()
+	Tally  *Tally
 
 	got int
 }
@@ -345,15 +388,14 @@ type PipeReceiver struct {
 func (r *PipeReceiver) Next(ctx *sim.Ctx) sim.Op {
 	for {
 		if r.got >= r.Total {
+			r.Tally.finish(ctx.Now())
 			return sim.Exit()
 		}
 		if _, ok := r.Pipe.TryRead(ctx); !ok {
 			return sim.Block(r.Pipe.Readers)
 		}
 		r.got++
-		if r.OnRecv != nil {
-			r.OnRecv()
-		}
+		r.Tally.add(1)
 		return sim.Run(r.PerMsg)
 	}
 }
@@ -371,15 +413,15 @@ type Forker struct {
 	Group string
 	// Nice for the children.
 	Nice int
-	// Then, if set, continues as this program after the fork loop;
-	// otherwise the master sleeps forever (like a main() in pthread_join).
+	// Then, if set, continues as this program after the fork loop, from
+	// the instant of the last fork; otherwise the master sleeps forever
+	// (like a main() in pthread_join).
 	Then sim.Program
-	// OnForked is called with each forked thread.
-	OnForked func(i int, t *sim.Thread)
+	// Tally, if set, lists each forked thread in Workers.
+	Tally *Tally
 
-	i        int
-	doFork   bool
-	finished bool
+	i      int
+	doFork bool
 }
 
 // Next implements sim.Program.
@@ -393,8 +435,8 @@ func (f *Forker) Next(ctx *sim.Ctx) sim.Op {
 				group = ctx.T.Group
 			}
 			t := ctx.Fork(name, group, f.Nice, prog)
-			if f.OnForked != nil {
-				f.OnForked(f.i, t)
+			if f.Tally != nil {
+				f.Tally.Workers = append(f.Tally.Workers, t)
 			}
 			f.i++
 		}
@@ -406,9 +448,6 @@ func (f *Forker) Next(ctx *sim.Ctx) sim.Op {
 			continue
 		}
 		if f.Then != nil {
-			if !f.finished {
-				f.finished = true
-			}
 			return f.Then.Next(ctx)
 		}
 		return sim.Sleep(time.Hour)
@@ -417,12 +456,12 @@ func (f *Forker) Next(ctx *sim.Ctx) sim.Op {
 
 // LockedLoop alternates local computation with a short critical section
 // under a shared mutex (canneal's annealing moves): lock-heavy CPU-bound
-// work whose waiters sleep on contention.
+// work whose waiters sleep on contention. Each release is an op.
 type LockedLoop struct {
 	Mu    *ipc.Mutex
 	Crit  time.Duration
 	Local time.Duration
-	OnOp  func()
+	Tally *Tally
 
 	state int
 }
@@ -442,9 +481,7 @@ func (l *LockedLoop) Next(ctx *sim.Ctx) sim.Op {
 			return sim.Run(l.Crit)
 		case 2: // release
 			l.Mu.Unlock(ctx)
-			if l.OnOp != nil {
-				l.OnOp()
-			}
+			l.Tally.add(1)
 			l.state = 0
 		}
 	}
@@ -477,25 +514,25 @@ func (p *SpinPoller) Next(ctx *sim.Ctx) sim.Op {
 }
 
 // CascadeWorker participates in c-ray's cascading start barrier: wait to be
-// released, release the next worker, then compute chunks forever (§6.2).
-// The release is level-triggered (a flag set before the broadcast), so a
-// release that arrives before the worker first blocks is never lost.
+// released, release the next worker, then compute chunks forever (§6.2),
+// an op each.
 type CascadeWorker struct {
-	// Self is this worker's wake queue.
-	Self *sim.WaitQueue
-	// Released is this worker's release flag, set by its predecessor (or
-	// the master, for worker 0) before broadcasting Self.
-	Released *bool
-	// ReleaseNext releases the successor (nil for the last worker).
-	ReleaseNext func(ctx *sim.Ctx)
+	// Successor is released by this worker (nil for the last one).
+	Successor *CascadeWorker
 	// Chunk is the render work unit.
 	Chunk time.Duration
-	// OnChunk counts completed chunks; OnAwake marks the worker released
-	// for the Figure 7 probe.
-	OnChunk func()
-	OnAwake func()
+	Tally *Tally
 
-	state int
+	self     sim.WaitQueue
+	released bool
+	state    int
+}
+
+// Release lets w go. The release is level-triggered (a flag set before the
+// broadcast), so one that arrives before w first blocks is never lost.
+func (w *CascadeWorker) Release(m *sim.Machine) {
+	w.released = true
+	m.Broadcast(&w.self)
 }
 
 // Next implements sim.Program.
@@ -503,41 +540,32 @@ func (w *CascadeWorker) Next(ctx *sim.Ctx) sim.Op {
 	for {
 		switch w.state {
 		case 0:
-			if w.Released == nil || *w.Released {
-				w.state = 1
-				continue
+			if !w.released {
+				return sim.Block(&w.self)
 			}
-			return sim.Block(w.Self)
-		case 1:
 			// Released: pass the baton, then render.
-			if w.OnAwake != nil {
-				w.OnAwake()
+			if w.Successor != nil {
+				w.Successor.Release(ctx.M)
 			}
-			if w.ReleaseNext != nil {
-				w.ReleaseNext(ctx)
-			}
+			w.state = 1
+		case 1:
 			w.state = 2
-		case 2:
-			w.state = 3
 			return sim.Run(w.Chunk)
-		case 3:
-			if w.OnChunk != nil {
-				w.OnChunk()
-			}
-			w.state = 2
+		case 2:
+			w.Tally.add(1)
+			w.state = 1
 		}
 	}
 }
 
 // PipelineStage is a worker in a producer/consumer pipeline (ferret, vips,
-// x264): read an item from In, process it, write to Out.
+// x264): read an item from In, process it, write to Out; an op per item.
 type PipelineStage struct {
 	In, Out *ipc.Pipe
 	Cost    time.Duration
 	// JitterPct varies the per-item cost.
 	JitterPct int
-	// OnItem counts processed items.
-	OnItem func()
+	Tally     *Tally
 
 	hasItem bool
 	pushed  bool
@@ -555,9 +583,7 @@ func (s *PipelineStage) Next(ctx *sim.Ctx) sim.Op {
 			}
 			s.pushed = false
 			s.hasItem = false
-			if s.OnItem != nil {
-				s.OnItem()
-			}
+			s.Tally.add(1)
 		}
 		if !s.hasItem {
 			if s.In != nil {

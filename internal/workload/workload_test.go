@@ -16,25 +16,23 @@ func newMachine(cores int) *sim.Machine {
 
 func TestLoopCountsOps(t *testing.T) {
 	m := newMachine(1)
-	var ops int
-	m.StartThread("l", "a", 0, &Loop{Burst: time.Millisecond, OnOp: func() { ops++ }})
+	var tally Tally
+	m.StartThread("l", "a", 0, &Loop{Burst: time.Millisecond, Tally: &tally})
 	m.Run(100 * time.Millisecond)
-	if ops < 95 || ops > 101 {
+	if ops := tally.Ops(); ops < 95 || ops > 101 {
 		t.Fatalf("ops = %d, want ~100", ops)
 	}
 }
 
 func TestFiniteComputeExitsAfterN(t *testing.T) {
 	m := newMachine(1)
-	var ops int
-	done := false
+	tally := Tally{Left: 1}
 	th := m.StartThread("f", "a", 0, &FiniteCompute{
-		Burst: time.Millisecond, N: 10, IOSleep: time.Millisecond,
-		OnOp: func() { ops++ }, OnDone: func() { done = true },
+		Burst: time.Millisecond, N: 10, IOSleep: time.Millisecond, Tally: &tally,
 	})
 	m.Run(time.Second)
-	if !done || ops != 10 {
-		t.Fatalf("done=%v ops=%d", done, ops)
+	if !tally.Done() || tally.Ops() != 10 {
+		t.Fatalf("done=%v ops=%d", tally.Done(), tally.Ops())
 	}
 	if th.State() != sim.StateDead {
 		t.Fatal("not dead")
@@ -47,17 +45,16 @@ func TestFiniteComputeExitsAfterN(t *testing.T) {
 func TestBarrierWorkerPhases(t *testing.T) {
 	m := newMachine(4)
 	bar := ipc.NewBarrier(4, time.Millisecond)
-	var phases [4]int
+	var phases [4]Tally
 	for i := 0; i < 4; i++ {
-		i := i
 		m.StartThread("w", "hpc", 0, &BarrierWorker{
 			Bar: bar, Phase: time.Duration(i+1) * time.Millisecond,
-			Phases: 5, OnPhase: func() { phases[i]++ },
+			Phases: 5, Tally: &phases[i],
 		})
 	}
 	m.Run(time.Second)
-	for i, p := range phases {
-		if p != 5 {
+	for i := range phases {
+		if p := phases[i].Ops(); p != 5 {
 			t.Fatalf("worker %d: %d phases", i, p)
 		}
 	}
@@ -67,11 +64,11 @@ func TestServerWorkerWithLock(t *testing.T) {
 	m := newMachine(2)
 	q := ipc.NewReqQueue()
 	mu := ipc.NewMutex()
-	var done int
+	var tally Tally
 	for i := 0; i < 4; i++ {
 		m.StartThread("w", "db", 0, &ServerWorker{
 			Q: q, Mu: mu, CritPermille: 1000, Crit: 100 * time.Microsecond,
-			OnDone: func() { done++ },
+			Tally: &tally,
 		})
 	}
 	n := 0
@@ -81,7 +78,7 @@ func TestServerWorkerWithLock(t *testing.T) {
 		return n < 100
 	})
 	m.Run(5 * time.Second)
-	if done != 100 {
+	if done := tally.Ops(); done != 100 {
 		t.Fatalf("served %d/100", done)
 	}
 	if mu.Owner() != nil {
@@ -94,17 +91,17 @@ func TestBatchClientRoundTrips(t *testing.T) {
 	q := ipc.NewReqQueue()
 	resp := sim.NewWaitQueue()
 	outstanding := 0
-	var trips int
+	var tally Tally
 	m.StartThread("ab", "ab", 0, &BatchClient{
 		Q: q, Window: 10, SendCost: 10 * time.Microsecond,
 		Service: 100 * time.Microsecond, RespWQ: resp, Outstanding: &outstanding,
-		OnRoundTrip: func() { trips++ },
+		Tally: &tally,
 	})
 	for i := 0; i < 4; i++ {
 		m.StartThread("httpd", "httpd", 0, &RespondingWorker{Q: q, RespWQ: resp, Outstanding: &outstanding})
 	}
 	m.Run(time.Second)
-	if trips < 100 {
+	if trips := tally.Ops(); trips < 100 {
 		t.Fatalf("round trips = %d, want many", trips)
 	}
 	if outstanding != 0 && q.Depth() > 10 {
@@ -114,15 +111,16 @@ func TestBatchClientRoundTrips(t *testing.T) {
 
 func TestForkerCreatesChildrenWithInit(t *testing.T) {
 	m := newMachine(1)
-	var kids []*sim.Thread
+	var tally Tally
 	master := m.StartThread("master", "app", 0, &Forker{
 		N: 5, InitCost: time.Millisecond,
 		Child: func(i int) (string, sim.Program) {
 			return "kid", &FiniteCompute{Burst: time.Millisecond, N: 1}
 		},
-		OnForked: func(i int, t *sim.Thread) { kids = append(kids, t) },
+		Tally: &tally,
 	})
 	m.Run(time.Second)
+	kids := tally.Workers
 	if len(kids) != 5 {
 		t.Fatalf("forked %d/5", len(kids))
 	}
@@ -161,29 +159,25 @@ func TestSpinPollerElasticity(t *testing.T) {
 func TestCascadeChain(t *testing.T) {
 	m := newMachine(2)
 	const n = 10
-	wqs := make([]*sim.WaitQueue, n)
-	released := make([]bool, n)
-	for i := range wqs {
-		wqs[i] = sim.NewWaitQueue()
-	}
-	awake := 0
-	for i := 0; i < n; i++ {
-		cw := &CascadeWorker{
-			Self: wqs[i], Released: &released[i], Chunk: time.Millisecond,
-			OnAwake: func() { awake++ },
-		}
+	workers := make([]CascadeWorker, n)
+	chunks := make([]Tally, n)
+	for i := range workers {
+		workers[i] = CascadeWorker{Chunk: time.Millisecond, Tally: &chunks[i]}
 		if i+1 < n {
-			next := i + 1
-			cw.ReleaseNext = func(ctx *sim.Ctx) {
-				released[next] = true
-				ctx.Broadcast(wqs[next])
-			}
+			workers[i].Successor = &workers[i+1]
 		}
-		m.StartThread("cw", "cray", 0, cw)
+		m.StartThread("cw", "cray", 0, &workers[i])
 	}
 	// Kick the first worker (flag before broadcast: level-triggered).
-	m.After(10*time.Millisecond, func() { released[0] = true; m.Broadcast(wqs[0]) })
+	m.After(10*time.Millisecond, func() { workers[0].Release(m) })
 	m.Run(time.Second)
+	// A released worker renders chunks; one never released reports none.
+	awake := 0
+	for i := range chunks {
+		if chunks[i].Ops() > 0 {
+			awake++
+		}
+	}
 	if awake != n {
 		t.Fatalf("awake = %d/%d", awake, n)
 	}
@@ -193,12 +187,12 @@ func TestPipelineFlows(t *testing.T) {
 	m := newMachine(4)
 	p1 := ipc.NewPipe(4)
 	p2 := ipc.NewPipe(4)
-	var out int
+	var tally Tally
 	m.StartThread("src", "pl", 0, &Source{Out: p1, Cost: 100 * time.Microsecond, N: 50})
 	m.StartThread("mid", "pl", 0, &PipelineStage{In: p1, Out: p2, Cost: 200 * time.Microsecond})
-	m.StartThread("sink", "pl", 0, &PipelineStage{In: p2, Cost: 100 * time.Microsecond, OnItem: func() { out++ }})
+	m.StartThread("sink", "pl", 0, &PipelineStage{In: p2, Cost: 100 * time.Microsecond, Tally: &tally})
 	m.Run(time.Second)
-	if out != 50 {
+	if out := tally.Ops(); out != 50 {
 		t.Fatalf("pipeline delivered %d/50", out)
 	}
 }
