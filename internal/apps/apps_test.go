@@ -138,6 +138,37 @@ func TestSysbenchMasterForkDegradation(t *testing.T) {
 	}
 }
 
+// TestSysbenchTxTargetStopsResends: a closed-loop sysbench with a
+// transaction target (the co-scheduling driver's setting) stamps its tally
+// done at the target, and no connection sends after that — not even one
+// whose send was armed before the stamp. Eight connections of 0.9 ms per
+// 50 ms think keep one core ~15 % busy, so at the stamp nearly every
+// connection is thinking: at most one request is in flight to drain, and
+// the op count then stands still.
+func TestSysbenchTxTargetStopsResends(t *testing.T) {
+	m := cfsMachine(topo.SingleCore(), 1)
+	cfg := DefaultSysbench()
+	cfg.Threads = 8
+	cfg.TxTarget = 300
+	in := Sysbench(cfg).New(m, Env{Cores: 1})
+	if !m.RunUntil(in.Done, ShellWarmup+30*time.Second) {
+		t.Fatalf("not done after %v: %d ops of %d", m.Now(), in.Ops(), cfg.TxTarget)
+	}
+	done := in.DoneAt()
+	if done <= ShellWarmup || done != m.Now() || in.Ops() != cfg.TxTarget {
+		t.Fatalf("done at %v (now %v) with %d ops, want stamped now at the target %d", done, m.Now(), in.Ops(), cfg.TxTarget)
+	}
+	m.Run(done + time.Second)
+	drained := in.Ops()
+	if drained > cfg.TxTarget+1 {
+		t.Fatalf("%d ops a second after done at %d: sends armed before done still pushed", drained, cfg.TxTarget)
+	}
+	m.Run(done + 2*time.Second)
+	if got := in.Ops(); got != drained {
+		t.Fatalf("ops went from %d to %d between 1 s and 2 s after done: a connection re-sent", drained, got)
+	}
+}
+
 // preemptTally wraps a scheduler and counts, per thread ID, the preempted
 // deschedules the engine hands to PutPrev.
 type preemptTally struct {

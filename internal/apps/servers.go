@@ -161,7 +161,7 @@ func RocksDB() Spec {
 
 // steadyLoad is RocksDB's master once the compaction thread is forked: it
 // starts the fixed-rate client, a request every period, and sleeps like a
-// joined main().
+// joined main(). The client is the master's own timer.
 type steadyLoad struct {
 	q              *ipc.ReqQueue
 	every, service time.Duration
@@ -172,13 +172,15 @@ type steadyLoad struct {
 func (l *steadyLoad) Next(ctx *sim.Ctx) sim.Op {
 	if !l.started {
 		l.started = true
-		m := ctx.M
-		m.Every(l.every, l.every, func() bool {
-			l.q.Push(m, l.service)
-			return true
-		})
+		ctx.M.At(ctx.M.Now(), l)
 	}
 	return sim.Sleep(time.Hour)
+}
+
+// Fire implements sim.Timer: one request, then the next one armed.
+func (l *steadyLoad) Fire(m *sim.Machine) {
+	l.q.Push(m, l.service)
+	m.At(m.Now()+l.every, l)
 }
 
 // Apache is the §5.3 preemption case study: httpd with 100 worker threads

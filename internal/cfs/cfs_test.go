@@ -8,6 +8,11 @@ import (
 	"repro/internal/topo"
 )
 
+// fireFunc adapts a plain func to a sim.Timer.
+type fireFunc func()
+
+func (f fireFunc) Fire(*sim.Machine) { f() }
+
 type looper struct{ burst time.Duration }
 
 func (l *looper) Next(ctx *sim.Ctx) sim.Op { return sim.Run(l.burst) }

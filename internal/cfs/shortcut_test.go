@@ -68,15 +68,15 @@ func churn(m *sim.Machine, seed int64) {
 			Prog: &looper{burst: time.Duration(1+rng.Intn(4)) * time.Millisecond},
 		}))
 	}
-	m.At(150*time.Millisecond, func() {
+	m.At(150*time.Millisecond, fireFunc(func() {
 		for _, t := range pile {
 			m.SetPinned(t, nil)
 		}
-	})
+	}))
 	for _, at := range []time.Duration{60 * time.Millisecond, 220 * time.Millisecond} {
 		id := 1 + rng.Intn(n-1)
-		m.At(at, func() { m.OfflineCore(id) })
-		m.At(at+35*time.Millisecond, func() { m.OnlineCore(id) })
+		m.At(at, fireFunc(func() { m.OfflineCore(id) }))
+		m.At(at+35*time.Millisecond, fireFunc(func() { m.OnlineCore(id) }))
 	}
 }
 

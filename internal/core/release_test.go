@@ -101,7 +101,7 @@ func failedAndDuplicateGrid(t *testing.T, log *machineLog) ([]Trial[float64], we
 	work := bad.Workload
 	bad.Workload = func(m *sim.Machine) {
 		work(m)
-		m.At(time.Millisecond, func() { panic("deliberate trial failure") })
+		m.At(time.Millisecond, fireFunc(func() { panic("deliberate trial failure") }))
 	}
 	// The duplicate shares good's key and seed, so it never runs: what
 	// its closures hold must still go.

@@ -90,6 +90,11 @@ func TestCoSchedCacheRespectsBaseSeed(t *testing.T) {
 }
 
 // spinner runs fixed CPU bursts forever — trial-harness test fuel.
+// fireFunc adapts a plain func to a sim.Timer.
+type fireFunc func()
+
+func (f fireFunc) Fire(*sim.Machine) { f() }
+
 type spinner struct{ burst time.Duration }
 
 func (s *spinner) Next(ctx *sim.Ctx) sim.Op { return sim.Run(s.burst) }
@@ -105,7 +110,7 @@ func TestRunTrialsErrIsolation(t *testing.T) {
 			Workload: func(m *sim.Machine) {
 				m.StartThread("w", "app", 0, &spinner{burst: time.Millisecond})
 				if boom {
-					m.At(2*time.Millisecond, func() { panic("deliberate trial failure") })
+					m.At(2*time.Millisecond, fireFunc(func() { panic("deliberate trial failure") }))
 				}
 			},
 			Extract: func(m *sim.Machine) uint64 { return m.EventsProcessed() },

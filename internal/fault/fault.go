@@ -116,166 +116,130 @@ func (p *Plan) Occurrences(window time.Duration) []Occurrence {
 	return out
 }
 
-// Injector is a plan installed on a machine.
-type Injector struct {
-	m    *sim.Machine
-	plan *Plan
-}
-
-// Install schedules every activation of plan on m's event queue and
-// returns the injector. Call once per machine, before Run.
-func Install(m *sim.Machine, plan *Plan) *Injector {
-	inj := &Injector{m: m, plan: plan}
+// Install schedules every activation of plan on m's event queue. Call
+// once per machine, before Run.
+func Install(m *sim.Machine, plan *Plan) {
 	for i := range plan.Events {
 		e := &plan.Events[i]
+		var g *gang
 		switch e.Kind {
-		case CPUOff:
-			inj.installCPUOff(e)
-		case Throttle:
-			inj.installThrottle(e)
-		case Antagonist:
-			inj.installAntagonist(i, e)
-		case WakeupStorm:
-			inj.installStorm(i, e)
+		case CPUOff, Throttle:
+		case Antagonist, WakeupStorm:
+			g = &gang{idx: i, wq: sim.NewWaitQueue(), burst: e.Burst}
 		default:
 			panic(fmt.Sprintf("fault: unknown kind %q", e.Kind))
 		}
-	}
-	return inj
-}
-
-func (inj *Injector) installCPUOff(e *Event) {
-	m := inj.m
-	for a := 0; a < e.activations(); a++ {
-		at := e.At + time.Duration(a)*e.Period
-		cores := e.Cores
-		m.At(at, func() {
-			m.Counters.Get("fault.cpu_off").Inc(1)
-			for _, id := range cores {
-				if !m.OfflineCore(id) {
-					// Already offline, or the last online core: refusing
-					// is the deterministic safe outcome.
-					m.Counters.Get("fault.offline_refused").Inc(1)
-				}
+		for a := 0; a < e.activations(); a++ {
+			at := e.At + time.Duration(a)*e.Period
+			m.At(at, &step{e: e, g: g, on: true})
+			if e.Duration > 0 && e.Kind != WakeupStorm {
+				m.At(at+e.Duration, &step{e: e, g: g})
 			}
-		})
-		if e.Duration > 0 {
-			m.At(at+e.Duration, func() {
-				for _, id := range cores {
-					m.OnlineCore(id)
-				}
-			})
 		}
 	}
 }
 
-func (inj *Injector) installThrottle(e *Event) {
-	m := inj.m
-	cores := e.Cores
-	if len(cores) == 0 {
-		cores = make([]int, len(m.Cores))
-		for i := range cores {
-			cores[i] = i
+// step is one edge of one activation: on strikes the fault, !on lifts it.
+type step struct {
+	e  *Event
+	g  *gang // antagonist and wakeup_storm: the event's gang
+	on bool
+}
+
+func (s *step) Fire(m *sim.Machine) {
+	e := s.e
+	switch e.Kind {
+	case CPUOff:
+		if !s.on {
+			for _, id := range e.Cores {
+				m.OnlineCore(id)
+			}
+			return
 		}
-	}
-	for a := 0; a < e.activations(); a++ {
-		at := e.At + time.Duration(a)*e.Period
-		m.At(at, func() {
+		m.Counters.Get("fault.cpu_off").Inc(1)
+		for _, id := range e.Cores {
+			if !m.OfflineCore(id) {
+				// Already offline, or the last online core: refusing
+				// is the deterministic safe outcome.
+				m.Counters.Get("fault.offline_refused").Inc(1)
+			}
+		}
+	case Throttle:
+		factor := 1.0
+		if s.on {
 			m.Counters.Get("fault.throttle").Inc(1)
-			for _, id := range cores {
-				m.SetCoreSpeed(id, e.Factor)
+			factor = e.Factor
+		}
+		if len(e.Cores) == 0 {
+			for id := range m.Cores {
+				m.SetCoreSpeed(id, factor)
 			}
-		})
-		if e.Duration > 0 {
-			m.At(at+e.Duration, func() {
-				for _, id := range cores {
-					m.SetCoreSpeed(id, 1.0)
-				}
-			})
+		}
+		for _, id := range e.Cores {
+			m.SetCoreSpeed(id, factor)
+		}
+	default:
+		g := s.g
+		g.active = s.on
+		if !s.on {
+			return
+		}
+		name, group, counter := "antag%d-%d", "antagonist", "fault.antagonist_on"
+		if e.Kind == WakeupStorm {
+			name, group, counter = "storm%d-%d", "storm", "fault.storms"
+		}
+		m.Counters.Get(counter).Inc(1)
+		if g.spawned {
+			// Storm workers still mid-burst (overloaded machine) miss
+			// this storm; Broadcast wakes only the blocked ones.
+			m.Broadcast(g.wq)
+			return
+		}
+		// Lazy spawn keeps the pre-fault phase free of the gang's forks;
+		// later activations reuse the blocked gang. A storm's first
+		// activation is the fork placement storm: every worker's first op
+		// is its Burst.
+		g.spawned = true
+		for i := 0; i < e.Threads; i++ {
+			var p sim.Program = g
+			if e.Kind == WakeupStorm {
+				p = &stormWorker{g: g}
+			}
+			m.StartThread(fmt.Sprintf(name, g.idx, i), group, e.Nice, p)
 		}
 	}
 }
 
-// antagonist is the shared state of one antagonist event's thread gang:
-// while active the threads loop Burst-sized CPU hogs; deactivation
-// makes each block on wq at its next op boundary, and the next
-// activation broadcasts them all back.
-type antagonist struct {
-	wq     *sim.WaitQueue
-	burst  time.Duration
-	active bool
+// gang is the thread gang of one antagonist or wakeup_storm event. An
+// antagonist's threads all run the gang itself: while active they loop
+// Burst-sized CPU hogs, and deactivated each blocks on wq at its next op
+// boundary until the next activation broadcasts them all back.
+type gang struct {
+	idx     int // the event's plan index, in its threads' names
+	wq      *sim.WaitQueue
+	burst   time.Duration
+	active  bool
+	spawned bool
 }
 
-func (a *antagonist) Next(ctx *sim.Ctx) sim.Op {
-	if !a.active {
-		return sim.Block(a.wq)
+func (g *gang) Next(ctx *sim.Ctx) sim.Op {
+	if !g.active {
+		return sim.Block(g.wq)
 	}
-	return sim.Run(a.burst)
+	return sim.Run(g.burst)
 }
 
-func (inj *Injector) installAntagonist(idx int, e *Event) {
-	m := inj.m
-	a := &antagonist{wq: sim.NewWaitQueue(), burst: e.Burst}
-	spawned := false
-	for act := 0; act < e.activations(); act++ {
-		at := e.At + time.Duration(act)*e.Period
-		m.At(at, func() {
-			m.Counters.Get("fault.antagonist_on").Inc(1)
-			a.active = true
-			if !spawned {
-				// Lazy spawn keeps the pre-fault phase free of antagonist
-				// forks; reactivations reuse the blocked gang.
-				spawned = true
-				for i := 0; i < e.Threads; i++ {
-					m.StartThread(fmt.Sprintf("antag%d-%d", idx, i), "antagonist", e.Nice, a)
-				}
-				return
-			}
-			m.Broadcast(a.wq)
-		})
-		if e.Duration > 0 {
-			m.At(at+e.Duration, func() { a.active = false })
-		}
-	}
-}
-
-// stormWorker alternates one Burst of CPU with a block on the storm's
-// wait queue; each broadcast releases the whole gang at one instant.
+// stormWorker alternates one Burst of CPU with a block on its gang's wait
+// queue; each broadcast releases the whole gang at one instant.
 type stormWorker struct {
-	wq    *sim.WaitQueue
-	burst time.Duration
-	run   bool
+	g   *gang
+	run bool
 }
 
 func (w *stormWorker) Next(ctx *sim.Ctx) sim.Op {
 	w.run = !w.run
 	if w.run {
-		return sim.Run(w.burst)
+		return sim.Run(w.g.burst)
 	}
-	return sim.Block(w.wq)
-}
-
-func (inj *Injector) installStorm(idx int, e *Event) {
-	m := inj.m
-	wq := sim.NewWaitQueue()
-	spawned := false
-	for act := 0; act < e.activations(); act++ {
-		at := e.At + time.Duration(act)*e.Period
-		m.At(at, func() {
-			m.Counters.Get("fault.storms").Inc(1)
-			if !spawned {
-				// The first storm is the fork placement storm: every
-				// worker's first op is its Burst.
-				spawned = true
-				for i := 0; i < e.Threads; i++ {
-					m.StartThread(fmt.Sprintf("storm%d-%d", idx, i), "storm",
-						e.Nice, &stormWorker{wq: wq, burst: e.Burst})
-				}
-				return
-			}
-			// Workers still mid-burst (overloaded machine) miss this
-			// storm; Broadcast wakes only the blocked ones.
-			m.Broadcast(wq)
-		})
-	}
+	return sim.Block(w.g.wq)
 }

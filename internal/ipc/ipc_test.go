@@ -14,6 +14,11 @@ func newMachine() *sim.Machine {
 
 // lockWorker repeatedly acquires mu, holds it for hold, releases, then
 // thinks for think; iterations bounded.
+// fireFunc adapts a plain func to a sim.Timer.
+type fireFunc func()
+
+func (f fireFunc) Fire(*sim.Machine) { f() }
+
 type lockWorker struct {
 	mu          *Mutex
 	hold, think time.Duration
@@ -291,11 +296,15 @@ func TestReqQueueLatency(t *testing.T) {
 	// Open-loop injector: 1 request per ms, 1 ms service, 4 cores & 4
 	// workers → utilization 25%, latency ≈ service time.
 	n := 0
-	m.Every(time.Millisecond, time.Millisecond, func() bool {
+	var inject fireFunc
+	inject = func() {
 		n++
 		q.Push(m, time.Millisecond)
-		return n < 200
-	})
+		if n < 200 {
+			m.At(m.Now()+time.Millisecond, inject)
+		}
+	}
+	m.At(time.Millisecond, inject)
 	m.Run(5 * time.Second)
 	if q.Completed != 200 {
 		t.Fatalf("completed %d/200", q.Completed)

@@ -1,7 +1,7 @@
 package probe
 
 // Attaching probes to a machine. An Attachment owns one periodic sampler
-// on the simulator's timer wheel (sim.Machine.Every) plus whatever hook
+// on the simulator's timer wheel (a sim.Timer) plus whatever hook
 // registrations its probes need; all probes of an attachment share one
 // cadence and record into one Set. Built-in probes are selected by name
 // (Options.Probes, validated against Names); drivers with bespoke
@@ -39,7 +39,9 @@ type Options struct {
 type Attachment struct {
 	m        *sim.Machine
 	set      *Set
-	samplers []func(now time.Duration)
+	cadence  time.Duration
+	samplers []sampler                 // the built-in probes'
+	custom   []func(now time.Duration) // drivers' bespoke samplers
 	stopped  bool
 
 	// Convergence tracking, maintained by the runq probe at full sample
@@ -87,7 +89,7 @@ func Attach(m *sim.Machine, opts Options) (*Attachment, error) {
 	if cadence <= 0 {
 		cadence = DefaultCadence
 	}
-	a := &Attachment{m: m, set: NewSet(opts.Capacity)}
+	a := &Attachment{m: m, set: NewSet(opts.Capacity), cadence: cadence}
 	seen := map[string]bool{}
 	for _, name := range opts.Probes {
 		if seen[name] {
@@ -106,17 +108,25 @@ func Attach(m *sim.Machine, opts Options) (*Attachment, error) {
 		}
 		b.install(a)
 	}
-	m.Every(cadence, cadence, func() bool {
-		if a.stopped {
-			return false
-		}
-		now := m.Now()
-		for _, s := range a.samplers {
-			s(now)
-		}
-		return true
-	})
+	m.At(cadence, sampleTimer{a})
 	return a, nil
+}
+
+// sampleTimer runs the attachment's samplers every cadence until Stop.
+type sampleTimer struct{ a *Attachment }
+
+func (t sampleTimer) Fire(m *sim.Machine) {
+	if t.a.stopped {
+		return
+	}
+	now := m.Now()
+	for _, s := range t.a.samplers {
+		s.sample(now)
+	}
+	for _, fn := range t.a.custom {
+		fn(now)
+	}
+	m.At(now+t.a.cadence, t)
 }
 
 // MustAttach is Attach, panicking on error — for drivers with
@@ -137,10 +147,11 @@ func (a *Attachment) Set() *Set { return a.set }
 // (typically a.Set().Sample, or a driver-owned Set). Samplers run in
 // registration order, built-ins first.
 func (a *Attachment) Custom(fn func(now time.Duration)) {
-	a.samplers = append(a.samplers, fn)
+	a.custom = append(a.custom, fn)
 }
 
-// Stop ends sampling at the next cycle, releasing the timer registration.
+// Stop ends sampling at the next cycle: the timer fires once more and does
+// not re-arm.
 func (a *Attachment) Stop() { a.stopped = true }
 
 // ArmConvergence restarts convergence detection at the given simulated
@@ -178,109 +189,127 @@ func coreSeries(a *Attachment, prefix string) []*Series {
 	return ss
 }
 
+// sampler is a built-in probe's reading, taken once per cadence.
+type sampler interface {
+	sample(now time.Duration)
+}
+
 // installRunq samples per-core runnable depth and maintains the
 // attachment's convergence detector.
 func installRunq(a *Attachment) {
 	a.hasRunq = true
-	ss := coreSeries(a, "runq")
-	var buf []int
-	m := a.m
-	a.samplers = append(a.samplers, func(now time.Duration) {
-		buf = m.RunnableCountsInto(buf)
-		lo, hi := buf[0], buf[0]
-		for i, n := range buf {
-			ss[i].Offer(now, float64(n))
-			if n < lo {
-				lo = n
-			}
-			if n > hi {
-				hi = n
-			}
+	a.samplers = append(a.samplers, &runqSampler{a: a, ss: coreSeries(a, "runq")})
+}
+
+type runqSampler struct {
+	a   *Attachment
+	ss  []*Series
+	buf []int
+}
+
+func (r *runqSampler) sample(now time.Duration) {
+	a := r.a
+	r.buf = a.m.RunnableCountsInto(r.buf)
+	lo, hi := r.buf[0], r.buf[0]
+	for i, n := range r.buf {
+		r.ss[i].Offer(now, float64(n))
+		if n < lo {
+			lo = n
 		}
-		if !a.converged && now >= a.convArmedAt && hi-lo <= 1 {
-			a.converged = true
-			a.convergedAt = now
+		if n > hi {
+			hi = n
 		}
-	})
+	}
+	if !a.converged && now >= a.convArmedAt && hi-lo <= 1 {
+		a.converged = true
+		a.convergedAt = now
+	}
 }
 
 // installUtil samples windowed per-core utilization: busy time accrued in
 // the last sampling window over the window length.
 func installUtil(a *Attachment) {
-	ss := coreSeries(a, "util")
-	prevBusy := make([]time.Duration, len(a.m.Cores))
-	var prevNow time.Duration
-	m := a.m
-	a.samplers = append(a.samplers, func(now time.Duration) {
-		window := now - prevNow
-		if window <= 0 {
-			return
-		}
-		for i, c := range m.Cores {
-			busy := c.BusySoFar()
-			ss[i].Offer(now, float64(busy-prevBusy[i])/float64(window))
-			prevBusy[i] = busy
-		}
-		prevNow = now
+	a.samplers = append(a.samplers, &utilSampler{
+		m: a.m, ss: coreSeries(a, "util"), prevBusy: make([]time.Duration, len(a.m.Cores)),
 	})
+}
+
+type utilSampler struct {
+	m        *sim.Machine
+	ss       []*Series
+	prevBusy []time.Duration
+	prevNow  time.Duration
+}
+
+func (u *utilSampler) sample(now time.Duration) {
+	window := now - u.prevNow
+	if window <= 0 {
+		return
+	}
+	for i, c := range u.m.Cores {
+		busy := c.BusySoFar()
+		u.ss[i].Offer(now, float64(busy-u.prevBusy[i])/float64(window))
+		u.prevBusy[i] = busy
+	}
+	u.prevNow = now
 }
 
 // installLive samples the live-thread count — the Figure 7 startup ramp.
 func installLive(a *Attachment) {
-	s := a.set.Get("live.threads")
-	m := a.m
-	a.samplers = append(a.samplers, func(now time.Duration) {
-		s.Offer(now, float64(m.LiveThreads()))
-	})
+	a.samplers = append(a.samplers, &liveSampler{m: a.m, s: a.set.Get("live.threads")})
 }
 
-// rateSampler converts a monotonically increasing count source into a
-// per-second windowed rate series. Counting starts at attach: events
-// before it fall in no window.
-func rateSampler(a *Attachment, name string, count func() uint64) {
-	s := a.set.Get(name)
-	prev := count()
-	var prevNow time.Duration
-	a.samplers = append(a.samplers, func(now time.Duration) {
-		window := (now - prevNow).Seconds()
-		if window <= 0 {
-			return
-		}
-		n := count()
-		s.Offer(now, float64(n-prev)/window)
-		prev = n
-		prevNow = now
-	})
+type liveSampler struct {
+	m *sim.Machine
+	s *Series
+}
+
+func (l *liveSampler) sample(now time.Duration) { l.s.Offer(now, float64(l.m.LiveThreads())) }
+
+// addRate samples a monotonically increasing count as a per-second
+// windowed rate series. Counting starts at attach: events before it fall
+// in no window.
+func addRate(a *Attachment, name string, count *uint64) {
+	a.samplers = append(a.samplers, &rateSampler{s: a.set.Get(name), count: count, prev: *count})
+}
+
+type rateSampler struct {
+	s       *Series
+	count   *uint64
+	prev    uint64
+	prevNow time.Duration
+}
+
+func (r *rateSampler) sample(now time.Duration) {
+	window := (now - r.prevNow).Seconds()
+	if window <= 0 {
+		return
+	}
+	n := *r.count
+	r.s.Offer(now, float64(n-r.prev)/window)
+	r.prev = n
+	r.prevNow = now
 }
 
 // installMigrations reads the engine's migration count
 // (sim.Machine.Counts), bumped wherever the migrate hook fires.
-func installMigrations(a *Attachment) {
-	m := a.m
-	rateSampler(a, "rate.migrations", func() uint64 { return m.Counts.Migrations })
-}
+func installMigrations(a *Attachment) { addRate(a, "rate.migrations", &a.m.Counts.Migrations) }
 
 // installSteals reads the engine's idle-steal count (sim.Machine.Counts),
 // bumped wherever the steal hook fires.
-func installSteals(a *Attachment) {
-	m := a.m
-	rateSampler(a, "rate.steals", func() uint64 { return m.Counts.Steals })
-}
+func installSteals(a *Attachment) { addRate(a, "rate.steals", &a.m.Counts.Steals) }
 
 // installPreemptions reads the engine's preemption count
 // (sim.Machine.Counts).
-func installPreemptions(a *Attachment) {
-	m := a.m
-	rateSampler(a, "rate.preemptions", func() uint64 { return m.Counts.Preemptions })
-}
+func installPreemptions(a *Attachment) { addRate(a, "rate.preemptions", &a.m.Counts.Preemptions) }
 
 // installTicks counts fired scheduler ticks via the tick hook. Every
 // online core ticks once a period, idle or busy, so the rate is cores ×
 // tick frequency and dips only while cores are hot-unplugged.
 func installTicks(a *Attachment) {
-	var n uint64
-	a.m.OnTick(func(c *sim.Core) { n++ })
-	rateSampler(a, "rate.ticks", func() uint64 { return n })
+	n := new(uint64)
+	a.m.OnTick(func(c *sim.Core) { *n++ })
+	addRate(a, "rate.ticks", n)
 }
 
 // installRunqlat observes every dispatch's runqueue wait — the time since
@@ -289,32 +318,39 @@ func installTicks(a *Attachment) {
 // p95/p99 per group in microseconds. Groups appear in first-dispatch
 // order, which is deterministic for a seeded simulation.
 func installRunqlat(a *Attachment) {
-	hists := map[string]*stats.Histogram{}
-	var order []string
+	r := &runqlatSampler{set: a.set, hists: map[string]*stats.Histogram{}}
 	m := a.m
 	m.OnDispatch(func(c *sim.Core, t *sim.Thread) {
 		since := t.LastEnqueuedAt
 		if t.LastRanAt > since {
 			since = t.LastRanAt
 		}
-		h, ok := hists[t.Group]
+		h, ok := r.hists[t.Group]
 		if !ok {
 			h = &stats.Histogram{}
-			hists[t.Group] = h
-			order = append(order, t.Group)
+			r.hists[t.Group] = h
+			r.order = append(r.order, t.Group)
 		}
 		h.Observe(m.Now() - since)
 	})
+	a.samplers = append(a.samplers, r)
+}
+
+type runqlatSampler struct {
+	set   *Set
+	hists map[string]*stats.Histogram
+	order []string
+}
+
+func (r *runqlatSampler) sample(now time.Duration) {
 	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	a.samplers = append(a.samplers, func(now time.Duration) {
-		for _, g := range order {
-			h := hists[g]
-			if h.Count() == 0 {
-				continue
-			}
-			a.set.Sample("runqlat.p50."+g, now, us(h.Quantile(0.50)))
-			a.set.Sample("runqlat.p95."+g, now, us(h.Quantile(0.95)))
-			a.set.Sample("runqlat.p99."+g, now, us(h.Quantile(0.99)))
+	for _, g := range r.order {
+		h := r.hists[g]
+		if h.Count() == 0 {
+			continue
 		}
-	})
+		r.set.Sample("runqlat.p50."+g, now, us(h.Quantile(0.50)))
+		r.set.Sample("runqlat.p95."+g, now, us(h.Quantile(0.95)))
+		r.set.Sample("runqlat.p99."+g, now, us(h.Quantile(0.99)))
+	}
 }

@@ -25,7 +25,7 @@ func benchEngine(b *testing.B, attach bool) {
 	if attach {
 		probe.MustAttach(m, probe.Options{Probes: probe.Names()})
 	}
-	m.Run(250 * time.Millisecond) // settle heap, runqueue, and callback capacity
+	m.Run(250 * time.Millisecond) // settle heap, runqueue, and timer table capacity
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := m.EventsProcessed()

@@ -20,13 +20,13 @@ import (
 // before a machine can be forked: the observer hooks stay (a fork does not
 // copy observers), and the rest become typed data.
 var censusAllowed = []string{
-	"sim.hooks.",                 // observers: probes, decision traces, timelines
-	"sim.callback.fn",            // generic timers (Machine.At/After): a typed timer kind
-	"sim.callback.pfn",           // periodic timers (Machine.Every): a typed timer kind
-	"workload.Forker.Child",      // child factory: a program template with a Clone
-	"apps.shellProg.spawn",       // lazy master: openweb's draws m.Rand() at launch time
-	"workload.ServerWorker.send", // sysbench's per-connection re-send: a typed timer kind
+	"sim.hooks.",            // observers: probes, decision traces, timelines
+	"workload.Forker.Child", // child factory: a program template with a Clone
+	"apps.shellProg.spawn",  // lazy master: openweb's draws m.Rand() at launch time
 }
+
+// timerSite is where the walk meets the machine's armed timers.
+const timerSite = "sim.Machine.timers"
 
 // funcCensus walks every value reachable from a root and counts the
 // func-typed values it passes by where they sit ("pkg.Type.field", or the
@@ -36,6 +36,9 @@ var censusAllowed = []string{
 type funcCensus struct {
 	seen  map[visit]bool
 	sites map[string]int
+	// timers counts the armed timers the walk met, which shows that it
+	// reaches the timer table and walks into each Timer value.
+	timers int
 }
 
 type visit struct {
@@ -62,6 +65,9 @@ func (c *funcCensus) walk(v reflect.Value, site string) {
 		c.walk(v.Elem(), site)
 	case reflect.Interface:
 		if !v.IsNil() {
+			if site == timerSite {
+				c.timers++
+			}
 			c.walk(v.Elem(), site)
 		}
 	case reflect.Struct:
@@ -103,7 +109,7 @@ func (c *funcCensus) machine(m *sim.Machine) {
 // every catalog app launched alone on 8 cores — and fails on a func value
 // outside censusAllowed: state a machine fork could not copy. Each allowed
 // site must also turn up, which shows the walk reaches the threads'
-// programs, the timer table and the hooks.
+// programs and the hooks, and so must armed timers in the timer table.
 func TestFuncCensus(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the census reads structure, which -race does not change; it costs 13 s there")
@@ -172,6 +178,10 @@ func TestFuncCensus(t *testing.T) {
 	if len(missing) > 0 {
 		t.Errorf("allowed sites the walk never met (it no longer reaches them): %v", missing)
 	}
+	if c.timers == 0 {
+		t.Errorf("the walk met no armed timer in %s (it no longer reaches them)", timerSite)
+	}
+	t.Logf("%d armed timers walked", c.timers)
 }
 
 func censusAllowedSite(site string) bool {

@@ -314,15 +314,15 @@ type trialFaults struct {
 
 // degradedState measures throughput inside the union of active fault
 // intervals: ops snapshots at every merged interval boundary, taken by
-// timer events on the machine's own queue, so the measurement is exactly
-// as deterministic as the run.
+// the state itself as a timer on the machine's own queue, so the
+// measurement is exactly as deterministic as the run.
 type degradedState struct {
 	startOps uint64
 	ops      uint64
 	seconds  float64
-	// openFrom is the start of an interval still active at the window
-	// edge (< 0 when none): Extract closes it, since a timer event at
-	// exactly the window end is not guaranteed to fire.
+	// openFrom is the start of the interval now open (< 0 when none). One
+	// still open at the window edge is closed by Extract, since a timer
+	// event at exactly the window end is not guaranteed to fire.
 	openFrom time.Duration
 	states   []*entryState
 }
@@ -370,21 +370,34 @@ func mergedIntervals(occs []fault.Occurrence, window time.Duration) [][2]time.Du
 }
 
 // arm schedules the boundary snapshots for every merged degraded interval.
+// Merged intervals neither overlap nor touch, so the boundaries alternate
+// start, end, start … and each Fire flips the state.
 func (d *degradedState) arm(m *sim.Machine, states []*entryState, occs []fault.Occurrence, window time.Duration) {
 	d.states = states
 	d.openFrom = -1
 	for _, in := range mergedIntervals(occs, window) {
-		start, end := in[0], in[1]
-		m.At(start, func() { d.startOps = totalOps(d.states) })
-		if end < window {
-			m.At(end, func() {
-				d.ops += totalOps(d.states) - d.startOps
-				d.seconds += (end - start).Seconds()
-			})
-		} else {
-			d.openFrom = start
+		m.At(in[0], d)
+		if in[1] < window {
+			m.At(in[1], d)
 		}
 	}
+}
+
+// Fire opens an interval at its start boundary and closes it at its end.
+func (d *degradedState) Fire(m *sim.Machine) {
+	if d.openFrom < 0 {
+		d.startOps = totalOps(d.states)
+		d.openFrom = m.Now()
+		return
+	}
+	d.shut(m.Now())
+}
+
+// shut closes the open interval at end.
+func (d *degradedState) shut(end time.Duration) {
+	d.ops += totalOps(d.states) - d.startOps
+	d.seconds += (end - d.openFrom).Seconds()
+	d.openFrom = -1
 }
 
 // close finishes an interval still open at the window edge and returns
@@ -392,9 +405,7 @@ func (d *degradedState) arm(m *sim.Machine, states []*entryState, occs []fault.O
 // no degraded time was accumulated (e.g. storm-only plans).
 func (d *degradedState) close(window time.Duration) (float64, bool) {
 	if d.openFrom >= 0 {
-		d.ops += totalOps(d.states) - d.startOps
-		d.seconds += (window - d.openFrom).Seconds()
-		d.openFrom = -1
+		d.shut(window)
 	}
 	if d.seconds <= 0 {
 		return 0, false
@@ -468,12 +479,12 @@ func (s *Spec) install(m *sim.Machine, ei, cores int, seed int64, trialName stri
 			// deterministic at any -jobs width, varied by -seed.
 			genSeed := runner.DeriveSeed(seed^core.BaseSeed(),
 				fmt.Sprintf("%s/%s#%d", trialName, st.label, inst), ei)
-			workload.OpenLoop{
+			(&workload.OpenLoop{
 				Q:       q,
 				Gen:     workload.NewArrivalGen(dist, mean, genSeed),
 				Service: ol.Service.D(), ServiceJitterPct: ol.ServiceJitterPct,
 				Start: st.startAt,
-			}.StartOn(m)
+			}).StartOn(m)
 		}
 	}
 	return st

@@ -22,7 +22,7 @@ func BenchmarkEngineEvents(b *testing.B) {
 	for i := 0; i < 12; i++ {
 		m.StartThread("w", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
 	}
-	m.Run(250 * time.Millisecond) // settle heap, runqueue, and callback capacity
+	m.Run(250 * time.Millisecond) // settle heap, runqueue, and timer table capacity
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := m.EventsProcessed()

@@ -35,6 +35,25 @@ type looper struct{ burst time.Duration }
 
 func (l *looper) Next(ctx *Ctx) Op { return Run(l.burst) }
 
+// fireFunc adapts a plain func to a Timer.
+type fireFunc func()
+
+func (f fireFunc) Fire(*Machine) { f() }
+
+// ticker re-arms itself every period until it has fired limit times, or
+// forever when limit is 0.
+type ticker struct {
+	period       time.Duration
+	fired, limit int
+}
+
+func (k *ticker) Fire(m *Machine) {
+	k.fired++
+	if k.limit == 0 || k.fired < k.limit {
+		m.At(m.Now()+k.period, k)
+	}
+}
+
 func newTestMachine(t *testing.T, tp *topo.Topology) *Machine {
 	t.Helper()
 	return NewMachine(tp, NewFIFO(), Options{Seed: 7, Cost: &CostModel{}})
@@ -103,7 +122,7 @@ func TestWakeOnTimedSleepCancelsTimer(t *testing.T) {
 		Sleep(time.Hour), // would sleep forever
 		Run(time.Millisecond),
 	}})
-	m.After(5*time.Millisecond, func() { m.Wake(sleeper) })
+	m.At(5*time.Millisecond, fireFunc(func() { m.Wake(sleeper) }))
 	m.Run(time.Second)
 	if sleeper.State() != StateDead {
 		t.Fatalf("sleeper state = %v, want dead (woken early)", sleeper.State())
@@ -384,14 +403,11 @@ func TestRunUntilPredicate(t *testing.T) {
 
 func TestEveryRepeatsUntilFalse(t *testing.T) {
 	m := newTestMachine(t, topo.SingleCore())
-	var fired int
-	m.Every(10*time.Millisecond, 10*time.Millisecond, func() bool {
-		fired++
-		return fired < 5
-	})
+	k := &ticker{period: 10 * time.Millisecond, limit: 5}
+	m.At(10*time.Millisecond, k)
 	m.Run(time.Second)
-	if fired != 5 {
-		t.Fatalf("fired %d times, want 5", fired)
+	if k.fired != 5 {
+		t.Fatalf("fired %d times, want 5", k.fired)
 	}
 }
 
@@ -409,23 +425,10 @@ func TestZeroOpGuardPanics(t *testing.T) {
 func TestWakeRunningIsNoop(t *testing.T) {
 	m := newTestMachine(t, topo.SingleCore())
 	th := m.StartThread("w", "app", 0, &script{ops: []Op{Run(10 * time.Millisecond)}})
-	m.After(time.Millisecond, func() { m.Wake(th) }) // running: no-op
+	m.At(time.Millisecond, fireFunc(func() { m.Wake(th) })) // running: no-op
 	m.Run(time.Second)
 	if th.RunTime != 10*time.Millisecond {
 		t.Fatalf("RunTime = %v", th.RunTime)
-	}
-}
-
-func TestExitQueueBroadcastsJoiners(t *testing.T) {
-	m := newTestMachine(t, topo.MustNew(topo.Config{NUMANodes: 1, LLCsPerNode: 1, CoresPerLLC: 2}))
-	worker := m.StartThread("worker", "app", 0, &script{ops: []Op{Run(10 * time.Millisecond)}})
-	joiner := m.StartThread("joiner", "app", 0, &script{ops: []Op{Block(worker.ExitQueue()), Run(time.Millisecond)}})
-	m.Run(time.Second)
-	if joiner.State() != StateDead {
-		t.Fatalf("joiner state = %v, want dead after join", joiner.State())
-	}
-	if joiner.SleepTime < 9*time.Millisecond {
-		t.Fatalf("joiner SleepTime = %v", joiner.SleepTime)
 	}
 }
 
@@ -616,18 +619,25 @@ func TestIdleMachineTicksEveryCore(t *testing.T) {
 }
 
 // TestHotTimerPathsAllocFree drives the burst-end / tick / sleep-wake paths
-// on a warmed machine and asserts the steady state allocates nothing.
+// and a self-re-arming Timer on a warmed machine and asserts the steady
+// state allocates nothing.
 func TestHotTimerPathsAllocFree(t *testing.T) {
 	m := NewMachine(topo.Small(), NewFIFO(), Options{Seed: 5})
 	for i := 0; i < 12; i++ {
 		m.StartThread("w", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
 	}
-	m.Run(250 * time.Millisecond) // settle heap, runqueue, and callback capacity
+	k := &ticker{period: 300 * time.Microsecond}
+	m.At(0, k)
+	m.Run(250 * time.Millisecond) // settle heap, runqueue, and timer table capacity
+	before := k.fired
 	avg := testing.AllocsPerRun(20, func() {
 		m.Run(m.Now() + 5*time.Millisecond)
 	})
 	if avg != 0 {
 		t.Fatalf("hot timer paths allocated %.1f allocs per 5ms window, want 0", avg)
+	}
+	if k.fired-before < 21*16 {
+		t.Fatalf("the re-arming timer fired %d times in 21 windows, want >= %d", k.fired-before, 21*16)
 	}
 }
 

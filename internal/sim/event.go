@@ -8,14 +8,13 @@ import (
 // eventKind tags a typed timer event. The hot timer paths — scheduler
 // ticks, burst ends, timed sleep wake-ups — are fully described by
 // (kind, target, token) and stored inline in the event queue, so arming
-// them allocates nothing. Closures survive only in the rare generic kind
-// (workload/driver callbacks) and in the per-Every periodic state, which is
-// allocated once per registration and reused across firings.
+// them allocates nothing. Every other timer is a Timer value armed with
+// Machine.At: the event names its slot in the machine's timer table.
 type eventKind uint8
 
 const (
-	// evGeneric runs an arbitrary callback (Machine.At / Machine.After).
-	evGeneric eventKind = iota
+	// evTimer fires the Timer in slot id of Machine.timers.
+	evTimer eventKind = iota
 	// evTick is a per-core scheduler tick. Ticks stand in the rotor
 	// (rotor.go), never in the queue: Machine.nextEvent builds the event
 	// when the rotor's head is due.
@@ -29,27 +28,13 @@ const (
 	// evSleepWake ends a timed OpSleep; token is validated against
 	// Machine.sleepTok[tid-1].
 	evSleepWake
-	// evPeriodic re-fires a Machine.Every callback until it returns false.
-	evPeriodic
 )
-
-// callback is the side-table slot of a generic or periodic event: closures
-// live here, referenced from queued events by handle, keeping the queue
-// elements pointer-free (no GC write barriers on copies). Slots are free-listed:
-// a generic slot is released when it fires, a periodic one when its fn
-// returns false, so steady-state timer traffic allocates nothing.
-type callback struct {
-	fn     func()      // generic
-	pfn    func() bool // periodic
-	period time.Duration
-	next   int32 // freelist link while the slot is free
-}
 
 // event is one scheduled occurrence. Ordering is (at, seq): equal-time
 // events fire in scheduling order, making the simulation fully
 // deterministic. The struct carries no pointers: targets are dense IDs
-// (cores, threads) or callback handles, validated by token where an
-// in-flight event can be superseded.
+// (cores, threads) or timer slots, validated by token where an in-flight
+// event can be superseded.
 type event struct {
 	at    time.Duration
 	seq   uint64
@@ -58,7 +43,7 @@ type event struct {
 	// on OnlineCore consults it to reproduce never-offline same-timestamp
 	// ordering (see Core.nextGridTick).
 	armed time.Duration
-	id    int32 // core ID (tick, burstEnd) or callback handle (generic, periodic)
+	id    int32 // core ID (tick, burstEnd) or timer slot (timer)
 	tid   int32 // thread ID (burstEnd, sleepWake)
 	kind  eventKind
 }
@@ -100,8 +85,8 @@ func (h *eventHeap) push(e event) {
 // pop removes the minimum, sifting the displaced tail element down through
 // a hole. The vacated tail slot is zeroed so it cannot leak a stale event:
 // heap elements are pointer-free, but the invariant keeps the leak fixed if
-// a reference-carrying field is ever added back (closures themselves are
-// released by Machine.freeCallback when their slot retires).
+// a reference-carrying field is ever added back (a Timer itself is
+// released from Machine.timers when its event fires).
 func (h *eventHeap) pop() event {
 	top := h.es[0]
 	last := len(h.es) - 1

@@ -57,10 +57,11 @@ type Machine struct {
 	ticks    []tickEntry
 	tickHead int
 
-	// cbs is the side table of generic/periodic callbacks, referenced from
-	// heap events by handle; cbFree heads its freelist (-1 = empty).
-	cbs    []callback
-	cbFree int32
+	// timers is the table of armed Timers, referenced from queued events
+	// by slot so the queue stays pointer-free; timerFree stacks the free
+	// slots. A slot is cleared when its event fires.
+	timers    []Timer
+	timerFree []int32
 
 	// tickPeriod caches the scheduler's tick period.
 	tickPeriod time.Duration
@@ -150,7 +151,6 @@ func NewMachine(tp *topo.Topology, sched Scheduler, opts Options) *Machine {
 		sched:    sched,
 		rng:      newRand(opts.Seed),
 		nextTID:  1,
-		cbFree:   -1,
 	}
 	m.useHeap = forceEventHeap.Load()
 	// One contiguous allocation backs every core plus the dense token
@@ -209,46 +209,29 @@ func (m *Machine) push(e event) {
 	m.wheel.push(e)
 }
 
-// newCallback takes a free callback slot, growing the side table only when
-// the freelist is empty.
-func (m *Machine) newCallback() int32 {
-	if i := m.cbFree; i >= 0 {
-		m.cbFree = m.cbs[i].next
-		m.cbs[i].next = -1
-		return i
+// Timer is a one-shot timer event armed with Machine.At. Fire runs in
+// timer context at the armed instant; a periodic timer re-arms itself with
+// m.At(m.Now()+period, t) as the last thing it schedules, so that it keeps
+// the event order a fixed period gives. Implementations are pointers or
+// one-pointer structs, so arming one allocates nothing.
+type Timer interface {
+	Fire(m *Machine)
+}
+
+// At arms t to fire at absolute simulated time at (clamped to now). Its
+// slot comes off the free stack, so steady-state re-arming allocates
+// nothing once the table has grown.
+func (m *Machine) At(at time.Duration, t Timer) {
+	var h int32
+	if n := len(m.timerFree) - 1; n >= 0 {
+		h = m.timerFree[n]
+		m.timerFree = m.timerFree[:n]
+		m.timers[h] = t
+	} else {
+		h = int32(len(m.timers))
+		m.timers = append(m.timers, t)
 	}
-	m.cbs = append(m.cbs, callback{next: -1})
-	return int32(len(m.cbs) - 1)
-}
-
-// freeCallback clears the slot — releasing the captured closure — and
-// returns it to the freelist.
-func (m *Machine) freeCallback(i int32) {
-	m.cbs[i] = callback{next: m.cbFree}
-	m.cbFree = i
-}
-
-// At schedules fn at absolute simulated time at (clamped to now).
-func (m *Machine) At(at time.Duration, fn func()) {
-	h := m.newCallback()
-	m.cbs[h].fn = fn
-	m.schedule(event{at: at, kind: evGeneric, id: h})
-}
-
-// After schedules fn d from now.
-func (m *Machine) After(d time.Duration, fn func()) { m.At(m.now+d, fn) }
-
-// Every schedules fn at start and then every period while fn returns true.
-// The registration occupies one callback slot for its whole lifetime;
-// re-arming is allocation-free.
-func (m *Machine) Every(start, period time.Duration, fn func() bool) {
-	if period <= 0 {
-		panic("sim: Every with non-positive period")
-	}
-	h := m.newCallback()
-	m.cbs[h].pfn = fn
-	m.cbs[h].period = period
-	m.schedule(event{at: start, kind: evPeriodic, id: h})
+	m.schedule(event{at: at, kind: evTimer, id: h})
 }
 
 // fire dispatches one popped event to its handler.
@@ -281,18 +264,11 @@ func (m *Machine) fire(e *event) {
 		if t := m.threads[e.tid-1]; t.state == StateSleeping {
 			m.Wake(t)
 		}
-	case evPeriodic:
-		// Index the side table afresh around the call: the callback may
-		// register new timers and grow it.
-		if m.cbs[e.id].pfn() {
-			m.schedule(event{at: m.now + m.cbs[e.id].period, kind: evPeriodic, id: e.id})
-		} else {
-			m.freeCallback(e.id)
-		}
 	default:
-		fn := m.cbs[e.id].fn
-		m.freeCallback(e.id)
-		fn()
+		t := m.timers[e.id]
+		m.timers[e.id] = nil
+		m.timerFree = append(m.timerFree, e.id)
+		t.Fire(m)
 	}
 }
 
@@ -918,11 +894,6 @@ func (m *Machine) exitCurrent(c *Core, t *Thread) {
 	m.live--
 	m.sched.Exit(t)
 	m.Counts.Exits++
-	if x := t.extra; x != nil && x.exitWQ != nil {
-		m.Broadcast(x.exitWQ)
-	}
-	// The exit broadcast may already have refilled the core (a joiner was
-	// placed here and dispatched); only dispatch if still empty.
 	if c.Curr == nil {
 		m.dispatch(c)
 	}

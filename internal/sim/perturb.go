@@ -8,8 +8,8 @@ import (
 // This file holds the engine-level perturbation primitives the fault
 // layer (internal/fault) drives: CPU hotplug, per-core frequency
 // scaling, and the wall-clock trial watchdog. All of them are ordinary
-// simulation-goroutine calls — typically invoked from Machine.At
-// callbacks — and are fully deterministic except the watchdog, which
+// simulation-goroutine calls — typically invoked from a Timer armed
+// with Machine.At — and are fully deterministic except the watchdog, which
 // reads the host clock and exists precisely to turn nondeterministic
 // hangs into clean per-trial failures.
 

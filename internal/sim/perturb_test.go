@@ -135,11 +135,11 @@ func TestOfflineMidBurstStrandsNothing(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			m.StartThread("bg", "app", 0, &looper{burst: 2 * time.Millisecond})
 		}
-		m.At(10*time.Millisecond, func() { // mid-burst, burst-end pending at 50ms
+		m.At(10*time.Millisecond, fireFunc(func() { // mid-burst, burst-end pending at 50ms
 			if !m.OfflineCore(1) {
 				t.Error("OfflineCore(1) refused")
 			}
-		})
+		}))
 		m.Run(300 * time.Millisecond)
 		return m.EventsProcessed(), th.RunTime, th.State() == StateDead
 	}
@@ -212,7 +212,7 @@ func TestThrottleStretchesBursts(t *testing.T) {
 func TestThrottleMidBurstReArms(t *testing.T) {
 	m := newTestMachine(t, topo.SingleCore())
 	th := m.StartThread("w", "app", 0, &script{ops: []Op{Run(10 * time.Millisecond)}})
-	m.At(5*time.Millisecond, func() { m.SetCoreSpeed(0, 0.25) })
+	m.At(5*time.Millisecond, fireFunc(func() { m.SetCoreSpeed(0, 0.25) }))
 	m.RunUntil(func() bool { return th.State() == StateDead }, time.Second)
 	// 5ms at full speed + 5ms of work at quarter speed = 5 + 20 = 25ms.
 	if got, want := m.Now(), 25*time.Millisecond; got != want {

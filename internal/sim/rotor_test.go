@@ -39,7 +39,7 @@ type popRec struct {
 }
 
 // popLog records, in pop order, every event a test can see fire: ticks
-// (through the tick hook) and the test's own generic events.
+// (through the tick hook) and the test's own Timer events.
 type popLog struct {
 	t    *testing.T
 	m    *Machine
@@ -103,14 +103,14 @@ func TestRotorHeadIsArgmin(t *testing.T) {
 				id := rng.Intn(n)
 				off := time.Duration(rng.Int63n(int64(span)))
 				on := off + time.Duration(rng.Int63n(int64(2*period)))
-				m.At(off, func() {
+				m.At(off, fireFunc(func() {
 					log.note(fmt.Sprintf("offline %d: %v", id, m.OfflineCore(id)))
 					checkRotor(t, m, "offline")
-				})
-				m.At(on, func() {
+				}))
+				m.At(on, fireFunc(func() {
 					log.note(fmt.Sprintf("online %d: %v", id, m.OnlineCore(id)))
 					checkRotor(t, m, "online")
-				})
+				}))
 			}
 			for m.Now() < span+2*period {
 				m.Run(m.Now() + 1 + time.Duration(rng.Int63n(int64(period*3/2))))
@@ -156,17 +156,17 @@ func TestRotorEvictedStaleTick(t *testing.T) {
 		m.OnTick(func(c *Core) { log.note(fmt.Sprintf("tick core %d", c.ID)) })
 		// One far event: once the near ones are gone the wheel's cursor
 		// jumps to it, ahead of the clock, while the rotor keeps ticking.
-		m.At(20*ms, func() { log.note("far") })
+		m.At(20*ms, fireFunc(func() { log.note("far") }))
 		m.Run(2 * ms)
 		// Core 1's grid is 1.5, 2.5, 3.5 ms …; its 3.5 ms tick is armed at
 		// 2.5. Offline at 2.6 makes it stale; a marker for 3.5 ms stamped
 		// at 2.6 sorts after it; online at 2.8 re-arms for 3.5 ms and has
 		// to evict it.
-		m.At(2600*us, func() {
+		m.At(2600*us, fireFunc(func() {
 			log.note(fmt.Sprintf("offline: %v", m.OfflineCore(1)))
-			m.At(3500*us, func() { log.note("marker") })
-		})
-		m.At(2800*us, func() {
+			m.At(3500*us, fireFunc(func() { log.note("marker") }))
+		}))
+		m.At(2800*us, fireFunc(func() {
 			stale := m.ticks[1]
 			log.note(fmt.Sprintf("online: %v", m.OnlineCore(1)))
 			if e := m.ticks[1]; stale.state != tickStale || e.state != tickLive || e.at != stale.at || e.seq <= stale.seq {
@@ -182,9 +182,9 @@ func TestRotorEvictedStaleTick(t *testing.T) {
 					t.Fatalf("live batch after the eviction: %+v", live)
 				}
 			}
-		})
+		}))
 		m.Run(5 * ms)
-		// Ticks: core 0 at 1..5 ms, core 1 at 1.5..4.5 ms; three generic
+		// Ticks: core 0 at 1..5 ms, core 1 at 1.5..4.5 ms; three Timer
 		// events; the stale tick's no-op pop.
 		if got, want := m.EventsProcessed(), uint64(5+4+3+1); got != want {
 			t.Fatalf("heap=%v: %d events processed, want %d", heap, got, want)

@@ -29,8 +29,8 @@ type Scheduler interface {
 	Name() string
 
 	// Attach binds the scheduler to a machine; called exactly once, before
-	// any other method. The scheduler may install timers via
-	// machine.After/Every (ULE's core-0 balancer does).
+	// any other method. The scheduler may arm timers with Machine.At
+	// (ULE's core-0 balancer does).
 	Attach(m *Machine)
 
 	// TickPeriod is the interval between scheduler ticks on each core

@@ -84,8 +84,8 @@ type Thread struct {
 	// ULE td_sched).
 	SchedData any
 
-	// extra holds the rarely set fields (affinity, exit queue);
-	// nil until one of them is set, so most threads pay one pointer.
+	// extra holds the rarely set fields (affinity); nil until one of
+	// them is set, so most threads pay one pointer.
 	extra *threadExtra
 
 	// state, the current op's kind and flags, and the zero-time op count
@@ -121,17 +121,6 @@ type threadExtra struct {
 	// pinned restricts the thread to the given core IDs; nil means any
 	// core. Models taskset/pthread affinity (the Figure 6 pin/unpin).
 	pinned []int
-	// exitWQ is broadcast when the thread exits, supporting joins; it is
-	// created by the first ExitQueue call, so a thread nobody joins has none.
-	exitWQ *WaitQueue
-}
-
-// ext returns t's side record, creating it on first use.
-func (t *Thread) ext() *threadExtra {
-	if t.extra == nil {
-		t.extra = &threadExtra{}
-	}
-	return t.extra
 }
 
 // Pinned returns the core IDs the thread is restricted to; nil means any
@@ -147,20 +136,13 @@ func (t *Thread) Pinned() []int {
 // setPinned replaces t's affinity, creating the side record only for a
 // non-nil set.
 func (t *Thread) setPinned(cores []int) {
-	if cores == nil && t.extra == nil {
-		return
+	if t.extra == nil {
+		if cores == nil {
+			return
+		}
+		t.extra = &threadExtra{}
 	}
-	t.ext().pinned = cores
-}
-
-// ExitQueue returns the wait queue broadcast when t exits; block on it to
-// join t.
-func (t *Thread) ExitQueue() *WaitQueue {
-	x := t.ext()
-	if x.exitWQ == nil {
-		x.exitWQ = NewWaitQueue()
-	}
-	return x.exitWQ
+	t.extra.pinned = cores
 }
 
 // State returns the thread's lifecycle state.

@@ -11,12 +11,16 @@ import (
 // (the duration of the period is chosen randomly). The periodic load
 // balancing is performed only by core 0."
 func (s *Sched) armBalancer() {
-	var fire func()
-	fire = func() {
-		s.balance()
-		s.m.After(s.m.Rand().DurationIn(s.P.BalanceMin, s.P.BalanceMax), fire)
-	}
-	s.m.After(s.m.Rand().DurationIn(s.P.BalanceMin, s.P.BalanceMax), fire)
+	s.m.At(s.m.Now()+s.m.Rand().DurationIn(s.P.BalanceMin, s.P.BalanceMax), balancer{s})
+}
+
+// balancer is the periodic balancer's timer: it balances, then draws the
+// next period.
+type balancer struct{ s *Sched }
+
+func (b balancer) Fire(*sim.Machine) {
+	b.s.balance()
+	b.s.armBalancer()
 }
 
 // balance is sched_balance as the paper describes it: repeatedly pair the

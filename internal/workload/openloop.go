@@ -120,28 +120,29 @@ func (ol *OpenLoop) Next(ctx *sim.Ctx) sim.Op {
 	return sim.Sleep(time.Hour)
 }
 
-// StartOn arms the injection timer chain on m. Arrivals fire from timer
-// context — no injector thread occupies a core, so the offered load is
-// independent of scheduling, the defining property of an open-loop source.
-// The chain reuses one callback closure; per-arrival scheduling is
-// allocation-free apart from the engine's free-listed timer slot.
-func (ol OpenLoop) StartOn(m *sim.Machine) {
+// StartOn arms the injection timer chain on m: the stream is its own
+// sim.Timer, re-armed once per arrival. Arrivals fire from timer context —
+// no injector thread occupies a core, so the offered load is independent
+// of scheduling, the defining property of an open-loop source. Scheduling
+// an arrival allocates nothing beyond the engine's free-listed timer slot.
+func (ol *OpenLoop) StartOn(m *sim.Machine) {
 	if ol.Q == nil || ol.Gen == nil {
 		panic("workload: OpenLoop needs Q and Gen")
 	}
 	if ol.Service <= 0 {
 		panic("workload: OpenLoop needs a positive Service time")
 	}
-	var fire func()
-	fire = func() {
-		ol.Q.Push(m, ol.service())
-		m.After(ol.Gen.Next(), fire)
-	}
-	m.At(ol.Start+ol.Gen.Next(), fire)
+	m.At(ol.Start+ol.Gen.Next(), ol)
+}
+
+// Fire implements sim.Timer: one arrival, then the next one armed.
+func (ol *OpenLoop) Fire(m *sim.Machine) {
+	ol.Q.Push(m, ol.service())
+	m.At(m.Now()+ol.Gen.Next(), ol)
 }
 
 // service returns the next per-request CPU demand.
-func (ol OpenLoop) service() time.Duration {
+func (ol *OpenLoop) service() time.Duration {
 	if ol.ServiceJitterPct <= 0 {
 		return ol.Service
 	}

@@ -90,11 +90,11 @@ func TestOpenLoopOfferedLoadIndependentOfService(t *testing.T) {
 	for _, service := range []time.Duration{50 * time.Microsecond, 5 * time.Millisecond} {
 		m := newMachine(1)
 		q := ipc.NewReqQueue()
-		OpenLoop{
+		(&OpenLoop{
 			Q:       q,
 			Gen:     NewArrivalGen(Periodic, time.Millisecond, 1),
 			Service: service,
-		}.StartOn(m)
+		}).StartOn(m)
 		srv := &ServerWorker{Q: q}
 		m.StartThread("srv", "srv", 0, srv)
 		m.Run(100 * time.Millisecond)
@@ -122,11 +122,11 @@ func TestOpenLoopLatencyGrowsWhenOverloaded(t *testing.T) {
 	m := newMachine(1)
 	q := ipc.NewReqQueue()
 	// Offered load 2× one core: queueing delay must dominate service time.
-	OpenLoop{
+	(&OpenLoop{
 		Q:       q,
 		Gen:     NewArrivalGen(Periodic, time.Millisecond, 1),
 		Service: 2 * time.Millisecond,
-	}.StartOn(m)
+	}).StartOn(m)
 	m.StartThread("srv", "srv", 0, &ServerWorker{Q: q})
 	m.Run(200 * time.Millisecond)
 	if q.Completed < 50 {
@@ -140,12 +140,12 @@ func TestOpenLoopLatencyGrowsWhenOverloaded(t *testing.T) {
 func TestOpenLoopStartDelaysFirstArrival(t *testing.T) {
 	m := newMachine(1)
 	q := ipc.NewReqQueue()
-	OpenLoop{
+	(&OpenLoop{
 		Q:       q,
 		Gen:     NewArrivalGen(Periodic, time.Millisecond, 1),
 		Service: 10 * time.Microsecond,
 		Start:   50 * time.Millisecond,
-	}.StartOn(m)
+	}).StartOn(m)
 	m.StartThread("srv", "srv", 0, &ServerWorker{Q: q})
 	m.Run(49 * time.Millisecond)
 	if q.Completed != 0 || q.Depth() != 0 {
@@ -161,11 +161,11 @@ func TestOpenLoopServiceJitterStaysDeterministic(t *testing.T) {
 	run := func() uint64 {
 		m := newMachine(2)
 		q := ipc.NewReqQueue()
-		OpenLoop{
+		(&OpenLoop{
 			Q:       q,
 			Gen:     NewArrivalGen(Poisson, 500*time.Microsecond, 11),
 			Service: 300 * time.Microsecond, ServiceJitterPct: 30,
-		}.StartOn(m)
+		}).StartOn(m)
 		for i := 0; i < 4; i++ {
 			m.StartThread("srv", "srv", 0, &ServerWorker{Q: q})
 		}

@@ -198,8 +198,6 @@ type ServerWorker struct {
 	// Think later as a new one of Service, until Tally is done.
 	Think, Service time.Duration
 
-	// send is the connection's request, one closure for its lifetime.
-	send           func()
 	req            ipc.Request
 	state          int // 0 idle, 1 served (maybe lock), 2 locked crit done
 	hasReq, wantMu bool
@@ -251,16 +249,17 @@ func (w *ServerWorker) complete(ctx *sim.Ctx) {
 }
 
 // Send has the worker's connection push a request d from now, unless Tally
-// is done by then; a closed loop's first request is sent this way.
+// is done by then; a closed loop's first request is sent this way. The
+// worker is its own timer, so a send allocates nothing.
 func (w *ServerWorker) Send(m *sim.Machine, d time.Duration) {
-	if w.send == nil {
-		w.send = func() {
-			if !w.Tally.Done() {
-				w.Q.Push(m, w.Service)
-			}
-		}
+	m.At(m.Now()+d, w)
+}
+
+// Fire implements sim.Timer: the connection's request arrives.
+func (w *ServerWorker) Fire(m *sim.Machine) {
+	if !w.Tally.Done() {
+		w.Q.Push(m, w.Service)
 	}
-	m.After(d, w.send)
 }
 
 // BatchClient is the ab load injector: send a window of requests

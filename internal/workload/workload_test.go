@@ -14,6 +14,11 @@ func newMachine(cores int) *sim.Machine {
 	return sim.NewMachine(tp, sim.NewFIFO(), sim.Options{Seed: 5, Cost: &sim.CostModel{}})
 }
 
+// fireFunc adapts a plain func to a sim.Timer.
+type fireFunc func()
+
+func (f fireFunc) Fire(*sim.Machine) { f() }
+
 func TestLoopCountsOps(t *testing.T) {
 	m := newMachine(1)
 	var tally Tally
@@ -72,11 +77,15 @@ func TestServerWorkerWithLock(t *testing.T) {
 		})
 	}
 	n := 0
-	m.Every(time.Millisecond, time.Millisecond, func() bool {
+	var inject fireFunc
+	inject = func() {
 		n++
 		q.Push(m, 500*time.Microsecond)
-		return n < 100
-	})
+		if n < 100 {
+			m.At(m.Now()+time.Millisecond, inject)
+		}
+	}
+	m.At(time.Millisecond, inject)
 	m.Run(5 * time.Second)
 	if done := tally.Ops(); done != 100 {
 		t.Fatalf("served %d/100", done)
@@ -169,7 +178,7 @@ func TestCascadeChain(t *testing.T) {
 		m.StartThread("cw", "cray", 0, &workers[i])
 	}
 	// Kick the first worker (flag before broadcast: level-triggered).
-	m.After(10*time.Millisecond, func() { workers[0].Release(m) })
+	m.At(10*time.Millisecond, fireFunc(func() { workers[0].Release(m) }))
 	m.Run(time.Second)
 	// A released worker renders chunks; one never released reports none.
 	awake := 0
