@@ -68,7 +68,7 @@ func joinMarkdown(reports []*battle.Report) string {
 // -baseline when set.
 func battleMode(fs *flag.FlagSet) func() int {
 	arg := fs.String("battle", "", "battle scenarios (comma-separated `names`/paths, or \"all\"): multi-seed replication, CIs, win/loss/tie matrix")
-	tf := declareTrialFlags(fs, false)
+	tf := declareTrialFlags(fs, false).declareCacheFlags(fs)
 	reps := fs.Int("replications", 5, "seed-replication count per scheduler")
 	mdPath := fs.String("md", "", "write the markdown battle matrix to this file (default: stdout)")
 	baselinePath := fs.String("baseline", "", "write a baseline snapshot here, for -check to gate against")
@@ -141,7 +141,7 @@ func battleMode(fs *flag.FlagSet) func() int {
 // when set, so CI can upload it as an artifact either way.
 func checkMode(fs *flag.FlagSet) func() int {
 	fs.Bool("check", false, "re-run the -baseline file's scenarios and exit non-zero on significant regressions")
-	tf := declareTrialFlags(fs, true)
+	tf := declareTrialFlags(fs, true).declareCacheFlags(fs)
 	baselinePath := fs.String("baseline", "", "the baseline to gate against (written by -battle -baseline)")
 	mdPath := fs.String("md", "", "write the fresh markdown battle matrix to this file (\"-\" = stderr; default: none)")
 	return tf.run(func() (int, error) {

@@ -112,6 +112,7 @@ type trialFlags struct {
 	out, cacheDir       string
 	jobs                int
 	trialTimeout        time.Duration
+	cached              bool
 	noCache, cacheStats bool
 }
 
@@ -127,6 +128,14 @@ func declareTrialFlags(fs *flag.FlagSet, replay bool) *trialFlags {
 	}
 	fs.IntVar(&f.jobs, "jobs", runtime.GOMAXPROCS(0), "trial-grid worker pool width")
 	fs.DurationVar(&f.trialTimeout, "trial-timeout", 0, "per-trial wall-clock watchdog (0 = off): a stuck trial fails itself instead of wedging the grid")
+	return f
+}
+
+// declareCacheFlags declares the trial-result cache flags on fs, for the
+// modes whose trials carry a cache key (-scenario, -battle, -check). The
+// paper drivers' trials carry none, so -run and -all leave them out.
+func (f *trialFlags) declareCacheFlags(fs *flag.FlagSet) *trialFlags {
+	f.cached = true
 	fs.StringVar(&f.cacheDir, "cache", "", "persist the trial-result cache in this directory: re-runs of identical trials load stored results instead of simulating")
 	fs.BoolVar(&f.noCache, "no-cache", false, "disable trial-result memoization (in-grid dedup of identical cells stays)")
 	fs.BoolVar(&f.cacheStats, "cache-stats", false, "print trial-cache hit/miss statistics to stderr when the run finishes")
@@ -147,25 +156,27 @@ func (f *trialFlags) run(body func() (status int, err error)) func() int {
 		core.SetBaseSeed(f.seed)
 		core.SetTrialTimeout(f.trialTimeout)
 
-		// Trial-result memoization is on by default (in-memory; -cache adds
-		// the persistent layer). One process-wide cache is shared by every
-		// scenario, battle replication, and -check re-run, so repeated cells
-		// simulate once. Cached and fresh results are byte-identical by
-		// construction — tests pin it — so this cannot change any output,
-		// only how fast it appears.
+		// In the modes that cache, trial-result memoization is on by
+		// default (in-memory; -cache adds the persistent layer). One
+		// process-wide cache is shared by every scenario, battle
+		// replication, and -check re-run, so repeated cells simulate once.
+		// Cached and fresh results are byte-identical by construction —
+		// tests pin it — so this cannot change any output, only how fast
+		// it appears.
+		var c *memo.Cache
 		if f.noCache {
 			if f.cacheDir != "" {
 				fmt.Fprintln(os.Stderr, "schedbattle: -cache and -no-cache are mutually exclusive")
 				return 2
 			}
-		} else {
-			c, err := memo.New(f.cacheDir)
-			if err != nil {
+		} else if f.cached {
+			var err error
+			if c, err = memo.New(f.cacheDir); err != nil {
 				fmt.Fprintf(os.Stderr, "schedbattle: opening cache %s: %v\n", f.cacheDir, err)
 				return 2
 			}
-			core.SetTrialCache(c)
 		}
+		core.SetTrialCache(c)
 
 		status, err := body()
 		if f.cacheStats {

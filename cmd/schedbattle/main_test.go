@@ -36,6 +36,8 @@ func TestModesEndToEnd(t *testing.T) {
 		{"timehist", []string{"-scenario", "web-tail", "-scale", "0.02", "-timehist", "-out", filepath.Join(dir, "r.json")}, 0, "", "web-0-w1", filepath.Join(dir, "r.json")},
 		{"run-trace", []string{"-run", "fig2", "-scale", "0.02", "-trace", in("d")}, 2, "", "not defined: -trace\n", ""},
 		{"all-trace", []string{"-all", "-trace", in("d")}, 2, "", "not defined: -trace\n", ""},
+		{"all-cache", []string{"-all", "-cache", in("c")}, 2, "", "not defined: -cache\n", ""},
+		{"run-no-cache", []string{"-run", "fig2", "-scale", "0.02", "-no-cache"}, 2, "", "not defined: -no-cache\n", ""},
 		{"run-md", []string{"-run", "fig2", "-scale", "0.02", "-md", in("m.md")}, 2, "", "not defined: -md\n", ""},
 		{"check-scale", []string{"-check", "-baseline", baseline, "-scale", "0.5"}, 2, "", "not defined: -scale\n", ""},
 		{"check-seed", []string{"-check", "-baseline", baseline, "-seed", "7"}, 2, "", "not defined: -seed\n", ""},

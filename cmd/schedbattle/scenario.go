@@ -19,7 +19,7 @@ import (
 // scenarioMode is -scenario <spec>: one scenario with its exports.
 func scenarioMode(fs *flag.FlagSet) func() int {
 	spec := fs.String("scenario", "", "run a scenario: bundled name or path to a .json `spec`")
-	tf := declareTrialFlags(fs, false)
+	tf := declareTrialFlags(fs, false).declareCacheFlags(fs)
 	var o scenarioOutputs
 	fs.StringVar(&o.series, "series", "", "path for the probe-series CSV export")
 	fs.StringVar(&o.traceDir, "trace", "", "directory for per-trial dtrace/v1 decision-trace files (enables tracing even when the spec has no trace block)")

@@ -16,18 +16,18 @@ import (
 // the 8-rank apps cost 9 more, c-ray 512 more. hackb-800 is left out: it is
 // hackb-10 with 80 times the threads, 0.6 s a launch.
 var launchAllocs = map[string]uint64{
-	"build-apache": 313, "build-php": 279, "7zip": 137, "gzip": 77,
-	"c-ray": 647, "dcraw": 60, "himeno": 61, "hmmer": 61,
-	"scimark2-(1)": 82, "scimark2-(2)": 83, "scimark2-(3)": 82,
-	"scimark2-(4)": 82, "scimark2-(5)": 82, "scimark2-(6)": 83,
-	"john-(1)": 118, "john-(2)": 118, "john-(3)": 118,
-	"apache": 539, "sysbench": 822, "rocksdb": 426,
-	"BT": 131, "CG": 132, "DC": 134, "EP": 118, "FT": 128,
-	"IS": 126, "LU": 132, "MG": 128, "SP": 130, "UA": 126,
-	"blackscholes": 131, "bodytrack": 133, "canneal": 123, "facesim": 131,
-	"ferret": 177, "fluidanimate": 132, "freqmine": 118, "raytrace": 118,
-	"streamcluster": 128, "swaptions": 118, "vips": 135, "x264": 135,
-	"hackb-10": 3928,
+	"build-apache": 311, "build-php": 277, "7zip": 135, "gzip": 76,
+	"c-ray": 645, "dcraw": 59, "himeno": 59, "hmmer": 59,
+	"scimark2-(1)": 80, "scimark2-(2)": 81, "scimark2-(3)": 80,
+	"scimark2-(4)": 80, "scimark2-(5)": 80, "scimark2-(6)": 81,
+	"john-(1)": 116, "john-(2)": 116, "john-(3)": 116,
+	"apache": 539, "sysbench": 820, "rocksdb": 425,
+	"BT": 129, "CG": 130, "DC": 132, "EP": 116, "FT": 126,
+	"IS": 124, "LU": 130, "MG": 126, "SP": 128, "UA": 124,
+	"blackscholes": 129, "bodytrack": 131, "canneal": 121, "facesim": 129,
+	"ferret": 175, "fluidanimate": 130, "freqmine": 116, "raytrace": 116,
+	"streamcluster": 126, "swaptions": 116, "vips": 133, "x264": 133,
+	"hackb-10": 3926,
 }
 
 // launchAllocSlack absorbs what the runtime allocates on the side, such as

@@ -81,6 +81,11 @@ func TestEveryAppMakesProgress(t *testing.T) {
 	}
 }
 
+// TestOpenLoopWebServesAndRecordsLatency also pins openweb's default-seed
+// stream exactly: no bundled scenario, experiment or bench workload
+// launches openweb, so no digest would see its seed draw move. The second
+// run starts kernel noise, which draws the machine's PRNG before the fork,
+// so a seed drawn at any other instant than the fork changes its figures.
 func TestOpenLoopWebServesAndRecordsLatency(t *testing.T) {
 	m := cfsMachine(topo.Small(), 3)
 	in := OpenLoopWeb(OpenLoopConfig{Rate: 2000}).New(m, Env{Cores: 8})
@@ -95,6 +100,25 @@ func TestOpenLoopWebServesAndRecordsLatency(t *testing.T) {
 	// must complete most of it.
 	if in.Ops() < 4000 {
 		t.Fatalf("openweb completed %d requests, want ≥4000", in.Ops())
+	}
+
+	type figures struct {
+		ops, samples uint64
+		p99          time.Duration
+		events       uint64
+	}
+	got := func(m *sim.Machine, in *Instance) figures {
+		return figures{in.Ops(), in.Latency.Count(), in.Latency.Quantile(0.99), m.EventsProcessed()}
+	}
+	if g, want := got(m, in), (figures{6105, 6105, 291529, 52569}); g != want {
+		t.Errorf("quiet machine: %+v, want %+v", g, want)
+	}
+	m = cfsMachine(topo.Small(), 3)
+	StartKernelNoise(m, 15*time.Millisecond, 300*time.Microsecond)
+	in = OpenLoopWeb(OpenLoopConfig{Rate: 2000}).New(m, Env{Cores: 8})
+	m.Run(ShellWarmup + 3*time.Second)
+	if g, want := got(m, in), (figures{6137, 6137, 824571, 56775}); g != want {
+		t.Errorf("with kernel noise: %+v, want %+v", g, want)
 	}
 }
 

@@ -54,6 +54,10 @@ type Instance struct {
 
 	m         *sim.Machine
 	startedAt time.Duration
+	// arrivals, if set, is an arrival generator built before its seed is
+	// known: the shell seeds it from the machine's PRNG when it forks the
+	// master (openweb's default seed).
+	arrivals *workload.ArrivalGen
 }
 
 // Perf is the paper's §5.3 metric: operations per second for servers and
@@ -83,7 +87,8 @@ type Spec struct {
 // time, then goes back to sleeping forever — bash.
 type shellProg struct {
 	at       time.Duration
-	spawn    func(ctx *sim.Ctx)
+	in       *Instance
+	master   sim.Program
 	launched bool
 	burst    bool
 }
@@ -95,7 +100,12 @@ func (s *shellProg) Next(ctx *sim.Ctx) sim.Op {
 	}
 	if ctx.Now() >= s.at {
 		s.launched = true
-		s.spawn(ctx)
+		in := s.in
+		in.startedAt = ctx.Now()
+		if in.arrivals != nil {
+			in.arrivals.Reseed(ctx.Rand().Int63n(1<<62) + 1)
+		}
+		in.Master = ctx.Fork(in.Name+"-master", in.Group, 0, s.master)
 		return sim.Sleep(time.Hour)
 	}
 	// Interactive idle: a tiny burst then sleep towards the launch time.
@@ -112,21 +122,27 @@ func (s *shellProg) Next(ctx *sim.Ctx) sim.Op {
 	return sim.Sleep(slp)
 }
 
-// Launch spawns a shell that forks prog as the app's master thread at
-// env.StartAt (floored to ShellWarmup), wiring the instance bookkeeping.
+// Launch builds the app's master program with master(in) and spawns a
+// shell that forks it as the app's master thread at env.StartAt (floored
+// to ShellWarmup).
 func Launch(m *sim.Machine, name string, env Env, master func(in *Instance) sim.Program) *Instance {
 	in := &Instance{Name: name, Group: name, m: m}
 	at := env.StartAt
 	if at < ShellWarmup {
 		at = ShellWarmup
 	}
-	sh := &shellProg{at: at}
-	sh.spawn = func(ctx *sim.Ctx) {
-		in.startedAt = ctx.Now()
-		in.Master = ctx.Fork(name+"-master", in.Group, 0, master(in))
-	}
-	m.StartThread(name+"-shell", "shell", 0, sh)
+	m.StartThread(name+"-shell", "shell", 0, &shellProg{at: at, in: in, master: master(in)})
 	return in
+}
+
+// numbered lists n children named by format and i, each running the program
+// prog(i) builds.
+func numbered(format string, n int, prog func(i int) sim.Program) []workload.Child {
+	children := make([]workload.Child, n)
+	for i := range children {
+		children[i] = workload.Child{Name: fmt.Sprintf(format, i), Prog: prog(i)}
+	}
+	return children
 }
 
 // StartKernelNoise spawns one kworker per core (pinned, group "kernel"):

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/ipc"
@@ -27,7 +26,7 @@ type OpenLoopConfig struct {
 	// ServiceJitterPct varies Service per request.
 	ServiceJitterPct int
 	// Seed seeds the arrival generator; 0 derives one from the machine's
-	// PRNG at launch.
+	// PRNG when the shell forks the master.
 	Seed int64
 }
 
@@ -64,20 +63,18 @@ func OpenLoopWeb(cfg OpenLoopConfig) Spec {
 		return Launch(m, "openweb", env, func(in *Instance) sim.Program {
 			q := ipc.NewReqQueue()
 			in.Latency = q.Latency
-			seed := cfg.Seed
-			if seed == 0 {
-				seed = m.Rand().Int63n(1<<62) + 1
+			gen := workload.NewArrivalGen(dist, time.Duration(float64(time.Second)/rate), cfg.Seed)
+			if cfg.Seed == 0 {
+				in.arrivals = gen // seeded from the machine's PRNG at the fork
 			}
 			return &workload.Forker{
-				N:        workers,
+				Children: numbered("web-%d", workers, func(int) sim.Program {
+					return &workload.ServerWorker{Q: q, Tally: &in.Tally}
+				}),
 				InitCost: 500 * time.Microsecond,
-				Child: func(i int) (string, sim.Program) {
-					return fmt.Sprintf("web-%d", i), &workload.ServerWorker{Q: q, Tally: &in.Tally}
-				},
-				Tally: &in.Tally,
+				Tally:    &in.Tally,
 				Then: &workload.OpenLoop{
-					Q:       q,
-					Gen:     workload.NewArrivalGen(dist, time.Duration(float64(time.Second)/rate), seed),
+					Q: q, Gen: gen,
 					Service: service, ServiceJitterPct: cfg.ServiceJitterPct,
 				},
 			}

@@ -32,15 +32,14 @@ func buildApp(name string, jobsPerCore int, burst time.Duration, burstsPerJob in
 		return Launch(m, name, env, func(in *Instance) sim.Program {
 			in.Left = jobs // done when the last job exits
 			return &workload.Forker{
-				N:        jobs,
-				InitCost: time.Millisecond,
-				Child: func(i int) (string, sim.Program) {
-					return fmt.Sprintf("cc-%d", i), &workload.FiniteCompute{
+				Children: numbered("cc-%d", jobs, func(int) sim.Program {
+					return &workload.FiniteCompute{
 						Burst: burst, JitterPct: 20, N: burstsPerJob,
 						IOSleep: 2 * time.Millisecond, Tally: &in.Tally,
 					}
-				},
-				Tally: &in.Tally,
+				}),
+				InitCost: time.Millisecond,
+				Tally:    &in.Tally,
 			}
 		})
 	}}
@@ -53,15 +52,14 @@ func SevenZip() Spec {
 		return Launch(m, "7zip", env, func(in *Instance) sim.Program {
 			pipe := ipc.NewPipe(16)
 			return &workload.Forker{
-				N:        env.Cores,
-				InitCost: 500 * time.Microsecond,
-				Child: func(i int) (string, sim.Program) {
-					return fmt.Sprintf("lzma-%d", i), &workload.PipelineStage{
+				Children: numbered("lzma-%d", env.Cores, func(int) sim.Program {
+					return &workload.PipelineStage{
 						In: pipe, Cost: 4 * time.Millisecond, JitterPct: 15, Tally: &in.Tally,
 					}
-				},
-				Tally: &in.Tally,
-				Then:  &workload.Source{Out: pipe, Cost: 150 * time.Microsecond},
+				}),
+				InitCost: 500 * time.Microsecond,
+				Tally:    &in.Tally,
+				Then:     &workload.Source{Out: pipe, Cost: 150 * time.Microsecond},
 			}
 		})
 	}}
@@ -73,15 +71,12 @@ func Gzip() Spec {
 		return Launch(m, "gzip", env, func(in *Instance) sim.Program {
 			pipe := ipc.NewPipe(4)
 			return &workload.Forker{
-				N:        1,
+				Children: []workload.Child{{Name: "deflate", Prog: &workload.PipelineStage{
+					In: pipe, Cost: 3 * time.Millisecond, JitterPct: 10, Tally: &in.Tally,
+				}}},
 				InitCost: 500 * time.Microsecond,
-				Child: func(i int) (string, sim.Program) {
-					return "deflate", &workload.PipelineStage{
-						In: pipe, Cost: 3 * time.Millisecond, JitterPct: 10, Tally: &in.Tally,
-					}
-				},
-				Tally: &in.Tally,
-				Then:  &workload.Source{Out: pipe, Cost: 200 * time.Microsecond},
+				Tally:    &in.Tally,
+				Then:     &workload.Source{Out: pipe, Cost: 200 * time.Microsecond},
 			}
 		})
 	}}
@@ -101,16 +96,13 @@ func CRay() Spec {
 				}
 			}
 			return &workload.Forker{
-				N: n,
+				Children: numbered("render-%d", n, func(i int) sim.Program { return &workers[i] }),
 				// 4 ms of scene setup per thread: the fork loop spans the
 				// master's interactivity crossing, classifying earlier
 				// threads interactive and later ones batch (§6.2).
 				InitCost: 4 * time.Millisecond,
-				Child: func(i int) (string, sim.Program) {
-					return fmt.Sprintf("render-%d", i), &workers[i]
-				},
-				Tally: &in.Tally,
-				Then:  cascadeKick{&workers[0]},
+				Tally:    &in.Tally,
+				Then:     cascadeKick{&workers[0]},
 			}
 		})
 	}}
@@ -178,16 +170,16 @@ func Scimark(variant int) Spec {
 		return Launch(m, name, env, func(in *Instance) sim.Program {
 			progress := sim.NewWaitQueue()
 			return &workload.Forker{
-				N:        2, // two JVM service threads
-				InitCost: time.Millisecond,
-				Child: func(i int) (string, sim.Program) {
-					return fmt.Sprintf("jvm-svc-%d", i), &workload.SpinPoller{
+				// Two JVM service threads.
+				Children: numbered("jvm-svc-%d", 2, func(i int) sim.Program {
+					return &workload.SpinPoller{
 						Progress: progress,
 						Period:   p.period + time.Duration(i)*time.Millisecond,
 						Budget:   p.budget,
 					}
-				},
-				Tally: &in.Tally,
+				}),
+				InitCost: time.Millisecond,
+				Tally:    &in.Tally,
 				Then: &workload.Loop{
 					Burst: p.burst, JitterPct: 10, Tally: &in.Tally, Progress: progress,
 				},
@@ -205,14 +197,11 @@ func John(variant int) Spec {
 	return Spec{Name: name, New: func(m *sim.Machine, env Env) *Instance {
 		return Launch(m, name, env, func(in *Instance) sim.Program {
 			return &workload.Forker{
-				N:        env.Cores,
+				Children: numbered("crack-%d", env.Cores, func(int) sim.Program {
+					return &workload.Loop{Burst: b, JitterPct: 5, Tally: &in.Tally}
+				}),
 				InitCost: time.Millisecond,
-				Child: func(i int) (string, sim.Program) {
-					return fmt.Sprintf("crack-%d", i), &workload.Loop{
-						Burst: b, JitterPct: 5, Tally: &in.Tally,
-					}
-				},
-				Tally: &in.Tally,
+				Tally:    &in.Tally,
 			}
 		})
 	}}

@@ -85,13 +85,10 @@ func Sysbench(cfg SysbenchConfig) Spec {
 				}
 			}
 			return &workload.Forker{
-				N:        cfg.Threads,
+				Children: numbered("worker-%d", cfg.Threads, func(i int) sim.Program { return &conns[i] }),
 				InitCost: cfg.InitPerWorker,
-				Child: func(i int) (string, sim.Program) {
-					return fmt.Sprintf("worker-%d", i), &conns[i]
-				},
-				Tally: &in.Tally,
-				Then:  &connect{conns: conns, think: cfg.Think},
+				Tally:    &in.Tally,
+				Then:     &connect{conns: conns, think: cfg.Think},
 			}
 		})
 		return in
@@ -137,20 +134,19 @@ func RocksDB() Spec {
 			q.MaxDepth = 4 * threads
 			in.Latency = q.Latency
 			mu := ipc.NewMutex()
+			readers := numbered("reader-%d", threads, func(int) sim.Program {
+				return &workload.ServerWorker{
+					Q: q, Mu: mu, CritPermille: 100, Crit: 50 * time.Microsecond,
+					Tally: &in.Tally,
+				}
+			})
 			return &workload.Forker{
-				N:        threads + 1,
+				// Background compaction, forked last: pure batch CPU.
+				Children: append(readers, workload.Child{
+					Name: "compaction", Prog: &workload.Loop{Burst: 2 * time.Millisecond, JitterPct: 20},
+				}),
 				InitCost: 10 * time.Millisecond,
-				Child: func(i int) (string, sim.Program) {
-					if i == threads {
-						// Background compaction: pure batch CPU.
-						return "compaction", &workload.Loop{Burst: 2 * time.Millisecond, JitterPct: 20}
-					}
-					return fmt.Sprintf("reader-%d", i), &workload.ServerWorker{
-						Q: q, Mu: mu, CritPermille: 100, Crit: 50 * time.Microsecond,
-						Tally: &in.Tally,
-					}
-				},
-				Tally: &in.Tally,
+				Tally:    &in.Tally,
 				Then: &steadyLoad{
 					q: q, every: time.Duration(int64(time.Second) / int64(rate)), service: service,
 				},
@@ -196,26 +192,21 @@ func Apache() Spec {
 			in.Latency = q.Latency
 			resp := sim.NewWaitQueue()
 			outstanding := 0
+			httpd := numbered("httpd-%d", httpdThreads, func(int) sim.Program {
+				return &workload.RespondingWorker{Q: q, RespWQ: resp, Outstanding: &outstanding}
+			})
 			return &workload.Forker{
-				N:        httpdThreads + 1,
+				// ab: forked last, like starting the load injector after
+				// the server is up.
+				Children: append(httpd, workload.Child{Name: "ab", Prog: &workload.BatchClient{
+					Q: q, Window: window,
+					SendCost: 15 * time.Microsecond,
+					Service:  120 * time.Microsecond,
+					RespWQ:   resp, Outstanding: &outstanding,
+					Tally: &in.Tally,
+				}}),
 				InitCost: 200 * time.Microsecond,
-				Child: func(i int) (string, sim.Program) {
-					if i == httpdThreads {
-						// ab: forked last, like starting the load injector
-						// after the server is up.
-						return "ab", &workload.BatchClient{
-							Q: q, Window: window,
-							SendCost: 15 * time.Microsecond,
-							Service:  120 * time.Microsecond,
-							RespWQ:   resp, Outstanding: &outstanding,
-							Tally: &in.Tally,
-						}
-					}
-					return fmt.Sprintf("httpd-%d", i), &workload.RespondingWorker{
-						Q: q, RespWQ: resp, Outstanding: &outstanding,
-					}
-				},
-				Tally: &in.Tally,
+				Tally:    &in.Tally,
 			}
 		})
 	}}
@@ -237,33 +228,33 @@ func Hackbench(groups, msgsPerSender int) Spec {
 		return Launch(m, name, env, func(in *Instance) sim.Program {
 			in.Left = groups * fanout // done when the last receiver exits
 			return &workload.Forker{
-				N:        groups,
-				InitCost: 100 * time.Microsecond,
-				Child: func(g int) (string, sim.Program) {
-					// Each group master creates its pipes and forks its 40
+				Children: numbered("group-%d", groups, func(g int) sim.Program {
+					// Each group master has its pipes and forks its 40
 					// members: receivers first, then senders.
 					pipes := make([]*ipc.Pipe, fanout)
+					members := make([]workload.Child, 0, 2*fanout)
 					for i := range pipes {
 						pipes[i] = ipc.NewPipe(8)
+						members = append(members, workload.Child{
+							Name: fmt.Sprintf("recv-%d-%d", g, i),
+							Prog: &workload.PipeReceiver{
+								Pipe: pipes[i], PerMsg: 20 * time.Microsecond,
+								Total: msgsPerSender, Tally: &in.Tally,
+							},
+						})
 					}
-					return fmt.Sprintf("group-%d", g), &workload.Forker{
-						N:        2 * fanout,
-						InitCost: 20 * time.Microsecond,
-						Child: func(i int) (string, sim.Program) {
-							if i < fanout {
-								return fmt.Sprintf("recv-%d-%d", g, i), &workload.PipeReceiver{
-									Pipe: pipes[i], PerMsg: 20 * time.Microsecond,
-									Total: msgsPerSender, Tally: &in.Tally,
-								}
-							}
-							return fmt.Sprintf("send-%d-%d", g, i-fanout), &workload.PipeSender{
+					for i := range fanout {
+						members = append(members, workload.Child{
+							Name: fmt.Sprintf("send-%d-%d", g, i),
+							Prog: &workload.PipeSender{
 								Pipes: pipes, PerMsg: 20 * time.Microsecond,
 								Total: msgsPerSender, MsgSize: 100,
-							}
-						},
-						Tally: &in.Tally,
+							},
+						})
 					}
-				},
+					return &workload.Forker{Children: members, InitCost: 20 * time.Microsecond, Tally: &in.Tally}
+				}),
+				InitCost: 100 * time.Microsecond,
 			}
 		})
 	}}

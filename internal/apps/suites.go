@@ -18,15 +18,14 @@ func barrierApp(name string, phase time.Duration, jitterPct int, spin, ioSleep t
 			n := env.Cores
 			bar := ipc.NewBarrier(n, spin)
 			return &workload.Forker{
-				N:        n,
-				InitCost: time.Millisecond,
-				Child: func(i int) (string, sim.Program) {
-					return fmt.Sprintf("rank-%d", i), &workload.BarrierWorker{
+				Children: numbered("rank-%d", n, func(int) sim.Program {
+					return &workload.BarrierWorker{
 						Bar: bar, Phase: phase, JitterPct: jitterPct,
 						IOSleep: ioSleep, Tally: &in.Tally,
 					}
-				},
-				Tally: &in.Tally,
+				}),
+				InitCost: time.Millisecond,
+				Tally:    &in.Tally,
 			}
 		})
 	}}
@@ -53,14 +52,11 @@ func NASEP() Spec {
 	return Spec{Name: "EP", New: func(m *sim.Machine, env Env) *Instance {
 		return Launch(m, "EP", env, func(in *Instance) sim.Program {
 			return &workload.Forker{
-				N:        env.Cores,
+				Children: numbered("rank-%d", env.Cores, func(int) sim.Program {
+					return &workload.Loop{Burst: 20 * time.Millisecond, JitterPct: 5, Tally: &in.Tally}
+				}),
 				InitCost: time.Millisecond,
-				Child: func(i int) (string, sim.Program) {
-					return fmt.Sprintf("rank-%d", i), &workload.Loop{
-						Burst: 20 * time.Millisecond, JitterPct: 5, Tally: &in.Tally,
-					}
-				},
-				Tally: &in.Tally,
+				Tally:    &in.Tally,
 			}
 		})
 	}}
@@ -105,15 +101,14 @@ func Canneal() Spec {
 		return Launch(m, "canneal", env, func(in *Instance) sim.Program {
 			mu := ipc.NewMutex()
 			return &workload.Forker{
-				N:        env.Cores,
-				InitCost: 2 * time.Millisecond,
-				Child: func(i int) (string, sim.Program) {
-					return fmt.Sprintf("anneal-%d", i), &workload.LockedLoop{
+				Children: numbered("anneal-%d", env.Cores, func(int) sim.Program {
+					return &workload.LockedLoop{
 						Mu: mu, Crit: 50 * time.Microsecond, Local: 400 * time.Microsecond,
 						Tally: &in.Tally,
 					}
-				},
-				Tally: &in.Tally,
+				}),
+				InitCost: 2 * time.Millisecond,
+				Tally:    &in.Tally,
 			}
 		})
 	}}
@@ -178,14 +173,11 @@ func poolApp(name string, burst time.Duration) Spec {
 	return Spec{Name: name, New: func(m *sim.Machine, env Env) *Instance {
 		return Launch(m, name, env, func(in *Instance) sim.Program {
 			return &workload.Forker{
-				N:        env.Cores,
+				Children: numbered("pool-%d", env.Cores, func(int) sim.Program {
+					return &workload.Loop{Burst: burst, JitterPct: 15, Tally: &in.Tally}
+				}),
 				InitCost: time.Millisecond,
-				Child: func(i int) (string, sim.Program) {
-					return fmt.Sprintf("pool-%d", i), &workload.Loop{
-						Burst: burst, JitterPct: 15, Tally: &in.Tally,
-					}
-				},
-				Tally: &in.Tally,
+				Tally:    &in.Tally,
 			}
 		})
 	}}
@@ -207,27 +199,28 @@ func pipelineApp(name string, stageCosts []time.Duration) Spec {
 			if perStage < 1 {
 				perStage = 1
 			}
-			total := nStages * perStage
+			// Forked round-robin over the stages: stage0-0, stage1-0, …
+			children := make([]workload.Child, nStages*perStage)
+			for i := range children {
+				stage := i % nStages
+				var out *ipc.Pipe
+				if stage+1 < nStages {
+					out = pipes[stage+1]
+				}
+				ps := &workload.PipelineStage{
+					In: pipes[stage], Out: out,
+					Cost: stageCosts[stage], JitterPct: 20,
+				}
+				if stage == nStages-1 {
+					ps.Tally = &in.Tally
+				}
+				children[i] = workload.Child{Name: fmt.Sprintf("stage%d-%d", stage, i/nStages), Prog: ps}
+			}
 			return &workload.Forker{
-				N:        total,
+				Children: children,
 				InitCost: time.Millisecond,
-				Child: func(i int) (string, sim.Program) {
-					stage := i % nStages
-					var out *ipc.Pipe
-					if stage+1 < nStages {
-						out = pipes[stage+1]
-					}
-					ps := &workload.PipelineStage{
-						In: pipes[stage], Out: out,
-						Cost: stageCosts[stage], JitterPct: 20,
-					}
-					if stage == nStages-1 {
-						ps.Tally = &in.Tally
-					}
-					return fmt.Sprintf("stage%d-%d", stage, i/nStages), ps
-				},
-				Tally: &in.Tally,
-				Then:  &workload.Source{Out: pipes[0], Cost: 200 * time.Microsecond},
+				Tally:    &in.Tally,
+				Then:     &workload.Source{Out: pipes[0], Cost: 200 * time.Microsecond},
 			}
 		})
 	}}

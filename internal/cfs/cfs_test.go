@@ -13,6 +13,11 @@ type fireFunc func()
 
 func (f fireFunc) Fire(*sim.Machine) { f() }
 
+// programFunc adapts a plain func to a sim.Program.
+type programFunc func(*sim.Ctx) sim.Op
+
+func (f programFunc) Next(ctx *sim.Ctx) sim.Op { return f(ctx) }
+
 type looper struct{ burst time.Duration }
 
 func (l *looper) Next(ctx *sim.Ctx) sim.Op { return sim.Run(l.burst) }
@@ -135,7 +140,7 @@ func TestWakeupPreemption(t *testing.T) {
 func TestForkDoesNotPreempt(t *testing.T) {
 	m, _ := newMachine(DefaultParams(), topo.SingleCore(), 1)
 	forked := false
-	m.StartThread("parent", "app", 0, sim.ProgramFunc(func(ctx *sim.Ctx) sim.Op {
+	m.StartThread("parent", "app", 0, programFunc(func(ctx *sim.Ctx) sim.Op {
 		if !forked {
 			forked = true
 			ctx.Fork("child", "app", 0, &looper{burst: time.Millisecond})

@@ -9,6 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
+// programFunc adapts a plain func to a sim.Program.
+type programFunc func(*sim.Ctx) sim.Op
+
+func (f programFunc) Next(ctx *sim.Ctx) sim.Op { return f(ctx) }
+
 // TestEngineSteadyStateAllocFree: the engine-dense shape — sysbench plus the
 // 400-thread hackbench on the 32-core box under kernel noise — stays off the
 // heap once it is warm. A simulated second is ~39 000 events under CFS and
@@ -97,7 +102,7 @@ func TestSpawnAllocBudget(t *testing.T) {
 		budget uint64
 	}{{CFS, 495}, {ULE, 410}} {
 		m := NewMachine(MachineConfig{Cores: 32, Kind: c.kind, Seed: 1})
-		prog := sim.ProgramFunc(func(*sim.Ctx) sim.Op { return sim.Exit() })
+		prog := programFunc(func(*sim.Ctx) sim.Op { return sim.Exit() })
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)

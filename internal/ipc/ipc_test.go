@@ -19,6 +19,11 @@ type fireFunc func()
 
 func (f fireFunc) Fire(*sim.Machine) { f() }
 
+// programFunc adapts a plain func to a sim.Program.
+type programFunc func(*sim.Ctx) sim.Op
+
+func (f programFunc) Next(ctx *sim.Ctx) sim.Op { return f(ctx) }
+
 type lockWorker struct {
 	mu          *Mutex
 	hold, think time.Duration
@@ -77,7 +82,7 @@ func TestMutexPanics(t *testing.T) {
 	m := newMachine()
 	mu := NewMutex()
 	done := false
-	m.StartThread("x", "app", 0, sim.ProgramFunc(func(ctx *sim.Ctx) sim.Op {
+	m.StartThread("x", "app", 0, programFunc(func(ctx *sim.Ctx) sim.Op {
 		if done {
 			return sim.Exit()
 		}
@@ -339,7 +344,7 @@ func TestSemaphore(t *testing.T) {
 		t.Fatal("acquire succeeded with no permits")
 	}
 	released := false
-	m.StartThread("r", "app", 0, sim.ProgramFunc(func(ctx *sim.Ctx) sim.Op {
+	m.StartThread("r", "app", 0, programFunc(func(ctx *sim.Ctx) sim.Op {
 		if released {
 			return sim.Exit()
 		}

@@ -16,13 +16,10 @@ import (
 )
 
 // censusAllowed are the only places a func-typed value may sit in a live
-// machine (DESIGN §3, "Where closures remain"). Each names what replaces it
-// before a machine can be forked: the observer hooks stay (a fork does not
-// copy observers), and the rest become typed data.
+// machine (DESIGN §3, "Where closures remain"): the observer hooks, which a
+// machine fork would not copy. Programs, timers and app launches are data.
 var censusAllowed = []string{
-	"sim.hooks.",            // observers: probes, decision traces, timelines
-	"workload.Forker.Child", // child factory: a program template with a Clone
-	"apps.shellProg.spawn",  // lazy master: openweb's draws m.Rand() at launch time
+	"sim.hooks.", // observers: probes, decision traces, timelines
 }
 
 // timerSite is where the walk meets the machine's armed timers.

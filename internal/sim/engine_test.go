@@ -40,6 +40,11 @@ type fireFunc func()
 
 func (f fireFunc) Fire(*Machine) { f() }
 
+// programFunc adapts a plain func to a Program.
+type programFunc func(*Ctx) Op
+
+func (f programFunc) Next(ctx *Ctx) Op { return f(ctx) }
+
 // ticker re-arms itself every period until it has fired limit times, or
 // forever when limit is 0.
 type ticker struct {
@@ -205,7 +210,7 @@ func TestBroadcastSpinnersAllocFree(t *testing.T) {
 		released := 0
 		for i := 0; i < 3; i++ {
 			m.StartThreadCfg(ThreadConfig{Name: "spin", Group: "app", Pinned: []int{i},
-				Prog: ProgramFunc(func(*Ctx) Op {
+				Prog: programFunc(func(*Ctx) Op {
 					released++
 					return Spin(wq, 500*time.Microsecond)
 				})})
@@ -418,7 +423,7 @@ func TestZeroOpGuardPanics(t *testing.T) {
 			t.Fatal("no panic for stuck program")
 		}
 	}()
-	m.StartThread("stuck", "app", 0, ProgramFunc(func(ctx *Ctx) Op { return Run(0) }))
+	m.StartThread("stuck", "app", 0, programFunc(func(ctx *Ctx) Op { return Run(0) }))
 	m.Run(time.Second)
 }
 

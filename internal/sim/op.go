@@ -86,9 +86,3 @@ func Exit() Op { return Op{Kind: OpExit} }
 type Program interface {
 	Next(ctx *Ctx) Op
 }
-
-// ProgramFunc adapts a function to the Program interface.
-type ProgramFunc func(ctx *Ctx) Op
-
-// Next calls f.
-func (f ProgramFunc) Next(ctx *Ctx) Op { return f(ctx) }

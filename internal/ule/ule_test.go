@@ -9,6 +9,11 @@ import (
 	"repro/internal/topo"
 )
 
+// programFunc adapts a plain func to a sim.Program.
+type programFunc func(*sim.Ctx) sim.Op
+
+func (f programFunc) Next(ctx *sim.Ctx) sim.Op { return f(ctx) }
+
 type looper struct{ burst time.Duration }
 
 func (l *looper) Next(ctx *sim.Ctx) sim.Op { return sim.Run(l.burst) }
@@ -285,7 +290,7 @@ func TestForkInheritsInteractivity(t *testing.T) {
 	// Parent burns CPU for 4s, then forks: child must inherit a batch
 	// classification.
 	burned := false
-	m.StartThread("parent", "app", 0, sim.ProgramFunc(func(ctx *sim.Ctx) sim.Op {
+	m.StartThread("parent", "app", 0, programFunc(func(ctx *sim.Ctx) sim.Op {
 		if !burned {
 			burned = true
 			return sim.Run(4 * time.Second)
@@ -308,7 +313,7 @@ func TestExitRefundsRuntimeToParent(t *testing.T) {
 	m, s := newMachine(DefaultParams(), topo.SingleCore(), 1)
 	var parent *sim.Thread
 	state := 0
-	parent = m.StartThread("parent", "app", 0, sim.ProgramFunc(func(ctx *sim.Ctx) sim.Op {
+	parent = m.StartThread("parent", "app", 0, programFunc(func(ctx *sim.Ctx) sim.Op {
 		switch state {
 		case 0:
 			state = 1

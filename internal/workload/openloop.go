@@ -66,6 +66,10 @@ func NewArrivalGen(dist ArrivalDist, mean time.Duration, seed int64) *ArrivalGen
 	return &ArrivalGen{dist: dist, mean: mean, rng: rand.New(rand.NewSource(seed))}
 }
 
+// Reseed restarts the stream as NewArrivalGen would with seed: a
+// generator built before its seed is known is seeded in place.
+func (g *ArrivalGen) Reseed(seed int64) { g.rng.Seed(seed) }
+
 // Next returns the next inter-arrival time, always positive. Exponential
 // draws are capped at 100× the mean so one extreme tail sample cannot stall
 // the stream for the rest of a measurement window.

@@ -29,6 +29,25 @@ func TestArrivalGenDeterministicStream(t *testing.T) {
 	}
 }
 
+// TestArrivalGenReseedRestartsStream: a generator seeded in place, even
+// after it has drawn, yields the stream of one built with that seed.
+func TestArrivalGenReseedRestartsStream(t *testing.T) {
+	for _, dist := range []ArrivalDist{Poisson, Uniform} {
+		for _, seed := range []int64{1, 7, 1<<62 - 5} {
+			g := NewArrivalGen(dist, time.Millisecond, 0)
+			drawN(g, 3)
+			g.Reseed(seed)
+			a := drawN(g, 1000)
+			b := drawN(NewArrivalGen(dist, time.Millisecond, seed), 1000)
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("%s seed %d: sample %d differs after Reseed: %v vs %v", dist, seed, i, a[i], b[i])
+				}
+			}
+		}
+	}
+}
+
 func TestArrivalGenSeedChangesStream(t *testing.T) {
 	for _, dist := range []ArrivalDist{Poisson, Uniform} {
 		a := drawN(NewArrivalGen(dist, time.Millisecond, 7), 100)

@@ -399,19 +399,21 @@ func (r *PipeReceiver) Next(ctx *sim.Ctx) sim.Op {
 	}
 }
 
+// Child is one thread a Forker starts: its name and its program.
+type Child struct {
+	Name string
+	Prog sim.Program
+}
+
 // Forker is an application master: per child it burns InitCost (building
 // the child's state — the mechanism that degrades the master's ULE
-// interactivity across the fork loop, §5.2), forks, then runs an optional
-// continuation program.
+// interactivity across the fork loop, §5.2), forks the child into the
+// master's group at nice 0, then runs an optional continuation program.
 type Forker struct {
-	N        int
+	// Children are forked in order. The Forker drops the list once the
+	// last one is forked.
+	Children []Child
 	InitCost time.Duration
-	// Child returns the i-th child's name and program.
-	Child func(i int) (string, sim.Program)
-	// Group for the children; empty inherits the master's.
-	Group string
-	// Nice for the children.
-	Nice int
 	// Then, if set, continues as this program after the fork loop, from
 	// the instant of the last fork; otherwise the master sleeps forever
 	// (like a main() in pthread_join).
@@ -428,24 +430,21 @@ func (f *Forker) Next(ctx *sim.Ctx) sim.Op {
 	for {
 		if f.doFork {
 			f.doFork = false
-			name, prog := f.Child(f.i)
-			group := f.Group
-			if group == "" {
-				group = ctx.T.Group
-			}
-			t := ctx.Fork(name, group, f.Nice, prog)
+			c := f.Children[f.i]
+			t := ctx.Fork(c.Name, ctx.T.Group, 0, c.Prog)
 			if f.Tally != nil {
 				f.Tally.Workers = append(f.Tally.Workers, t)
 			}
 			f.i++
 		}
-		if f.i < f.N {
+		if f.i < len(f.Children) {
 			f.doFork = true
 			if f.InitCost > 0 {
 				return sim.Run(f.InitCost)
 			}
 			continue
 		}
+		f.Children = nil
 		if f.Then != nil {
 			return f.Then.Next(ctx)
 		}

@@ -19,6 +19,11 @@ type fireFunc func()
 
 func (f fireFunc) Fire(*sim.Machine) { f() }
 
+// programFunc adapts a plain func to a sim.Program.
+type programFunc func(*sim.Ctx) sim.Op
+
+func (f programFunc) Next(ctx *sim.Ctx) sim.Op { return f(ctx) }
+
 func TestLoopCountsOps(t *testing.T) {
 	m := newMachine(1)
 	var tally Tally
@@ -121,13 +126,12 @@ func TestBatchClientRoundTrips(t *testing.T) {
 func TestForkerCreatesChildrenWithInit(t *testing.T) {
 	m := newMachine(1)
 	var tally Tally
-	master := m.StartThread("master", "app", 0, &Forker{
-		N: 5, InitCost: time.Millisecond,
-		Child: func(i int) (string, sim.Program) {
-			return "kid", &FiniteCompute{Burst: time.Millisecond, N: 1}
-		},
-		Tally: &tally,
-	})
+	names := []string{"a", "b", "c", "d", "e"}
+	f := &Forker{InitCost: time.Millisecond, Tally: &tally}
+	for _, n := range names {
+		f.Children = append(f.Children, Child{Name: n, Prog: &FiniteCompute{Burst: time.Millisecond, N: 1}})
+	}
+	master := m.StartThread("master", "app", 0, f)
 	m.Run(time.Second)
 	kids := tally.Workers
 	if len(kids) != 5 {
@@ -137,10 +141,16 @@ func TestForkerCreatesChildrenWithInit(t *testing.T) {
 	if master.RunTime < 5*time.Millisecond {
 		t.Fatalf("master RunTime = %v", master.RunTime)
 	}
-	for _, k := range kids {
+	for i, k := range kids {
+		if k.Name != names[i] || k.Group != "app" || k.Nice != 0 {
+			t.Errorf("fork %d: %s in %q at nice %d, want %s in \"app\" at nice 0", i, k.Name, k.Group, k.Nice, names[i])
+		}
 		if k.State() != sim.StateDead {
 			t.Fatalf("kid %v not dead", k)
 		}
+	}
+	if f.Children != nil {
+		t.Error("the Forker still holds its children's list after the last fork")
 	}
 }
 
@@ -209,7 +219,7 @@ func TestPipelineFlows(t *testing.T) {
 func TestJitterBounds(t *testing.T) {
 	m := newMachine(1)
 	done := false
-	m.StartThread("j", "a", 0, sim.ProgramFunc(func(ctx *sim.Ctx) sim.Op {
+	m.StartThread("j", "a", 0, programFunc(func(ctx *sim.Ctx) sim.Op {
 		if done {
 			return sim.Exit()
 		}
