@@ -41,7 +41,9 @@ var scenarioWidths = []int{1, 4}
 //   - scenario.*: every bundled scenario run as `schedbattle -trace
 //     -timeline` runs it; each hash is sha256sum of what the CLI writes,
 //     streams concatenated in trial order;
-//   - experiment.*: every registered experiment paper-sweep leaves out.
+//   - experiment.*: every registered experiment paper-sweep leaves out,
+//     and experiment.<id>.series every series point of each one that
+//     draws a figure, paper-sweep's at its own scale.
 //
 // On drift it lists every moved key as old → new and writes the recomputed
 // record to a temporary file: copy that over testdata/expected.json to
@@ -289,6 +291,7 @@ func experimentSurface(t *testing.T, s map[string]any) {
 		res := e.Run(sweep.Scale)
 		text.WriteString(res.String())
 		rep.Experiments = append(rep.Experiments, scenario.FromResult(res))
+		pinSeries(s, res)
 	}
 	js := mustMarshal(t, rep)
 	s["bench.paper-sweep.scale"], s["bench.paper-sweep.digest"] = sweep.Scale, digestOf([]byte(text.String()), js)
@@ -299,6 +302,15 @@ func experimentSurface(t *testing.T, s map[string]any) {
 		if !slices.ContainsFunc(sweep.Experiments, func(x struct{ ID string }) bool { return x.ID == e.ID }) {
 			res := e.Run(experimentScale)
 			s["experiment."+e.ID] = sha(mustMarshal(t, scenario.FromResult(res)), []byte(res.String()))
+			pinSeries(s, res)
 		}
+	}
+}
+
+// pinSeries pins every point of an experiment's figures, which neither its
+// report nor its text carries, at the scale it was run at.
+func pinSeries(s map[string]any, res *core.Result) {
+	if len(res.Series) > 0 {
+		s["experiment."+res.ID+".series"] = sha([]byte(res.Snapshot()))
 	}
 }

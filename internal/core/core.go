@@ -173,6 +173,26 @@ func (r *Result) String() string {
 	return b.String()
 }
 
+// Snapshot is String followed by every series point: the sets in name
+// order, each series as a "[set/series]" line and its gnuplot rows. Two
+// results with equal snapshots print and plot the same.
+func (r *Result) Snapshot() string {
+	var b strings.Builder
+	b.WriteString(r.String())
+	names := make([]string, 0, len(r.Series))
+	for name := range r.Series {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, sn := range names {
+		set := r.Series[sn]
+		for _, name := range set.Names() {
+			fmt.Fprintf(&b, "[%s/%s]\n%s", sn, name, set.Get(name).Gnuplot())
+		}
+	}
+	return b.String()
+}
+
 // Experiment is a registered, runnable paper artifact.
 type Experiment struct {
 	ID    string

@@ -6,39 +6,22 @@ package runner_test
 // internal/core through the runner they are testing.
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/runner"
 )
 
-// snapshot serialises everything an experiment emits — the printed rows and
-// notes plus every series point — so byte comparison covers the full output
-// surface, not just the table.
+// snapshot is everything an experiment emits (core.Result.Snapshot) — the
+// printed rows and notes plus every series point — so byte comparison covers
+// the full output surface, not just the table.
 func snapshot(t *testing.T, id string, scale float64) string {
 	t.Helper()
 	e, err := core.ByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run(scale)
-	var b strings.Builder
-	b.WriteString(res.String())
-	setNames := make([]string, 0, len(res.Series))
-	for name := range res.Series {
-		setNames = append(setNames, name)
-	}
-	sort.Strings(setNames)
-	for _, sn := range setNames {
-		set := res.Series[sn]
-		for _, name := range set.Names() {
-			fmt.Fprintf(&b, "[%s/%s]\n%s", sn, name, set.Get(name).Gnuplot())
-		}
-	}
-	return b.String()
+	return e.Run(scale).Snapshot()
 }
 
 // TestParallelMatchesSequential is the acceptance gate for the parallel
