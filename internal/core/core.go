@@ -8,6 +8,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -179,12 +181,7 @@ func (r *Result) String() string {
 func (r *Result) Snapshot() string {
 	var b strings.Builder
 	b.WriteString(r.String())
-	names := make([]string, 0, len(r.Series))
-	for name := range r.Series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, sn := range names {
+	for _, sn := range slices.Sorted(maps.Keys(r.Series)) {
 		set := r.Series[sn]
 		for _, name := range set.Names() {
 			fmt.Fprintf(&b, "[%s/%s]\n%s", sn, name, set.Get(name).Gnuplot())

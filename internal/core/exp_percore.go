@@ -67,37 +67,11 @@ func coSchedTrial(kind SchedulerKind, scale float64) Trial[*coSchedOutcome] {
 				uleSched = u
 			}
 
-			sysRun := func() time.Duration {
-				var total time.Duration
-				for _, w := range sys.Workers {
-					total += w.RunTime
-				}
-				if sys.Master != nil {
-					total += sys.Master.RunTime
-				}
-				return total
-			}
-
 			// Periodic probe: cumulative runtimes (Figure 1) and
-			// interactivity penalties (Figure 2), as custom samplers on
+			// interactivity penalties (Figure 2), as a custom sampler on
 			// the telemetry cadence.
-			att := probe.MustAttach(m, probe.Options{})
-			att.Custom(func(at time.Duration) {
-				now := at - fiboStart
-				if fibo.Master != nil {
-					out.runtimes.Sample("fibo", now, fibo.Master.RunTime.Seconds())
-					if uleSched != nil {
-						out.penalties.Sample("fibo", now, float64(uleSched.Score(fibo.Master)))
-					}
-				}
-				out.runtimes.Sample("sysbench", now, sysRun().Seconds())
-				if uleSched != nil && len(sys.Workers) > 0 {
-					var sum int
-					for _, w := range sys.Workers {
-						sum += uleSched.Score(w)
-					}
-					out.penalties.Sample("sysbench", now, float64(sum)/float64(len(sys.Workers)))
-				}
+			probe.MustAttach(m, probe.Options{}).Custom(&coSchedSampler{
+				out: out, fibo: fibo, sys: sys, ule: uleSched, origin: fiboStart,
 			})
 		},
 		Window: sysbenchStart + scaleDur(500*time.Second, scale, 60*time.Second),
@@ -123,6 +97,41 @@ func coSchedTrial(kind SchedulerKind, scale float64) Trial[*coSchedOutcome] {
 			out.fiboT = m.Now() - fiboStart
 			return out
 		},
+	}
+}
+
+// coSchedSampler records fibo's and sysbench's cumulative runtimes
+// (Figure 1) and, under ULE, their interactivity penalties (Figure 2).
+type coSchedSampler struct {
+	out       *coSchedOutcome
+	fibo, sys *apps.Instance
+	ule       *ule.Sched    // nil under CFS
+	origin    time.Duration // the figures' time zero: fibo's start
+}
+
+func (s *coSchedSampler) Sample(at time.Duration) {
+	out, fibo, sys := s.out, s.fibo, s.sys
+	now := at - s.origin
+	if fibo.Master != nil {
+		out.runtimes.Sample("fibo", now, fibo.Master.RunTime.Seconds())
+		if s.ule != nil {
+			out.penalties.Sample("fibo", now, float64(s.ule.Score(fibo.Master)))
+		}
+	}
+	var sysRun time.Duration
+	for _, w := range sys.Workers {
+		sysRun += w.RunTime
+	}
+	if sys.Master != nil {
+		sysRun += sys.Master.RunTime
+	}
+	out.runtimes.Sample("sysbench", now, sysRun.Seconds())
+	if s.ule != nil && len(sys.Workers) > 0 {
+		var sum int
+		for _, w := range sys.Workers {
+			sum += s.ule.Score(w)
+		}
+		out.penalties.Sample("sysbench", now, float64(sum)/float64(len(sys.Workers)))
 	}
 }
 
@@ -210,6 +219,29 @@ func init() {
 	})
 }
 
+// sysbenchSampler records the cumulative runtimes (Figure 3) and
+// interactivity penalties (Figure 4) of sysbench's master and a
+// representative subset of its workers, every 8th.
+type sysbenchSampler struct {
+	runtimes, penalties *probe.Set
+	sys                 *apps.Instance
+	ule                 *ule.Sched
+}
+
+func (s *sysbenchSampler) Sample(at time.Duration) {
+	now := at - apps.ShellWarmup
+	if s.sys.Master != nil {
+		s.runtimes.Sample("master", now, s.sys.Master.RunTime.Seconds())
+		s.penalties.Sample("master", now, float64(s.ule.Score(s.sys.Master)))
+	}
+	for i, w := range s.sys.Workers {
+		if i%8 == 0 {
+			s.runtimes.Sample(fmt.Sprintf("worker-%d", i), now, w.RunTime.Seconds())
+			s.penalties.Sample(fmt.Sprintf("worker-%d", i), now, float64(s.ule.Score(w)))
+		}
+	}
+}
+
 // fig3/fig4: sysbench alone on one core under ULE, 128 threads.
 func init() {
 	type outcome struct {
@@ -234,20 +266,8 @@ func init() {
 				cfg := apps.DefaultSysbench()
 				cfg.Threads = 128
 				sys = apps.Sysbench(cfg).New(m, apps.Env{Cores: 1})
-				att := probe.MustAttach(m, probe.Options{Cadence: time.Second})
-				att.Custom(func(at time.Duration) {
-					now := at - apps.ShellWarmup
-					if sys.Master != nil {
-						o.runtimes.Sample("master", now, sys.Master.RunTime.Seconds())
-						o.penalties.Sample("master", now, float64(u.Score(sys.Master)))
-					}
-					for i, w := range sys.Workers {
-						// Sample a representative subset of workers: every 8th.
-						if i%8 == 0 {
-							o.runtimes.Sample(fmt.Sprintf("worker-%d", i), now, w.RunTime.Seconds())
-							o.penalties.Sample(fmt.Sprintf("worker-%d", i), now, float64(u.Score(w)))
-						}
-					}
+				probe.MustAttach(m, probe.Options{Cadence: time.Second}).Custom(&sysbenchSampler{
+					runtimes: o.runtimes, penalties: o.penalties, sys: sys, ule: u,
 				})
 			},
 			Window: apps.ShellWarmup + scaleDur(140*time.Second, scale, 20*time.Second),

@@ -2,8 +2,8 @@ package dtrace
 
 // BenchmarkTraceOverhead prices the recorder from both sides: "off" is
 // the BenchmarkEngineEvents workload on a machine with no recorder — it
-// must stay 0 allocs/op, proving the new OnPick/OnWake sites cost a nil
-// check — while "on" attaches a full recorder draining to io.Discard,
+// must stay 0 allocs/op, proving the Pick/Wake observation sites cost a
+// nil check — while "on" attaches a full recorder draining to io.Discard,
 // pricing real per-decision capture. TestZeroRecorderAllocFree pins the
 // "off" side as a plain test so CI enforces it without benchmark noise.
 

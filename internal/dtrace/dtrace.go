@@ -3,9 +3,9 @@
 // the simulated scheduler makes, streamed into an allocation-bounded
 // ring and encoded in the stable columnar dtrace/v1 format (columnar.go).
 //
-// The recorder is a pure observer over the sim hook points (OnPick,
-// OnWake, OnMigrate, OnSteal): attaching it perturbs nothing, and a
-// machine with no recorder attached pays only the engine's nil hook-table
+// The recorder is a pure sim.Observer of the engine's Pick, Wake,
+// Migrate and Steal events: attaching it perturbs nothing, and a machine
+// with no recorder attached pays only the engine's nil observer-table
 // check. Candidate sets for pick decisions come from the scheduler's
 // optional sim.PickExplainer capability; wake records instead carry the
 // per-core load vector over the cores the woken thread was allowed on —
@@ -158,7 +158,7 @@ type Summary struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// Recorder captures decision records from a machine's hooks. Create with
+// Recorder captures decision records from a machine's events. Create with
 // Attach; call Close after the run, then Bytes/Summary/Headroom.
 //
 // All hot-path state is preallocated at Attach: the SoA ring, the
@@ -206,8 +206,8 @@ type Recorder struct {
 	closed    bool
 }
 
-// Attach validates opts, preallocates the recorder, registers its hooks
-// on m, and writes the dtrace/v1 header. Must be called before the run;
+// Attach validates opts, preallocates the recorder, registers it as an
+// observer of m's decisions, and writes the dtrace/v1 header. Must be called before the run;
 // pick candidate views are captured iff the machine's scheduler
 // implements sim.PickExplainer.
 func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
@@ -240,12 +240,12 @@ func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
 	if err := r.enc.writeHeader(); err != nil {
 		return nil, err
 	}
-	m.OnPick(r.onPick)
-	m.OnWake(r.onWake)
-	m.OnMigrate(r.onMigrate)
-	m.OnSteal(r.onSteal)
+	m.Observe(r, decisions...)
 	return r, nil
 }
+
+// decisions are the event kinds a recorder observes.
+var decisions = []sim.EventKind{sim.Pick, sim.Wake, sim.Migrate, sim.Steal}
 
 // AttachAccounting attaches a recorder in accounting mode — what a
 // replicated sample grid runs, where only metrics are read. Every count
@@ -253,25 +253,33 @@ func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
 // online headroom verdict are exactly what Attach would produce on the same
 // run, but nothing is kept per record: no ring, candidate arena, digest,
 // ExplainPick call, or encoder exists, so Bytes is nil and Summary.Bytes
-// and Summary.Dropped read 0. The mode has its own hooks; Attach's
-// streaming path never branches on it.
+// and Summary.Dropped read 0. The mode observes through its own type,
+// accountant; Attach's streaming path never branches on it.
 func AttachAccounting(m *sim.Machine, opts Options) (*Recorder, error) {
 	if _, err := opts.normalize(); err != nil {
 		return nil, err
 	}
 	r := &Recorder{m: m, opts: opts, loadBuf: make([]int, len(m.Cores))}
 	r.initHeadroom()
-	m.OnPick(func(*sim.Core, *sim.Thread) { r.count(KindPick) })
-	m.OnWake(func(target, _ *sim.Core, t *sim.Thread) {
-		if r.count(KindWake) {
-			r.loadBuf = m.RunnableCountsInto(r.loadBuf)
-			r.hr.observe(int32(target.ID), t, r.loadBuf)
-		}
-	})
-	m.OnMigrate(func(_, _ *sim.Core, _ *sim.Thread) { r.count(KindMigrate) })
-	m.OnSteal(func(_, _ *sim.Core, _ *sim.Thread) { r.count(KindSteal) })
+	m.Observe((*accountant)(r), decisions...)
 	return r, nil
 }
+
+// accountant is an accounting-mode Recorder's observer.
+type accountant Recorder
+
+// Observe is accounting mode's whole record path: sample, tally if kept,
+// and feed a kept wake to the headroom search.
+func (a *accountant) Observe(e sim.Event) {
+	r := (*Recorder)(a)
+	if r.count(kindOf[e.Kind]) && e.Kind == sim.Wake {
+		r.loadBuf = r.m.RunnableCountsInto(r.loadBuf)
+		r.hr.observe(int32(e.Core.ID), e.Thread, r.loadBuf)
+	}
+}
+
+// kindOf maps the observed event kinds to record kinds.
+var kindOf = [...]Kind{sim.Pick: KindPick, sim.Wake: KindWake, sim.Migrate: KindMigrate, sim.Steal: KindSteal}
 
 // initHeadroom carves the headroom window's candidate arena: a wake's
 // alternatives are the machine's cores, so a decision keeps at most one
@@ -281,7 +289,7 @@ func (r *Recorder) initHeadroom() {
 	r.hr = newHeadroomAcc(r.opts.Window, r.opts.Branch, make([]Candidate, r.opts.Window*width))
 }
 
-// count is accounting mode's whole record path: sample, and tally if kept.
+// count samples a decision of kind k and tallies it if kept.
 func (r *Recorder) count(k Kind) bool {
 	kept := r.sampled(k)
 	if kept {
@@ -309,7 +317,7 @@ func (r *Recorder) push(k Kind, t time.Duration, core, thread, other int32, wait
 	r.waitNS = append(r.waitNS, wait)
 	var dg uint64
 	if r.cols&groupDigest != 0 {
-		if k != KindWake { // onWake sampled the depths at this same instant
+		if k != KindWake { // Observe sampled a wake's depths at this same instant
 			r.loadBuf = r.m.RunnableCountsInto(r.loadBuf)
 		}
 		dg = loadDigest(r.loadBuf)
@@ -340,75 +348,64 @@ func loadDigest(loads []int) uint64 {
 	return h
 }
 
-// queueWait is the decision-latency input for queued threads: time since
-// the thread last became runnable or last ran, whichever is later.
-func (r *Recorder) queueWait(t *sim.Thread) int64 {
-	since := t.LastEnqueuedAt
-	if t.LastRanAt > since {
-		since = t.LastRanAt
-	}
-	return int64(r.m.Now() - since)
-}
-
-func (r *Recorder) onPick(c *sim.Core, t *sim.Thread) {
-	if !r.sampled(KindPick) {
-		return
-	}
-	nc := 0
-	if r.cols&groupCand != 0 && r.explainer != nil {
-		r.pickBuf = r.explainer.ExplainPick(c, r.pickBuf)
-		for _, pc := range r.pickBuf {
-			if pc.TID == int32(t.ID) {
-				continue // the chosen thread is its own column
+// Observe records one decision. A queued thread's wait (Thread.QueueWait)
+// is the latency input of picks, migrations and steals.
+func (r *Recorder) Observe(e sim.Event) {
+	c, t, now := e.Core, e.Thread, r.m.Now()
+	switch e.Kind {
+	case sim.Pick:
+		if !r.sampled(KindPick) {
+			return
+		}
+		nc := 0
+		if r.cols&groupCand != 0 && r.explainer != nil {
+			r.pickBuf = r.explainer.ExplainPick(c, r.pickBuf)
+			for _, pc := range r.pickBuf {
+				if pc.TID == int32(t.ID) {
+					continue // the chosen thread is its own column
+				}
+				if nc == maxCandPerRec {
+					break
+				}
+				r.candID = append(r.candID, pc.TID)
+				r.candKey = append(r.candKey, pc.Key)
+				nc++
 			}
-			if nc == maxCandPerRec {
-				break
+		}
+		r.push(KindPick, now, int32(c.ID), int32(t.ID), -1, int64(t.QueueWait(now)), nc)
+	case sim.Wake:
+		// Headroom sees every sampled wake even when the cand columns are
+		// not being written out, so feed it before the column check.
+		if !r.sampled(KindWake) {
+			return
+		}
+		// One pass stages the placement alternatives — every core the
+		// thread was allowed on (online, affinity-permitting), keyed by its
+		// runnable depth at decision time — for the analyzer and the cand
+		// columns both.
+		r.loadBuf = r.m.RunnableCountsInto(r.loadBuf)
+		cands := r.hr.observe(int32(c.ID), t, r.loadBuf)
+		nc := 0
+		if r.cols&groupCand != 0 {
+			for _, cd := range cands {
+				r.candID = append(r.candID, cd.ID)
+				r.candKey = append(r.candKey, cd.Key)
 			}
-			r.candID = append(r.candID, pc.TID)
-			r.candKey = append(r.candKey, pc.Key)
-			nc++
+			nc = len(cands)
+		}
+		// Wake latency input: time since the thread last gave up a core
+		// (the whole sleep/block span; threads that never ran count from 0).
+		wait := int64(now - t.LastRanAt)
+		r.push(KindWake, now, int32(c.ID), int32(t.ID), int32(coreIDOr(e.From, -1)), wait, nc)
+	case sim.Migrate:
+		if r.sampled(KindMigrate) {
+			r.push(KindMigrate, now, int32(c.ID), int32(t.ID), int32(e.From.ID), int64(t.QueueWait(now)), 0)
+		}
+	case sim.Steal:
+		if r.sampled(KindSteal) {
+			r.push(KindSteal, now, int32(c.ID), int32(t.ID), int32(e.From.ID), int64(t.QueueWait(now)), 0)
 		}
 	}
-	r.push(KindPick, r.m.Now(), int32(c.ID), int32(t.ID), -1, r.queueWait(t), nc)
-}
-
-func (r *Recorder) onWake(target, origin *sim.Core, t *sim.Thread) {
-	// Headroom sees every sampled wake even when the cand columns are not
-	// being written out, so feed it before the column check.
-	if !r.sampled(KindWake) {
-		return
-	}
-	// One pass stages the placement alternatives — every core the thread
-	// was allowed on (online, affinity-permitting), keyed by its runnable
-	// depth at decision time — for the analyzer and the cand columns both.
-	r.loadBuf = r.m.RunnableCountsInto(r.loadBuf)
-	cands := r.hr.observe(int32(target.ID), t, r.loadBuf)
-	nc := 0
-	if r.cols&groupCand != 0 {
-		for _, c := range cands {
-			r.candID = append(r.candID, c.ID)
-			r.candKey = append(r.candKey, c.Key)
-		}
-		nc = len(cands)
-	}
-	// Wake latency input: time since the thread last gave up a core
-	// (the whole sleep/block span; threads that never ran count from 0).
-	wait := int64(r.m.Now() - t.LastRanAt)
-	r.push(KindWake, r.m.Now(), int32(target.ID), int32(t.ID), int32(coreIDOr(origin, -1)), wait, nc)
-}
-
-func (r *Recorder) onMigrate(from, to *sim.Core, t *sim.Thread) {
-	if !r.sampled(KindMigrate) {
-		return
-	}
-	r.push(KindMigrate, r.m.Now(), int32(to.ID), int32(t.ID), int32(from.ID), r.queueWait(t), 0)
-}
-
-func (r *Recorder) onSteal(c, victim *sim.Core, t *sim.Thread) {
-	if !r.sampled(KindSteal) {
-		return
-	}
-	r.push(KindSteal, r.m.Now(), int32(c.ID), int32(t.ID), int32(victim.ID), r.queueWait(t), 0)
 }
 
 func coreIDOr(c *sim.Core, or int) int {
@@ -441,7 +438,7 @@ func (r *Recorder) flush() {
 }
 
 // Close flushes the final partial chunk and the headroom accumulator's
-// partial window. The recorder keeps observing hooks if the machine runs
+// partial window. The recorder keeps observing events if the machine runs
 // further, but nothing more is encoded.
 func (r *Recorder) Close() error {
 	if r.closed {

@@ -1,10 +1,10 @@
 package probe
 
 // Attaching probes to a machine. An Attachment owns one periodic sampler
-// on the simulator's timer wheel (a sim.Timer) plus whatever hook
-// registrations its probes need; all probes of an attachment share one
-// cadence and record into one Set. Built-in probes are selected by name
-// (Options.Probes, validated against Names); drivers with bespoke
+// on the simulator's timer wheel (a sim.Timer) plus whatever observers
+// (sim.Observer) its probes register; all probes of an attachment share
+// one cadence and record into one Set. Built-in probes are selected by
+// name (Options.Probes, validated against Names); drivers with bespoke
 // measurements add Custom samplers on the same cadence, so every sampler
 // in the tree — fig6/fig7 runqueue heatmaps, the per-thread runtime and
 // penalty curves, scenario series blocks — rides the same machinery.
@@ -40,8 +40,7 @@ type Attachment struct {
 	m        *sim.Machine
 	set      *Set
 	cadence  time.Duration
-	samplers []sampler                 // the built-in probes'
-	custom   []func(now time.Duration) // drivers' bespoke samplers
+	samplers []Sampler // the built-in probes', then drivers' Custom ones
 	stopped  bool
 
 	// Convergence tracking, maintained by the runq probe at full sample
@@ -53,8 +52,8 @@ type Attachment struct {
 	converged   bool
 }
 
-// builtinProbe is one named probe: an installer that registers hooks and
-// appends the sampler.
+// builtinProbe is one named probe: an installer that registers its
+// observers and appends the sampler.
 type builtinProbe struct {
 	name    string
 	install func(a *Attachment)
@@ -66,9 +65,9 @@ var builtins = []builtinProbe{
 	{"migrations", installMigrations},   // runnable-thread migrations per second
 	{"preemptions", installPreemptions}, // involuntary preemptions per second
 	{"runq", installRunq},               // per-core runnable depth (the Figure 6/7 heatmap signal)
-	{"runqlat", installRunqlat},         // per-group runqueue wait quantiles in µs (enqueue→dispatch hooks)
+	{"runqlat", installRunqlat},         // per-group runqueue wait quantiles in µs (observes dispatches)
 	{"steals", installSteals},           // idle steals per second
-	{"ticks", installTicks},             // scheduler ticks per second across all cores (tick hook)
+	{"ticks", installTicks},             // scheduler ticks per second across all cores (observes ticks)
 	{"util", installUtil},               // per-core windowed utilization in [0,1]
 }
 
@@ -121,10 +120,7 @@ func (t sampleTimer) Fire(m *sim.Machine) {
 	}
 	now := m.Now()
 	for _, s := range t.a.samplers {
-		s.sample(now)
-	}
-	for _, fn := range t.a.custom {
-		fn(now)
+		s.Sample(now)
 	}
 	m.At(now+t.a.cadence, t)
 }
@@ -142,12 +138,12 @@ func MustAttach(m *sim.Machine, opts Options) *Attachment {
 // Set returns the attachment's destination series set.
 func (a *Attachment) Set() *Set { return a.set }
 
-// Custom appends a bespoke sampler on the attachment's cadence; fn
+// Custom appends a bespoke sampler on the attachment's cadence; it
 // receives the simulated sample time and records wherever it likes
 // (typically a.Set().Sample, or a driver-owned Set). Samplers run in
 // registration order, built-ins first.
-func (a *Attachment) Custom(fn func(now time.Duration)) {
-	a.custom = append(a.custom, fn)
+func (a *Attachment) Custom(s Sampler) {
+	a.samplers = append(a.samplers, s)
 }
 
 // Stop ends sampling at the next cycle: the timer fires once more and does
@@ -189,9 +185,9 @@ func coreSeries(a *Attachment, prefix string) []*Series {
 	return ss
 }
 
-// sampler is a built-in probe's reading, taken once per cadence.
-type sampler interface {
-	sample(now time.Duration)
+// Sampler takes a reading once per cadence, at simulated time now.
+type Sampler interface {
+	Sample(now time.Duration)
 }
 
 // installRunq samples per-core runnable depth and maintains the
@@ -207,7 +203,7 @@ type runqSampler struct {
 	buf []int
 }
 
-func (r *runqSampler) sample(now time.Duration) {
+func (r *runqSampler) Sample(now time.Duration) {
 	a := r.a
 	r.buf = a.m.RunnableCountsInto(r.buf)
 	lo, hi := r.buf[0], r.buf[0]
@@ -241,7 +237,7 @@ type utilSampler struct {
 	prevNow  time.Duration
 }
 
-func (u *utilSampler) sample(now time.Duration) {
+func (u *utilSampler) Sample(now time.Duration) {
 	window := now - u.prevNow
 	if window <= 0 {
 		return
@@ -264,7 +260,7 @@ type liveSampler struct {
 	s *Series
 }
 
-func (l *liveSampler) sample(now time.Duration) { l.s.Offer(now, float64(l.m.LiveThreads())) }
+func (l *liveSampler) Sample(now time.Duration) { l.s.Offer(now, float64(l.m.LiveThreads())) }
 
 // addRate samples a monotonically increasing count as a per-second
 // windowed rate series. Counting starts at attach: events before it fall
@@ -280,7 +276,7 @@ type rateSampler struct {
 	prevNow time.Duration
 }
 
-func (r *rateSampler) sample(now time.Duration) {
+func (r *rateSampler) Sample(now time.Duration) {
 	window := (now - r.prevNow).Seconds()
 	if window <= 0 {
 		return
@@ -292,25 +288,30 @@ func (r *rateSampler) sample(now time.Duration) {
 }
 
 // installMigrations reads the engine's migration count
-// (sim.Machine.Counts), bumped wherever the migrate hook fires.
+// (sim.Machine.Counts), bumped wherever a Migrate event fires.
 func installMigrations(a *Attachment) { addRate(a, "rate.migrations", &a.m.Counts.Migrations) }
 
 // installSteals reads the engine's idle-steal count (sim.Machine.Counts),
-// bumped wherever the steal hook fires.
+// bumped wherever a Steal event fires.
 func installSteals(a *Attachment) { addRate(a, "rate.steals", &a.m.Counts.Steals) }
 
 // installPreemptions reads the engine's preemption count
 // (sim.Machine.Counts).
 func installPreemptions(a *Attachment) { addRate(a, "rate.preemptions", &a.m.Counts.Preemptions) }
 
-// installTicks counts fired scheduler ticks via the tick hook. Every
+// installTicks counts fired scheduler ticks by observing them. Every
 // online core ticks once a period, idle or busy, so the rate is cores ×
 // tick frequency and dips only while cores are hot-unplugged.
 func installTicks(a *Attachment) {
-	n := new(uint64)
-	a.m.OnTick(func(c *sim.Core) { *n++ })
-	addRate(a, "rate.ticks", n)
+	n := new(tickCount)
+	a.m.Observe(n, sim.Tick)
+	addRate(a, "rate.ticks", (*uint64)(n))
 }
+
+// tickCount counts Tick events.
+type tickCount uint64
+
+func (n *tickCount) Observe(sim.Event) { *n++ }
 
 // installRunqlat observes every dispatch's runqueue wait — the time since
 // the thread last became runnable or was descheduled, whichever is later
@@ -318,31 +319,31 @@ func installTicks(a *Attachment) {
 // p95/p99 per group in microseconds. Groups appear in first-dispatch
 // order, which is deterministic for a seeded simulation.
 func installRunqlat(a *Attachment) {
-	r := &runqlatSampler{set: a.set, hists: map[string]*stats.Histogram{}}
-	m := a.m
-	m.OnDispatch(func(c *sim.Core, t *sim.Thread) {
-		since := t.LastEnqueuedAt
-		if t.LastRanAt > since {
-			since = t.LastRanAt
-		}
-		h, ok := r.hists[t.Group]
-		if !ok {
-			h = &stats.Histogram{}
-			r.hists[t.Group] = h
-			r.order = append(r.order, t.Group)
-		}
-		h.Observe(m.Now() - since)
-	})
+	r := &runqlatSampler{m: a.m, set: a.set, hists: map[string]*stats.Histogram{}}
+	a.m.Observe(r, sim.Dispatch)
 	a.samplers = append(a.samplers, r)
 }
 
 type runqlatSampler struct {
+	m     *sim.Machine
 	set   *Set
 	hists map[string]*stats.Histogram
 	order []string
 }
 
-func (r *runqlatSampler) sample(now time.Duration) {
+// Observe adds one dispatch's runqueue wait to its group's histogram.
+func (r *runqlatSampler) Observe(e sim.Event) {
+	t := e.Thread
+	h, ok := r.hists[t.Group]
+	if !ok {
+		h = &stats.Histogram{}
+		r.hists[t.Group] = h
+		r.order = append(r.order, t.Group)
+	}
+	h.Observe(t.QueueWait(r.m.Now()))
+}
+
+func (r *runqlatSampler) Sample(now time.Duration) {
 	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	for _, g := range r.order {
 		h := r.hists[g]

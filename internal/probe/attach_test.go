@@ -148,15 +148,20 @@ func TestArmConvergenceRequiresRunq(t *testing.T) {
 	att.ArmConvergence(0)
 }
 
+// sampleFunc adapts a plain func to a probe.Sampler.
+type sampleFunc func(now time.Duration)
+
+func (f sampleFunc) Sample(now time.Duration) { f(now) }
+
 // TestCustomSampler: bespoke samplers share the attachment cadence and
 // can record into driver-owned sets — the exp_percore pattern.
 func TestCustomSampler(t *testing.T) {
 	m := busyMachine(t, 4)
 	own := probe.NewSet(64)
 	att := probe.MustAttach(m, probe.Options{Cadence: 50 * time.Millisecond})
-	att.Custom(func(now time.Duration) {
+	att.Custom(sampleFunc(func(now time.Duration) {
 		own.Sample("events", now, float64(m.EventsProcessed()))
-	})
+	}))
 	m.Run(time.Second)
 	s := own.Get("events")
 	if s.Len() < 19 || s.Len() > 21 {

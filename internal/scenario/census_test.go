@@ -15,15 +15,12 @@ import (
 	"repro/internal/sim"
 )
 
-// censusAllowed are the only places a func-typed value may sit in a live
-// machine (DESIGN §3, "Where closures remain"): the observer hooks, which a
-// machine fork would not copy. Programs, timers and app launches are data.
-var censusAllowed = []string{
-	"sim.hooks.", // observers: probes, decision traces, timelines
-}
-
-// timerSite is where the walk meets the machine's armed timers.
-const timerSite = "sim.Machine.timers"
+// timerSite and observerSite are where the walk meets the machine's armed
+// timers and its registered observers.
+const (
+	timerSite    = "sim.Machine.timers"
+	observerSite = "sim.Machine.observers"
+)
 
 // funcCensus walks every value reachable from a root and counts the
 // func-typed values it passes by where they sit ("pkg.Type.field", or the
@@ -33,9 +30,10 @@ const timerSite = "sim.Machine.timers"
 type funcCensus struct {
 	seen  map[visit]bool
 	sites map[string]int
-	// timers counts the armed timers the walk met, which shows that it
-	// reaches the timer table and walks into each Timer value.
-	timers int
+	// timers and observers count the armed timers and the registered
+	// observers the walk met (an observer once per kind it observes),
+	// which shows that it reaches both tables and walks into each value.
+	timers, observers int
 }
 
 type visit struct {
@@ -62,8 +60,11 @@ func (c *funcCensus) walk(v reflect.Value, site string) {
 		c.walk(v.Elem(), site)
 	case reflect.Interface:
 		if !v.IsNil() {
-			if site == timerSite {
+			switch site {
+			case timerSite:
 				c.timers++
+			case observerSite:
+				c.observers++
 			}
 			c.walk(v.Elem(), site)
 		}
@@ -103,10 +104,11 @@ func (c *funcCensus) machine(m *sim.Machine) {
 }
 
 // TestFuncCensus walks live machines — the eight bundled scenarios and
-// every catalog app launched alone on 8 cores — and fails on a func value
-// outside censusAllowed: state a machine fork could not copy. Each allowed
-// site must also turn up, which shows the walk reaches the threads'
-// programs and the hooks, and so must armed timers in the timer table.
+// every catalog app launched alone on 8 cores — and fails on any func
+// value (DESIGN §3, "Where closures remain"): state a machine fork could
+// not copy. Programs, timers, app launches and observers are all data. The
+// walk must also meet armed timers and registered observers, which shows
+// it reaches both tables.
 func TestFuncCensus(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the census reads structure, which -race does not change; it costs 13 s there")
@@ -153,39 +155,19 @@ func TestFuncCensus(t *testing.T) {
 		return struct{}{}
 	})
 
-	var stray, missing []string
+	var stray []string
 	for site, n := range c.sites {
-		if !censusAllowedSite(site) {
-			stray = append(stray, fmt.Sprintf("%s ×%d", site, n))
-		}
-	}
-	for _, a := range censusAllowed {
-		found := false
-		for site := range c.sites {
-			found = found || strings.HasPrefix(site, a)
-		}
-		if !found {
-			missing = append(missing, a)
-		}
+		stray = append(stray, fmt.Sprintf("%s ×%d", site, n))
 	}
 	sort.Strings(stray)
 	if len(stray) > 0 {
-		t.Errorf("func values outside the allowlist (a machine fork cannot copy them):\n  %s", strings.Join(stray, "\n  "))
-	}
-	if len(missing) > 0 {
-		t.Errorf("allowed sites the walk never met (it no longer reaches them): %v", missing)
+		t.Errorf("func values in a live machine (a machine fork cannot copy them):\n  %s", strings.Join(stray, "\n  "))
 	}
 	if c.timers == 0 {
 		t.Errorf("the walk met no armed timer in %s (it no longer reaches them)", timerSite)
 	}
-	t.Logf("%d armed timers walked", c.timers)
-}
-
-func censusAllowedSite(site string) bool {
-	for _, a := range censusAllowed {
-		if strings.HasPrefix(site, a) {
-			return true
-		}
+	if c.observers == 0 {
+		t.Errorf("the walk met no registered observer in %s (it no longer reaches them)", observerSite)
 	}
-	return false
+	t.Logf("%d armed timers and %d registered observers walked", c.timers, c.observers)
 }

@@ -1,100 +1,93 @@
 package sim
 
-// Stable observation hook points for the telemetry layer (internal/probe).
-// Hooks fire at the engine's scheduler-visible transitions:
+// Observation: the engine reports its scheduler-visible transitions as
+// Events to the Observers registered for their kinds (Machine.Observe).
+// The kinds, and what an Event carries for each (unset fields are nil or
+// 0):
 //
-//   - enqueue:  a thread became runnable on a core (fork, wakeup,
-//     migration arrival) — after the scheduler's Enqueue ran, before any
-//     dispatch/preemption it triggers;
-//   - dispatch: a core started running a thread;
-//   - migrate:  a balancer/stealer moved a runnable thread between cores
-//     (fires before the arrival's enqueue hook);
-//   - steal:    an idle core stole a thread from a victim (reported by
-//     the scheduler via TraceSteal, which also bumps Machine.Counts.Steals;
+//   - Enqueue:  Thread became runnable on Core (fork, wakeup, migration
+//     arrival), with the enqueue Flags — after the scheduler's Enqueue
+//     ran, before any dispatch/preemption it triggers;
+//   - Dispatch: Core started running Thread;
+//   - Migrate:  a balancer/stealer moved runnable Thread from From to
+//     Core (before the arrival's Enqueue event);
+//   - Steal:    idle Core stole Thread from victim From (reported by the
+//     scheduler via TraceSteal, which also bumps Machine.Counts.Steals;
 //     the accompanying Migrate also fires);
-//   - tick:     a scheduler tick fired on a core (after token
-//     validation, i.e. only ticks that actually run);
-//   - pick:     a core's PickNext chose a thread — the decision point of
+//   - Tick:     a scheduler tick fired on Core (after token validation,
+//     i.e. only ticks that actually run);
+//   - Pick:     Core's PickNext chose Thread — the decision point of
 //     pick_next_task/sched_choose. Fires after the engine validated the
 //     pick, before the thread starts running; never on an offline core.
 //     At this instant the chosen thread has been removed from the
 //     scheduler's queue structures, so a PickExplainer snapshot taken
-//     inside the hook shows the residual candidates it beat;
-//   - wake:     a wakeup placement decision — SelectCore chose target for
-//     a thread waking from sleep/block (select_task_rq/sched_pickcpu).
-//     Fires before the wakeup's enqueue (and before any enqueue/dispatch
-//     hooks it triggers); origin is the core the wake happened on, nil
-//     for timer wakeups. Fork placements do not fire it.
+//     inside Observe shows the residual candidates it beat;
+//   - Wake:     a wakeup placement decision — SelectCore chose Core for
+//     Thread waking from sleep/block (select_task_rq/sched_pickcpu).
+//     Fires before the wakeup's Enqueue (and any Enqueue/Dispatch events
+//     it triggers); From is the core the wake happened on, nil for timer
+//     wakeups. Fork placements do not fire it.
 //
-// Contract: hooks are pure observers. They run inside the engine's
-// dispatch path and MUST NOT mutate simulation state (no thread starts,
-// wakes, migrations, or timer arming) — only read state and record. The
-// engine does not defend against violations.
+// Contract: observers are pure. Observe runs inside the engine's dispatch
+// path and MUST NOT mutate simulation state (no thread starts, wakes,
+// migrations, or timer arming) — only read state and record. The engine
+// does not defend against violations.
 //
-// The no-hooks fast path is a single nil check per site: a machine with
-// no hooks registered pays no allocation and no per-event call, which is
-// what keeps the tickless engine's zero-probe numbers intact
-// (BenchmarkProbeOverhead in internal/probe).
-type hooks struct {
-	enqueue  []func(c *Core, t *Thread, flags int)
-	dispatch []func(c *Core, t *Thread)
-	migrate  []func(from, to *Core, t *Thread)
-	steal    []func(c, victim *Core, t *Thread)
-	tick     []func(c *Core)
-	pick     []func(c *Core, t *Thread)
-	wake     []func(target, origin *Core, t *Thread)
+// An observer is a value, not a closure, so everything a machine holds is
+// data a fork could copy. An Event travels by value: passed by pointer
+// through the interface call it would escape, one allocation per event
+// (TestObserverPathAllocFree). A machine with no observer carries no table
+// and pays one nil check per site, which is what keeps the zero-probe
+// numbers intact (BenchmarkProbeOverhead in internal/probe).
+
+// EventKind names an observable transition.
+type EventKind uint8
+
+const (
+	Enqueue EventKind = iota
+	Dispatch
+	Migrate
+	Steal
+	Tick
+	Pick
+	Wake
+	numEventKinds
+)
+
+// Event is one observed transition; the kind list above says what Core,
+// From, Thread and Flags hold for each kind.
+type Event struct {
+	Kind       EventKind
+	Core, From *Core
+	Thread     *Thread
+	Flags      int
 }
 
-// ensureHooks lazily allocates the hook table: machines that never attach
-// a probe never carry one.
-func (m *Machine) ensureHooks() *hooks {
-	if m.hooks == nil {
-		m.hooks = &hooks{}
+// Observer receives the events of the kinds it was registered for.
+type Observer interface {
+	Observe(Event)
+}
+
+// observerTable holds each kind's observers in registration order.
+type observerTable [numEventKinds][]Observer
+
+// Observe registers o for the given kinds. Observers of one kind see each
+// event in registration order.
+func (m *Machine) Observe(o Observer, kinds ...EventKind) {
+	if m.observers == nil {
+		m.observers = &observerTable{}
 	}
-	return m.hooks
+	for _, k := range kinds {
+		m.observers[k] = append(m.observers[k], o)
+	}
 }
 
-// OnEnqueue registers an observer for threads becoming runnable on a core.
-func (m *Machine) OnEnqueue(fn func(c *Core, t *Thread, flags int)) {
-	h := m.ensureHooks()
-	h.enqueue = append(h.enqueue, fn)
-}
-
-// OnDispatch registers an observer for a core starting to run a thread.
-func (m *Machine) OnDispatch(fn func(c *Core, t *Thread)) {
-	h := m.ensureHooks()
-	h.dispatch = append(h.dispatch, fn)
-}
-
-// OnMigrate registers an observer for runnable-thread migrations.
-func (m *Machine) OnMigrate(fn func(from, to *Core, t *Thread)) {
-	h := m.ensureHooks()
-	h.migrate = append(h.migrate, fn)
-}
-
-// OnSteal registers an observer for idle steals.
-func (m *Machine) OnSteal(fn func(c, victim *Core, t *Thread)) {
-	h := m.ensureHooks()
-	h.steal = append(h.steal, fn)
-}
-
-// OnTick registers an observer for scheduler ticks that actually fire.
-func (m *Machine) OnTick(fn func(c *Core)) {
-	h := m.ensureHooks()
-	h.tick = append(h.tick, fn)
-}
-
-// OnPick registers an observer for pick decisions: c chose t to run next.
-func (m *Machine) OnPick(fn func(c *Core, t *Thread)) {
-	h := m.ensureHooks()
-	h.pick = append(h.pick, fn)
-}
-
-// OnWake registers an observer for wakeup placement decisions: SelectCore
-// chose target for t waking on origin (nil for timer wakeups).
-func (m *Machine) OnWake(fn func(target, origin *Core, t *Thread)) {
-	h := m.ensureHooks()
-	h.wake = append(h.wake, fn)
+// emit delivers e to its kind's observers; callers check m.observers for
+// nil first, so an unobserved machine never builds an Event.
+func (m *Machine) emit(e Event) {
+	for _, o := range m.observers[e.Kind] {
+		o.Observe(e)
+	}
 }
 
 // PickCandidate is one entry of a scheduler's candidate view of a core:
@@ -116,7 +109,7 @@ type PickCandidate struct {
 //
 // Contract: pure observer — must not mutate scheduler or engine state.
 // The iteration order must be deterministic for a given queue state.
-// Called from inside an OnPick hook, the just-picked thread has already
+// Called from inside a Pick observer, the just-picked thread has already
 // been removed from queue structures; implementations that track the
 // running thread in a side list (CFS) may still include it — consumers
 // that want only the beaten candidates filter the chosen TID.

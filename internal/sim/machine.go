@@ -27,10 +27,10 @@ type Machine struct {
 	sched Scheduler
 	rng   *Rand
 
-	// hooks is the telemetry observation table (hooks.go); nil until the
-	// first registration, so probe-free machines pay one nil check per
-	// hook site and nothing else.
-	hooks *hooks
+	// observers is the observation table (hooks.go); nil until the first
+	// registration, so probe-free machines pay one nil check per
+	// observation site and nothing else.
+	observers *observerTable
 
 	now time.Duration
 	// wheel is the event queue; heap is the reference engine tests
@@ -461,10 +461,8 @@ func (m *Machine) Wake(t *Thread) {
 		t.pendingPenalty += m.Cost.MigrationPenalty
 	}
 	m.Counts.Wakeups++
-	if m.hooks != nil {
-		for _, fn := range m.hooks.wake {
-			fn(target, origin, t)
-		}
+	if m.observers != nil {
+		m.emit(Event{Kind: Wake, Core: target, From: origin, Thread: t})
 	}
 	m.enqueueRunnable(target, t, FlagWakeup)
 }
@@ -533,10 +531,8 @@ func (m *Machine) Migrate(t *Thread, from, to *Core) {
 		t.pendingPenalty += m.Cost.MigrationPenalty
 	}
 	m.Counts.Migrations++
-	if m.hooks != nil {
-		for _, fn := range m.hooks.migrate {
-			fn(from, to, t)
-		}
+	if m.observers != nil {
+		m.emit(Event{Kind: Migrate, Core: to, From: from, Thread: t})
 	}
 	m.enqueueRunnable(to, t, FlagMigrate)
 }
@@ -580,14 +576,12 @@ func (m *Machine) TraceBalance(c *Core) {
 	m.Counts.Balances++
 }
 
-// TraceSteal counts an idle steal by c from victim and fires the steal
-// hooks; the scheduler then moves t with Migrate.
+// TraceSteal counts an idle steal by c from victim and emits the Steal
+// event; the scheduler then moves t with Migrate.
 func (m *Machine) TraceSteal(c, victim *Core, t *Thread) {
 	m.Counts.Steals++
-	if m.hooks != nil {
-		for _, fn := range m.hooks.steal {
-			fn(c, victim, t)
-		}
+	if m.observers != nil {
+		m.emit(Event{Kind: Steal, Core: c, From: victim, Thread: t})
 	}
 }
 
@@ -614,10 +608,8 @@ func (m *Machine) enqueueRunnable(c *Core, t *Thread, flags int) {
 	t.core = c
 	t.LastEnqueuedAt = m.now
 	m.sched.Enqueue(c, t, flags)
-	if m.hooks != nil {
-		for _, fn := range m.hooks.enqueue {
-			fn(c, t, flags)
-		}
+	if m.observers != nil {
+		m.emit(Event{Kind: Enqueue, Core: c, Thread: t, Flags: flags})
 	}
 	if c.Curr == nil {
 		if !c.dispatching {
@@ -662,10 +654,8 @@ func (m *Machine) dispatch(c *Core) {
 		if t.state != StateRunnable || t.core != c {
 			panic(fmt.Sprintf("sim: PickNext returned %v (state %v, core %v) on core %d", t, t.state, coreID(t.core), c.ID))
 		}
-		if m.hooks != nil && !c.offline {
-			for _, fn := range m.hooks.pick {
-				fn(c, t)
-			}
+		if m.observers != nil && !c.offline {
+			m.emit(Event{Kind: Pick, Core: c, Thread: t})
 		}
 		m.start(c, t)
 		return
@@ -691,10 +681,8 @@ func (m *Machine) start(c *Core, t *Thread) {
 		}
 	}
 	c.lastThread = t
-	if m.hooks != nil {
-		for _, fn := range m.hooks.dispatch {
-			fn(c, t)
-		}
+	if m.observers != nil {
+		m.emit(Event{Kind: Dispatch, Core: c, Thread: t})
 	}
 
 	if t.opValid {

@@ -167,11 +167,11 @@ func TestOnlineCoreRejoins(t *testing.T) {
 	}
 	m.Run(20 * time.Millisecond)
 	dispatched := false
-	m.OnDispatch(func(c *Core, _ *Thread) {
-		if c.ID == 5 {
+	m.Observe(observeFunc(func(e Event) {
+		if e.Core.ID == 5 {
 			dispatched = true
 		}
-	})
+	}), Dispatch)
 	if !m.OnlineCore(5) {
 		t.Fatal("OnlineCore(5) refused")
 	}

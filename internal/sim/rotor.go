@@ -119,10 +119,8 @@ func (m *Machine) nextTick(id int) int {
 func (m *Machine) fireTick(c *Core) {
 	c.lastTick = m.now
 	c.flushRun()
-	if m.hooks != nil {
-		for _, fn := range m.hooks.tick {
-			fn(c)
-		}
+	if m.observers != nil {
+		m.emit(Event{Kind: Tick, Core: c})
 	}
 	m.sched.Tick(c, c.Curr)
 	if c.NeedResched {

@@ -89,10 +89,10 @@ func TestRotorHeadIsArgmin(t *testing.T) {
 			log := &popLog{t: t, m: m}
 			logs[li] = log
 			period := m.tickPeriod
-			m.OnTick(func(c *Core) {
-				log.note(fmt.Sprintf("tick core %d", c.ID))
+			m.Observe(observeFunc(func(e Event) {
+				log.note(fmt.Sprintf("tick core %d", e.Core.ID))
 				checkRotor(t, m, "tick")
-			})
+			}), Tick)
 			for i := 0; i < n; i += 1 + n/8 {
 				m.StartThreadCfg(ThreadConfig{Name: "burst", Group: "app", Pinned: []int{i}, Prog: &runSleeper{
 					run:   time.Duration(50+rng.Intn(700)) * time.Microsecond,
@@ -153,7 +153,7 @@ func TestRotorEvictedStaleTick(t *testing.T) {
 		m := newMachineOn(heap, tp, NewFIFO(), Options{Seed: 1, Cost: &CostModel{}})
 		log := &popLog{t: t, m: m}
 		logs[li] = log
-		m.OnTick(func(c *Core) { log.note(fmt.Sprintf("tick core %d", c.ID)) })
+		m.Observe(observeFunc(func(e Event) { log.note(fmt.Sprintf("tick core %d", e.Core.ID)) }), Tick)
 		// One far event: once the near ones are gone the wheel's cursor
 		// jumps to it, ahead of the clock, while the rotor keeps ticking.
 		m.At(20*ms, fireFunc(func() { log.note("far") }))

@@ -152,6 +152,12 @@ func (t *Thread) State() State { return t.state }
 // sleeping/dead.
 func (t *Thread) Core() *Core { return t.core }
 
+// QueueWait is how long t has waited for a core at now: the time since it
+// last became runnable or last gave up a core, whichever is later.
+func (t *Thread) QueueWait(now time.Duration) time.Duration {
+	return now - max(t.LastEnqueuedAt, t.LastRanAt)
+}
+
 // CanRunOn reports whether the thread may be placed on core id: the
 // core must be online and the thread's affinity (if any) must allow it.
 // Every scheduler placement and steal scan filters through here, which

@@ -51,7 +51,7 @@ func BenchmarkTimelineOverhead(b *testing.B) {
 }
 
 // TestZeroTimelineAllocFree is the CI alloc gate: with no recorder
-// attached the hook fast path must not allocate at all.
+// attached the observer fast path must not allocate at all.
 func TestZeroTimelineAllocFree(t *testing.T) {
 	m, _ := benchMachine(false)
 	allocs := testing.AllocsPerRun(20, func() {

@@ -1,22 +1,22 @@
 // Package timeline is the scheduler flight recorder: an
 // allocation-bounded per-thread state machine driven purely from the
-// engine's observer hooks, answering "where did each thread's time go"
-// (running vs. runnable-waiting vs. sleeping) and "what was the dispatch
-// latency per wakeup" — the perf-sched-timehist view of a simulation.
+// engine's observed events (sim.Observer), answering "where did each
+// thread's time go" (running vs. runnable-waiting vs. sleeping) and "what
+// was the dispatch latency per wakeup" — the perf-sched-timehist view of a
+// simulation.
 //
-// The engine exposes no hooks for preemption, sleep, or exit, so the
+// The engine emits no event for preemption, sleep, or exit, so the
 // recorder reconciles retroactively: the engine stamps Thread.LastRanAt at
-// every leave-CPU instant, and whenever a thread's next hook fires the
-// stale interval is classified exactly — a wake hook means the gap since
-// LastRanAt was sleep, a dispatch or migrate hook means it was
-// runnable-wait. Close classifies whatever state remains via
-// Thread.State(). The invariant this buys (pinned by tests): for every
-// recorded thread, run + wait + sleep == its observed span, to the
-// nanosecond.
+// every leave-CPU instant, and whenever a thread's next event fires the
+// stale interval is classified exactly — a Wake means the gap since
+// LastRanAt was sleep, a Dispatch or Migrate means it was runnable-wait.
+// Close classifies whatever state remains via Thread.State(). The
+// invariant this buys (pinned by tests): for every recorded thread, run +
+// wait + sleep == its observed span, to the nanosecond.
 //
-// Like internal/dtrace, attaching nothing costs nothing: the hook table's
-// nil check is the entire zero-recorder fast path, so unrecorded runs stay
-// 0 allocs/op (TestZeroTimelineAllocFree).
+// Like internal/dtrace, attaching nothing costs nothing: the observer
+// table's nil check is the entire zero-recorder fast path, so unrecorded
+// runs stay 0 allocs/op (TestZeroTimelineAllocFree).
 package timeline
 
 import (
@@ -99,8 +99,8 @@ func (o *Options) track(name string) bool {
 	return false
 }
 
-// Per-thread model states. The model tracks the last hook-confirmed state;
-// reconciliation closes stale intervals when the next hook fires.
+// Per-thread model states. The model tracks the last event-confirmed
+// state; reconciliation closes stale intervals when the next event fires.
 const (
 	modelNone uint8 = iota
 	modelWait
@@ -280,7 +280,7 @@ type ThreadAccount struct {
 	Wakeups   uint64
 }
 
-// Attach hooks a Recorder onto m. Threads already alive are snapshotted
+// Attach registers a Recorder as an observer of m. Threads already alive are snapshotted
 // into the model (a thread running at attach contributes run time from the
 // attach instant; a runnable one waits from its last enqueue; dead threads
 // are ignored), so mid-run attachment still satisfies the conservation
@@ -293,8 +293,8 @@ func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
 // grid runs, where only metrics are read. The per-thread and per-class
 // time-in-state accounts, the latency histograms, the worst-wakeup table
 // and every Summary count are exactly Attach's (conservation included),
-// but no event is buffered whatever Options.Tracks selects — the hooks run
-// as they do for a deselected track — so AppendPerfetto has no slice or
+// but no event is buffered whatever Options.Tracks selects — Observe runs
+// as it does for a deselected track — so AppendPerfetto has no slice or
 // instant to render and Summary.DroppedEvents reads 0.
 func AttachAccounting(m *sim.Machine, opts Options) (*Recorder, error) {
 	return attach(m, opts, false)
@@ -356,11 +356,7 @@ func attach(m *sim.Machine, opts Options, events bool) (*Recorder, error) {
 		// StateNew keeps ensure's initialization: waiting from now.
 	}
 
-	m.OnEnqueue(r.onEnqueue)
-	m.OnDispatch(r.onDispatch)
-	m.OnMigrate(r.onMigrate)
-	m.OnSteal(r.onSteal)
-	m.OnWake(r.onWake)
+	m.Observe(r, sim.Enqueue, sim.Dispatch, sim.Migrate, sim.Steal, sim.Wake)
 	return r, nil
 }
 
@@ -436,109 +432,92 @@ func (r *Recorder) instant(kind uint8, tid, core, other int32, t int64) {
 	r.ev.append(event{kind: kind, tid: tid, core: core, other: other, t: t})
 }
 
-// onWake fires at wakeup placement, before the enqueue: any stale RUN
-// model means the thread slept hook-lessly since LastRanAt — close the run
-// slice there and classify the gap as sleep. The new wait is
-// wakeup-originated: its eventual length is a dispatch latency.
-func (r *Recorder) onWake(target, origin *sim.Core, t *sim.Thread) {
+// Observe advances t's state machine by one event.
+func (r *Recorder) Observe(e sim.Event) {
+	t := e.Thread
 	st := r.ensure(t)
-	if st == nil {
+	// An Enqueue only matters for first sight (fork): ensure initialized
+	// the thread waiting from now. Wakeup and migration arrivals were
+	// already reconciled by their own events.
+	if st == nil || e.Kind == sim.Enqueue {
 		return
 	}
 	now := int64(r.m.Now())
-	switch st.model {
-	case modelRun:
-		lr := st.lastRanNS()
-		r.closeRun(st, lr)
-		st.sleepNS += now - lr
-	case modelSleep: // snapshot-attached sleeper waking
-		st.sleepNS += now - st.startNS
-	case modelWait: // defensive: engine wakes only sleepers
-		st.waitNS += now - st.startNS
-	}
-	st.model = modelWait
-	st.startNS = now
-	st.fromWake = true
-	st.wakeups++
-	r.wakeups++
-	if st.class >= 0 {
-		r.classes[st.class].wakeups++
-	}
-	org := int32(-1)
-	if origin != nil {
-		org = int32(origin.ID)
-	}
-	r.instant(evWake, int32(t.ID), int32(target.ID), org, now)
-}
-
-// onEnqueue only matters for first sight (fork): ensure initializes the
-// thread waiting from now. Wakeup and migration arrivals were already
-// reconciled by their own hooks.
-func (r *Recorder) onEnqueue(c *sim.Core, t *sim.Thread, flags int) {
-	r.ensure(t)
-}
-
-// onDispatch closes the thread's wait (observing the dispatch latency when
-// the wait began at a wakeup) and opens a run slice. A stale RUN model
-// means the thread was preempted hook-lessly at LastRanAt: the slice
-// closes there and the gap was runnable-wait.
-func (r *Recorder) onDispatch(c *sim.Core, t *sim.Thread) {
-	st := r.ensure(t)
-	if st == nil {
-		return
-	}
-	now := int64(r.m.Now())
-	switch st.model {
-	case modelWait:
-		wait := now - st.startNS
-		st.waitNS += wait
-		st.pendWaitNS, st.pendFromWake = wait, st.fromWake
-		if st.fromWake {
-			r.observeLatency(st, wait, now)
+	switch e.Kind {
+	case sim.Wake:
+		// Wakeup placement, before the enqueue: any stale RUN model means
+		// the thread slept event-lessly since LastRanAt — close the run
+		// slice there and classify the gap as sleep. The new wait is
+		// wakeup-originated: its eventual length is a dispatch latency.
+		switch st.model {
+		case modelRun:
+			lr := st.lastRanNS()
+			r.closeRun(st, lr)
+			st.sleepNS += now - lr
+		case modelSleep: // snapshot-attached sleeper waking
+			st.sleepNS += now - st.startNS
+		case modelWait: // defensive: engine wakes only sleepers
+			st.waitNS += now - st.startNS
 		}
-	case modelRun: // preempted at LastRanAt, re-dispatched now
-		lr := st.lastRanNS()
-		r.closeRun(st, lr)
-		st.waitNS += now - lr
-		st.pendWaitNS, st.pendFromWake = now-lr, false
-	case modelSleep: // defensive: a wake hook precedes any dispatch
-		st.sleepNS += now - st.startNS
-	}
-	st.model = modelRun
-	st.startNS = now
-	st.fromWake = false
-	st.core = int32(c.ID)
-}
-
-// onMigrate reconciles a stale RUN model (preempted, then migrated: the
-// gap since LastRanAt is wait, and keeps accruing on the new core) and
-// marks the move. A wakeup-originated wait keeps its flag and start across
-// the migration — dispatch latency is measured from the wakeup instant.
-func (r *Recorder) onMigrate(from, to *sim.Core, t *sim.Thread) {
-	st := r.ensure(t)
-	if st == nil {
-		return
-	}
-	if st.model == modelRun {
-		lr := st.lastRanNS()
-		r.closeRun(st, lr)
 		st.model = modelWait
-		st.startNS = lr
+		st.startNS = now
+		st.fromWake = true
+		st.wakeups++
+		r.wakeups++
+		if st.class >= 0 {
+			r.classes[st.class].wakeups++
+		}
+		org := int32(-1)
+		if e.From != nil {
+			org = int32(e.From.ID)
+		}
+		r.instant(evWake, int32(t.ID), int32(e.Core.ID), org, now)
+	case sim.Dispatch:
+		// Close the thread's wait (observing the dispatch latency when the
+		// wait began at a wakeup) and open a run slice. A stale RUN model
+		// means the thread was preempted event-lessly at LastRanAt: the
+		// slice closes there and the gap was runnable-wait.
+		switch st.model {
+		case modelWait:
+			wait := now - st.startNS
+			st.waitNS += wait
+			st.pendWaitNS, st.pendFromWake = wait, st.fromWake
+			if st.fromWake {
+				r.observeLatency(st, wait, now)
+			}
+		case modelRun: // preempted at LastRanAt, re-dispatched now
+			lr := st.lastRanNS()
+			r.closeRun(st, lr)
+			st.waitNS += now - lr
+			st.pendWaitNS, st.pendFromWake = now-lr, false
+		case modelSleep: // defensive: a Wake event precedes any dispatch
+			st.sleepNS += now - st.startNS
+		}
+		st.model = modelRun
+		st.startNS = now
 		st.fromWake = false
+		st.core = int32(e.Core.ID)
+	case sim.Migrate:
+		// Reconcile a stale RUN model (preempted, then migrated: the gap
+		// since LastRanAt is wait, and keeps accruing on the new core) and
+		// mark the move. A wakeup-originated wait keeps its flag and start
+		// across the migration — dispatch latency is measured from the
+		// wakeup instant.
+		if st.model == modelRun {
+			lr := st.lastRanNS()
+			r.closeRun(st, lr)
+			st.model = modelWait
+			st.startNS = lr
+			st.fromWake = false
+		}
+		r.migs++
+		r.instant(evMigrate, int32(t.ID), int32(e.Core.ID), int32(e.From.ID), now)
+	case sim.Steal:
+		// Mark an idle steal; the accompanying Migrate event does the
+		// state reconciliation.
+		r.steals++
+		r.instant(evSteal, int32(t.ID), int32(e.Core.ID), int32(e.From.ID), now)
 	}
-	r.migs++
-	r.instant(evMigrate, int32(t.ID), int32(to.ID), int32(from.ID), int64(r.m.Now()))
-}
-
-// onSteal marks an idle steal; the accompanying Migrate hook does the
-// state reconciliation.
-func (r *Recorder) onSteal(c, victim *sim.Core, t *sim.Thread) {
-	st := r.ensure(t)
-	if st == nil {
-		return
-	}
-	r.steals++
-	r.instant(evSteal, int32(t.ID), int32(c.ID), int32(victim.ID), int64(r.m.Now()))
 }
 
 // observeLatency records one wakeup→dispatch latency into the global and
