@@ -207,9 +207,9 @@ type Recorder struct {
 }
 
 // Attach validates opts, preallocates the recorder, registers it as an
-// observer of m's decisions, and writes the dtrace/v1 header. Must be called before the run;
-// pick candidate views are captured iff the machine's scheduler
-// implements sim.PickExplainer.
+// observer of m's decisions, and writes the dtrace/v1 header. Must be
+// called before the run; pick candidate views are captured iff the
+// machine's scheduler implements sim.PickExplainer.
 func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
 	cols, err := opts.normalize()
 	if err != nil {

@@ -2,7 +2,7 @@ package probe_test
 
 // BenchmarkProbeOverhead tracks the telemetry layer's engine cost from
 // both sides: "none" is the BenchmarkEngineEvents workload verbatim on
-// the hook-instrumented engine — it must stay at 0 allocs/op and within
+// the observable engine — it must stay at 0 allocs/op and within
 // noise (<2%) of internal/sim's BenchmarkEngineEvents, proving the
 // no-probes fast path is a nil check — while "attached" carries every
 // built-in probe at the default cadence, pricing real telemetry. The

@@ -12,8 +12,8 @@
 // heavy-traffic recording stays O(capacity) in memory while the retained
 // points remain uniformly spaced for a uniform input cadence. Sampling is
 // driven by the simulator's timer wheel (attach.go); built-in probes
-// observe the engine through the stable hook points internal/sim exposes
-// (enqueue/dispatch/migrate/steal/tick).
+// read the engine's counts or observe its events (sim.Observer: the
+// runqlat probe dispatches, the ticks probe ticks).
 //
 // Everything here is plain single-threaded data — the simulator is
 // sequential, so no locking is needed or wanted. Series and set iteration

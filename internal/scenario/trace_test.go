@@ -135,7 +135,7 @@ func TestTraceDeterminismAcrossJobs(t *testing.T) {
 }
 
 // TestTraceWithCPUOffFault: during a cpu_off outage no pick fires on the
-// offlined core and no wake targets it — the hook points honour hotplug.
+// offlined core and no wake targets it — observed events honour hotplug.
 func TestTraceWithCPUOffFault(t *testing.T) {
 	spec := `{
 	  "name": "trace-hotplug",

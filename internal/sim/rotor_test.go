@@ -39,7 +39,7 @@ type popRec struct {
 }
 
 // popLog records, in pop order, every event a test can see fire: ticks
-// (through the tick hook) and the test's own Timer events.
+// (through a Tick observer) and the test's own Timer events.
 type popLog struct {
 	t    *testing.T
 	m    *Machine
