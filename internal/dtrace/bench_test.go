@@ -25,7 +25,7 @@ func benchTrace(b *testing.B, attach bool) {
 		m.StartThread("w", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
 	}
 	if attach {
-		if _, err := Attach(m, Options{Sink: io.Discard, MaxBytes: 1 << 40}); err != nil {
+		if _, err := Attach(m, Options{Sink: io.Discard, maxBytes: 1 << 40}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestRecorderSteadyStateAllocFree(t *testing.T) {
 	for _, threads := range []int{12, 48} {
 		sched := sim.NewFIFO()
 		m := sim.NewMachine(topo.Small(), sched, sim.Options{Seed: 9})
-		r, err := Attach(m, Options{Sink: io.Discard, MaxBytes: 1 << 40})
+		r, err := Attach(m, Options{Sink: io.Discard, maxBytes: 1 << 40})
 		if err != nil {
 			t.Fatal(err)
 		}

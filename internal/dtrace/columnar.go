@@ -11,9 +11,10 @@ package dtrace
 //	    cand_id/cand_key: M × width bytes, little-endian
 //
 // One chunk is one ring flush, which is what lets the recorder spill an
-// unbounded run through a bounded ring. The header's column list is the
-// single source of truth for what a chunk contains; readers must use it
-// rather than assuming the full column set.
+// unbounded run through a bounded ring. The recorder always writes the
+// full column set, but the header's column list is the single source of
+// truth for what a chunk contains: readers use it rather than assuming
+// the full set.
 
 import (
 	"bytes"
@@ -25,46 +26,32 @@ import (
 // Magic is the first line of every dtrace/v1 stream.
 const Magic = "dtrace/v1"
 
-// colMask selects optional column groups.
-type colMask uint8
-
-const (
-	groupOther colMask = 1 << iota
-	groupWait
-	groupDigest
-	groupCand
-
-	maskAll = groupOther | groupWait | groupDigest | groupCand
-)
-
-var groupByName = map[string]colMask{
-	"other":   groupOther,
-	"wait_ns": groupWait,
-	"digest":  groupDigest,
-	"cand":    groupCand,
-}
-
 // colDef describes one column of the canonical set, in canonical order.
 type colDef struct {
 	name  string
 	typ   string // i64, u64, i32, u16, u8
 	width int
-	group colMask // 0 = mandatory
-	vary  bool    // sized by the chunk's cand count, not its record count
+	vary  bool // sized by the chunk's cand count, not its record count
 }
 
+// colDefs is the canonical column set. The recorder writes every column;
+// the first four (t_ns, core, kind, thread) are mandatory, and a reader
+// decodes any subset of the rest that a header lists.
 var colDefs = []colDef{
-	{"t_ns", "i64", 8, 0, false},
-	{"core", "i32", 4, 0, false},
-	{"kind", "u8", 1, 0, false},
-	{"thread", "i32", 4, 0, false},
-	{"other", "i32", 4, groupOther, false},
-	{"wait_ns", "i64", 8, groupWait, false},
-	{"digest", "u64", 8, groupDigest, false},
-	{"cand_len", "u16", 2, groupCand, false},
-	{"cand_id", "i32", 4, groupCand, true},
-	{"cand_key", "i64", 8, groupCand, true},
+	{"t_ns", "i64", 8, false},
+	{"core", "i32", 4, false},
+	{"kind", "u8", 1, false},
+	{"thread", "i32", 4, false},
+	{"other", "i32", 4, false},
+	{"wait_ns", "i64", 8, false},
+	{"digest", "u64", 8, false},
+	{"cand_len", "u16", 2, false},
+	{"cand_id", "i32", 4, true},
+	{"cand_key", "i64", 8, true},
 }
+
+// mandatoryCols is the number of leading colDefs every header must list.
+const mandatoryCols = 4
 
 // ColumnDesc is one column entry of the self-describing header.
 type ColumnDesc struct {
@@ -86,11 +73,10 @@ type chunkHeader struct {
 }
 
 // encoder streams the columnar encoding to opts.Sink, or with none keeps
-// it in memory, enforcing MaxBytes either way. In memory every write stays
-// the exactly-sized slice it was encoded into — nothing is regrown or
-// copied while the run records — and bytes joins them once.
+// it in memory, enforcing opts.maxBytes either way. In memory every write
+// stays the exactly-sized slice it was encoded into — nothing is regrown
+// or copied while the run records — and bytes joins them once.
 type encoder struct {
-	cols    colMask
 	opts    Options
 	chunks  [][]byte // writes not yet joined into out (no sink)
 	out     []byte   // the joined stream, once bytes was asked for it
@@ -129,27 +115,26 @@ func (e *encoder) bytes() []byte {
 	return e.out
 }
 
-// headerFor builds the self-describing header for a column selection.
-func headerFor(cols colMask, sample, window int) Header {
-	h := Header{Sample: sample, Window: window, Columns: []ColumnDesc{}}
-	for _, cd := range colDefs {
-		if cd.group == 0 || cols&cd.group != 0 {
-			h.Columns = append(h.Columns, ColumnDesc{Name: cd.name, Type: cd.typ})
-		}
+// headerFor builds the self-describing header: every canonical column.
+func headerFor(sample, window int) Header {
+	h := Header{Sample: sample, Window: window, Columns: make([]ColumnDesc, len(colDefs))}
+	for i, cd := range colDefs {
+		h.Columns[i] = ColumnDesc{Name: cd.name, Type: cd.typ}
 	}
 	return h
 }
 
 func (e *encoder) writeHeader() error {
-	hdr, err := json.Marshal(headerFor(e.cols, e.opts.Sample, e.opts.Window))
+	hdr, err := json.Marshal(headerFor(e.opts.Sample, e.opts.Window))
 	if err != nil {
 		return err
 	}
 	return e.emit(fmt.Appendf(nil, "%s\n%s\n", Magic, hdr))
 }
 
-// writeChunk encodes the recorder's ring as one chunk. Returns false when
-// the chunk was dropped (byte cap reached or a prior sink error).
+// writeChunk encodes the recorder's ring as one chunk, its columns in
+// colDefs order. Returns false when the chunk was dropped (byte cap
+// reached or a prior sink error).
 func (e *encoder) writeChunk(r *Recorder) bool {
 	if e.err != nil {
 		return false
@@ -158,16 +143,13 @@ func (e *encoder) writeChunk(r *Recorder) bool {
 	hdr := fmt.Sprintf("{\"records\":%d,\"cands\":%d}\n", r.n, nc)
 	size := int64(len(hdr))
 	for _, cd := range colDefs {
-		if cd.group != 0 && e.cols&cd.group == 0 {
-			continue
-		}
 		if cd.vary {
 			size += int64(nc * cd.width)
 		} else {
 			size += int64(r.n * cd.width)
 		}
 	}
-	if e.written+size > e.opts.MaxBytes {
+	if e.written+size > e.opts.maxBytes {
 		return false
 	}
 	var b []byte
@@ -180,33 +162,16 @@ func (e *encoder) writeChunk(r *Recorder) bool {
 		b = e.scratch[:0]
 	}
 	b = append(b, hdr...)
-	for _, cd := range colDefs {
-		if cd.group != 0 && e.cols&cd.group == 0 {
-			continue
-		}
-		switch cd.name {
-		case "t_ns":
-			b = appendI64s(b, r.tNS)
-		case "core":
-			b = appendI32s(b, r.core)
-		case "kind":
-			b = append(b, r.kind...)
-		case "thread":
-			b = appendI32s(b, r.thread)
-		case "other":
-			b = appendI32s(b, r.other)
-		case "wait_ns":
-			b = appendI64s(b, r.waitNS)
-		case "digest":
-			b = appendU64s(b, r.digest)
-		case "cand_len":
-			b = appendU16s(b, r.candLen)
-		case "cand_id":
-			b = appendI32s(b, r.candID)
-		case "cand_key":
-			b = appendI64s(b, r.candKey)
-		}
-	}
+	b = appendI64s(b, r.tNS)
+	b = appendI32s(b, r.core)
+	b = append(b, r.kind...)
+	b = appendI32s(b, r.thread)
+	b = appendI32s(b, r.other)
+	b = appendI64s(b, r.waitNS)
+	b = appendU64s(b, r.digest)
+	b = appendU16s(b, r.candLen)
+	b = appendI32s(b, r.candID)
+	b = appendI64s(b, r.candKey)
 	return e.emit(b) == nil
 }
 
@@ -289,10 +254,10 @@ func DecodeHeader(data []byte) (Header, int, error) {
 	}
 	// Decode reads a known column at its canonical width, and the mandatory
 	// ones bound a chunk's record count by its length.
-	for _, cd := range colDefs {
+	for i, cd := range colDefs {
 		if typ, ok := have[cd.name]; ok && typ != cd.typ {
 			return h, 0, fmt.Errorf("dtrace: column %q has type %q, want %q", cd.name, typ, cd.typ)
-		} else if !ok && cd.group == 0 {
+		} else if !ok && i < mandatoryCols {
 			return h, 0, fmt.Errorf("dtrace: header lacks column %q", cd.name)
 		}
 	}

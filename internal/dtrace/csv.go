@@ -60,14 +60,3 @@ func (tr *Trace) AppendCSV(dst []byte, trial string) []byte {
 	}
 	return dst
 }
-
-// CSV decodes an encoded dtrace/v1 stream and renders it as a standalone
-// CSV document with a header row.
-func CSV(data []byte) ([]byte, error) {
-	tr, err := Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(CSVHeader), '\n')
-	return tr.AppendCSV(out, ""), nil
-}

@@ -67,21 +67,11 @@ const (
 )
 
 // Options configures a Recorder. The zero value means: record every
-// decision, all columns, 4096-record ring, 32 MiB output cap, in-memory
-// output, headroom window 8 × branch 4.
+// decision into a 4096-record ring under a 32 MiB output cap, buffer in
+// memory, headroom window 8 × branch 4.
 type Options struct {
 	// Sample records every Sample-th decision of each kind (1 = all).
 	Sample int
-	// Ring is the record capacity of the in-memory ring; a full ring
-	// flushes one columnar chunk to the output.
-	Ring int
-	// MaxBytes caps the encoded output. Chunks that would exceed it are
-	// dropped whole (counted in Summary.Dropped); the header always fits.
-	MaxBytes int64
-	// Columns selects optional column groups to record (see
-	// ColumnGroups); nil = all. The mandatory t_ns/core/kind/thread
-	// columns are always present.
-	Columns []string
 	// Window is the headroom search window in wake decisions (≤ MaxWindow).
 	Window int
 	// Branch is the headroom search's per-decision branching (≤ MaxBranch).
@@ -89,57 +79,43 @@ type Options struct {
 	// Sink receives the encoded trace as it is produced; nil buffers
 	// in memory (Recorder.Bytes).
 	Sink io.Writer
+
+	// ring is the record capacity of the in-memory ring; a full ring
+	// flushes one columnar chunk to the output. maxBytes caps the encoded
+	// output: chunks that would exceed it are dropped whole (counted in
+	// Summary.Dropped); the header always fits. Every run keeps the
+	// defaults; the package's tests shrink them.
+	ring     int
+	maxBytes int64
 }
 
-// ColumnGroups lists the optional column groups a trace block or Options
-// may select: "other" (origin/victim core), "wait_ns" (decision latency
-// input), "digest" (runqueue snapshot digest), "cand" (candidate sets).
-func ColumnGroups() []string { return []string{"other", "wait_ns", "digest", "cand"} }
-
-// normalize fills defaults and validates; returns the group inclusion set.
-func (o *Options) normalize() (colMask, error) {
+// normalize fills defaults and validates.
+func (o *Options) normalize() error {
 	if o.Sample == 0 {
 		o.Sample = defaultSample
 	}
 	if o.Sample < 1 || o.Sample > 1_000_000 {
-		return 0, fmt.Errorf("dtrace: sample %d out of range [1, 1000000]", o.Sample)
-	}
-	if o.Ring == 0 {
-		o.Ring = defaultRing
-	}
-	if o.Ring < 16 || o.Ring > 1<<20 {
-		return 0, fmt.Errorf("dtrace: ring %d out of range [16, 1048576]", o.Ring)
-	}
-	if o.MaxBytes == 0 {
-		o.MaxBytes = defaultMaxBytes
-	}
-	if o.MaxBytes < 4096 {
-		return 0, fmt.Errorf("dtrace: maxBytes %d too small (min 4096)", o.MaxBytes)
+		return fmt.Errorf("dtrace: sample %d out of range [1, 1000000]", o.Sample)
 	}
 	if o.Window == 0 {
 		o.Window = defaultWindow
 	}
 	if o.Window < 1 || o.Window > MaxWindow {
-		return 0, fmt.Errorf("dtrace: window %d out of range [1, %d]", o.Window, MaxWindow)
+		return fmt.Errorf("dtrace: window %d out of range [1, %d]", o.Window, MaxWindow)
 	}
 	if o.Branch == 0 {
 		o.Branch = defaultBranch
 	}
 	if o.Branch < 1 || o.Branch > MaxBranch {
-		return 0, fmt.Errorf("dtrace: branch %d out of range [1, %d]", o.Branch, MaxBranch)
+		return fmt.Errorf("dtrace: branch %d out of range [1, %d]", o.Branch, MaxBranch)
 	}
-	mask := colMask(0)
-	if o.Columns == nil {
-		return maskAll, nil
+	if o.ring == 0 {
+		o.ring = defaultRing
 	}
-	for _, name := range o.Columns {
-		g, ok := groupByName[name]
-		if !ok {
-			return 0, fmt.Errorf("dtrace: unknown column group %q (have %v)", name, ColumnGroups())
-		}
-		mask |= g
+	if o.maxBytes == 0 {
+		o.maxBytes = defaultMaxBytes
 	}
-	return mask, nil
+	return nil
 }
 
 // Summary reports what a finished Recorder saw and kept.
@@ -152,7 +128,8 @@ type Summary struct {
 	Wakes   uint64 `json:"wakes"`
 	Migrate uint64 `json:"migrates"`
 	Steals  uint64 `json:"steals"`
-	// Dropped counts records discarded because MaxBytes was reached.
+	// Dropped counts records discarded because the 32 MiB output cap was
+	// reached.
 	Dropped uint64 `json:"dropped,omitempty"`
 	// Bytes is the encoded output size (header + surviving chunks).
 	Bytes int64 `json:"bytes"`
@@ -166,15 +143,14 @@ type Summary struct {
 // to the machine's cores. Recording a decision allocates nothing, the
 // headroom search it may set off included; flushing writes one encoded
 // chunk to the sink through a reused scratch, or with no sink keeps it as
-// one exactly-sized allocation (bounded by MaxBytes in total) that Bytes
+// one exactly-sized allocation (bounded by maxBytes in total) that Bytes
 // later joins. An AttachAccounting recorder holds the counters,
 // loadBuf and hr only.
 type Recorder struct {
 	m    *sim.Machine
 	opts Options
-	cols colMask
 
-	// SoA ring, capacity opts.Ring.
+	// SoA ring, capacity opts.ring.
 	tNS     []int64
 	core    []int32
 	kind    []uint8
@@ -211,24 +187,22 @@ type Recorder struct {
 // called before the run; pick candidate views are captured iff the
 // machine's scheduler implements sim.PickExplainer.
 func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
-	cols, err := opts.normalize()
-	if err != nil {
+	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
 	r := &Recorder{
 		m:       m,
 		opts:    opts,
-		cols:    cols,
-		tNS:     make([]int64, 0, opts.Ring),
-		core:    make([]int32, 0, opts.Ring),
-		kind:    make([]uint8, 0, opts.Ring),
-		thread:  make([]int32, 0, opts.Ring),
-		other:   make([]int32, 0, opts.Ring),
-		waitNS:  make([]int64, 0, opts.Ring),
-		digest:  make([]uint64, 0, opts.Ring),
-		candLen: make([]uint16, 0, opts.Ring),
-		candID:  make([]int32, 0, opts.Ring*4+maxCandPerRec),
-		candKey: make([]int64, 0, opts.Ring*4+maxCandPerRec),
+		tNS:     make([]int64, 0, opts.ring),
+		core:    make([]int32, 0, opts.ring),
+		kind:    make([]uint8, 0, opts.ring),
+		thread:  make([]int32, 0, opts.ring),
+		other:   make([]int32, 0, opts.ring),
+		waitNS:  make([]int64, 0, opts.ring),
+		digest:  make([]uint64, 0, opts.ring),
+		candLen: make([]uint16, 0, opts.ring),
+		candID:  make([]int32, 0, opts.ring*4+maxCandPerRec),
+		candKey: make([]int64, 0, opts.ring*4+maxCandPerRec),
 		loadBuf: make([]int, len(m.Cores)),
 		pickBuf: make([]sim.PickCandidate, 0, maxCandPerRec),
 	}
@@ -236,7 +210,7 @@ func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
 	if ex, ok := m.Scheduler().(sim.PickExplainer); ok {
 		r.explainer = ex
 	}
-	r.enc.cols, r.enc.opts = cols, opts
+	r.enc.opts = opts
 	if err := r.enc.writeHeader(); err != nil {
 		return nil, err
 	}
@@ -256,7 +230,7 @@ var decisions = []sim.EventKind{sim.Pick, sim.Wake, sim.Migrate, sim.Steal}
 // and Summary.Dropped read 0. The mode observes through its own type,
 // accountant; Attach's streaming path never branches on it.
 func AttachAccounting(m *sim.Machine, opts Options) (*Recorder, error) {
-	if _, err := opts.normalize(); err != nil {
+	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
 	r := &Recorder{m: m, opts: opts, loadBuf: make([]int, len(m.Cores))}
@@ -315,17 +289,13 @@ func (r *Recorder) push(k Kind, t time.Duration, core, thread, other int32, wait
 	r.thread = append(r.thread, thread)
 	r.other = append(r.other, other)
 	r.waitNS = append(r.waitNS, wait)
-	var dg uint64
-	if r.cols&groupDigest != 0 {
-		if k != KindWake { // Observe sampled a wake's depths at this same instant
-			r.loadBuf = r.m.RunnableCountsInto(r.loadBuf)
-		}
-		dg = loadDigest(r.loadBuf)
+	if k != KindWake { // Observe sampled a wake's depths at this same instant
+		r.loadBuf = r.m.RunnableCountsInto(r.loadBuf)
 	}
-	r.digest = append(r.digest, dg)
+	r.digest = append(r.digest, loadDigest(r.loadBuf))
 	r.candLen = append(r.candLen, uint16(nc))
 	r.n++
-	if r.n == r.opts.Ring || len(r.candID) >= cap(r.candID)-maxCandPerRec {
+	if r.n == r.opts.ring || len(r.candID) >= cap(r.candID)-maxCandPerRec {
 		r.flush()
 	}
 }
@@ -358,7 +328,7 @@ func (r *Recorder) Observe(e sim.Event) {
 			return
 		}
 		nc := 0
-		if r.cols&groupCand != 0 && r.explainer != nil {
+		if r.explainer != nil {
 			r.pickBuf = r.explainer.ExplainPick(c, r.pickBuf)
 			for _, pc := range r.pickBuf {
 				if pc.TID == int32(t.ID) {
@@ -374,8 +344,6 @@ func (r *Recorder) Observe(e sim.Event) {
 		}
 		r.push(KindPick, now, int32(c.ID), int32(t.ID), -1, int64(t.QueueWait(now)), nc)
 	case sim.Wake:
-		// Headroom sees every sampled wake even when the cand columns are
-		// not being written out, so feed it before the column check.
 		if !r.sampled(KindWake) {
 			return
 		}
@@ -385,18 +353,14 @@ func (r *Recorder) Observe(e sim.Event) {
 		// columns both.
 		r.loadBuf = r.m.RunnableCountsInto(r.loadBuf)
 		cands := r.hr.observe(int32(c.ID), t, r.loadBuf)
-		nc := 0
-		if r.cols&groupCand != 0 {
-			for _, cd := range cands {
-				r.candID = append(r.candID, cd.ID)
-				r.candKey = append(r.candKey, cd.Key)
-			}
-			nc = len(cands)
+		for _, cd := range cands {
+			r.candID = append(r.candID, cd.ID)
+			r.candKey = append(r.candKey, cd.Key)
 		}
 		// Wake latency input: time since the thread last gave up a core
 		// (the whole sleep/block span; threads that never ran count from 0).
 		wait := int64(now - t.LastRanAt)
-		r.push(KindWake, now, int32(c.ID), int32(t.ID), int32(coreIDOr(e.From, -1)), wait, nc)
+		r.push(KindWake, now, int32(c.ID), int32(t.ID), int32(coreIDOr(e.From, -1)), wait, len(cands))
 	case sim.Migrate:
 		if r.sampled(KindMigrate) {
 			r.push(KindMigrate, now, int32(c.ID), int32(t.ID), int32(e.From.ID), int64(t.QueueWait(now)), 0)
@@ -416,7 +380,7 @@ func coreIDOr(c *sim.Core, or int) int {
 }
 
 // flush encodes the ring as one chunk and resets it. A chunk that would
-// push the output past MaxBytes is dropped whole and counted.
+// push the output past maxBytes is dropped whole and counted.
 func (r *Recorder) flush() {
 	if r.n == 0 {
 		return

@@ -114,44 +114,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestColumnSelection(t *testing.T) {
-	r, _ := record(t, Options{Columns: []string{"digest"}})
-	tr, err := Decode(r.Bytes())
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	names := map[string]bool{}
-	for _, c := range tr.Header.Columns {
-		names[c.Name] = true
-	}
-	for _, want := range []string{"t_ns", "core", "kind", "thread", "digest"} {
-		if !names[want] {
-			t.Fatalf("column %q missing from header %v", want, tr.Header.Columns)
-		}
-	}
-	for _, absent := range []string{"other", "wait_ns", "cand_len", "cand_id", "cand_key"} {
-		if names[absent] {
-			t.Fatalf("deselected column %q present in header", absent)
-		}
-	}
-	for i := range tr.Recs {
-		if len(tr.Recs[i].Cand) != 0 || tr.Recs[i].WaitNS != 0 {
-			t.Fatalf("record %d carries deselected data: %+v", i, tr.Recs[i])
-		}
-		if tr.Recs[i].Kind != KindPick && tr.Recs[i].Digest == 0 {
-			t.Fatalf("record %d: digest zero despite selection", i)
-		}
-	}
-	// Headroom still works online without the cand columns on disk.
-	if hr := r.Headroom(); hr.Wakes == 0 {
-		t.Fatalf("online headroom lost without cand columns: %+v", hr)
-	}
-
-	if _, err := Attach(sim.NewMachine(topo.Small(), sim.NewFIFO(), sim.Options{}), Options{Columns: []string{"bogus"}}); err == nil {
-		t.Fatal("unknown column group accepted")
-	}
-}
-
 func TestSampling(t *testing.T) {
 	full, _ := record(t, Options{})
 	sampled, _ := record(t, Options{Sample: 4})
@@ -170,7 +132,7 @@ func TestSampling(t *testing.T) {
 }
 
 func TestMaxBytesDropsWholeChunks(t *testing.T) {
-	r, _ := record(t, Options{Ring: 64, MaxBytes: 8192})
+	r, _ := record(t, Options{ring: 64, maxBytes: 8192})
 	sum := r.Summary()
 	if sum.Dropped == 0 {
 		t.Fatalf("no drops despite 8 KiB cap: %+v", sum)
@@ -228,10 +190,11 @@ func TestOfflineCoreDecisions(t *testing.T) {
 
 func TestCSV(t *testing.T) {
 	r, _ := record(t, Options{})
-	out, err := CSV(r.Bytes())
+	tr, err := Decode(r.Bytes())
 	if err != nil {
-		t.Fatalf("CSV: %v", err)
+		t.Fatalf("Decode: %v", err)
 	}
+	out := tr.AppendCSV([]byte(CSVHeader+"\n"), "")
 	lines := strings.Split(strings.TrimRight(string(out), "\n"), "\n")
 	if lines[0] != CSVHeader {
 		t.Fatalf("CSV header %q", lines[0])
@@ -285,7 +248,7 @@ func TestHeadroomSynthetic(t *testing.T) {
 // TestGolden pins the dtrace/v1 header line and a small recorded window
 // byte-for-byte. Regenerate with: go test ./internal/dtrace -run Golden -update
 func TestGolden(t *testing.T) {
-	r, _ := record(t, Options{Ring: 32, Sample: 8})
+	r, _ := record(t, Options{ring: 32, Sample: 8})
 	data := r.Bytes()
 	path := filepath.Join("testdata", "small.dtrace")
 	if *update {

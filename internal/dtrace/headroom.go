@@ -487,7 +487,7 @@ func (a *headroomAcc) result() Headroom {
 }
 
 // ComputeHeadroom replays the analyzer over a decoded trace's wake
-// records. With the cand column group recorded and no dropped chunks it
+// records. With the cand columns present and no dropped chunks it
 // reproduces the online Recorder.Headroom exactly; without candidates it
 // sees no alternatives and reports zero headroom. A window of 0 takes the
 // trace header's; a window outside [1, MaxWindow] or a branch below 1

@@ -19,7 +19,7 @@ func (r *Recorder) buffered() int {
 // Bytes call and handed out as that one slice from then on, with the
 // chunks it was joined from let go.
 func TestBytesMaterialisesOnce(t *testing.T) {
-	r, _ := record(t, Options{Ring: 64})
+	r, _ := record(t, Options{ring: 64})
 	if len(r.enc.chunks) < 3 {
 		t.Fatalf("%d chunks before Bytes: the fixture no longer flushes the ring", len(r.enc.chunks))
 	}
@@ -41,7 +41,7 @@ func TestBytesMaterialisesOnce(t *testing.T) {
 // the same run buffered in memory returns, byte cap and drops included, and
 // holds none of it.
 func TestSinkMatchesBytes(t *testing.T) {
-	for _, opts := range []Options{{}, {Ring: 64}, {Ring: 64, MaxBytes: 8192}} {
+	for _, opts := range []Options{{}, {ring: 64}, {ring: 64, maxBytes: 8192}} {
 		mem, _ := record(t, opts)
 		var sink bytes.Buffer
 		opts.Sink = &sink

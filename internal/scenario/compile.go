@@ -152,26 +152,10 @@ const seriesCadenceFloor = 50 * time.Microsecond
 // options converts the spec's trace block into recorder options. The
 // recorder buffers in memory (Sink nil): the encoded stream rides the
 // TrialReport into the CLI exporters, keeping trial execution free of
-// filesystem effects (and so byte-identical at any -jobs width).
+// filesystem effects (and so byte-identical at any -jobs width). The
+// timeline buffers in memory the same way.
 func (ts *TraceSpec) options() dtrace.Options {
-	return dtrace.Options{
-		Sample:   ts.Sample,
-		Window:   ts.Window,
-		Branch:   ts.Branch,
-		Columns:  ts.Columns,
-		MaxBytes: ts.MaxBytes,
-	}
-}
-
-// options converts the spec's timeline block into recorder options. Like
-// the trace recorder, the timeline buffers in memory: the rendered
-// Perfetto bytes ride the TrialReport into the CLI exporters.
-func (tl *TimelineSpec) options() timeline.Options {
-	return timeline.Options{
-		Classes:  tl.Classes,
-		MaxBytes: tl.MaxBytes,
-		Tracks:   tl.Perfetto,
-	}
+	return dtrace.Options{Sample: ts.Sample, Window: ts.Window, Branch: ts.Branch}
 }
 
 // seriesCadence resolves the effective sampling period of the series
@@ -284,11 +268,7 @@ func (s *Spec) buildTrial(cores int, rs resolvedSched, scale float64, seed int64
 				if s.sampleGrid {
 					attach = timeline.AttachAccounting
 				}
-				var err error
-				tlrec, err = attach(m, s.Timeline.options())
-				if err != nil {
-					panic(err) // track names validated upstream
-				}
+				tlrec = attach(m)
 			}
 			if plan != nil {
 				// Faults install last: a probe sample landing exactly on a

@@ -161,34 +161,12 @@ type TraceSpec struct {
 	// Branch is the headroom search's per-decision branching (default 4,
 	// max 8).
 	Branch int `json:"branch,omitempty"`
-	// Columns selects the optional column groups to record
-	// (dtrace.ColumnGroups: other, wait_ns, digest, cand). Omitted means
-	// all; an explicit empty list keeps only the mandatory columns —
-	// which also disables candidate sets, so offline headroom replay
-	// (though not the report's online verdict) sees no alternatives.
-	Columns []string `json:"columns,omitempty"`
-	// MaxBytes caps each trial's encoded trace (default 32 MiB); chunks
-	// past the cap are dropped whole and counted in the trace summary.
-	MaxBytes int64 `json:"maxBytes,omitempty"`
 }
 
-// TimelineSpec is the scenario's thread-state timeline block. All fields
-// are optional; the zero value records every thread with all Perfetto
-// track groups into a 32 MiB-capped event buffer per trial. Field
-// semantics and bounds mirror timeline.Options.
-type TimelineSpec struct {
-	// Classes restricts recording to these thread classes (workload entry
-	// names, app labels, "kworker"). Omitted records every thread.
-	Classes []string `json:"classes,omitempty"`
-	// MaxBytes caps each trial's event buffer (default 32 MiB); events
-	// past the cap are dropped and counted in the timeline summary.
-	// Time-in-state accounting and latency histograms stay exact
-	// regardless.
-	MaxBytes int64 `json:"maxBytes,omitempty"`
-	// Perfetto selects the export's track groups (timeline.TrackGroups:
-	// slices, instants, counters). Omitted means all.
-	Perfetto []string `json:"perfetto,omitempty"`
-}
+// TimelineSpec is the scenario's thread-state timeline block. It has no
+// field: "timeline": {} records every thread with every Perfetto track
+// into a 32 MiB-capped event buffer per trial.
+type TimelineSpec struct{}
 
 // FaultSpec is one declarative perturbation line (see internal/fault for
 // the mechanisms). All durations are written at scale 1; compilation

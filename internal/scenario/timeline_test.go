@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 	"repro/internal/timeline"
 )
 
-// timelineSpec is a small scenario with a full timeline block: an
+// timelineSpec is a small scenario with a timeline block: an
 // open-loop stream for wakeups plus background loops so running slices,
 // waits, and migrations all occur.
 const timelineSpec = `{
@@ -122,8 +123,9 @@ func TestTimelineDeterminismAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestTimelineSpecValidation: the timeline block gets the same positioned
-// did-you-mean validation as the series and trace blocks.
+// TestTimelineSpecValidation: the timeline block has no keys. Each key it
+// once took (perfetto, maxBytes, classes) is an unknown field now, refused
+// by Parse with the file's name rather than silently ignored.
 func TestTimelineSpecValidation(t *testing.T) {
 	base := `{
 	  "name": "v",
@@ -134,14 +136,14 @@ func TestTimelineSpecValidation(t *testing.T) {
 	  "timeline": %s
 	}`
 	cases := []struct {
-		name, block, pos, msg string
+		name, block, key string
 	}{
-		{"unknown track", `{"perfetto": ["slics"]}`, "timeline.perfetto[0]", `did you mean "slices"`},
-		{"track twice", `{"perfetto": ["slices", "slices"]}`, "timeline.perfetto[1]", "listed twice"},
-		{"tiny maxBytes", `{"maxBytes": 100}`, "timeline.maxBytes", "too small"},
-		{"negative maxBytes", `{"maxBytes": -1}`, "timeline.maxBytes", "too small"},
-		{"empty class", `{"classes": [""]}`, "timeline.classes[0]", "must not be empty"},
-		{"class twice", `{"classes": ["web", "web"]}`, "timeline.classes[1]", "listed twice"},
+		{"unknown track", `{"perfetto": ["slics"]}`, "perfetto"},
+		{"track twice", `{"perfetto": ["slices", "slices"]}`, "perfetto"},
+		{"tiny maxBytes", `{"maxBytes": 100}`, "maxBytes"},
+		{"negative maxBytes", `{"maxBytes": -1}`, "maxBytes"},
+		{"empty class", `{"classes": [""]}`, "classes"},
+		{"class twice", `{"classes": ["web", "web"]}`, "classes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,51 +151,12 @@ func TestTimelineSpecValidation(t *testing.T) {
 			if err == nil {
 				t.Fatalf("block %s accepted", tc.block)
 			}
-			if !strings.Contains(err.Error(), tc.pos) || !strings.Contains(err.Error(), tc.msg) {
-				t.Fatalf("error %q does not carry position %q and message %q", err, tc.pos, tc.msg)
+			if want := fmt.Sprintf("v.json: unknown field %q", tc.key); err.Error() != want {
+				t.Fatalf("error %q, want %q", err, want)
 			}
 		})
 	}
-	ok := `{"classes": ["web", "spin"], "maxBytes": 65536, "perfetto": ["slices", "instants"]}`
-	if _, err := Parse("v.json", []byte(strings.Replace(base, "%s", ok, 1))); err != nil {
-		t.Fatalf("valid timeline block rejected: %v", err)
-	}
-}
-
-// TestTimelineClassFilterScenario: a classes filter restricts accounting
-// to the named workload entries.
-func TestTimelineClassFilterScenario(t *testing.T) {
-	spec := `{
-	  "name": "tl-filter",
-	  "machine": {"cores": [2]},
-	  "schedulers": [{"kind": "cfs"}],
-	  "window": "1s",
-	  "workload": [
-	    {"name": "keep", "openloop": {"workers": 2, "rate": 200, "service": "100us"}},
-	    {"name": "spin", "loop": {"burst": "1ms"}, "count": 2}
-	  ],
-	  "timeline": {"classes": ["keep"]}
-	}`
-	sp, err := Parse("tl-filter.json", []byte(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sp.Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rep.Trials {
-		tr := &rep.Trials[i]
-		if tr.Timeline == nil {
-			t.Fatalf("%s: no timeline", tr.Name)
-		}
-		for _, ca := range tr.Timeline.Classes {
-			if ca.Class != "keep" {
-				t.Fatalf("%s: unexpected class %q", tr.Name, ca.Class)
-			}
-		}
-		if tr.Timeline.Summary.Threads != 2 {
-			t.Fatalf("%s: threads = %d, want the 2 keep workers", tr.Name, tr.Timeline.Summary.Threads)
-		}
+	if _, err := Parse("v.json", []byte(strings.Replace(base, "%s", "{}", 1))); err != nil {
+		t.Fatalf("empty timeline block rejected: %v", err)
 	}
 }

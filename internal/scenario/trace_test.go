@@ -185,8 +185,9 @@ func TestTraceWithCPUOffFault(t *testing.T) {
 	}
 }
 
-// TestTraceSpecValidation pins the positioned trace-block errors,
-// including the did-you-mean suggestion over the column-group namespace.
+// TestTraceSpecValidation pins the positioned trace-block errors. The
+// block's former columns and maxBytes keys are unknown fields now, refused
+// by Parse rather than ignored.
 func TestTraceSpecValidation(t *testing.T) {
 	base := `{"name": "x", "window": "1s", "machine": {"cores": [2]},
 	  "schedulers": [{"kind": "cfs"}], "workload": [{"loop": {"burst": "1ms"}}]`
@@ -198,9 +199,9 @@ func TestTraceSpecValidation(t *testing.T) {
 		{`{"sample": 2000000}`, "trace.sample: sample 2000000 out of range [1, 1000000]"},
 		{`{"window": 17}`, "trace.window: window 17 out of range [1, 16]"},
 		{`{"branch": 9}`, "trace.branch: branch 9 out of range [1, 8]"},
-		{`{"maxBytes": 100}`, "trace.maxBytes: maxBytes 100 too small (min 4096)"},
-		{`{"columns": ["digets"]}`, `trace.columns[0]: unknown column group "digets" (did you mean "digest"?) (known: other, wait_ns, digest, cand)`},
-		{`{"columns": ["cand", "cand"]}`, `trace.columns[1]: column group "cand" listed twice`},
+		{`{"maxBytes": 100}`, `t.json: unknown field "maxBytes"`},
+		{`{"columns": ["digets"]}`, `t.json: unknown field "columns"`},
+		{`{"columns": ["cand", "cand"]}`, `t.json: unknown field "columns"`},
 	}
 	for _, tc := range cases {
 		spec := fmt.Sprintf("%s, \"trace\": %s}", base, tc.trace)

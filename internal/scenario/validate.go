@@ -14,7 +14,6 @@ import (
 	"repro/internal/dtrace"
 	"repro/internal/fault"
 	"repro/internal/probe"
-	"repro/internal/timeline"
 	"repro/internal/ule"
 	"repro/internal/workload"
 )
@@ -101,26 +100,6 @@ func suggest(name string, known []string) string {
 		return ""
 	}
 	return fmt.Sprintf(" (did you mean %q?)", best)
-}
-
-// checkNames checks a list field against its known namespace: each entry
-// of names (at pos.field[i]) must be in known — a near miss gets a
-// did-you-mean — and may appear once. what names an entry in messages
-// ("probe", "column group").
-func checkNames(pos, field, what string, names, known []string) error {
-	seen := map[string]bool{}
-	for i, name := range names {
-		npos := fmt.Sprintf("%s.%s[%d]", pos, field, i)
-		if !slices.Contains(known, name) {
-			return verr(npos, "unknown %s %q%s (known: %s)",
-				what, name, suggest(name, known), strings.Join(known, ", "))
-		}
-		if seen[name] {
-			return verr(npos, "%s %q listed twice", what, name)
-		}
-		seen[name] = true
-	}
-	return nil
 }
 
 // Validate checks the spec and resolves scheduler kinds and parameter
@@ -214,11 +193,6 @@ func (s *Spec) Validate() error {
 
 	if s.Trace != nil {
 		if err := s.Trace.validate("trace"); err != nil {
-			return err
-		}
-	}
-	if s.Timeline != nil {
-		if err := s.Timeline.validate("timeline"); err != nil {
 			return err
 		}
 	}
@@ -341,8 +315,16 @@ func (ss *SeriesSpec) validate(pos string) error {
 	if len(ss.Probes) == 0 {
 		return verr(pos+".probes", "at least one probe is required (known: %s)", strings.Join(probe.Names(), ", "))
 	}
-	if err := checkNames(pos, "probes", "probe", ss.Probes, probe.Names()); err != nil {
-		return err
+	known, seen := probe.Names(), map[string]bool{}
+	for i, name := range ss.Probes {
+		npos := fmt.Sprintf("%s.probes[%d]", pos, i)
+		if !slices.Contains(known, name) {
+			return verr(npos, "unknown probe %q%s (known: %s)", name, suggest(name, known), strings.Join(known, ", "))
+		}
+		if seen[name] {
+			return verr(npos, "probe %q listed twice", name)
+		}
+		seen[name] = true
 	}
 	if ss.Cadence.D() < 0 {
 		return verr(pos+".cadence", "cadence must not be negative")
@@ -355,8 +337,7 @@ func (ss *SeriesSpec) validate(pos string) error {
 
 // validate checks the decision-trace block. Bounds mirror the ranges
 // dtrace.Options enforces at Attach, so a validated spec's recorder
-// always attaches; column groups get the same did-you-mean treatment as
-// probe names.
+// always attaches.
 func (ts *TraceSpec) validate(pos string) error {
 	if ts.Sample < 0 || ts.Sample > 1_000_000 {
 		return verr(pos+".sample", "sample %d out of range [1, 1000000]", ts.Sample)
@@ -367,33 +348,7 @@ func (ts *TraceSpec) validate(pos string) error {
 	if ts.Branch < 0 || ts.Branch > dtrace.MaxBranch {
 		return verr(pos+".branch", "branch %d out of range [1, %d]", ts.Branch, dtrace.MaxBranch)
 	}
-	if ts.MaxBytes < 0 || (ts.MaxBytes > 0 && ts.MaxBytes < 4096) {
-		return verr(pos+".maxBytes", "maxBytes %d too small (min 4096)", ts.MaxBytes)
-	}
-	return checkNames(pos, "columns", "column group", ts.Columns, dtrace.ColumnGroups())
-}
-
-// validate checks the thread-state timeline block. Bounds mirror what
-// timeline.Options enforces at Attach, so a validated spec's recorder
-// always attaches; Perfetto track groups get the same did-you-mean
-// treatment as probe names and trace columns. Classes are free-form
-// (workload entry names, app labels, "kworker") — only shape-checked.
-func (tl *TimelineSpec) validate(pos string) error {
-	seenClass := map[string]bool{}
-	for i, name := range tl.Classes {
-		cpos := fmt.Sprintf("%s.classes[%d]", pos, i)
-		if name == "" {
-			return verr(cpos, "class name must not be empty")
-		}
-		if seenClass[name] {
-			return verr(cpos, "class %q listed twice", name)
-		}
-		seenClass[name] = true
-	}
-	if tl.MaxBytes < 0 || (tl.MaxBytes > 0 && tl.MaxBytes < 4096) {
-		return verr(pos+".maxBytes", "maxBytes %d too small (min 4096)", tl.MaxBytes)
-	}
-	return checkNames(pos, "perfetto", "track group", tl.Perfetto, timeline.TrackGroups())
+	return nil
 }
 
 // resolveSchedulers expands "*" and decodes parameter overrides into

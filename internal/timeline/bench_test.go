@@ -18,10 +18,7 @@ func benchMachine(attach bool) (*sim.Machine, *Recorder) {
 	m := sim.NewMachine(topo.Small(), sim.NewFIFO(), sim.Options{Seed: 9})
 	var r *Recorder
 	if attach {
-		var err error
-		if r, err = Attach(m, Options{}); err != nil {
-			panic(err)
-		}
+		r = Attach(m)
 	}
 	for i := 0; i < 12; i++ {
 		m.StartThread("w", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
@@ -80,16 +77,13 @@ func TestAccountingRecorderAllocBounded(t *testing.T) {
 	m, full := machine(), machine()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	r, err := AttachAccounting(m, Options{})
+	r := AttachAccounting(m)
 	runtime.ReadMemStats(&after)
 	const bound = 16 << 10
-	if got := after.TotalAlloc - before.TotalAlloc; err != nil || got > bound {
-		t.Fatalf("AttachAccounting allocated %d bytes (err %v), want <= %d", got, err, bound)
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("AttachAccounting allocated %d bytes, want <= %d", got, bound)
 	}
-	fr, err := Attach(full, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := Attach(full)
 	load(m)
 	load(full)
 	if avg := testing.AllocsPerRun(20, func() { m.Run(m.Now() + 5*time.Millisecond) }); avg != 0 {
@@ -142,12 +136,8 @@ func TestAttachSizesThreadTableOnce(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		var err error
-		r, err = AttachAccounting(m, Options{})
+		r = AttachAccounting(m)
 		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got = min(got, after.TotalAlloc-before.TotalAlloc)
 		if len(r.st) != threads || cap(r.st) != threads {
 			t.Fatalf("attach with %d threads: table len %d cap %d", threads, len(r.st), cap(r.st))

@@ -34,18 +34,16 @@ type CounterTrack struct {
 	Points [][2]float64
 }
 
-// AppendPerfetto renders the timeline as trace-event JSON appended to buf.
-// counters are emitted only when the "counters" track group is selected;
-// pass nil when none apply. Valid after Close.
+// AppendPerfetto renders the timeline as trace-event JSON appended to buf,
+// counters after the recorded events; pass nil when none apply. Valid
+// after Close.
 func (r *Recorder) AppendPerfetto(buf []byte, counters []CounterTrack) []byte {
 	// Size the output once from the event counts instead of doubling up to
 	// it. The per-event allowances are what a minute-long run's events
 	// render to with short thread names; a longer export regrows as before.
 	nPoints := 0
-	if r.opts.track(TrackCounters) {
-		for _, ct := range counters {
-			nPoints += len(ct.Points)
-		}
+	for _, ct := range counters {
+		nPoints += len(ct.Points)
 	}
 	b := slices.Grow(buf, 256+160*len(r.m.Cores)+144*r.ev.slices+104*(r.ev.n-r.ev.slices)+88*nPoints)
 	b = append(b, `{"displayTimeUnit":"ms","otherData":{"schema":"`+SchemaName+`"},"traceEvents":[`...)
@@ -130,18 +128,16 @@ func (r *Recorder) AppendPerfetto(buf []byte, counters []CounterTrack) []byte {
 		}
 	}
 
-	if r.opts.track(TrackCounters) {
-		for _, ct := range counters {
-			for _, p := range ct.Points {
-				sep()
-				b = append(b, `{"ph":"C","pid":0,"ts":`...)
-				b = strconv.AppendFloat(b, p[0], 'g', -1, 64)
-				b = append(b, `,"name":`...)
-				b = appendJSONString(b, ct.Name)
-				b = append(b, `,"args":{"value":`...)
-				b = strconv.AppendFloat(b, p[1], 'g', -1, 64)
-				b = append(b, `}}`...)
-			}
+	for _, ct := range counters {
+		for _, p := range ct.Points {
+			sep()
+			b = append(b, `{"ph":"C","pid":0,"ts":`...)
+			b = strconv.AppendFloat(b, p[0], 'g', -1, 64)
+			b = append(b, `,"name":`...)
+			b = appendJSONString(b, ct.Name)
+			b = append(b, `,"args":{"value":`...)
+			b = strconv.AppendFloat(b, p[1], 'g', -1, 64)
+			b = append(b, `}}`...)
 		}
 	}
 	b = append(b, "\n]}\n"...)

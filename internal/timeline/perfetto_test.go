@@ -19,10 +19,7 @@ import (
 func record(t testing.TB, counters []CounterTrack) (*Recorder, []byte) {
 	t.Helper()
 	m := sim.NewMachine(topo.SingleCore(), sim.NewFIFO(), sim.Options{Seed: 11})
-	r, err := Attach(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Attach(m)
 	m.StartThread("a", "app", 0, &runSleeper{run: 500 * time.Microsecond, sleep: 300 * time.Microsecond})
 	m.StartThread("b", "app", 0, &runSleeper{run: 200 * time.Microsecond, sleep: 600 * time.Microsecond})
 	m.Run(5 * time.Millisecond)

@@ -40,10 +40,7 @@ func TestConservationAllBundledScenarios(t *testing.T) {
 				if i >= len(trials) {
 					attach = timeline.AttachAccounting
 				}
-				r, err := attach(m, timeline.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
+				r := attach(m)
 				m.Run(trial.Window)
 				r.Close()
 				now := int64(m.Now())

@@ -48,10 +48,7 @@ func TestEventStoreBlockBoundaries(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("n=%d/max=%d", n, maxEv), func(t *testing.T) {
 				m := sim.NewMachine(topo.SingleCore(), sim.NewFIFO(), sim.Options{})
-				r, err := Attach(m, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
+				r := Attach(m)
 				r.maxEv = maxEv
 				th := &sim.Thread{ID: 3, Name: "w"}
 				r.st = []tstate{{}, {}, {th: th}}

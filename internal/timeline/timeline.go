@@ -20,84 +20,25 @@
 package timeline
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/sim"
 )
 
-// Track group names for the Perfetto export (Options.Tracks).
+// The event budget: the buffer holds at most maxBytes/estEventBytes
+// events, estEventBytes being the approximate rendered JSON size of one,
+// so that the exported .trace.json stays near 32 MiB. Events past it are
+// dropped whole and counted in Summary.DroppedEvents; accounting and
+// latency histograms stay exact regardless.
 const (
-	TrackSlices   = "slices"   // per-core running-slice tracks
-	TrackInstants = "instants" // wakeup/migrate/steal instant events
-	TrackCounters = "counters" // counter tracks fed from probe series
-)
-
-// TrackGroups lists the selectable Perfetto track groups.
-func TrackGroups() []string { return []string{TrackSlices, TrackInstants, TrackCounters} }
-
-// Byte-budget bounds. estEventBytes is the approximate rendered JSON size
-// of one event; the event buffer is capped at MaxBytes/estEventBytes so
-// the exported .trace.json respects the budget.
-const (
-	defaultMaxBytes = 32 << 20
-	minMaxBytes     = 4096
-	estEventBytes   = 128
+	maxBytes      = 32 << 20
+	estEventBytes = 128
 )
 
 // worstK bounds the online worst-dispatch-latency table. It is maintained
 // independently of the event buffer, so the top-N view survives event
-// drops under tiny byte budgets.
+// drops.
 const worstK = 16
-
-// Options configures a Recorder. The zero value records every thread and
-// every track group under a 32 MiB export budget.
-type Options struct {
-	// Classes filters recorded threads by their Group (the workload entry
-	// label for scenario primitives, the application's own group for app
-	// threads, "kworker" for kernel noise). Empty records every thread.
-	Classes []string
-	// MaxBytes approximately caps the rendered Perfetto JSON (default
-	// 32 MiB, min 4096): the event buffer is sized to the budget and
-	// events past it are dropped whole, counted in Summary.DroppedEvents.
-	// Accounting and latency histograms are exact regardless of drops.
-	MaxBytes int64
-	// Tracks selects the exported Perfetto track groups (TrackGroups:
-	// slices, instants, counters). Empty selects all. Deselected event
-	// tracks are not recorded at all, stretching the byte budget.
-	Tracks []string
-}
-
-// normalized resolves defaults and validates track names.
-func (o Options) normalized() (Options, error) {
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = defaultMaxBytes
-	}
-	if o.MaxBytes < minMaxBytes {
-		o.MaxBytes = minMaxBytes
-	}
-	for _, tr := range o.Tracks {
-		switch tr {
-		case TrackSlices, TrackInstants, TrackCounters:
-		default:
-			return o, fmt.Errorf("timeline: unknown track group %q (known: slices, instants, counters)", tr)
-		}
-	}
-	return o, nil
-}
-
-// track reports whether a track group is selected.
-func (o *Options) track(name string) bool {
-	if len(o.Tracks) == 0 {
-		return true
-	}
-	for _, tr := range o.Tracks {
-		if tr == name {
-			return true
-		}
-	}
-	return false
-}
 
 // Per-thread model states. The model tracks the last event-confirmed
 // state; reconciliation closes stale intervals when the next event fires.
@@ -112,7 +53,7 @@ const (
 // start, and the accumulated per-state durations.
 type tstate struct {
 	th    *sim.Thread
-	class int32 // index into Recorder.classes; -1 = filtered out
+	class int32 // index into Recorder.classes
 	model uint8
 	// fromWake marks the current wait as wakeup-originated: its length is
 	// a dispatch latency (preemption re-waits are not). It survives
@@ -198,16 +139,14 @@ func (e *events) append(ev event) {
 // single-goroutine, like the simulation itself. Summary, Classes,
 // Accounts, Worst, and AppendPerfetto are valid after Close.
 type Recorder struct {
-	m        *sim.Machine
-	opts     Options
-	maxEv    int
-	recSlice bool
-	recInst  bool
+	m     *sim.Machine
+	maxEv int
+	// events is off in accounting mode: nothing is buffered.
+	events bool
 
 	st       []tstate // indexed by thread ID - 1
 	classIdx map[string]int
 	classes  []*classAcc
-	include  map[string]bool // nil = all classes
 
 	ev      events
 	dropped uint64
@@ -285,42 +224,26 @@ type ThreadAccount struct {
 // attach instant; a runnable one waits from its last enqueue; dead threads
 // are ignored), so mid-run attachment still satisfies the conservation
 // invariant over the observed window.
-func Attach(m *sim.Machine, opts Options) (*Recorder, error) {
-	return attach(m, opts, true)
+func Attach(m *sim.Machine) *Recorder {
+	return attach(m, true)
 }
 
 // AttachAccounting is Attach in accounting mode — what a replicated sample
 // grid runs, where only metrics are read. The per-thread and per-class
 // time-in-state accounts, the latency histograms, the worst-wakeup table
 // and every Summary count are exactly Attach's (conservation included),
-// but no event is buffered whatever Options.Tracks selects — Observe runs
-// as it does for a deselected track — so AppendPerfetto has no slice or
-// instant to render and Summary.DroppedEvents reads 0.
-func AttachAccounting(m *sim.Machine, opts Options) (*Recorder, error) {
-	return attach(m, opts, false)
+// but no event is buffered, so AppendPerfetto has no slice or instant to
+// render and Summary.DroppedEvents reads 0.
+func AttachAccounting(m *sim.Machine) *Recorder {
+	return attach(m, false)
 }
 
-func attach(m *sim.Machine, opts Options, events bool) (*Recorder, error) {
-	opts, err := opts.normalized()
-	if err != nil {
-		return nil, err
-	}
+func attach(m *sim.Machine, events bool) *Recorder {
 	r := &Recorder{
 		m:        m,
-		opts:     opts,
-		maxEv:    int(opts.MaxBytes / estEventBytes),
-		recSlice: events && opts.track(TrackSlices),
-		recInst:  events && opts.track(TrackInstants),
+		maxEv:    maxBytes / estEventBytes,
+		events:   events,
 		classIdx: map[string]int{},
-	}
-	if r.maxEv < 16 {
-		r.maxEv = 16
-	}
-	if len(opts.Classes) > 0 {
-		r.include = make(map[string]bool, len(opts.Classes))
-		for _, c := range opts.Classes {
-			r.include[c] = true
-		}
 	}
 
 	// Every thread alive at attach gets its slot now, in one allocation;
@@ -330,7 +253,7 @@ func attach(m *sim.Machine, opts Options, events bool) (*Recorder, error) {
 	now := int64(m.Now())
 	for _, t := range threads {
 		st := r.ensure(t)
-		if st == nil || t.State() == sim.StateDead {
+		if t.State() == sim.StateDead {
 			continue
 		}
 		switch t.State() {
@@ -357,37 +280,30 @@ func attach(m *sim.Machine, opts Options, events bool) (*Recorder, error) {
 	}
 
 	m.Observe(r, sim.Enqueue, sim.Dispatch, sim.Migrate, sim.Steal, sim.Wake)
-	return r, nil
+	return r
 }
 
 // ensure returns t's state slot, creating it on first sight (a fork): the
-// thread starts its span now, runnable-waiting. Returns nil for threads
-// filtered out by class.
+// thread starts its span now, runnable-waiting.
 func (r *Recorder) ensure(t *sim.Thread) *tstate {
 	id := t.ID
 	for len(r.st) < id {
-		r.st = append(r.st, tstate{class: -1})
+		r.st = append(r.st, tstate{})
 	}
 	st := &r.st[id-1]
 	if st.th == nil {
 		now := int64(r.m.Now())
+		ci, ok := r.classIdx[t.Group]
+		if !ok {
+			ci = len(r.classes)
+			r.classIdx[t.Group] = ci
+			r.classes = append(r.classes, &classAcc{name: t.Group})
+		}
+		r.classes[ci].threads++
 		*st = tstate{
-			th: t, class: -1, model: modelWait,
+			th: t, class: int32(ci), model: modelWait,
 			startNS: now, createdNS: now, exitedNS: -1,
 		}
-		if r.include == nil || r.include[t.Group] {
-			ci, ok := r.classIdx[t.Group]
-			if !ok {
-				ci = len(r.classes)
-				r.classIdx[t.Group] = ci
-				r.classes = append(r.classes, &classAcc{name: t.Group})
-			}
-			st.class = int32(ci)
-			r.classes[ci].threads++
-		}
-	}
-	if st.class < 0 {
-		return nil
 	}
 	return st
 }
@@ -407,7 +323,7 @@ func (st *tstate) lastRanNS() int64 {
 func (r *Recorder) closeRun(st *tstate, end int64) {
 	st.runNS += end - st.startNS
 	r.slices++
-	if r.recSlice {
+	if r.events {
 		if r.ev.n < r.maxEv {
 			r.ev.append(event{
 				kind: evSlice, tid: int32(st.th.ID), core: st.core, other: -1, t: st.startNS,
@@ -422,7 +338,7 @@ func (r *Recorder) closeRun(st *tstate, end int64) {
 
 // instant records a non-slice event.
 func (r *Recorder) instant(kind uint8, tid, core, other int32, t int64) {
-	if !r.recInst {
+	if !r.events {
 		return
 	}
 	if r.ev.n >= r.maxEv {
@@ -439,7 +355,7 @@ func (r *Recorder) Observe(e sim.Event) {
 	// An Enqueue only matters for first sight (fork): ensure initialized
 	// the thread waiting from now. Wakeup and migration arrivals were
 	// already reconciled by their own events.
-	if st == nil || e.Kind == sim.Enqueue {
+	if e.Kind == sim.Enqueue {
 		return
 	}
 	now := int64(r.m.Now())
@@ -464,9 +380,7 @@ func (r *Recorder) Observe(e sim.Event) {
 		st.fromWake = true
 		st.wakeups++
 		r.wakeups++
-		if st.class >= 0 {
-			r.classes[st.class].wakeups++
-		}
+		r.classes[st.class].wakeups++
 		org := int32(-1)
 		if e.From != nil {
 			org = int32(e.From.ID)
@@ -528,12 +442,10 @@ func (r *Recorder) observeLatency(st *tstate, waitNS, atNS int64) {
 	if waitNS > r.maxNS {
 		r.maxNS = waitNS
 	}
-	if st.class >= 0 {
-		ca := r.classes[st.class]
-		ca.hist[idx]++
-		if waitNS > ca.maxNS {
-			ca.maxNS = waitNS
-		}
+	ca := r.classes[st.class]
+	ca.hist[idx]++
+	if waitNS > ca.maxNS {
+		ca.maxNS = waitNS
 	}
 	// Insertion into the fixed worst-K table, ordered by (wait desc,
 	// at asc, tid asc) so the view is deterministic under ties.
@@ -574,7 +486,7 @@ func (r *Recorder) Close() {
 	r.closedNS = now
 	for i := range r.st {
 		st := &r.st[i]
-		if st.th == nil || st.class < 0 {
+		if st.th == nil {
 			continue
 		}
 		switch st.model {
@@ -663,7 +575,7 @@ func (r *Recorder) Accounts() []ThreadAccount {
 	var out []ThreadAccount
 	for i := range r.st {
 		st := &r.st[i]
-		if st.th == nil || st.class < 0 {
+		if st.th == nil {
 			continue
 		}
 		out = append(out, ThreadAccount{

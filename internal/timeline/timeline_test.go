@@ -1,7 +1,6 @@
 package timeline
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -56,10 +55,7 @@ func checkConservation(t *testing.T, r *Recorder, closeNS int64) {
 
 func TestConservationRunSleepers(t *testing.T) {
 	m := sim.NewMachine(topo.Small(), sim.NewFIFO(), sim.Options{Seed: 11})
-	r, err := Attach(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Attach(m)
 	for i := 0; i < 12; i++ {
 		m.StartThread("w", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
 	}
@@ -88,10 +84,7 @@ func TestConservationMidRunAttach(t *testing.T) {
 		m.StartThread("w", "app", 0, &runSleeper{run: 900 * time.Microsecond, sleep: 300 * time.Microsecond})
 	}
 	m.Run(25 * time.Millisecond)
-	r, err := Attach(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Attach(m)
 	m.Run(50 * time.Millisecond)
 	r.Close()
 	checkConservation(t, r, int64(m.Now()))
@@ -105,10 +98,7 @@ func TestConservationMidRunAttach(t *testing.T) {
 // histogram and the worst-K table.
 func TestWakeLatencyObserved(t *testing.T) {
 	m := sim.NewMachine(topo.SingleCore(), sim.NewFIFO(), sim.Options{Seed: 3})
-	r, err := Attach(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Attach(m)
 	m.StartThread("hog", "batch", 0, spinner{})
 	m.StartThread("sleeper", "lat", 0, &runSleeper{run: 100 * time.Microsecond, sleep: 500 * time.Microsecond})
 	m.Run(30 * time.Millisecond)
@@ -139,41 +129,10 @@ func TestWakeLatencyObserved(t *testing.T) {
 	}
 }
 
-func TestClassFilterAndAccounts(t *testing.T) {
-	m := sim.NewMachine(topo.Small(), sim.NewFIFO(), sim.Options{Seed: 5})
-	r, err := Attach(m, Options{Classes: []string{"keep"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		m.StartThread("k", "keep", 0, &runSleeper{run: 500 * time.Microsecond, sleep: 200 * time.Microsecond})
-		m.StartThread("d", "drop", 0, &runSleeper{run: 500 * time.Microsecond, sleep: 200 * time.Microsecond})
-	}
-	m.Run(20 * time.Millisecond)
-	r.Close()
-
-	sum := r.Summary()
-	if sum.Threads != 3 {
-		t.Fatalf("threads = %d, want 3 (filtered)", sum.Threads)
-	}
-	classes := r.Classes()
-	if len(classes) != 1 || classes[0].Class != "keep" || classes[0].Threads != 3 {
-		t.Fatalf("classes = %+v, want one 'keep' class with 3 threads", classes)
-	}
-	for _, a := range r.Accounts() {
-		if a.Class != "keep" {
-			t.Fatalf("account for filtered class: %+v", a)
-		}
-	}
-	checkConservation(t, r, int64(m.Now()))
-}
-
 func TestEventDropBoundedByBudget(t *testing.T) {
 	m := sim.NewMachine(topo.Small(), sim.NewFIFO(), sim.Options{Seed: 9})
-	r, err := Attach(m, Options{MaxBytes: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Attach(m)
+	r.maxEv = 4096 / estEventBytes
 	for i := 0; i < 12; i++ {
 		m.StartThread("w", "app", 0, &runSleeper{run: 300 * time.Microsecond, sleep: 100 * time.Microsecond})
 	}
@@ -194,46 +153,11 @@ func TestEventDropBoundedByBudget(t *testing.T) {
 	}
 }
 
-func TestTrackSelection(t *testing.T) {
-	if _, err := Attach(sim.NewMachine(topo.SingleCore(), sim.NewFIFO(), sim.Options{}), Options{Tracks: []string{"slics"}}); err == nil {
-		t.Fatal("unknown track group accepted")
-	} else if !strings.Contains(err.Error(), "slics") {
-		t.Fatalf("error %q does not name the bad group", err)
-	}
-
-	m := sim.NewMachine(topo.Small(), sim.NewFIFO(), sim.Options{Seed: 9})
-	r, err := Attach(m, Options{Tracks: []string{TrackInstants}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		m.StartThread("w", "app", 0, &runSleeper{run: 700 * time.Microsecond, sleep: 400 * time.Microsecond})
-	}
-	m.Run(20 * time.Millisecond)
-	r.Close()
-	r.eachEvent(func(i int, ev *event) {
-		if ev.kind == evSlice {
-			t.Fatalf("event %d is a slice despite instants-only selection", i)
-		}
-	})
-	if r.eventCount() == 0 {
-		t.Fatal("no instants recorded")
-	}
-	// Slices are still accounted even when their events are not exported.
-	if r.Summary().Slices == 0 {
-		t.Fatal("slice accounting must not depend on track selection")
-	}
-	checkConservation(t, r, int64(m.Now()))
-}
-
 // TestExitedThreadSpan: finite threads' spans end at their exit, and the
 // invariant holds over [created, exited].
 func TestExitedThreadSpan(t *testing.T) {
 	m := sim.NewMachine(topo.Small(), sim.NewFIFO(), sim.Options{Seed: 13})
-	r, err := Attach(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Attach(m)
 	m.StartThread("f", "job", 0, &finiteProg{n: 5, burst: 200 * time.Microsecond})
 	m.StartThread("bg", "app", 0, &runSleeper{run: 400 * time.Microsecond, sleep: 400 * time.Microsecond})
 	m.Run(20 * time.Millisecond)
