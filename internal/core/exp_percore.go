@@ -221,11 +221,15 @@ func init() {
 
 // sysbenchSampler records the cumulative runtimes (Figure 3) and
 // interactivity penalties (Figure 4) of sysbench's master and a
-// representative subset of its workers, every 8th.
+// representative subset of its workers, every 8th. A sampled worker's two
+// series are resolved the first tick it is seen, in worker order, so they
+// are created in the order the sets have always listed them.
 type sysbenchSampler struct {
 	runtimes, penalties *probe.Set
 	sys                 *apps.Instance
 	ule                 *ule.Sched
+	// workers holds worker 8j's runtime and penalty series at index j.
+	workers [][2]*probe.Series
 }
 
 func (s *sysbenchSampler) Sample(at time.Duration) {
@@ -234,11 +238,14 @@ func (s *sysbenchSampler) Sample(at time.Duration) {
 		s.runtimes.Sample("master", now, s.sys.Master.RunTime.Seconds())
 		s.penalties.Sample("master", now, float64(s.ule.Score(s.sys.Master)))
 	}
-	for i, w := range s.sys.Workers {
-		if i%8 == 0 {
-			s.runtimes.Sample(fmt.Sprintf("worker-%d", i), now, w.RunTime.Seconds())
-			s.penalties.Sample(fmt.Sprintf("worker-%d", i), now, float64(s.ule.Score(w)))
-		}
+	for i := 8 * len(s.workers); i < len(s.sys.Workers); i += 8 {
+		name := fmt.Sprintf("worker-%d", i)
+		s.workers = append(s.workers, [2]*probe.Series{s.runtimes.Get(name), s.penalties.Get(name)})
+	}
+	for j, ss := range s.workers {
+		w := s.sys.Workers[8*j]
+		ss[0].Offer(now, w.RunTime.Seconds())
+		ss[1].Offer(now, float64(s.ule.Score(w)))
 	}
 }
 

@@ -230,33 +230,3 @@ func (rq *ReqQueue) Complete(now time.Duration, r Request) {
 
 // Depth returns the number of waiting requests.
 func (rq *ReqQueue) Depth() int { return rq.q.Len() }
-
-// Semaphore is a counting semaphore used by fork-join pools.
-type Semaphore struct {
-	// WQ holds blocked acquirers.
-	WQ    *sim.WaitQueue
-	avail int
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(n int) *Semaphore {
-	return &Semaphore{WQ: sim.NewWaitQueue(), avail: n}
-}
-
-// TryAcquire takes a permit if available.
-func (s *Semaphore) TryAcquire() bool {
-	if s.avail <= 0 {
-		return false
-	}
-	s.avail--
-	return true
-}
-
-// Release returns a permit and wakes one blocked acquirer.
-func (s *Semaphore) Release(ctx *sim.Ctx) {
-	s.avail++
-	ctx.Signal(s.WQ, 1)
-}
-
-// Available returns the free permit count.
-func (s *Semaphore) Available() int { return s.avail }

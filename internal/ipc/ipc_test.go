@@ -334,30 +334,6 @@ func TestReqQueueBounded(t *testing.T) {
 	}
 }
 
-func TestSemaphore(t *testing.T) {
-	m := newMachine()
-	s := NewSemaphore(2)
-	if !s.TryAcquire() || !s.TryAcquire() {
-		t.Fatal("acquire failed with permits available")
-	}
-	if s.TryAcquire() {
-		t.Fatal("acquire succeeded with no permits")
-	}
-	released := false
-	m.StartThread("r", "app", 0, programFunc(func(ctx *sim.Ctx) sim.Op {
-		if released {
-			return sim.Exit()
-		}
-		released = true
-		s.Release(ctx)
-		return sim.Run(time.Microsecond)
-	}))
-	m.Run(time.Second)
-	if s.Available() != 1 {
-		t.Fatalf("available = %d", s.Available())
-	}
-}
-
 // TestPipeFIFOAndCapOnLiveLength slides a window of messages through a
 // small pipe many times over: messages come out in order, Len is the live
 // count, and Cap is enforced on it — not on how far the pipe's backing
