@@ -29,7 +29,8 @@ func appTrial(spec apps.Spec, kind SchedulerKind, cores int, seed int64, window 
 // appComparison runs every catalog entry under both schedulers — one trial
 // per (app, scheduler) cell, executed on the worker pool — and reports the
 // paper's bar value: % performance difference of ULE relative to CFS.
-func appComparison(id string, specs []apps.Spec, cores int, scale float64) *Result {
+// paperPct is the paper's mean difference on this machine, for the note.
+func appComparison(id string, specs []apps.Spec, cores int, paperPct, scale float64) *Result {
 	r := &Result{ID: id, Title: fmt.Sprintf("Performance of ULE w.r.t. CFS on %d core(s)", cores)}
 	window := scaleDur(25*time.Second, scale, 6*time.Second)
 	trials := make([]Trial[float64], 0, 2*len(specs))
@@ -57,7 +58,7 @@ func appComparison(id string, specs []apps.Spec, cores int, scale float64) *Resu
 			},
 		})
 	}
-	r.AddNote("mean ULE-vs-CFS difference: %+.2f%% (paper: +1.5%% single core, +2.75%% multicore)", stats.Mean(deltas))
+	r.AddNote("mean ULE-vs-CFS difference: %+.2f%% (paper: %+g%%)", stats.Mean(deltas), paperPct)
 	return r
 }
 
@@ -66,7 +67,7 @@ func init() {
 		ID:    "fig5",
 		Title: "Performance of ULE with respect to CFS on a single core (37 applications)",
 		Run: func(scale float64) *Result {
-			return appComparison("fig5", apps.Catalog(), 1, scale)
+			return appComparison("fig5", apps.Catalog(), 1, 1.5, scale)
 		},
 	})
 	register(Experiment{
@@ -83,7 +84,7 @@ func init() {
 					}
 				}
 			}
-			return appComparison("fig8", specs, 32, scale)
+			return appComparison("fig8", specs, 32, 2.75, scale)
 		},
 	})
 
