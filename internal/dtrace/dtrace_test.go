@@ -3,8 +3,10 @@ package dtrace
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -111,6 +113,35 @@ func TestDeterminism(t *testing.T) {
 	r2, _ := record(t, Options{})
 	if !bytes.Equal(r1.Bytes(), r2.Bytes()) {
 		t.Fatal("identical runs produced different traces")
+	}
+}
+
+// TestDecodeColumnSubset: the recorder writes every column, but a stream
+// whose header lists only the mandatory four and some of the rest still
+// decodes, the absent columns reading as zero (Other as -1, no candidate
+// set) and rendering as empty CSV fields.
+func TestDecodeColumnSubset(t *testing.T) {
+	hdr := `{"columns":[{"name":"t_ns","type":"i64"},{"name":"core","type":"i32"},{"name":"kind","type":"u8"},{"name":"thread","type":"i32"},{"name":"digest","type":"u64"}],"sample":1,"window":8}`
+	b := fmt.Appendf(nil, "%s\n%s\n{\"records\":2,\"cands\":0}\n", Magic, hdr)
+	b = appendI64s(b, []int64{5, 9})
+	b = appendI32s(b, []int32{1, 0})
+	b = append(b, uint8(KindPick), uint8(KindWake))
+	b = appendI32s(b, []int32{7, 8})
+	b = appendU64s(b, []uint64{0xabc, 0xdef})
+	tr, err := Decode(b)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	want := []Rec{
+		{T: 5, Core: 1, Kind: KindPick, Thread: 7, Other: -1, Digest: 0xabc},
+		{T: 9, Core: 0, Kind: KindWake, Thread: 8, Other: -1, Digest: 0xdef},
+	}
+	if !reflect.DeepEqual(tr.Recs, want) {
+		t.Fatalf("decoded %+v, want %+v", tr.Recs, want)
+	}
+	const wantCSV = "5,1,pick,7,,,0000000000000abc,\n9,0,wake,8,,,0000000000000def,\n"
+	if got := string(tr.AppendCSV(nil, "")); got != wantCSV {
+		t.Fatalf("CSV %q, want %q", got, wantCSV)
 	}
 }
 

@@ -152,8 +152,7 @@ const seriesCadenceFloor = 50 * time.Microsecond
 // options converts the spec's trace block into recorder options. The
 // recorder buffers in memory (Sink nil): the encoded stream rides the
 // TrialReport into the CLI exporters, keeping trial execution free of
-// filesystem effects (and so byte-identical at any -jobs width). The
-// timeline buffers in memory the same way.
+// filesystem effects (and so byte-identical at any -jobs width).
 func (ts *TraceSpec) options() dtrace.Options {
 	return dtrace.Options{Sample: ts.Sample, Window: ts.Window, Branch: ts.Branch}
 }
